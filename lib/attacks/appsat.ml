@@ -6,12 +6,8 @@
 
 module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
-module Solver = Orap_sat.Solver
-module Lit = Orap_sat.Lit
-module Prng = Orap_sim.Prng
-module Telemetry = Orap_telemetry.Telemetry
 
-type result = {
+type result = Attack.result = {
   outcome : bool array Budget.outcome;
   iterations : int;
   queries : int;  (** oracle queries made by THIS run (delta, not lifetime) *)
@@ -22,116 +18,36 @@ type result = {
 let run ?(budget = Budget.default) ?max_iterations ?(probe_every = 8)
     ?(probe_size = 32) ?(error_threshold = 0.01) ?(seed = 4242)
     (locked : Locked.t) (oracle : Oracle.t) : result =
-  let budget =
-    match max_iterations with
-    | Some n -> { budget with Budget.max_iterations = n }
-    | None -> budget
-  in
-  let clock = Budget.start budget in
-  let st = Sat_attack.make_state locked in
-  let rng = Prng.create seed in
-  let nri = locked.Locked.num_regular_inputs in
-  let queries0 = Oracle.num_queries oracle in
-  let queries_here () = Oracle.num_queries oracle - queries0 in
-  let finish outcome iters =
-    { outcome; iterations = iters; queries = queries_here ();
-      conflicts = Solver.num_conflicts st.Sat_attack.solver;
-      elapsed_s = Budget.elapsed_s clock }
-  in
-  (* probe the current constraint-consistent key on random queries *)
-  let probe () =
-    match
-      Budget.solve clock
-        ~assumptions:[| Lit.negate st.Sat_attack.activate |]
-        st.Sat_attack.solver
-    with
-    | Error r -> Error (Budget.Exhausted r)
-    | Ok Solver.Unknown -> assert false (* Budget.solve never returns it *)
-    | Ok Solver.Unsat -> Error (Budget.Exhausted Budget.Inconsistent)
-    | Ok Solver.Sat ->
-      let key = Sat_attack.extract_key st st.Sat_attack.k1_vars in
-      Solver.backtrack_to_root st.Sat_attack.solver;
-      let errors = ref 0 in
-      let failing = ref [] in
-      let refused = ref None in
-      (try
-         for _ = 1 to probe_size do
-           let x = Prng.bool_array rng nri in
-           match Budget.query oracle x with
-           | Error r ->
-             refused := Some r;
-             raise Exit
-           | Ok y ->
-             if Locked.eval locked ~key ~inputs:x <> y then begin
-               incr errors;
-               failing := (x, y) :: !failing
-             end
-         done
-       with Exit -> ());
-      (match !refused with
-      | Some r -> Error (Budget.Oracle_refused r)
-      | None ->
-        Ok (key, float_of_int !errors /. float_of_int probe_size, !failing))
-  in
-  let rec loop iters =
-    match Budget.check_iteration clock iters with
-    | Some r -> finish (Budget.Exhausted r) iters
-    | None ->
-      if iters > 0 && iters mod probe_every = 0 then begin
-        match probe () with
-        | Error outcome -> finish outcome iters
-        | Ok (key, err, failing) ->
+  let rng = Orap_sim.Prng.create seed in
+  (* every [probe_every] DIPs, probe the current constraint-consistent key
+     on random queries *)
+  let probe (ctx : Attack.ctx) iters =
+    if iters = 0 || iters mod probe_every <> 0 then Attack.Continue
+    else
+      match Attack.candidate ctx with
+      | Error r -> Attack.Stop (Budget.Exhausted r)
+      | Ok key -> (
+        match Attack.sample ctx rng probe_size with
+        | Error r -> Attack.Stop (Budget.Oracle_refused r)
+        | Ok pairs ->
+          let failing =
+            List.filter (fun (x, y) -> Locked.eval locked ~key ~inputs:x <> y) pairs
+          in
+          let err =
+            float_of_int (List.length failing) /. float_of_int probe_size
+          in
           if err <= error_threshold then
-            let stats =
-              Budget.stats_of clock ~iterations:iters
-                ~queries:(queries_here ()) ~estimated_error:err ()
-            in
-            finish (Budget.Approximate (key, stats)) iters
+            Attack.Stop
+              (Budget.Approximate
+                 ( key,
+                   Budget.stats_of ctx.Attack.clock ~iterations:iters
+                     ~queries:(Attack.queries ctx) ~estimated_error:err () ))
           else begin
             (* failing probes double as constraints, as in AppSAT *)
-            List.iter (fun (x, y) -> Sat_attack.add_io_constraint st x y) failing;
-            dip_step iters
-          end
-      end
-      else dip_step iters
-  and dip_step iters =
-    match
-      Telemetry.span "appsat.iteration"
-        ~args:[ ("iter", Telemetry.Int iters) ]
-        (fun () ->
-          Budget.solve clock ~assumptions:[| st.Sat_attack.activate |]
-            st.Sat_attack.solver)
-    with
-    | Error r -> finish (Budget.Exhausted r) iters
-    | Ok Solver.Unknown -> assert false
-    | Ok Solver.Sat -> (
-      let dip = Sat_attack.extract_key st st.Sat_attack.x_vars in
-      Solver.backtrack_to_root st.Sat_attack.solver;
-      match Budget.query oracle dip with
-      | Error r -> finish (Budget.Oracle_refused r) iters
-      | Ok y ->
-        Sat_attack.add_io_constraint st dip y;
-        loop (iters + 1))
-    | Ok Solver.Unsat -> (
-      match
-        Budget.solve clock
-          ~assumptions:[| Lit.negate st.Sat_attack.activate |]
-          st.Sat_attack.solver
-      with
-      | Error r -> finish (Budget.Exhausted r) iters
-      | Ok Solver.Unknown -> assert false
-      | Ok Solver.Sat ->
-        let key = Sat_attack.extract_key st st.Sat_attack.k1_vars in
-        Solver.backtrack_to_root st.Sat_attack.solver;
-        finish (Budget.Exact key) iters
-      | Ok Solver.Unsat -> finish (Budget.Exhausted Budget.Inconsistent) iters)
+            List.iter (fun (x, y) -> Miter.add_io ctx.Attack.miter x y) failing;
+            Attack.Continue
+          end)
   in
-  Telemetry.span "appsat.run"
-    ~exit_args:(fun r ->
-      [
-        ("iterations", Telemetry.Int r.iterations);
-        ("queries", Telemetry.Int r.queries);
-        ("conflicts", Telemetry.Int r.conflicts);
-        ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
-      ])
-    (fun () -> loop 0)
+  Attack.run ~name:"appsat" ~budget ?max_iterations ~before_dip:probe
+    ~build:(fun () -> Sat_attack.miter locked)
+    oracle

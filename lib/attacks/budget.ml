@@ -108,12 +108,12 @@ let check_iteration c i =
    cap, after which the deadline is rechecked and the solve resumed. *)
 let conflict_slice = 4096
 
-(** Budget-aware satisfiability: [Ok result] on an honest answer, [Error
-    reason] when the conflict budget or the deadline ran out first.  [Ok]
-    never carries [Solver.Unknown]: an indeterminate chunk either resumes
-    or becomes an [Error]. *)
-let solve c ?(assumptions = [||]) (s : Solver.t) :
-    (Solver.result, reason) result =
+type answer = Sat | Unsat
+
+(** Budget-aware satisfiability: [Ok answer] on an honest answer, [Error
+    reason] when the conflict budget or the deadline ran out first; an
+    indeterminate chunk either resumes or becomes an [Error]. *)
+let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
   let cap_abs =
     match c.budget.max_conflicts with Some n -> n | None -> max_int
   in
@@ -128,47 +128,51 @@ let solve c ?(assumptions = [||]) (s : Solver.t) :
           | Some _ -> min cap_abs (Solver.num_conflicts s + conflict_slice)
           | None -> cap_abs
         in
-        if cap = max_int then Ok (Solver.solve ~assumptions s)
-        else
-          match Solver.solve ~assumptions ~conflict_limit:cap s with
-          | (Solver.Sat | Solver.Unsat) as r -> Ok r
-          | Solver.Unknown ->
-            (* the chunk's limit tripped: recheck budgets, resume *)
-            if Solver.num_conflicts s >= cap_abs then Error (Conflicts cap_abs)
-            else go ()
+        match Solver.solve ~assumptions ~conflict_limit:cap s with
+        | Solver.Sat -> Ok Sat
+        | Solver.Unsat -> Ok Unsat
+        | Solver.Unknown ->
+          (* the chunk's limit tripped: recheck budgets, resume *)
+          if Solver.num_conflicts s >= cap_abs then Error (Conflicts cap_abs)
+          else go ()
       end
   in
   let conflicts0 = Solver.num_conflicts s in
   let decisions0 = Solver.num_decisions s in
   let propagations0 = Solver.num_propagations s in
   Metrics.incr (Metrics.counter "solver.solves");
-  (* record per-solve statistic deltas; returns the span args so the same
-     closure also serves [Telemetry.span]'s exit hook *)
-  let record r =
+  (* feed the per-solve statistic deltas to the [solver.*] counters *)
+  let record () =
     let dc = Solver.num_conflicts s - conflicts0 in
     let dd = Solver.num_decisions s - decisions0 in
     let dp = Solver.num_propagations s - propagations0 in
     Metrics.add (Metrics.counter "solver.conflicts") dc;
     Metrics.add (Metrics.counter "solver.decisions") dd;
     Metrics.add (Metrics.counter "solver.propagations") dp;
-    [
-      ( "result",
-        Telemetry.String
-          (match r with
-          | Ok Solver.Sat -> "sat"
-          | Ok Solver.Unsat -> "unsat"
-          | Ok Solver.Unknown -> "unknown"
-          | Error reason -> reason_to_string reason) );
-      ("conflicts", Telemetry.Int dc);
-      ("decisions", Telemetry.Int dd);
-      ("propagations", Telemetry.Int dp);
-    ]
+    (dc, dd, dp)
   in
   if Telemetry.enabled () then
-    Telemetry.span "solver.solve" ~exit_args:record go
+    Telemetry.span "solver.solve"
+      ~exit_args:(fun r ->
+        let dc, dd, dp = record () in
+        [
+          ( "result",
+            Telemetry.String
+              (match r with
+              | Ok Sat -> "sat"
+              | Ok Unsat -> "unsat"
+              | Error reason -> reason_to_string reason) );
+          ("conflicts", Telemetry.Int dc);
+          ("decisions", Telemetry.Int dd);
+          ("propagations", Telemetry.Int dp);
+          ("vars", Telemetry.Int (Solver.num_vars s));
+          ("clauses", Telemetry.Int (Solver.num_clauses s));
+          ("learnts", Telemetry.Int (Solver.num_learnts s));
+        ])
+      go
   else begin
     let r = go () in
-    ignore (record r);
+    ignore (record ());
     r
   end
 

@@ -59,20 +59,24 @@ val elapsed_s : clock -> float
     iteration cap or the deadline stops it. *)
 val check_iteration : clock -> int -> reason option
 
+(** An honest solver answer: a budgeted solve that runs out is an [Error],
+    never a third answer. *)
+type answer = Sat | Unsat
+
 (** Budget-aware satisfiability: threads the remaining conflict budget
     through [Solver.solve]'s [?conflict_limit] and slices long solves so a
-    wall-clock deadline is honoured to ~thousands of conflicts.  [Ok
-    result] is an honest answer and never carries [Solver.Unknown] — an
-    indeterminate chunk resumes or becomes [Error]; in particular a
-    genuine [Unsat] proved on exactly the cap-th conflict is [Ok Unsat].
-    [Error reason] means a budget ran out mid-solve.  Each call emits one
-    ["solver.solve"] telemetry span carrying conflict/decision/propagation
-    deltas, and always feeds the [solver.*] metrics counters. *)
+    wall-clock deadline is honoured to ~thousands of conflicts.  A genuine
+    [Unsat] proved on exactly the cap-th conflict is [Ok Unsat]; [Error
+    reason] means a budget ran out mid-solve.  Always feeds the [solver.*]
+    metrics counters; with tracing enabled, each call emits one
+    ["solver.solve"] span carrying the result, the conflict/decision/
+    propagation deltas and the problem size at exit ([vars], [clauses],
+    [learnts]). *)
 val solve :
   clock ->
   ?assumptions:Orap_sat.Lit.t array ->
   Orap_sat.Solver.t ->
-  (Orap_sat.Solver.result, reason) result
+  (answer, reason) result
 
 (** Oracle query that converts {!Orap_core.Faulty_oracle.Refused} into
     [Error (Refusal _)]. *)

@@ -14,7 +14,6 @@ module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
 module Solver = Orap_sat.Solver
 module Lit = Orap_sat.Lit
-module Tseitin = Orap_sat.Tseitin
 module Gate = Orap_netlist.Gate
 
 type result = {
@@ -42,35 +41,17 @@ let patch_overhead (locked : Locked.t) (r : result) : int =
    High-corruption locking makes the disagreement set explode past the
    enumeration budget, which is how the attack fails. *)
 let find_disagreements (locked : Locked.t) (oracle : Oracle.t) key key2 ~clock =
-  let nl = locked.Locked.netlist in
-  let nri = locked.Locked.num_regular_inputs in
-  let solver = Solver.create () in
-  let x_vars = Solver.new_vars solver nri in
-  let ct = Solver.new_var solver in
-  ignore (Solver.add_clause solver [ Lit.pos ct ]);
-  let cf = Solver.new_var solver in
-  ignore (Solver.add_clause solver [ Lit.neg cf ]);
-  let iv_with karr i =
-    if i < nri then x_vars.(i) else if karr.(i - nri) then ct else cf
+  let m = Miter.create locked ~copies:2 in
+  let solver = m.Miter.solver in
+  let fix kv bits =
+    Array.iter2
+      (fun v b ->
+        ignore (Solver.add_clause solver [ (if b then Lit.pos v else Lit.neg v) ]))
+      kv bits
   in
-  let o1 =
-    Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(iv_with key))
-  in
-  let o2 =
-    Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(iv_with key2))
-  in
-  let diffs =
-    Array.map2
-      (fun a b ->
-        let d = Solver.new_var solver in
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.pos a; Lit.pos b ]);
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.neg a; Lit.neg b ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.pos a; Lit.neg b ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.neg a; Lit.pos b ]);
-        d)
-      o1 o2
-  in
-  ignore (Solver.add_clause solver (Array.to_list (Array.map Lit.pos diffs)));
+  fix m.Miter.keys.(0) key;
+  fix m.Miter.keys.(1) key2;
+  Miter.outputs_differ m 0 1;
   let patches = ref [] in
   let stopped = ref None in
   let iters = ref 0 in
@@ -81,16 +62,14 @@ let find_disagreements (locked : Locked.t) (oracle : Oracle.t) key key2 ~clock =
       stopped := Some (Budget.Exhausted r);
       continue_ := false
     | None -> (
-      match Budget.solve clock solver with
+      match Budget.solve clock ~assumptions:[| m.Miter.activate |] solver with
       | Error r ->
         stopped := Some (Budget.Exhausted r);
         continue_ := false
-      | Ok Solver.Unknown -> assert false (* Budget.solve never returns it *)
-      | Ok Solver.Unsat -> continue_ := false
-      | Ok Solver.Sat -> (
+      | Ok Budget.Unsat -> continue_ := false
+      | Ok Budget.Sat -> (
         incr iters;
-        let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
-        Solver.backtrack_to_root solver;
+        let x = Miter.dip m in
         (* the attacker checks x against the real oracle *)
         match Budget.query oracle x with
         | Error r ->
@@ -107,7 +86,7 @@ let find_disagreements (locked : Locked.t) (oracle : Oracle.t) key key2 ~clock =
                (Array.to_list
                   (Array.mapi
                      (fun i v -> if x.(i) then Lit.neg v else Lit.pos v)
-                     x_vars)))))
+                     m.Miter.x_vars)))))
   done;
   (List.rev !patches, !stopped)
 

@@ -4,15 +4,10 @@
     the pairs are kept distinct, which defeats one-key-per-iteration
     defences such as SARLock. *)
 
-module N = Orap_netlist.Netlist
 module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
-module Solver = Orap_sat.Solver
-module Lit = Orap_sat.Lit
-module Tseitin = Orap_sat.Tseitin
-module Telemetry = Orap_telemetry.Telemetry
 
-type result = {
+type result = Attack.result = {
   outcome : bool array Budget.outcome;
   iterations : int;
   queries : int;  (** oracle queries made by THIS run (delta, not lifetime) *)
@@ -20,108 +15,18 @@ type result = {
   elapsed_s : float;
 }
 
+(** The four-copy miter. *)
+let miter locked =
+  let m = Miter.create locked ~copies:4 in
+  (* both pairs must disagree on the same input *)
+  Miter.outputs_differ m 0 1;
+  Miter.outputs_differ m 2 3;
+  (* and the pairs must differ somewhere (key 0 <> key 2) *)
+  Miter.keys_differ m 0 2;
+  m
+
 let run ?(budget = { Budget.default with Budget.max_iterations = 128 })
     ?max_iterations (locked : Locked.t) (oracle : Oracle.t) : result =
-  let budget =
-    match max_iterations with
-    | Some n -> { budget with Budget.max_iterations = n }
-    | None -> budget
-  in
-  let clock = Budget.start budget in
-  let solver = Solver.create () in
-  let nl = locked.Locked.netlist in
-  let nri = locked.Locked.num_regular_inputs in
-  let ksz = Locked.key_size locked in
-  let x_vars = Solver.new_vars solver nri in
-  let keys = Array.init 4 (fun _ -> Solver.new_vars solver ksz) in
-  let input_var kv i = if i < nri then x_vars.(i) else kv.(i - nri) in
-  let outs =
-    Array.map
-      (fun kv ->
-        Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(input_var kv)))
-      keys
-  in
-  let a_var = Solver.new_var solver in
-  let activate = Lit.pos a_var in
-  let add c = ignore (Solver.add_clause solver c) in
-  let xor_var v1 v2 =
-    let d = Solver.new_var solver in
-    add [ Lit.neg d; Lit.pos v1; Lit.pos v2 ];
-    add [ Lit.neg d; Lit.neg v1; Lit.neg v2 ];
-    add [ Lit.pos d; Lit.pos v1; Lit.neg v2 ];
-    add [ Lit.pos d; Lit.neg v1; Lit.pos v2 ];
-    d
-  in
-  let diff_clause o1 o2 =
-    let diffs = Array.map2 xor_var o1 o2 in
-    add (Lit.neg a_var :: Array.to_list (Array.map Lit.pos diffs))
-  in
-  (* both pairs must disagree on the same input *)
-  diff_clause outs.(0) outs.(1);
-  diff_clause outs.(2) outs.(3);
-  (* and the pairs must differ somewhere (key 0 <> key 2) *)
-  let kdiffs = Array.map2 xor_var keys.(0) keys.(2) in
-  add (Lit.neg a_var :: Array.to_list (Array.map Lit.pos kdiffs));
-  let const_true = Solver.new_var solver in
-  let const_false = Solver.new_var solver in
-  add [ Lit.pos const_true ];
-  add [ Lit.neg const_false ];
-  let constrain dip y =
-    Array.iter
-      (fun kv ->
-        let fixed i =
-          if i < nri then if dip.(i) then const_true else const_false
-          else kv.(i - nri)
-        in
-        let nodes = Tseitin.encode solver nl ~input_var:fixed in
-        Array.iteri
-          (fun j ov ->
-            add [ (if y.(j) then Lit.pos ov else Lit.neg ov) ])
-          (Tseitin.output_vars nl nodes))
-      keys
-  in
-  let queries0 = Oracle.num_queries oracle in
-  let finish outcome iters =
-    { outcome; iterations = iters;
-      queries = Oracle.num_queries oracle - queries0;
-      conflicts = Solver.num_conflicts solver;
-      elapsed_s = Budget.elapsed_s clock }
-  in
-  let rec loop iters =
-    match Budget.check_iteration clock iters with
-    | Some r -> finish (Budget.Exhausted r) iters
-    | None -> (
-      match
-        Telemetry.span "double_dip.iteration"
-          ~args:[ ("iter", Telemetry.Int iters) ]
-          (fun () -> Budget.solve clock ~assumptions:[| activate |] solver)
-      with
-      | Error r -> finish (Budget.Exhausted r) iters
-      | Ok Solver.Unknown -> assert false (* Budget.solve never returns it *)
-      | Ok Solver.Sat -> (
-        let dip = Array.map (fun v -> Solver.model_value solver v) x_vars in
-        Solver.backtrack_to_root solver;
-        match Budget.query oracle dip with
-        | Error r -> finish (Budget.Oracle_refused r) iters
-        | Ok y ->
-          constrain dip y;
-          loop (iters + 1))
-      | Ok Solver.Unsat -> (
-        match Budget.solve clock ~assumptions:[| Lit.negate activate |] solver with
-        | Error r -> finish (Budget.Exhausted r) iters
-        | Ok Solver.Unknown -> assert false
-        | Ok Solver.Sat ->
-          let key = Array.map (fun v -> Solver.model_value solver v) keys.(0) in
-          Solver.backtrack_to_root solver;
-          finish (Budget.Exact key) iters
-        | Ok Solver.Unsat -> finish (Budget.Exhausted Budget.Inconsistent) iters))
-  in
-  Telemetry.span "double_dip.run"
-    ~exit_args:(fun r ->
-      [
-        ("iterations", Telemetry.Int r.iterations);
-        ("queries", Telemetry.Int r.queries);
-        ("conflicts", Telemetry.Int r.conflicts);
-        ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
-      ])
-    (fun () -> loop 0)
+  Attack.run ~name:"double_dip" ~budget ?max_iterations
+    ~build:(fun () -> miter locked)
+    oracle

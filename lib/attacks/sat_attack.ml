@@ -1,23 +1,10 @@
-(** The SAT attack of Subramanyan et al. [6].
+(** The SAT attack of Subramanyan et al. [6]: the {!Attack} DIP loop on a
+    miter of two locked-circuit copies that must disagree on some output. *)
 
-    The classic loop: build a miter of two locked-circuit copies sharing the
-    primary inputs but carrying independent keys; while the miter is
-    satisfiable, the model's input vector is a distinguishing input pattern
-    (DIP); the oracle's response on the DIP is added as an input/output
-    constraint on both key copies.  When the miter goes unsatisfiable, any
-    key consistent with the accumulated constraints is functionally
-    equivalent to the correct key *provided the oracle answered correctly* —
-    which is exactly the property OraP removes. *)
-
-module N = Orap_netlist.Netlist
 module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
-module Solver = Orap_sat.Solver
-module Lit = Orap_sat.Lit
-module Tseitin = Orap_sat.Tseitin
-module Telemetry = Orap_telemetry.Telemetry
 
-type result = {
+type result = Attack.result = {
   outcome : bool array Budget.outcome;
   iterations : int;
   queries : int;  (** oracle queries made by THIS run (delta, not lifetime) *)
@@ -25,76 +12,37 @@ type result = {
   elapsed_s : float;
 }
 
-type state = {
-  locked : Locked.t;
-  solver : Solver.t;
-  x_vars : int array;
-  k1_vars : int array;
-  k2_vars : int array;
-  activate : Lit.t;  (** assumption literal guarding the miter difference *)
-  const_true : int;
-  const_false : int;
-}
+(** The two-copy miter (AppSAT uses it too). *)
+let miter locked =
+  let m = Miter.create locked ~copies:2 in
+  Miter.outputs_differ m 0 1;
+  m
 
-let make_state (locked : Locked.t) : state =
-  let solver = Solver.create () in
-  let nl = locked.Locked.netlist in
-  let nri = locked.Locked.num_regular_inputs in
-  let ksz = Locked.key_size locked in
-  let x_vars = Solver.new_vars solver nri in
-  let k1_vars = Solver.new_vars solver ksz in
-  let k2_vars = Solver.new_vars solver ksz in
-  let input_var keys i = if i < nri then x_vars.(i) else keys.(i - nri) in
-  let n1 = Tseitin.encode solver nl ~input_var:(input_var k1_vars) in
-  let n2 = Tseitin.encode solver nl ~input_var:(input_var k2_vars) in
-  let o1 = Tseitin.output_vars nl n1 and o2 = Tseitin.output_vars nl n2 in
-  (* diff_j <- o1_j xor o2_j; assumption literal A guards the "some output
-     differs" clause so the same solver can later produce a consistent key *)
-  let a_var = Solver.new_var solver in
-  let activate = Lit.pos a_var in
-  let diffs =
-    Array.map2
-      (fun v1 v2 ->
-        let d = Solver.new_var solver in
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.pos v1; Lit.pos v2 ]);
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.neg v1; Lit.neg v2 ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.pos v1; Lit.neg v2 ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.neg v1; Lit.pos v2 ]);
-        d)
-      o1 o2
-  in
-  ignore
-    (Solver.add_clause solver
-       (Lit.neg a_var :: Array.to_list (Array.map Lit.pos diffs)));
-  let const_true = Solver.new_var solver in
-  let const_false = Solver.new_var solver in
-  ignore (Solver.add_clause solver [ Lit.pos const_true ]);
-  ignore (Solver.add_clause solver [ Lit.neg const_false ]);
-  { locked; solver; x_vars; k1_vars; k2_vars; activate; const_true; const_false }
-
-(* add the IO constraint C(dip, K1) = y and C(dip, K2) = y *)
-let add_io_constraint (st : state) (dip : bool array) (y : bool array) =
-  let nl = st.locked.Locked.netlist in
-  let nri = st.locked.Locked.num_regular_inputs in
-  let fixed keys i =
-    if i < nri then if dip.(i) then st.const_true else st.const_false
-    else keys.(i - nri)
-  in
-  let constrain keys =
-    let nodes = Tseitin.encode st.solver nl ~input_var:(fixed keys) in
-    let outs = Tseitin.output_vars nl nodes in
-    Array.iteri
-      (fun j ov ->
-        ignore
-          (Solver.add_clause st.solver
-             [ (if y.(j) then Lit.pos ov else Lit.neg ov) ]))
-      outs
-  in
-  constrain st.k1_vars;
-  constrain st.k2_vars
-
-let extract_key (st : state) vars =
-  Array.map (fun v -> Solver.model_value st.solver v) vars
+(* Audit a proved key on [validate] fresh random oracle queries: a
+   mismatch demotes it to [Approximate] with the failing fraction of
+   output bits, a refusal to [Oracle_refused]. *)
+let audit ~validate ~seed (locked : Locked.t) (ctx : Attack.ctx) key iters =
+  if validate <= 0 then Budget.Exact key
+  else
+    match Attack.sample ctx (Orap_sim.Prng.create seed) validate with
+    | Error r -> Budget.Oracle_refused r
+    | Ok pairs ->
+      let bits, wrong =
+        List.fold_left
+          (fun (bits, wrong) (x, y) ->
+            let y' = Locked.eval locked ~key ~inputs:x in
+            let w = ref 0 in
+            Array.iteri (fun j b -> if b <> y'.(j) then incr w) y;
+            (bits + Array.length y, wrong + !w))
+          (0, 0) pairs
+      in
+      if wrong = 0 then Budget.Exact key
+      else
+        Budget.Approximate
+          ( key,
+            Budget.stats_of ctx.Attack.clock ~iterations:iters
+              ~queries:(Attack.queries ctx)
+              ~estimated_error:(float_of_int wrong /. float_of_int bits) () )
 
 (** Run the attack against [oracle] under [budget].  [max_iterations]
     overrides the budget's DIP-loop cap.
@@ -109,102 +57,7 @@ let extract_key (st : state) vars =
 let run ?(budget = Budget.default) ?max_iterations ?(validate = 0)
     ?(validation_seed = 11213) (locked : Locked.t) (oracle : Oracle.t) :
     result =
-  let budget =
-    match max_iterations with
-    | Some n -> { budget with Budget.max_iterations = n }
-    | None -> budget
-  in
-  let clock = Budget.start budget in
-  let st = make_state locked in
-  (* snapshot the oracle's lifetime counter so shared oracles report this
-     run's queries, not every run's *)
-  let queries0 = Oracle.num_queries oracle in
-  let queries_here () = Oracle.num_queries oracle - queries0 in
-  let finish outcome iters =
-    { outcome; iterations = iters; queries = queries_here ();
-      conflicts = Solver.num_conflicts st.solver;
-      elapsed_s = Budget.elapsed_s clock }
-  in
-  let audit_proof key iters =
-    if validate <= 0 then Budget.Exact key
-    else begin
-      let rng = Orap_sim.Prng.create validation_seed in
-      let nri = locked.Locked.num_regular_inputs in
-      let mismatching = ref 0 in
-      let total_bits = ref 0 in
-      let stopped = ref None in
-      (try
-         for _ = 1 to validate do
-           let x = Orap_sim.Prng.bool_array rng nri in
-           match Budget.query oracle x with
-           | Error r ->
-             stopped := Some r;
-             raise Exit
-           | Ok y ->
-             let y' = Locked.eval locked ~key ~inputs:x in
-             Array.iteri (fun j b -> if b <> y'.(j) then incr mismatching) y;
-             total_bits := !total_bits + Array.length y
-         done
-       with Exit -> ());
-      match !stopped with
-      | Some r -> Budget.Oracle_refused r
-      | None ->
-        if !mismatching = 0 then Budget.Exact key
-        else
-          let err = float_of_int !mismatching /. float_of_int !total_bits in
-          Budget.Approximate
-            ( key,
-              Budget.stats_of clock ~iterations:iters
-                ~queries:(queries_here ()) ~estimated_error:err () )
-    end
-  in
-  (* one DIP iteration: miter solve, oracle query, IO constraint *)
-  let step iters =
-    match Budget.solve clock ~assumptions:[| st.activate |] st.solver with
-    | Error r -> `Stop (finish (Budget.Exhausted r) iters)
-    | Ok Solver.Unknown -> assert false (* Budget.solve never returns it *)
-    | Ok Solver.Sat -> (
-      let dip = extract_key st st.x_vars in
-      Solver.backtrack_to_root st.solver;
-      match Budget.query oracle dip with
-      | Error r -> `Stop (finish (Budget.Oracle_refused r) iters)
-      | Ok y ->
-        add_io_constraint st dip y;
-        `Continue)
-    | Ok Solver.Unsat -> (
-      (* miter exhausted: extract any constraint-consistent key *)
-      match
-        Budget.solve clock ~assumptions:[| Lit.negate st.activate |] st.solver
-      with
-      | Error r -> `Stop (finish (Budget.Exhausted r) iters)
-      | Ok Solver.Unknown -> assert false
-      | Ok Solver.Sat ->
-        let key = extract_key st st.k1_vars in
-        Solver.backtrack_to_root st.solver;
-        `Stop (finish (audit_proof key iters) iters)
-      | Ok Solver.Unsat ->
-        (* the oracle's answers were inconsistent with EVERY key — the
-           signature of a locked (OraP-protected) oracle *)
-        `Stop (finish (Budget.Exhausted Budget.Inconsistent) iters))
-  in
-  let rec loop iters =
-    match Budget.check_iteration clock iters with
-    | Some r -> finish (Budget.Exhausted r) iters
-    | None -> (
-      match
-        Telemetry.span "sat_attack.iteration"
-          ~args:[ ("iter", Telemetry.Int iters) ]
-          (fun () -> step iters)
-      with
-      | `Stop r -> r
-      | `Continue -> loop (iters + 1))
-  in
-  Telemetry.span "sat_attack.run"
-    ~exit_args:(fun r ->
-      [
-        ("iterations", Telemetry.Int r.iterations);
-        ("queries", Telemetry.Int r.queries);
-        ("conflicts", Telemetry.Int r.conflicts);
-        ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
-      ])
-    (fun () -> loop 0)
+  Attack.run ~name:"sat_attack" ~budget ?max_iterations
+    ~on_proof:(audit ~validate ~seed:validation_seed locked)
+    ~build:(fun () -> miter locked)
+    oracle

@@ -18,6 +18,7 @@ type clause = {
 type t = {
   mutable clauses : clause array;  (* arena; index = clause id *)
   mutable num_clauses : int;
+  mutable problem_clauses : int;  (* non-learnt clauses in the arena *)
   mutable learnts : Vec.t;  (* ids of learnt clauses *)
   mutable watches : Vec.t array;  (* per literal *)
   mutable assign : int array;  (* per var: 0 undef, 1 true, -1 false *)
@@ -47,6 +48,7 @@ let create () =
   {
     clauses = Array.make 16 { lits = [||]; learnt = false; activity = 0.; deleted = true };
     num_clauses = 0;
+    problem_clauses = 0;
     learnts = Vec.create ();
     watches = Array.init 2 (fun _ -> Vec.create ());
     assign = Array.make 1 0;
@@ -71,6 +73,8 @@ let create () =
   }
 
 let num_vars s = s.nvars
+let num_clauses s = s.problem_clauses
+let num_learnts s = Vec.length s.learnts
 let num_conflicts s = s.conflicts
 let num_decisions s = s.decisions
 let num_propagations s = s.propagations
@@ -235,7 +239,8 @@ let alloc_clause s lits learnt =
   s.num_clauses <- id + 1;
   Vec.push s.watches.(Lit.negate lits.(0)) id;
   Vec.push s.watches.(Lit.negate lits.(1)) id;
-  if learnt then Vec.push s.learnts id;
+  if learnt then Vec.push s.learnts id
+  else s.problem_clauses <- s.problem_clauses + 1;
   id
 
 (** Add a problem clause.  Must be called at decision level 0 (the solver

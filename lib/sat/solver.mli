@@ -48,6 +48,14 @@ val backtrack_to_root : t -> unit
 (** {1 Introspection} *)
 
 val num_vars : t -> int
+
+(** Problem clauses of two or more literals held by the solver (units are
+    assigned at the root, not stored). *)
+val num_clauses : t -> int
+
+(** Learnt clauses currently kept (those [reduce_db] deleted are gone). *)
+val num_learnts : t -> int
+
 val num_conflicts : t -> int
 val num_decisions : t -> int
 val num_propagations : t -> int

@@ -8,18 +8,24 @@ module Gate = Orap_netlist.Gate
     provided by [input_var pos] ([pos] is the position of the node in
     [N.inputs t]); pass [fun _ -> Solver.new_var solver]-style functions to
     share variables between circuit copies (the SAT-attack miter shares the
-    primary inputs but not the key inputs).  Returns the variable of every
-    node. *)
-let encode (solver : Solver.t) (t : N.t) ~(input_var : int -> int) : int array =
+    primary inputs but not the key inputs).  A gate [i] with
+    [reuse.(i) >= 0] is not encoded: it takes variable [reuse.(i)], which
+    an earlier encoding already constrains (a miter copy reuses the
+    key-independent logic of its first copy).  Returns the variable of
+    every node. *)
+let encode ?reuse (solver : Solver.t) (t : N.t) ~(input_var : int -> int) :
+    int array =
   let n = N.num_nodes t in
   let vars = Array.make n (-1) in
   let input_pos = ref 0 in
   let add lits = ignore (Solver.add_clause solver lits) in
+  let reused i = match reuse with Some r -> r.(i) | None -> -1 in
   for i = 0 to n - 1 do
     match N.kind t i with
     | Gate.Input ->
       vars.(i) <- input_var !input_pos;
       incr input_pos
+    | _ when reused i >= 0 -> vars.(i) <- reused i
     | k ->
       let v = Solver.new_var solver in
       vars.(i) <- v;

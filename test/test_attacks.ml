@@ -169,6 +169,35 @@ let test_evaluate_verdicts () =
   check Alcotest.bool "string form" true
     (String.length (Evaluate.to_string v) > 0)
 
+(* a, b, c regular inputs and one key bit k:
+     g1 = AND(a, b) and g2 = OR(g1, c) hold no key input, g3 = XOR(g2, k)
+     does; outputs g3 and g2 *)
+let key_free_fixture () =
+  let b = N.Builder.create () in
+  let a = N.Builder.add_input b and bb = N.Builder.add_input b in
+  let c = N.Builder.add_input b and k = N.Builder.add_input ~name:"key0" b in
+  let g1 = N.Builder.add_node b Orap_netlist.Gate.And [| a; bb |] in
+  let g2 = N.Builder.add_node b Orap_netlist.Gate.Or [| g1; c |] in
+  let g3 = N.Builder.add_node b Orap_netlist.Gate.Xor [| g2; k |] in
+  N.Builder.mark_output b g3;
+  N.Builder.mark_output b g2;
+  let nl = N.Builder.finish b in
+  { Locked.original = nl; netlist = nl; num_regular_inputs = 3;
+    correct_key = [| false |]; technique = "fixture" }
+
+let test_miter_shares_key_free_cone () =
+  let module Miter = Orap_attacks.Miter in
+  let m = Sat_attack.miter (key_free_fixture ()) in
+  let vars () = Orap_sat.Solver.num_vars m.Miter.solver in
+  (* 3 inputs + 2 key copies, g1..g3 once, g3 again for copy 1, the guard,
+     two constants and one XOR for output g3 (g2 is shared): an unshared
+     miter would take 16 *)
+  check Alcotest.int "miter variables" 13 (vars ());
+  check Alcotest.bool "shared output" true (m.Miter.outs.(0).(1) = m.Miter.outs.(1).(1));
+  (* one IO constraint: g1..g3 for copy 0, g3 for copy 1 *)
+  Miter.add_io m [| true; true; false |] [| false; true |];
+  check Alcotest.int "variables after one DIP" 17 (vars ())
+
 let suite =
   ( "attacks",
     [
@@ -188,4 +217,6 @@ let suite =
       tc "hill climbing on test responses" `Quick test_hill_climb_on_responses;
       tc "key sensitization" `Quick test_key_sensitization_counts;
       tc "verdict evaluation" `Quick test_evaluate_verdicts;
+      tc "miter shares the key-free cone" `Quick
+        test_miter_shares_key_free_cone;
     ] )

@@ -79,10 +79,31 @@ let prop_run_span_restates_result =
            = r.Sat_attack.iterations + 1
       | _ -> false)
 
+(* P: every solve span carries the problem size, and the miter only grows
+   (IO constraints add variables and clauses, never remove them) *)
+let prop_solve_spans_carry_size =
+  Prop.to_alcotest ~count:8
+    ~name:"solver.solve spans carry vars/clauses/learnts"
+    ~gen:(with_seed benchgen) (fun input ->
+      let _, events = traced_attack input in
+      let sizes =
+        List.map
+          (fun e -> (int_arg "vars" e, int_arg "clauses" e, int_arg "learnts" e))
+          (spans "solver.solve" events)
+      in
+      let rec growing = function
+        | (Some v, Some c, Some l) :: ((Some v', Some c', Some _) :: _ as rest) ->
+          l >= 0 && v <= v' && c <= c' && growing rest
+        | [ (Some v, Some c, Some l) ] -> v > 0 && c > 0 && l >= 0
+        | _ -> false
+      in
+      growing sizes)
+
 let suite =
   ( "prop-telemetry",
     [
       prop_queries_match_trace;
       prop_conflict_deltas_sum;
       prop_run_span_restates_result;
+      prop_solve_spans_carry_size;
     ] )
