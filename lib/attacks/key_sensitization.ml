@@ -52,9 +52,9 @@ let sensitize (locked : Locked.t) j : (bool array * bool array) option =
       o0 o1
   in
   ignore (Solver.add_clause solver (Array.to_list (Array.map Lit.pos diffs)));
-  match Solver.solve solver with
-  | Solver.Unsat | Solver.Unknown -> None
-  | Solver.Sat ->
+  match Solver.decide solver with
+  | `Unsat -> None
+  | `Sat ->
     let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
     let k_rest = Array.map (fun v -> Solver.model_value solver v) k_vars in
     Some (x, k_rest)

@@ -43,10 +43,9 @@ let sat_equiv a b =
       oa ob
   in
   add (Array.to_list (Array.map Lit.pos diffs));
-  match Solver.solve solver with
-  | Solver.Unknown -> assert false (* no conflict_limit: cannot happen *)
-  | Solver.Unsat -> Equivalent
-  | Solver.Sat ->
+  match Solver.decide solver with
+  | `Unsat -> Equivalent
+  | `Sat ->
     Inequivalent (Array.map (fun v -> Solver.model_value solver v) x_vars)
 
 let max_exhaustive_inputs = 12

@@ -437,96 +437,107 @@ let luby y x =
   done;
   y ** float_of_int !seq
 
-exception Answered of result
-
-let solve ?(assumptions : Lit.t array = [||]) ?(conflict_limit = max_int) s : result
-    =
-  if not s.ok then Unsat
+(* The CDCL search, generic in its answer type: [sat] and [unsat] are the
+   two verdicts, and [limit], when given, is the conflict cap paired with the
+   answer to report once it trips.  Every answer but [sat] returns to the
+   root. *)
+let search (type a) ~(sat : a) ~(unsat : a) ~(limit : (int * a) option)
+    ~(assumptions : Lit.t array) s : a =
+  let exception Answered of a in
+  let stop r =
+    cancel_until s 0;
+    raise (Answered r)
+  in
+  if not s.ok then unsat
   else begin
     cancel_until s 0;
     let restart_first = 100. in
     let restart_num = ref 0 in
     s.max_learnts <- float_of_int (max 1000 (s.num_clauses / 3));
-    let result =
-      try
-        while true do
-          let conflict_budget =
-            restart_first *. luby 2.0 !restart_num |> int_of_float
-          in
-          incr restart_num;
-          let conflicts_here = ref 0 in
-          let continue_inner = ref true in
-          while !continue_inner do
-            let confl = propagate s in
-            if confl >= 0 then begin
-              s.conflicts <- s.conflicts + 1;
-              incr conflicts_here;
-              if decision_level s = 0 then begin
-                s.ok <- false;
-                raise (Answered Unsat)
-              end;
-              let learnt, bt = analyze s confl in
-              cancel_until s bt;
-              record_learnt s learnt;
-              s.var_inc <- s.var_inc *. var_decay;
-              s.cla_inc <- s.cla_inc *. cla_decay;
-              if s.conflicts >= conflict_limit then raise (Answered Unknown)
+    try
+      while true do
+        let conflict_budget =
+          restart_first *. luby 2.0 !restart_num |> int_of_float
+        in
+        incr restart_num;
+        let conflicts_here = ref 0 in
+        let continue_inner = ref true in
+        while !continue_inner do
+          let confl = propagate s in
+          if confl >= 0 then begin
+            s.conflicts <- s.conflicts + 1;
+            incr conflicts_here;
+            if decision_level s = 0 then begin
+              s.ok <- false;
+              stop unsat
+            end;
+            let learnt, bt = analyze s confl in
+            cancel_until s bt;
+            record_learnt s learnt;
+            s.var_inc <- s.var_inc *. var_decay;
+            s.cla_inc <- s.cla_inc *. cla_decay;
+            match limit with
+            | Some (cap, r) when s.conflicts >= cap -> stop r
+            | _ -> ()
+          end
+          else begin
+            if !conflicts_here >= conflict_budget then begin
+              cancel_until s 0;
+              continue_inner := false
             end
             else begin
-              if !conflicts_here >= conflict_budget then begin
-                cancel_until s 0;
-                continue_inner := false
-              end
-              else begin
-                if
-                  float_of_int (Vec.length s.learnts)
-                  >= s.max_learnts +. float_of_int (Vec.length s.trail)
-                then begin
-                  reduce_db s;
-                  s.max_learnts <- s.max_learnts *. 1.1
-                end;
-                (* decide: assumptions first *)
-                let decided = ref false in
-                while (not !decided) && decision_level s < Array.length assumptions do
-                  let p = assumptions.(decision_level s) in
-                  let v = value_lit s p in
-                  if v > 0 then new_decision_level s (* already true: dummy level *)
-                  else if v < 0 then raise (Answered Unsat)
-                  else begin
-                    new_decision_level s;
-                    s.decisions <- s.decisions + 1;
-                    enqueue s p (-1);
-                    decided := true
-                  end
-                done;
-                if not !decided then begin
-                  (* pick a branching variable *)
-                  let rec pick () =
-                    if Vec.length s.heap = 0 then -1
-                    else
-                      let v = heap_pop s in
-                      if s.assign.(v) = 0 then v else pick ()
-                  in
-                  let v = pick () in
-                  if v < 0 then raise (Answered Sat)
-                  else begin
-                    s.decisions <- s.decisions + 1;
-                    new_decision_level s;
-                    enqueue s (Lit.of_var ~negated:(not s.polarity.(v)) v) (-1)
-                  end
+              if
+                float_of_int (Vec.length s.learnts)
+                >= s.max_learnts +. float_of_int (Vec.length s.trail)
+              then begin
+                reduce_db s;
+                s.max_learnts <- s.max_learnts *. 1.1
+              end;
+              (* decide: assumptions first *)
+              let decided = ref false in
+              while (not !decided) && decision_level s < Array.length assumptions do
+                let p = assumptions.(decision_level s) in
+                let v = value_lit s p in
+                if v > 0 then new_decision_level s (* already true: dummy level *)
+                else if v < 0 then stop unsat
+                else begin
+                  new_decision_level s;
+                  s.decisions <- s.decisions + 1;
+                  enqueue s p (-1);
+                  decided := true
+                end
+              done;
+              if not !decided then begin
+                (* pick a branching variable *)
+                let rec pick () =
+                  if Vec.length s.heap = 0 then -1
+                  else
+                    let v = heap_pop s in
+                    if s.assign.(v) = 0 then v else pick ()
+                in
+                let v = pick () in
+                if v < 0 then raise (Answered sat) (* model read before next cancel *)
+                else begin
+                  s.decisions <- s.decisions + 1;
+                  new_decision_level s;
+                  enqueue s (Lit.of_var ~negated:(not s.polarity.(v)) v) (-1)
                 end
               end
             end
-          done
-        done;
-        assert false
-      with Answered r -> r
-    in
-    (match result with
-    | Sat -> () (* model read before next cancel *)
-    | Unsat | Unknown -> cancel_until s 0);
-    result
+          end
+        done
+      done;
+      assert false
+    with Answered r -> r
   end
+
+let solve ?(assumptions = [||]) ?conflict_limit s : result =
+  search ~sat:Sat ~unsat:Unsat
+    ~limit:(Option.map (fun cap -> (cap, Unknown)) conflict_limit)
+    ~assumptions s
+
+let decide ?(assumptions = [||]) s =
+  search ~sat:`Sat ~unsat:`Unsat ~limit:None ~assumptions s
 
 (** Model value of a variable after a [Sat] answer: [true]/[false]; unassigned
     pure variables default to [false]. *)

@@ -36,6 +36,10 @@ val add_clause : t -> Lit.t list -> bool
     and [solve] called again (backtracking to the root first). *)
 val solve : ?assumptions:Lit.t array -> ?conflict_limit:int -> t -> result
 
+(** [solve] with no conflict limit, whose answer is therefore one of the
+    two verdicts: callers have no [Unknown] case to rule out. *)
+val decide : ?assumptions:Lit.t array -> t -> [ `Sat | `Unsat ]
+
 (** Model access, valid after a [Sat] answer and before the next solver
     operation. *)
 val model_value : t -> int -> bool

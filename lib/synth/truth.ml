@@ -133,8 +133,42 @@ let cofactor0 a i =
   end;
   r
 
-(** Does the function depend on variable [i]? *)
-let depends_on a i = not (equal (cofactor0 a i) (cofactor1 a i))
+(** Does the function depend on variable [i]?  Same answer as
+    [not (equal (cofactor0 a i) (cofactor1 a i))], found by comparing the
+    two cofactor halves in place, without building either cofactor. *)
+let depends_on a i =
+  if i < 0 || i >= a.nvars then invalid_arg "Truth.depends_on";
+  let n = Array.length a.words in
+  if i < 6 then begin
+    (* bit p (variable i clear) against bit p + 2^i (variable i set) *)
+    let m = mask_last a.nvars (Int64.lognot var_masks.(i)) and sh = 1 lsl i in
+    let rec differs k =
+      k < n
+      && (let w = a.words.(k) in
+          Int64.logand m (Int64.logxor w (Int64.shift_right_logical w sh)) <> 0L
+          || differs (k + 1))
+    in
+    differs 0
+  end
+  else begin
+    (* word k of each variable-clear block against word k + stride *)
+    let stride = 1 lsl (i - 6) in
+    let rec differs k =
+      k < n
+      && (a.words.(k) <> a.words.(k + stride)
+         || differs
+              (if (k + 1) land (stride - 1) = 0 then k + 1 + stride else k + 1))
+    in
+    differs 0
+  end
+
+(** Number of variables the function depends on. *)
+let support_size a =
+  let s = ref 0 in
+  for i = 0 to a.nvars - 1 do
+    if depends_on a i then incr s
+  done;
+  !s
 
 let popcount a =
   Array.fold_left

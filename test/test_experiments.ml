@@ -27,6 +27,32 @@ let test_table1_shape () =
   let rendered = E.Report.render (E.Table1.report rows) in
   check Alcotest.bool "rendered" true (String.length rendered > 100)
 
+(* Table I rows at scale 64 with the tiny HD params, recorded before the
+   refactor support bound and allocation-free cut kernels landed: any change
+   to synthesis results (including the leaf order of refactor cuts, which
+   fixes the rebuilt structure) shows up here.  Wall-clock is not part of
+   a row. *)
+let golden_t1_rows =
+  [
+    "s38417/64\t136\t27\t64\t3\t0x1.e6d5a12f684bep+4\t0x1.a00af3addc681p+7\t0x1.33b13b13b13b1p+5";
+    "s38584/64\t179\t27\t46\t3\t0x1.372b425ed097cp+5\t0x1.0840de6840de7p+7\t0x1.33b13b13b13b1p+5";
+    "b17/64\t458\t23\t64\t3\t0x1.93d69bd37a6f4p+5\t0x1.dce15648bc41ap+5\t0x1.8p+4";
+    "b20/64\t275\t8\t59\t3\t0x1.806c8p+5\t0x1.16b04325c53efp+7\t0x1.7878787878788p+4";
+  ]
+
+let test_table1_golden () =
+  let params = { tiny_t1_params with E.Table1.scale = 64 } in
+  let profiles =
+    List.filter
+      (fun p -> List.mem p.Benchgen.name [ "s38417"; "s38584"; "b17"; "b20" ])
+      Benchgen.table1_profiles
+  in
+  let rows = E.Table1.run ~params ~profiles () in
+  check
+    Alcotest.(list string)
+    "Table I rows" golden_t1_rows
+    (List.map E.Table1.row_codec.Orap_runner.Runner.encode rows)
+
 let test_table2_shape () =
   let rows = E.Table2.run ~params:tiny_t2_params ~profiles:small_profiles () in
   List.iter
@@ -83,6 +109,7 @@ let suite =
   ( "experiments",
     [
       tc "table1 shape" `Slow test_table1_shape;
+      tc "table1 golden rows" `Quick test_table1_golden;
       tc "table2 shape" `Slow test_table2_shape;
       tc "security figures" `Quick test_security_figs;
       tc "trojan verdict table" `Quick test_trojan_table_verdicts;

@@ -102,6 +102,54 @@ let prop_representations_agree =
       Truth.equal t via_aig
       && Equiv.check ~method_:`Sat cone sop = Equiv.Equivalent)
 
+(* truth tables over 0-10 variables: uniform random bits (full support
+   almost surely), or the root of a small random AIG cone over the
+   variables, whose support is often smaller than [nvars] *)
+let truth_gen : Truth.t Gen.t =
+ fun rng ->
+  let nvars = Prng.int rng 11 in
+  if Prng.bool rng then begin
+    let t = Truth.zero nvars in
+    Array.iteri
+      (fun k _ -> t.Truth.words.(k) <- Truth.mask_last nvars (Prng.next64 rng))
+      t.Truth.words;
+    t
+  end
+  else begin
+    let nodes = ref (Array.init nvars (Truth.var nvars)) in
+    let lit () =
+      if Array.length !nodes = 0 then Truth.ones nvars
+      else
+        let t = !nodes.(Prng.int rng (Array.length !nodes)) in
+        if Prng.bool rng then Truth.lognot t else t
+    in
+    for _ = 1 to 1 + Prng.int rng 8 do
+      nodes := Array.append !nodes [| Truth.logand (lit ()) (lit ()) |]
+    done;
+    lit ()
+  end
+
+let pp_truth t = Printf.sprintf "nvars=%d %s" t.Truth.nvars (Truth.to_hex t)
+
+(* P: the bound the refactor skip relies on: an ISOP cover of [f] costs at
+   least |support f| - 1 nodes *)
+let prop_isop_cost_bound =
+  Prop.to_alcotest ~count:200 ~name:"ISOP cost >= support size - 1"
+    ~gen:truth_gen ~print:pp_truth (fun t ->
+      Isop.cost (Isop.compute t) >= Truth.support_size t - 1)
+
+(* P: the in-place dependence test agrees with the cofactor definition on
+   every variable, and the support size counts exactly those variables *)
+let prop_depends_on_cofactors =
+  Prop.to_alcotest ~count:200 ~name:"depends_on = cofactors differ"
+    ~gen:truth_gen ~print:pp_truth (fun t ->
+      let by_cofactors =
+        List.init t.Truth.nvars (fun i ->
+            not (Truth.equal (Truth.cofactor0 t i) (Truth.cofactor1 t i)))
+      in
+      List.init t.Truth.nvars (Truth.depends_on t) = by_cofactors
+      && Truth.support_size t = List.length (List.filter Fun.id by_cofactors))
+
 let suite =
   ( "prop_synth",
     [
@@ -110,4 +158,6 @@ let suite =
       prop_refactor;
       prop_pipeline;
       prop_representations_agree;
+      prop_isop_cost_bound;
+      prop_depends_on_cofactors;
     ] )

@@ -70,6 +70,29 @@ let test_pool_on_result () =
   check Alcotest.int "all ok" 37
     (Array.fold_left (fun n r -> match r with Ok _ -> n + 1 | _ -> n) 0 rs)
 
+(* two items that each wait for the other to start run on two domains at
+   once; the ids of the domains that ran them *)
+let pool_domains () =
+  let arrived = Atomic.make 0 in
+  let rs =
+    Pool.map ~jobs:2
+      (fun _ () ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done;
+        (Domain.self () :> int))
+      [| (); () |]
+  in
+  List.sort compare
+    (Array.to_list (Array.map (function Ok id -> id | Error e -> raise e) rs))
+
+let test_pool_reuses_domains () =
+  let first = pool_domains () in
+  check Alcotest.int "two domains" 2 (List.length (List.sort_uniq compare first));
+  check Alcotest.(list int) "the next call runs on the same domains" first
+    (pool_domains ())
+
 (* --- journal --- *)
 
 let temp_path () = Filename.temp_file "orap_journal" ".jsonl"
@@ -323,6 +346,7 @@ let suite =
       tc "pool matches serial map" `Quick test_pool_matches_serial;
       tc "pool isolates exceptions" `Quick test_pool_isolates_exceptions;
       tc "pool on_result callback" `Quick test_pool_on_result;
+      tc "pool reuses its worker domains" `Quick test_pool_reuses_domains;
       tc "journal round-trip" `Quick test_journal_roundtrip;
       tc "journal missing file" `Quick test_journal_missing_file;
       tc "journal crash truncation" `Quick test_journal_crash_truncation;
