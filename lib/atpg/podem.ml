@@ -3,303 +3,393 @@
     The implication engine is event-driven over the five-valued calculus,
     with the fault inserted at its site; decisions are made only on primary
     inputs, objectives come from fault activation and the D-frontier, and
-    backtrace is guided by SCOAP controllabilities. *)
+    backtrace is guided by SCOAP controllabilities.
+
+    Node values are stored as one byte per node (the codes of [F], [T], [D],
+    [D'], [X] are 0..4) and gates are evaluated through 5×5 tables built
+    from {!Five}.  Node ids are topological, so pending events are drained
+    in ascending id order from a bit per node ({!Orap_faultsim.Pending}).
+
+    Every value change is recorded on a trail, and each decision keeps the
+    trail length at the moment it was made.  Un-assigning a decided input
+    resets the nodes trailed since its mark to [X]: node values are a
+    function of the input assignment alone and the five-valued operators
+    are monotone, so every node that changed after the mark was [X] at the
+    mark.
+
+    The fold order of [d_nodes] (a [Hashtbl]) breaks ties between frontier
+    gates at equal distance to an output, so the table's exact history of
+    [replace]/[remove]/[reset] is part of Table II's output. *)
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 module Fault = Orap_faultsim.Fault
+module Pending = Orap_faultsim.Pending
 
 type outcome =
   | Test of bool option array  (** per-PI assignment; [None] = don't-care *)
   | Redundant
   | Aborted
 
+(* value codes: the constructor order of [Five.t] *)
+let five = [| Five.F; Five.T; Five.D; Five.Db; Five.X |]
+let c_f = 0
+let c_t = 1
+let c_d = 2
+let c_db = 3
+let c_x = 4
+let is_d c = c = c_d || c = c_db
+
+let code v =
+  match v with Five.F -> c_f | Five.T -> c_t | Five.D -> c_d | Five.Db -> c_db | Five.X -> c_x
+
+let table1 f = Bytes.init 5 (fun a -> Char.chr (code (f five.(a))))
+
+let table2 f =
+  Bytes.init 25 (fun i -> Char.chr (code (f five.(i / 5) five.(i mod 5))))
+
+let and_t = table2 Five.v_and
+let or_t = table2 Five.v_or
+let xor_t = table2 Five.v_xor
+let not_t = table1 Five.v_not
+let faulted_t = [| table1 (Five.faulted ~stuck:false); table1 (Five.faulted ~stuck:true) |]
+let[@inline] ap1 t a = Char.code (Bytes.unsafe_get t a)
+let[@inline] ap2 t a b = Char.code (Bytes.unsafe_get t ((a * 5) + b))
+
 type engine = {
   nl : N.t;
   fanouts : int array array;
   scoap : Scoap.t;
   is_output : bool array;
-  input_pos : int array;  (* node id -> PI position, or -1 *)
-  values : Five.t array;
+  consts : int array;  (* Const0/Const1 nodes, implied up-front by [run] *)
+  values : Bytes.t;  (* value code per node *)
   d_nodes : (int, unit) Hashtbl.t;  (* nodes currently carrying D/D' *)
-  heap : Orap_faultsim.Fsim.Heap.h;  (* reusable event heap (self-cleaning) *)
-  mutable fault : Fault.t;
+  mutable d_outputs : int;  (* outputs currently carrying D/D' *)
+  pending : Pending.t;
+  (* every value change since the start of the search, in order *)
+  mutable trail : int array;
+  mutable trail_len : int;
+  (* stamped scratch: D-frontier membership and memoised X-path results *)
+  seen : int array;
+  xpath : int array;  (* [2 * stamp] = no path, [2 * stamp + 1] = path *)
+  mutable stamp : int;
+  frontier : int array;  (* distinct nodes, thanks to [seen] *)
+  mutable frontier_len : int;
+  (* the current fault: its node, fanin position (-1 = output stem), stuck
+     value and the table applying it *)
+  mutable fault_node : int;
+  mutable fault_pos : int;
+  mutable stuck : bool;
+  mutable faulted : Bytes.t;
 }
 
 let create (nl : N.t) : engine =
   let n = N.num_nodes nl in
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
-  let input_pos = Array.make n (-1) in
-  Array.iteri (fun pos id -> input_pos.(id) <- pos) (N.inputs nl);
+  let consts =
+    List.filter
+      (fun i -> match N.kind nl i with Gate.Const0 | Gate.Const1 -> true | _ -> false)
+      (List.init n Fun.id)
+  in
   {
     nl;
     fanouts = N.fanouts nl;
     scoap = Scoap.compute nl;
     is_output;
-    input_pos;
-    values = Array.make n Five.X;
+    consts = Array.of_list consts;
+    values = Bytes.make n (Char.chr c_x);
     d_nodes = Hashtbl.create 64;
-    heap = Orap_faultsim.Fsim.Heap.create n;
-    fault = { Fault.site = Fault.Output 0; stuck = false };
+    d_outputs = 0;
+    pending = Pending.create n;
+    trail = Array.make (max 16 n) 0;
+    trail_len = 0;
+    seen = Array.make n 0;
+    xpath = Array.make n 0;
+    stamp = 0;
+    frontier = Array.make n 0;
+    frontier_len = 0;
+    fault_node = -1;
+    fault_pos = -1;
+    stuck = false;
+    faulted = faulted_t.(0);
   }
+
+let[@inline] get e n = Char.code (Bytes.unsafe_get e.values n)
+
+(* fanin [pos] of [fan], with the fault inserted when it is the faulty
+   branch; [fpos] is the fault position when [fan] belongs to the fault
+   node, else -2 *)
+let[@inline] operand e fan fpos pos =
+  let v = get e fan.(pos) in
+  if pos = fpos then ap1 e.faulted v else v
+
+let fold e fan fpos t init =
+  let acc = ref init in
+  for pos = 0 to Array.length fan - 1 do
+    acc := ap2 t !acc (operand e fan fpos pos)
+  done;
+  !acc
 
 (* value of node [n] recomputed from current fanin values, with the fault
    inserted *)
 let eval_node e n =
-  match N.kind e.nl n with
-  | Gate.Input ->
-    let v = e.values.(n) in
-    (match e.fault.Fault.site with
-    | Fault.Output fn when fn = n -> Five.faulted v ~stuck:e.fault.Fault.stuck
-    | Fault.Output _ | Fault.Input _ -> v)
-  | k ->
-    let fan = N.fanins e.nl n in
-    let ops =
-      Array.mapi
-        (fun pos f ->
-          let v = e.values.(f) in
-          match e.fault.Fault.site with
-          | Fault.Input (fn, fpos) when fn = n && fpos = pos ->
-            Five.faulted v ~stuck:e.fault.Fault.stuck
-          | Fault.Input _ | Fault.Output _ -> v)
-        fan
-    in
-    let v = Five.eval_gate k ops in
-    (match e.fault.Fault.site with
-    | Fault.Output fn when fn = n -> Five.faulted v ~stuck:e.fault.Fault.stuck
-    | Fault.Output _ | Fault.Input _ -> v)
+  let fan = N.fanins e.nl n in
+  let fpos = if n = e.fault_node then e.fault_pos else -2 in
+  let v =
+    match N.kind e.nl n with
+    | Gate.Input -> get e n
+    | Gate.Const0 -> c_f
+    | Gate.Const1 -> c_t
+    | Gate.Buf -> operand e fan fpos 0
+    | Gate.Not -> ap1 not_t (operand e fan fpos 0)
+    | Gate.And -> fold e fan fpos and_t c_t
+    | Gate.Nand -> ap1 not_t (fold e fan fpos and_t c_t)
+    | Gate.Or -> fold e fan fpos or_t c_f
+    | Gate.Nor -> ap1 not_t (fold e fan fpos or_t c_f)
+    | Gate.Xor -> fold e fan fpos xor_t c_f
+    | Gate.Xnor -> ap1 not_t (fold e fan fpos xor_t c_f)
+    | Gate.Mux ->
+      let sel = operand e fan fpos 0 in
+      ap2 or_t
+        (ap2 and_t (ap1 not_t sel) (operand e fan fpos 1))
+        (ap2 and_t sel (operand e fan fpos 2))
+  in
+  if fpos = -1 then ap1 e.faulted v else v
+
+let d_count e n c = if is_d c && e.is_output.(n) then 1 else 0
 
 let set_value e n v =
-  if Five.is_d e.values.(n) then Hashtbl.remove e.d_nodes n;
-  e.values.(n) <- v;
-  if Five.is_d v then Hashtbl.replace e.d_nodes n ()
+  let old = get e n in
+  if is_d old then Hashtbl.remove e.d_nodes n;
+  Bytes.unsafe_set e.values n (Char.unsafe_chr v);
+  if is_d v then Hashtbl.replace e.d_nodes n ();
+  e.d_outputs <- e.d_outputs + d_count e n v - d_count e n old;
+  if e.trail_len = Array.length e.trail then begin
+    let t = Array.make (2 * e.trail_len) 0 in
+    Array.blit e.trail 0 t 0 e.trail_len;
+    e.trail <- t
+  end;
+  e.trail.(e.trail_len) <- n;
+  e.trail_len <- e.trail_len + 1
+
+(* reset every node trailed since [mark] to X; removal order does not
+   matter to [d_nodes], whose fold order depends only on what it holds and
+   when each entry was inserted *)
+let undo_to e mark =
+  for i = e.trail_len - 1 downto mark do
+    let n = e.trail.(i) in
+    let old = get e n in
+    if is_d old then Hashtbl.remove e.d_nodes n;
+    e.d_outputs <- e.d_outputs - d_count e n old;
+    Bytes.unsafe_set e.values n (Char.unsafe_chr c_x)
+  done;
+  e.trail_len <- mark
+
+let schedule_fanouts e n =
+  let fo = e.fanouts.(n) in
+  for i = 0 to Array.length fo - 1 do
+    Pending.push e.pending fo.(i)
+  done
+
+(* drain the pending events in id (= topological) order *)
+let rec propagate e =
+  let i = Pending.pop e.pending in
+  if i >= 0 then begin
+    let v = eval_node e i in
+    if v <> get e i then begin
+      set_value e i v;
+      schedule_fanouts e i
+    end;
+    propagate e
+  end
 
 (* forward event-driven implication after PI node [pi] changed *)
 let imply e pi =
-  let module H = Orap_faultsim.Fsim.Heap in
-  let heap = e.heap in
   (* the PI itself may be a fault site *)
   let v = eval_node e pi in
-  if v <> e.values.(pi) then set_value e pi v;
-  Array.iter (fun r -> H.push heap r) e.fanouts.(pi);
-  while not (H.is_empty heap) do
-    let n = H.pop heap in
-    let v = eval_node e n in
-    if v <> e.values.(n) then begin
-      set_value e n v;
-      Array.iter (fun r -> H.push heap r) e.fanouts.(n)
-    end
-  done
+  if v <> get e pi then set_value e pi v;
+  schedule_fanouts e pi;
+  propagate e
 
-let set_pi e pi (v : Five.t) =
-  (* store the raw PI value; fault-at-PI is applied inside eval_node *)
-  let raw = v in
-  if e.values.(pi) <> raw then begin
-    set_value e pi raw;
-    imply e pi
-  end
-  else imply e pi
+(* store the raw PI value; fault-at-PI is applied inside eval_node *)
+let set_pi e pi v =
+  if get e pi <> v then set_value e pi v;
+  imply e pi
 
-let detected e =
-  Hashtbl.fold (fun n () acc -> acc || e.is_output.(n)) e.d_nodes false
-
-(* five-valued value of the fault site branch, after fault insertion *)
-let site_effect e =
-  match e.fault.Fault.site with
-  | Fault.Output n -> e.values.(n)
-  | Fault.Input (n, pos) ->
-    let d = (N.fanins e.nl n).(pos) in
-    Five.faulted e.values.(d) ~stuck:e.fault.Fault.stuck
+let detected e = e.d_outputs > 0
 
 (* driver whose good value must be set to activate the fault *)
 let activation_target e =
-  match e.fault.Fault.site with
-  | Fault.Output n -> n
-  | Fault.Input (n, pos) -> (N.fanins e.nl n).(pos)
+  if e.fault_pos < 0 then e.fault_node else (N.fanins e.nl e.fault_node).(e.fault_pos)
 
-(* D-frontier: fanouts of D-carrying nodes whose own value is X *)
+(* five-valued value of the fault site branch, after fault insertion *)
+let site_effect e =
+  if e.fault_pos < 0 then get e e.fault_node
+  else ap1 e.faulted (get e (activation_target e))
+
+(* D-frontier: X-valued fanouts of D-carrying nodes, in [d_nodes] fold
+   order and fanout order *)
 let d_frontier e =
-  let seen = Hashtbl.create 16 in
-  Hashtbl.fold
-    (fun n () acc ->
-      Array.fold_left
-        (fun acc r ->
-          if Five.is_x e.values.(r) && not (Hashtbl.mem seen r) then begin
-            Hashtbl.replace seen r ();
-            r :: acc
-          end
-          else acc)
-        acc e.fanouts.(n))
-    e.d_nodes []
+  e.frontier_len <- 0;
+  Hashtbl.iter
+    (fun n () ->
+      Array.iter
+        (fun r ->
+          if get e r = c_x && e.seen.(r) <> e.stamp then begin
+            e.seen.(r) <- e.stamp;
+            e.frontier.(e.frontier_len) <- r;
+            e.frontier_len <- e.frontier_len + 1
+          end)
+        e.fanouts.(n))
+    e.d_nodes
 
-(* is there a path of X-valued nodes from [start]'s output to a PO? *)
-let x_path_exists e start =
-  let seen = Hashtbl.create 64 in
-  let rec dfs n =
-    if e.is_output.(n) then true
-    else if Hashtbl.mem seen n then false
-    else begin
-      Hashtbl.replace seen n ();
-      Array.exists
-        (fun r -> Five.is_x e.values.(r) && dfs r)
-        e.fanouts.(n)
-    end
-  in
-  (* the frontier gate output itself is X *)
-  dfs start
+(* is there a path of X-valued nodes from [n]'s output to a PO?  Memoised
+   for the current stamp (one objective: values do not change) *)
+let rec x_path e n =
+  if e.is_output.(n) then true
+  else if e.xpath.(n) lsr 1 = e.stamp then e.xpath.(n) land 1 = 1
+  else begin
+    let fo = e.fanouts.(n) in
+    let found = ref false and i = ref 0 in
+    while (not !found) && !i < Array.length fo do
+      let r = fo.(!i) in
+      if get e r = c_x && x_path e r then found := true;
+      incr i
+    done;
+    e.xpath.(n) <- (2 * e.stamp) + Bool.to_int !found;
+    !found
+  end
 
 exception Backtrace_blocked
 
+let cc e b f = if b then e.scoap.Scoap.cc1.(f) else e.scoap.Scoap.cc0.(f)
+
+(* among the X fanins of [fan], the first with the least (or, with
+   [hardest], the greatest) [b]-controllability *)
+let pick_x e ~hardest b fan =
+  let best = ref (-1) in
+  Array.iter
+    (fun f ->
+      if get e f = c_x then
+        if !best < 0 then best := f
+        else begin
+          let c = cc e b f and cb = cc e b !best in
+          if (hardest && c > cb) || ((not hardest) && c < cb) then best := f
+        end)
+    fan;
+  if !best < 0 then raise Backtrace_blocked else !best
+
 (* walk an objective (node, desired boolean) down to a PI assignment *)
 let rec backtrace e n want =
-  let cc b f = if b then e.scoap.Scoap.cc1.(f) else e.scoap.Scoap.cc0.(f) in
-  let easiest b candidates =
-    match candidates with
-    | [] -> raise Backtrace_blocked
-    | c :: rest ->
-      List.fold_left (fun best f -> if cc b f < cc b best then f else best) c rest
-  in
-  let hardest b candidates =
-    match candidates with
-    | [] -> raise Backtrace_blocked
-    | c :: rest ->
-      List.fold_left (fun best f -> if cc b f > cc b best then f else best) c rest
-  in
+  let fan = N.fanins e.nl n in
   match N.kind e.nl n with
   | Gate.Input -> (n, want)
   | Gate.Const0 | Gate.Const1 -> raise Backtrace_blocked
-  | Gate.Buf -> backtrace e (N.fanins e.nl n).(0) want
-  | Gate.Not -> backtrace e (N.fanins e.nl n).(0) (not want)
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
-    let inverted =
-      match N.kind e.nl n with Gate.Nand | Gate.Nor -> true | _ -> false
-    in
-    let controlling =
-      match N.kind e.nl n with Gate.And | Gate.Nand -> false | _ -> true
-    in
+  | Gate.Buf -> backtrace e fan.(0) want
+  | Gate.Not -> backtrace e fan.(0) (not want)
+  | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as k ->
+    let inverted = k = Gate.Nand || k = Gate.Nor in
+    let controlling = k = Gate.Or || k = Gate.Nor in
     let v' = if inverted then not want else want in
-    let xs =
-      Array.to_list (N.fanins e.nl n)
-      |> List.filter (fun f -> Five.is_x e.values.(f))
-    in
     if v' = controlling then
       (* one controlling input suffices: easiest *)
-      backtrace e (easiest controlling xs) controlling
+      backtrace e (pick_x e ~hardest:false controlling fan) controlling
     else
       (* all inputs must be non-controlling: hardest first *)
-      backtrace e (hardest (not controlling) xs) (not controlling)
-  | Gate.Xor | Gate.Xnor ->
-    let fan = N.fanins e.nl n in
-    let xs = Array.to_list fan |> List.filter (fun f -> Five.is_x e.values.(f)) in
+      let nc = not controlling in
+      backtrace e (pick_x e ~hardest:true nc fan) nc
+  | (Gate.Xor | Gate.Xnor) as k ->
     let known_parity =
-      Array.fold_left
-        (fun acc f ->
-          match e.values.(f) with Five.T -> not acc | _ -> acc)
-        false fan
+      Array.fold_left (fun acc f -> if get e f = c_t then not acc else acc) false fan
     in
-    let inverted = N.kind e.nl n = Gate.Xnor in
-    let target = if inverted then not want else want in
+    let target = if k = Gate.Xnor then not want else want in
     (* set the chosen X input so that, with all other Xs at 0, parity works *)
-    let chosen = easiest false xs in
-    let others_zero = known_parity in
-    backtrace e chosen (target <> others_zero)
+    let chosen = pick_x e ~hardest:false false fan in
+    backtrace e chosen (target <> known_parity)
   | Gate.Mux ->
-    let fan = N.fanins e.nl n in
     let sel = fan.(0) and a = fan.(1) and b = fan.(2) in
-    (match e.values.(sel) with
-    | Five.F -> backtrace e a want
-    | Five.T -> backtrace e b want
-    | Five.X ->
+    let s = get e sel in
+    if s = c_f then backtrace e a want
+    else if s = c_t then backtrace e b want
+    else if s = c_x then
       (* choose the branch whose data input is easiest for [want] *)
-      if cc want a <= cc want b then backtrace e sel false
-      else backtrace e sel true
-    | Five.D | Five.Db -> raise Backtrace_blocked)
+      backtrace e sel (cc e want a > cc e want b)
+    else raise Backtrace_blocked
 
 type objective = Activate of int * bool | Propagate of int
 
 let choose_objective e : objective option =
-  let site = site_effect e in
-  if Five.is_d site then begin
-    (* activated: check the frontier (site node counts when X-valued) *)
-    let frontier = d_frontier e in
-    let frontier =
-      match e.fault.Fault.site with
-      | Fault.Input (n, _) when Five.is_x e.values.(n) -> n :: frontier
-      | Fault.Input _ | Fault.Output _ -> frontier
+  if is_d (site_effect e) then begin
+    (* activated: pick, among frontier gates with an X-path to an output,
+       the first nearest one in frontier order (the X-valued site node of
+       a branch fault first, then the D-frontier, latest-found first) *)
+    e.stamp <- e.stamp + 1;
+    d_frontier e;
+    let d = e.scoap.Scoap.dist_po in
+    let best = ref (-1) in
+    let consider g =
+      if (!best < 0 || d.(g) < d.(!best)) && x_path e g then best := g
     in
-    let frontier = List.filter (fun g -> x_path_exists e g) frontier in
-    match frontier with
-    | [] -> None
-    | g :: rest ->
-      let d = e.scoap.Scoap.dist_po in
-      let best =
-        List.fold_left (fun best g' -> if d.(g') < d.(best) then g' else best) g rest
-      in
-      Some (Propagate best)
+    if e.fault_pos >= 0 && get e e.fault_node = c_x then consider e.fault_node;
+    for i = e.frontier_len - 1 downto 0 do
+      consider e.frontier.(i)
+    done;
+    if !best < 0 then None else Some (Propagate !best)
   end
   else begin
     let tgt = activation_target e in
-    match e.values.(tgt) with
-    | Five.X -> Some (Activate (tgt, not e.fault.Fault.stuck))
-    | Five.F | Five.T | Five.D | Five.Db -> None (* conflict: cannot excite *)
+    if get e tgt = c_x then Some (Activate (tgt, not e.stuck))
+    else None (* conflict: cannot excite *)
   end
 
 (* from a propagation objective, produce a (node, value) goal: an X side
    input of the frontier gate set to the non-controlling value *)
 let propagation_goal e g =
   let fan = N.fanins e.nl g in
-  let xs =
-    Array.to_list fan |> List.filter (fun f -> Five.is_x e.values.(f))
-  in
-  match xs with
-  | [] -> None
-  | _ -> (
+  match Array.find_opt (fun f -> get e f = c_x) fan with
+  | None -> None
+  | Some x -> (
     match N.kind e.nl g with
-    | Gate.And | Gate.Nand -> Some (List.hd xs, true)
-    | Gate.Or | Gate.Nor -> Some (List.hd xs, false)
-    | Gate.Xor | Gate.Xnor | Gate.Buf | Gate.Not -> Some (List.hd xs, false)
+    | Gate.And | Gate.Nand -> Some (x, true)
+    | Gate.Or | Gate.Nor -> Some (x, false)
+    | Gate.Xor | Gate.Xnor | Gate.Buf | Gate.Not -> Some (x, false)
     | Gate.Mux ->
       let sel = fan.(0) in
-      if Five.is_x e.values.(sel) then begin
-        (* select the branch carrying the D *)
-        let d_on_b = Five.is_d e.values.(fan.(2)) in
-        Some (sel, d_on_b)
-      end
-      else Some (List.hd xs, false)
+      (* with the select unknown, select the branch carrying the D *)
+      if get e sel = c_x then Some (sel, is_d (get e fan.(2))) else Some (x, false)
     | Gate.Input | Gate.Const0 | Gate.Const1 -> None)
 
 (** Generate a test for [fault], or prove redundancy, within
     [backtrack_limit] backtracks. *)
 let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
-  e.fault <- fault;
+  (match fault.Fault.site with
+  | Fault.Output n ->
+    e.fault_node <- n;
+    e.fault_pos <- -1
+  | Fault.Input (n, pos) ->
+    e.fault_node <- n;
+    e.fault_pos <- pos);
+  e.stuck <- fault.Fault.stuck;
+  e.faulted <- faulted_t.(Bool.to_int e.stuck);
   (* reset state *)
-  Array.fill e.values 0 (Array.length e.values) Five.X;
+  Bytes.fill e.values 0 (Bytes.length e.values) (Char.chr c_x);
   Hashtbl.reset e.d_nodes;
+  e.d_outputs <- 0;
   (* constants and their cones must be implied up-front *)
-  let any_const = ref false in
-  for n = 0 to N.num_nodes e.nl - 1 do
-    match N.kind e.nl n with
-    | Gate.Const0 | Gate.Const1 -> any_const := true
-    | _ -> ()
-  done;
-  if !any_const then begin
-    for n = 0 to N.num_nodes e.nl - 1 do
-      let v = eval_node e n in
-      if v <> e.values.(n) then set_value e n v
-    done
-  end
-  else begin
-    (* the bare fault itself may already show at an X site? no: X stays X *)
-    ()
-  end;
-  let stack : (int * bool * bool) array =
-    Array.make (N.num_inputs e.nl + 1) (0, false, false)
-  in
+  Array.iter (Pending.push e.pending) e.consts;
+  propagate e;
+  e.trail_len <- 0;
+  let ni = N.num_inputs e.nl in
+  (* the decision stack: input, value, flipped yet, trail mark *)
+  let st_pi = Array.make (ni + 1) 0 in
+  let st_v = Array.make (ni + 1) false in
+  let st_flipped = Array.make (ni + 1) false in
+  let st_mark = Array.make (ni + 1) 0 in
   let sp = ref 0 in
   let backtracks = ref 0 in
   let decisions = ref 0 in
-  let decision_cap = 200 * (N.num_inputs e.nl + 8) in
+  let decision_cap = 200 * (ni + 8) in
   let result = ref None in
   while !result = None do
     incr decisions;
@@ -308,11 +398,10 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
       let test =
         Array.map
           (fun id ->
-            match e.values.(id) with
-            | Five.T -> Some true
-            | Five.F -> Some false
-            | Five.D -> Some true (* PI fault site: good value *)
-            | Five.Db -> Some false
+            (* a PI fault site reads D/D': its good value is the input *)
+            match five.(get e id) with
+            | Five.T | Five.D -> Some true
+            | Five.F | Five.Db -> Some false
             | Five.X -> None)
           (N.inputs e.nl)
       in
@@ -332,9 +421,12 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
       in
       match goal with
       | Some (pi, v) ->
-        stack.(!sp) <- (pi, v, false);
+        st_pi.(!sp) <- pi;
+        st_v.(!sp) <- v;
+        st_flipped.(!sp) <- false;
+        st_mark.(!sp) <- e.trail_len;
         incr sp;
-        set_pi e pi (Five.of_bool v)
+        set_pi e pi (if v then c_t else c_f)
       | None ->
         (* conflict: backtrack *)
         incr backtracks;
@@ -344,15 +436,16 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
             if !sp = 0 then result := Some Redundant
             else begin
               decr sp;
-              let pi, v, flipped = stack.(!sp) in
-              if flipped then begin
-                set_pi e pi Five.X;
+              if st_flipped.(!sp) then begin
+                undo_to e st_mark.(!sp);
                 unwind ()
               end
               else begin
-                stack.(!sp) <- (pi, not v, true);
+                let v = not st_v.(!sp) in
+                st_v.(!sp) <- v;
+                st_flipped.(!sp) <- true;
                 incr sp;
-                set_pi e pi (Five.of_bool (not v))
+                set_pi e st_pi.(!sp - 1) (if v then c_t else c_f)
               end
             end
           in

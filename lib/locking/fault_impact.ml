@@ -5,44 +5,17 @@
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
-module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
-
-(* event-driven propagation of "node inverted", counting output bit flips;
-   [heap] is reusable scratch (drained on exit) *)
-let impact_of_word nl fanouts is_output heap good node : int =
-  let faulty : (int, int64) Hashtbl.t = Hashtbl.create 64 in
-  let value n = match Hashtbl.find_opt faulty n with Some w -> w | None -> good.(n) in
-  let module H = Orap_faultsim.Fsim.Heap in
-  Hashtbl.replace faulty node (Int64.lognot good.(node));
-  Array.iter (fun r -> H.push heap r) fanouts.(node);
-  while not (H.is_empty heap) do
-    let n = H.pop heap in
-    let w =
-      match N.kind nl n with
-      | Gate.Input -> good.(n)
-      | k -> Gate.eval_word k (Array.map value (N.fanins nl n))
-    in
-    if w <> value n then begin
-      Hashtbl.replace faulty n w;
-      Array.iter (fun r -> H.push heap r) fanouts.(n)
-    end
-  done;
-  let diff = ref 0 in
-  Hashtbl.iter
-    (fun n w ->
-      if is_output.(n) then diff := !diff + Sim.popcount64 (Int64.logxor w good.(n)))
-    faulty;
-  !diff
+module Fsim = Orap_faultsim.Fsim
 
 (** Impact scores for all internal (non-input) nodes, estimated over
-    [words] random 64-pattern words; unscored nodes get 0. *)
+    [words] random 64-pattern words; unscored nodes get 0.  Each candidate's
+    stem is forced to its inverted good word by the fault simulator
+    ({!Fsim.invert_impact}). *)
 let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
     int array =
   let n = N.num_nodes nl in
   let fanouts = N.fanouts nl in
-  let is_output = Array.make n false in
-  Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
   let rng = Prng.create seed in
   (* candidate sample: all logic nodes, or a random subset on big circuits *)
   let logic_nodes =
@@ -61,16 +34,14 @@ let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
   let score = Array.make n 0 in
   let ni = N.num_inputs nl in
   let input_buf = Array.make ni 0L in
-  let heap = Orap_faultsim.Fsim.Heap.create n in
+  let fsim = Fsim.create nl in
   for _ = 1 to words do
     for i = 0 to ni - 1 do
       input_buf.(i) <- Prng.next64 rng
     done;
-    let good = Sim.eval_word nl ~input_word:(fun i -> input_buf.(i)) in
+    Fsim.simulate_good fsim input_buf;
     List.iter
-      (fun node ->
-        score.(node) <-
-          score.(node) + impact_of_word nl fanouts is_output heap good node)
+      (fun node -> score.(node) <- score.(node) + Fsim.invert_impact fsim node)
       candidates
   done;
   score

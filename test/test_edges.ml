@@ -34,22 +34,6 @@ let test_vec () =
   Vec.clear v;
   check Alcotest.int "cleared" 0 (Vec.length v)
 
-(* --- fault-sim heap pops in sorted order and self-cleans --- *)
-
-let test_heap_sorted_pops () =
-  let module H = Orap_faultsim.Fsim.Heap in
-  let h = H.create 1000 in
-  let rng = Prng.create 4 in
-  let pushed = List.init 200 (fun _ -> Prng.int rng 1000) in
-  List.iter (fun x -> H.push h x) pushed;
-  let rec drain acc = if H.is_empty h then List.rev acc else drain (H.pop h :: acc) in
-  let out = drain [] in
-  check Alcotest.(list int) "sorted distinct"
-    (List.sort_uniq compare pushed) out;
-  (* self-cleaned: reusable immediately *)
-  H.push h 7;
-  check Alcotest.int "reusable" 7 (H.pop h)
-
 (* --- solver degenerate clauses --- *)
 
 let test_solver_tautology_and_dups () =
@@ -232,7 +216,6 @@ let suite =
   ( "edges",
     [
       tc "vec operations" `Quick test_vec;
-      tc "heap sorted pops + reuse" `Quick test_heap_sorted_pops;
       tc "solver tautology/duplicates" `Quick test_solver_tautology_and_dups;
       tc "solver sticky unsat" `Quick test_solver_empty_clause;
       tc "aig constant outputs" `Quick test_aig_const_outputs;

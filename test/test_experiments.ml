@@ -65,6 +65,31 @@ let test_table2_shape () =
         (r.E.Table2.original.E.Table2.total_faults > 0))
     rows
 
+(* Table II rows of the benchmark grid (scale 96, root seed 2020), recorded
+   before PODEM's trail undo and the allocation-free fault simulator landed.
+   b19's rows depend on the order in which PODEM breaks ties between
+   D-frontier gates at equal distance to an output, so a change to that
+   order shows up here.  Wall-clock is not part of a row. *)
+let golden_t2_rows =
+  [
+    "s38417/96\t0x1.64029e71ec5bbp+6\t43\t391\t0x1.7917aecd40483p+6\t39\t681";
+    "s38584/96\t0x1.6114dde68d7cbp+6\t59\t503\t0x1.7df2477e039c6p+6\t32\t709";
+    "b17/96\t0x1.6255555555555p+6\t137\t1200\t0x1.80293c225cc75p+6\t60\t1490";
+    "b18/96\t0x1.5dc9961e1667dp+6\t504\t3999\t0x1.6901b0510f32ep+6\t402\t4093";
+    "b19/96\t0x1.7cbe7cd8be7cep+6\t391\t7956\t0x1.7fc74ad628c64p+6\t337\t8162";
+    "b20/96\t0x1.510c1f604474fp+6\t113\t718\t0x1.75ee45dd96ae2p+6\t64\t982";
+    "b21/96\t0x1.4f8e38e38e38ep+6\t116\t720\t0x1.740436c82a23dp+6\t68\t972";
+    "b22/96\t0x1.3584f23f3740ep+6\t240\t1061\t0x1.73aa585b0e78p+6\t94\t1327";
+  ]
+
+let test_table2_golden () =
+  let params = { E.Table2.quick_params with E.Table2.scale = 96; seed = 2020 } in
+  let rows = E.Table2.run ~params () in
+  check
+    Alcotest.(list string)
+    "Table II rows" golden_t2_rows
+    (List.map E.Table2.row_codec.Orap_runner.Runner.encode rows)
+
 let test_security_figs () =
   let fx = E.Security.make_fixture ~num_gates:300 ~key_size:24 () in
   let f1 = E.Security.fig1 fx in
@@ -111,6 +136,7 @@ let suite =
       tc "table1 shape" `Slow test_table1_shape;
       tc "table1 golden rows" `Quick test_table1_golden;
       tc "table2 shape" `Slow test_table2_shape;
+      tc "table2 golden rows" `Quick test_table2_golden;
       tc "security figures" `Quick test_security_figs;
       tc "trojan verdict table" `Quick test_trojan_table_verdicts;
       tc "report rendering" `Quick test_report_rendering;

@@ -1,7 +1,9 @@
 (** Testability-layer properties: the event-driven parallel fault
-    simulator against forced-value resimulation, and PODEM's generated
+    simulator against forced-value resimulation, PODEM's generated
     vectors against the fault simulator — three independent
-    implementations of "does this pattern detect this fault?". *)
+    implementations of "does this pattern detect this fault?" — and the
+    trail-undo PODEM engine against the re-implying reference engine of
+    [Podem_ref]. *)
 
 open Util
 module Fault = Orap_faultsim.Fault
@@ -103,10 +105,89 @@ let prop_podem_redundant_means_undetectable =
         !ok
       end)
 
+(* PI stem faults and fanout-branch faults (the sites whose insertion
+   differs from an ordinary gate output), plus a few other collapsed faults *)
+let differential_faults nl rng =
+  let faults = Fault.collapsed_list nl in
+  let is_input = Array.make (N.num_nodes nl) false in
+  Array.iter (fun i -> is_input.(i) <- true) (N.inputs nl);
+  let special, other =
+    List.partition
+      (fun f ->
+        match f.Fault.site with
+        | Fault.Output n -> is_input.(n)
+        | Fault.Input _ -> true)
+      (Array.to_list faults)
+  in
+  let other = Array.of_list other in
+  special
+  @ List.init (min 6 (Array.length other)) (fun _ ->
+        other.(Prng.int rng (Array.length other)))
+
+(* P: the trail-undo engine finds the same outcome, and for a test the
+   same assignment, as the reference engine that re-implies on every
+   backtrack — including under backtrack limits small enough to abort *)
+let prop_podem_matches_reference =
+  Prop.netlist_with_seed ~count:40 "PODEM matches the reference engine"
+    (fun nl ~aux ->
+      let rng = Prng.create aux in
+      let engine = Podem.create nl and reference = Podem_ref.create nl in
+      List.for_all
+        (fun fault ->
+          let backtrack_limit = Gen.oneof [| 0; 1; 2; 5; 64; 2000 |] rng in
+          Podem.run engine fault ~backtrack_limit
+          = Podem_ref.run reference fault ~backtrack_limit)
+        (differential_faults nl rng))
+
+(* A fault whose search grows [d_nodes] past 128 entries, undoes the
+   decision that did so, and then breaks a frontier tie.  [c] = CONST1
+   stuck-at-0 carries D from the start.  PODEM first sets [w] = 1 for [K]
+   (the highest-id frontier gate at distance 1), which kills the [k_j]
+   branches; then [x], which puts D on the [h_i] (x = 1) or the [l_i]
+   (x = 0) but closes the last output either way.  Flipping [x] adds the
+   [l_i] before it removes the [h_i], so the table briefly holds 143
+   entries and doubles to 128 buckets.  Both values fail, [x] is undone,
+   [w] flips to 0 and D reaches [k_1] and [k_2] (ids 6 and 8), whose
+   outputs tie at distance 0: ids 6 and 8 fold in opposite orders over 64
+   and 128 buckets, so the test sets [p_2] only if the table kept its
+   history through the undo. *)
+let wide_backtrack_netlist () =
+  let b = N.Builder.create () in
+  let input () = N.Builder.add_input b in
+  let gate k fan = N.Builder.add_node b k fan in
+  let w = input () in
+  let x = input () in
+  let ps = Array.init 2 (fun _ -> input ()) in
+  let c = gate Gate.Const1 [||] in
+  let nw = gate Gate.Not [| w |] in
+  Array.iter
+    (fun p ->
+      let k = gate Gate.And [| c; nw |] in
+      N.Builder.mark_output b (gate Gate.And [| k; p |]))
+    ps;
+  let big_k = gate Gate.And [| c; w |] in
+  N.Builder.mark_output b (gate Gate.And [| big_k; gate Gate.Xor [| w; w |] |]);
+  let nx = gate Gate.Not [| x |] in
+  let ls = List.init 70 (fun _ -> gate Gate.And [| c; nx |]) in
+  let hs = List.init 70 (fun _ -> gate Gate.And [| c; x |]) in
+  let p = gate Gate.Or (Array.of_list (ls @ hs)) in
+  N.Builder.mark_output b (gate Gate.And [| p; gate Gate.Xor [| x; x |] |]);
+  (N.Builder.finish b, { Fault.site = Fault.Output c; stuck = false })
+
+let test_podem_wide_backtrack () =
+  let nl, fault = wide_backtrack_netlist () in
+  let expected = Podem_ref.run (Podem_ref.create nl) fault ~backtrack_limit:64 in
+  check Alcotest.bool "reference: w = 0, p_2 = 1" true
+    (expected = Podem.Test [| Some false; None; None; Some true |]);
+  check Alcotest.bool "same test as the reference" true
+    (Podem.run (Podem.create nl) fault ~backtrack_limit:64 = expected)
+
 let suite =
   ( "prop_testability",
     [
       prop_fsim_matches_forced_resim;
       prop_podem_vectors_detect;
       prop_podem_redundant_means_undetectable;
+      prop_podem_matches_reference;
+      tc "PODEM matches the reference after a wide undo" `Quick test_podem_wide_backtrack;
     ] )
