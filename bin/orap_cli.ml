@@ -170,8 +170,8 @@ let atpg_cmd =
 (* --- attack --- *)
 
 module Budget = Orap_attacks.Budget
-module Faulty = Orap_core.Faulty_oracle
 module Evaluate = Orap_attacks.Evaluate
+module Key_recovery = Orap_attacks.Key_recovery
 
 let attack_cmd =
   let run attack oracle seed gates key_size noise qbudget votes wall_clock
@@ -180,20 +180,6 @@ let attack_cmd =
     let fx =
       E.Security.make_fixture ~seed ~num_gates:gates ~key_size ()
     in
-    let mk_oracle () =
-      let base =
-        match oracle with
-        | "functional" -> Orap_core.Oracle.functional fx.E.Security.locked
-        | "orap" ->
-          let chip = Orap_core.Chip.create fx.E.Security.basic in
-          Orap_core.Chip.unlock chip;
-          Orap_core.Oracle.scan_chip chip
-        | o -> failwith ("unknown oracle " ^ o)
-      in
-      let o = if noise > 0.0 then Faulty.bit_flip ~seed ~p:noise base else base in
-      let o = if qbudget > 0 then Faulty.query_budget ~limit:qbudget o else o in
-      if votes > 1 then Faulty.retry ~votes o else o
-    in
     let budget =
       Budget.make
         ?wall_clock_s:(if wall_clock > 0.0 then Some wall_clock else None)
@@ -201,36 +187,14 @@ let attack_cmd =
         ()
     in
     let locked = fx.E.Security.locked in
-    let outcome, iters, queries =
-      match attack with
-      | "sat" ->
-        let r =
-          Orap_attacks.Sat_attack.run ~budget ~validate locked (mk_oracle ())
-        in
-        (r.Orap_attacks.Sat_attack.outcome,
-         r.Orap_attacks.Sat_attack.iterations, r.Orap_attacks.Sat_attack.queries)
-      | "appsat" ->
-        let r = Orap_attacks.Appsat.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Appsat.outcome,
-         r.Orap_attacks.Appsat.iterations, r.Orap_attacks.Appsat.queries)
-      | "ddip" ->
-        let r = Orap_attacks.Double_dip.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Double_dip.outcome,
-         r.Orap_attacks.Double_dip.iterations, r.Orap_attacks.Double_dip.queries)
-      | "hill" ->
-        let r = Orap_attacks.Hill_climb.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Hill_climb.outcome,
-         r.Orap_attacks.Hill_climb.flips, r.Orap_attacks.Hill_climb.queries)
-      | "sens" ->
-        let r = Orap_attacks.Key_sensitization.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Key_sensitization.outcome,
-         r.Orap_attacks.Key_sensitization.sensitized_bits,
-         r.Orap_attacks.Key_sensitization.queries)
-      | a -> failwith ("unknown attack " ^ a)
+    let r =
+      (Key_recovery.of_slug attack).run ~budget ~validate locked
+        (E.Robustness.oracle fx (E.Security.oracle_of_slug oracle) ~noise
+           ~query_budget:qbudget ~votes ~seed)
     in
-    let verdict = Evaluate.of_outcome locked outcome in
+    let verdict = Evaluate.of_outcome locked r.outcome in
     let shown =
-      match outcome with
+      match r.outcome with
       | Budget.Exact _ when not verdict.Evaluate.equivalent ->
         (* the miter proof is relative to the oracle's answers — a locked
            (OraP) oracle yields a proof of the wrong function *)
@@ -240,9 +204,9 @@ let attack_cmd =
     Printf.printf "%s vs %s oracle: %s — %s (iters=%d, queries=%d)\n" attack
       oracle shown
       (Evaluate.to_string verdict)
-      iters queries
+      r.iterations r.queries
   in
-  let attack = Arg.(value & opt string "sat" & info [ "attack" ] ~doc:"sat|appsat|ddip|hill|sens") in
+  let attack = Arg.(value & opt string "sat" & info [ "attack" ] ~doc:Key_recovery.slugs) in
   let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"functional|orap") in
   let seed = Arg.(value & opt int 12 & info [ "seed" ] ~doc:"fixture seed") in
   let gates = Arg.(value & opt int 500 & info [ "gates" ] ~doc:"fixture gate count") in
@@ -273,31 +237,16 @@ let robustness_cmd =
   let run seed gates key_size oracle noise qbudgets trials attacks iters
       wall_clock max_conflicts votes options obs =
     with_obs obs @@ fun () ->
-    let oracle =
-      match oracle with
-      | "functional" -> E.Robustness.Functional
-      | "orap" -> E.Robustness.Orap_scan
-      | o -> failwith ("unknown oracle " ^ o)
-    in
     let attacks =
-      if attacks = "all" then E.Robustness.all_attacks
-      else
-        parse_list ~what:"attack"
-          (function
-            | "sat" -> E.Robustness.Sat
-            | "appsat" -> E.Robustness.Appsat_k
-            | "ddip" -> E.Robustness.Double_dip_k
-            | "hill" -> E.Robustness.Hill
-            | "sens" -> E.Robustness.Sensitize
-            | a -> failwith ("unknown attack " ^ a))
-          attacks
+      if attacks = "all" then Key_recovery.all
+      else parse_list ~what:"attack" Key_recovery.of_slug attacks
     in
     let params =
       {
         E.Robustness.seed;
         num_gates = gates;
         key_size;
-        oracle;
+        oracle = E.Security.oracle_of_slug oracle;
         noise_levels = parse_list ~what:"noise" float_of_string noise;
         query_budgets = parse_list ~what:"query-budget" int_of_string qbudgets;
         trials;
@@ -318,7 +267,7 @@ let robustness_cmd =
   let noise = Arg.(value & opt string "0.0,0.02,0.1" & info [ "noise" ] ~doc:"comma-separated bit-flip probabilities") in
   let qbudgets = Arg.(value & opt string "0,2000" & info [ "query-budget" ] ~doc:"comma-separated query budgets (0 = unlimited)") in
   let trials = Arg.(value & opt int 3 & info [ "trials" ] ~doc:"noise seeds per cell") in
-  let attacks = Arg.(value & opt string "all" & info [ "attacks" ] ~doc:"all or comma-separated sat|appsat|ddip|hill|sens") in
+  let attacks = Arg.(value & opt string "all" & info [ "attacks" ] ~doc:("all or comma-separated " ^ Key_recovery.slugs)) in
   let iters = Arg.(value & opt int 256 & info [ "max-iterations" ] ~doc:"DIP/loop iteration cap") in
   let wall_clock = Arg.(value & opt float 10.0 & info [ "wall-clock" ] ~doc:"per-attack deadline, seconds") in
   let max_conflicts = Arg.(value & opt int 0 & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)") in

@@ -17,13 +17,31 @@ module Lit = Orap_sat.Lit
 module Solver = Orap_sat.Solver
 module Telemetry = Orap_telemetry.Telemetry
 
+(** The result of every key-recovery attack (see {!Key_recovery}). *)
 type result = {
   outcome : bool array Budget.outcome;
   iterations : int;
+      (** DIP iterations for the SAT family, accepted flips for hill
+          climbing, sensitised key bits for key sensitization *)
   queries : int;  (** oracle queries made by THIS run (delta, not lifetime) *)
-  conflicts : int;  (** solver conflicts spent by this run *)
-  elapsed_s : float;
+  conflicts : int;
+      (** solver conflicts spent by this run (0 for hill climbing; summed
+          over the per-bit solvers for key sensitization) *)
+  elapsed_s : float;  (** on the run's budget clock *)
 }
+
+(** Run [f] inside the attack's [<name>.run] span, whose exit args restate
+    the result. *)
+let span name f =
+  Telemetry.span (name ^ ".run")
+    ~exit_args:(fun r ->
+      [
+        ("iterations", Telemetry.Int r.iterations);
+        ("queries", Telemetry.Int r.queries);
+        ("conflicts", Telemetry.Int r.conflicts);
+        ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
+      ])
+    f
 
 (** What a hook sees of a run in progress. *)
 type ctx = {
@@ -120,12 +138,4 @@ let run ~name ~budget ?max_iterations ?(before_dip = fun _ _ -> Continue)
         | Stop outcome -> finish outcome iters
         | Continue -> loop (iters + 1)))
   in
-  Telemetry.span (name ^ ".run")
-    ~exit_args:(fun r ->
-      [
-        ("iterations", Telemetry.Int r.iterations);
-        ("queries", Telemetry.Int r.queries);
-        ("conflicts", Telemetry.Int r.conflicts);
-        ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
-      ])
-    (fun () -> loop 0)
+  span name (fun () -> loop 0)

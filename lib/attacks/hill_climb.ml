@@ -12,13 +12,6 @@ module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
 module Prng = Orap_sim.Prng
 
-type result = {
-  outcome : bool array Budget.outcome;
-  mismatches : int;  (** remaining mismatching output bits on the sample *)
-  flips : int;
-  queries : int;
-}
-
 (* mismatching output bits of [key] against response pairs *)
 let cost (locked : Locked.t) key pairs =
   List.fold_left
@@ -29,12 +22,17 @@ let cost (locked : Locked.t) key pairs =
       acc + !m)
     0 pairs
 
-let climb (locked : Locked.t) pairs ~seed ~restarts =
+exception Stopped of Budget.reason
+
+(* Greedy restarts over [pairs].  The budget is checked after every flip
+   pass (pass [n] is iteration [n]); [flips] counts accepted flips even when
+   the budget stops the climb. *)
+let climb clock (locked : Locked.t) pairs ~seed ~restarts ~flips =
   let ksz = Locked.key_size locked in
   let rng = Prng.create seed in
   let best_key = ref (Array.make ksz false) in
   let best_cost = ref max_int in
-  let flips = ref 0 in
+  let passes = ref 0 in
   for _ = 1 to restarts do
     let key = Prng.bool_array rng ksz in
     let current = ref (cost locked key pairs) in
@@ -50,28 +48,55 @@ let climb (locked : Locked.t) pairs ~seed ~restarts =
           improved := true
         end
         else key.(j) <- not key.(j)
-      done
+      done;
+      incr passes;
+      Option.iter
+        (fun r -> raise (Stopped r))
+        (Budget.check_iteration clock !passes)
     done;
     if !current < !best_cost then begin
       best_cost := !current;
       best_key := Array.copy key
     end
   done;
-  (!best_key, !best_cost, !flips)
+  (!best_key, !best_cost)
 
-(* the climb's outcome: always best-effort (sample-based, no proof) *)
-let outcome_of clock locked key ~mismatches ~pairs ~queries =
-  let bits =
-    List.length pairs * Array.length (Orap_netlist.Netlist.outputs locked.Locked.netlist)
-  in
-  let err = if bits = 0 then 1.0 else float_of_int mismatches /. float_of_int bits in
-  Budget.Approximate
-    (key, Budget.stats_of clock ~iterations:0 ~queries ~estimated_error:err ())
-
-(** Attack from live oracle queries on random patterns. *)
-let run ?(budget = Budget.default) ?(seed = 51) ?(sample = 48) ?(restarts = 3)
-    (locked : Locked.t) (oracle : Oracle.t) : result =
+(* Climb on the pairs [collect] returns, inside the [hill_climb.run] span.
+   The outcome is always best-effort (sample-based, no proof). *)
+let attack ~budget ~seed ~restarts (locked : Locked.t) ~queries collect :
+    Attack.result =
+  Attack.span "hill_climb" @@ fun () ->
   let clock = Budget.start budget in
+  let flips = ref 0 in
+  let outcome =
+    match Budget.check_iteration clock 0 with
+    | Some r -> Budget.Exhausted r
+    | None -> (
+      match collect () with
+      | Error r -> Budget.Oracle_refused r
+      | Ok pairs -> (
+        match climb clock locked pairs ~seed ~restarts ~flips with
+        | exception Stopped r -> Budget.Exhausted r
+        | key, mismatches ->
+          let bits =
+            List.length pairs
+            * Array.length (Orap_netlist.Netlist.outputs locked.Locked.netlist)
+          in
+          let err =
+            if bits = 0 then 1.0
+            else float_of_int mismatches /. float_of_int bits
+          in
+          Budget.Approximate
+            ( key,
+              Budget.stats_of clock ~iterations:!flips ~queries:(queries ())
+                ~estimated_error:err () )))
+  in
+  { Attack.outcome; iterations = !flips; queries = queries (); conflicts = 0;
+    elapsed_s = Budget.elapsed_s clock }
+
+(** Attack from [sample] live oracle queries on random patterns. *)
+let run ?(budget = Budget.default) ?(seed = 51) ?(sample = 48) ?(restarts = 3)
+    (locked : Locked.t) (oracle : Oracle.t) : Attack.result =
   let rng = Prng.create seed in
   let nri = locked.Locked.num_regular_inputs in
   let queries0 = Oracle.num_queries oracle in
@@ -83,21 +108,14 @@ let run ?(budget = Budget.default) ?(seed = 51) ?(sample = 48) ?(restarts = 3)
       | Error r -> Error r
       | Ok y -> collect (n - 1) ((x, y) :: acc)
   in
-  match collect sample [] with
-  | Error r ->
-    { outcome = Budget.Oracle_refused r; mismatches = max_int; flips = 0;
-      queries = Oracle.num_queries oracle - queries0 }
-  | Ok pairs ->
-    let key, mismatches, flips = climb locked pairs ~seed:(seed + 1) ~restarts in
-    let queries = Oracle.num_queries oracle - queries0 in
-    { outcome = outcome_of clock locked key ~mismatches ~pairs ~queries;
-      mismatches; flips; queries }
+  attack ~budget ~seed:(seed + 1) ~restarts locked
+    ~queries:(fun () -> Oracle.num_queries oracle - queries0)
+    (fun () -> collect sample [])
 
 (** Attack from given test patterns and their responses (footnote 1): under
     OraP these are locked-circuit responses. *)
 let run_on_responses ?(seed = 51) ?(restarts = 3) (locked : Locked.t)
-    (pairs : (bool array * bool array) list) : result =
-  let clock = Budget.start Budget.default in
-  let key, mismatches, flips = climb locked pairs ~seed ~restarts in
-  { outcome = outcome_of clock locked key ~mismatches ~pairs ~queries:0;
-    mismatches; flips; queries = 0 }
+    (pairs : (bool array * bool array) list) : Attack.result =
+  attack ~budget:Budget.default ~seed ~restarts locked
+    ~queries:(fun () -> 0)
+    (fun () -> Ok pairs)

@@ -14,15 +14,10 @@ module Lit = Orap_sat.Lit
 module Tseitin = Orap_sat.Tseitin
 module Prng = Orap_sim.Prng
 
-type result = {
-  outcome : bool array Budget.outcome;
-  sensitized_bits : int;  (** bits for which a sensitising pattern existed *)
-  queries : int;
-}
-
 (* find (x, k_rest) such that flipping key bit j flips some output; the
-   sensitisation heuristic then assumes k_rest does not interfere *)
-let sensitize (locked : Locked.t) j : (bool array * bool array) option =
+   sensitisation heuristic then assumes k_rest does not interfere.  Also
+   returns the conflicts the search spent. *)
+let sensitize (locked : Locked.t) j : (bool array * bool array) option * int =
   let solver = Solver.create () in
   let nl = locked.Locked.netlist in
   let nri = locked.Locked.num_regular_inputs in
@@ -52,21 +47,28 @@ let sensitize (locked : Locked.t) j : (bool array * bool array) option =
       o0 o1
   in
   ignore (Solver.add_clause solver (Array.to_list (Array.map Lit.pos diffs)));
-  match Solver.decide solver with
-  | `Unsat -> None
-  | `Sat ->
-    let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
-    let k_rest = Array.map (fun v -> Solver.model_value solver v) k_vars in
-    Some (x, k_rest)
+  let found =
+    match Solver.decide solver with
+    | `Unsat -> None
+    | `Sat ->
+      let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
+      let k_rest = Array.map (fun v -> Solver.model_value solver v) k_vars in
+      Some (x, k_rest)
+  in
+  (found, Solver.num_conflicts solver)
 
+(** [iterations] counts the sensitised bits: those for which a sensitising
+    pattern existed. *)
 let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
-    (oracle : Oracle.t) : result =
+    (oracle : Oracle.t) : Attack.result =
+  Attack.span "key_sensitization" @@ fun () ->
   let clock = Budget.start budget in
   let queries0 = Oracle.num_queries oracle in
   let ksz = Locked.key_size locked in
   let rng = Prng.create seed in
   let key = Array.init ksz (fun _ -> Prng.bool rng) in
   let sensitized = ref 0 in
+  let conflicts = ref 0 in
   let stopped = ref None in
   (try
      for j = 0 to ksz - 1 do
@@ -75,7 +77,9 @@ let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
          stopped := Some (Budget.Exhausted r);
          raise Exit
        | None -> ());
-       match sensitize locked j with
+       let found, c = sensitize locked j in
+       conflicts := !conflicts + c;
+       match found with
        | None -> ()
        | Some (x, k_rest) -> (
          incr sensitized;
@@ -106,6 +110,8 @@ let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
       let err = float_of_int (ksz - !sensitized) /. float_of_int (max 1 ksz) in
       Budget.Approximate
         (key,
-         Budget.stats_of clock ~iterations:ksz ~queries ~estimated_error:err ())
+         Budget.stats_of clock ~iterations:!sensitized ~queries
+           ~estimated_error:err ())
   in
-  { outcome; sensitized_bits = !sensitized; queries }
+  { Attack.outcome; iterations = !sensitized; queries; conflicts = !conflicts;
+    elapsed_s = Budget.elapsed_s clock }

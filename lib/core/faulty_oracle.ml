@@ -78,29 +78,6 @@ let query_budget ~limit (inner : Oracle.t) : Oracle.t =
   in
   wrap inner ~tag:(Printf.sprintf "query-budget(%d)" limit) q
 
-type meter = {
-  mutable timed_queries : int;
-  mutable total_s : float;
-  mutable max_s : float;
-}
-
-let with_latency ?(cost_s = 0.0) (inner : Oracle.t) : Oracle.t * meter =
-  let m = { timed_queries = 0; total_s = 0.0; max_s = 0.0 } in
-  let q inputs =
-    let t0 = Sys.time () in
-    let y = Oracle.query inner inputs in
-    let dt = Sys.time () -. t0 +. cost_s in
-    m.timed_queries <- m.timed_queries + 1;
-    m.total_s <- m.total_s +. dt;
-    if dt > m.max_s then m.max_s <- dt;
-    y
-  in
-  (wrap inner ~tag:"latency-metered" q, m)
-
-let mean_latency_s (m : meter) : float =
-  if m.timed_queries = 0 then 0.0
-  else m.total_s /. float_of_int m.timed_queries
-
 let retry ?(votes = 3) (inner : Oracle.t) : Oracle.t =
   if votes < 1 || votes mod 2 = 0 then
     invalid_arg "Faulty_oracle.retry: votes must be positive and odd";

@@ -36,25 +36,6 @@ val intermittent : ?seed:int -> rate:float -> locked:Oracle.t -> Oracle.t -> Ora
     queries — rate-limited chip access. *)
 val query_budget : limit:int -> Oracle.t -> Oracle.t
 
-(** Latency accounting for the wrapped oracle's queries. *)
-type meter = {
-  mutable timed_queries : int;
-  mutable total_s : float;  (** accumulated query time, seconds *)
-  mutable max_s : float;  (** slowest single query *)
-}
-
-(** [with_latency ~cost_s inner] meters every query and adds a modelled
-    fixed access cost [cost_s] (scan shifting a real chip is slow) to the
-    accounting; returns the wrapped oracle and its meter.
-
-    Note: {!Oracle.query} now feeds every call into the global
-    [oracle.query_latency_s] metrics histogram, which subsumes this meter
-    for observability purposes — the meter remains the tool for modelling
-    an access *cost* and reading it back programmatically in experiments. *)
-val with_latency : ?cost_s:float -> Oracle.t -> Oracle.t * meter
-
-val mean_latency_s : meter -> float
-
 (** [retry ~votes inner]: every query is answered by the per-bit majority
     of [votes] independent queries to [inner] — the repair combinator
     attacks opt into against {!bit_flip} noise.  [votes] must be odd;

@@ -11,41 +11,21 @@
     {!Orap_attacks.Budget}. *)
 
 module Locked = Orap_locking.Locked
-module Orap = Orap_core.Orap
-module Chip = Orap_core.Chip
-module Oracle = Orap_core.Oracle
 module Faulty = Orap_core.Faulty_oracle
 module Budget = Orap_attacks.Budget
 module Evaluate = Orap_attacks.Evaluate
-module Sat_attack = Orap_attacks.Sat_attack
-module Appsat = Orap_attacks.Appsat
-module Double_dip = Orap_attacks.Double_dip
-module Hill_climb = Orap_attacks.Hill_climb
-module Key_sensitization = Orap_attacks.Key_sensitization
+module Key_recovery = Orap_attacks.Key_recovery
 module Runner = Orap_runner.Runner
-
-type attack_kind = Sat | Appsat_k | Double_dip_k | Hill | Sensitize
-
-let attack_name = function
-  | Sat -> "SAT attack"
-  | Appsat_k -> "AppSAT"
-  | Double_dip_k -> "Double DIP"
-  | Hill -> "Hill climbing"
-  | Sensitize -> "Key sensitization"
-
-let all_attacks = [ Sat; Appsat_k; Double_dip_k; Hill; Sensitize ]
-
-type oracle_kind = Functional | Orap_scan
 
 type params = {
   seed : int;
   num_gates : int;
   key_size : int;
-  oracle : oracle_kind;  (** base oracle under the fault stack *)
+  oracle : Security.oracle_kind;  (** base oracle under the fault stack *)
   noise_levels : float list;  (** per-query bit-flip probabilities *)
   query_budgets : int list;  (** 0 = unlimited *)
   trials : int;  (** noise seeds per cell *)
-  attacks : attack_kind list;
+  attacks : Key_recovery.t list;
   max_iterations : int;
   wall_clock_s : float;  (** per-attack deadline, seconds *)
   max_conflicts : int option;  (** cumulative solver-conflict budget *)
@@ -59,11 +39,11 @@ let default_params =
     seed = 1;
     num_gates = 300;
     key_size = 16;
-    oracle = Functional;
+    oracle = Security.Functional;
     noise_levels = [ 0.0; 0.02; 0.10 ];
     query_budgets = [ 0; 2000 ];
     trials = 3;
-    attacks = all_attacks;
+    attacks = Key_recovery.all;
     max_iterations = 256;
     wall_clock_s = 10.0;
     max_conflicts = None;
@@ -120,62 +100,30 @@ let key_hd_pct correct key =
   Array.iteri (fun i b -> if b <> key.(i) then incr diff) correct;
   100.0 *. float_of_int !diff /. float_of_int (max 1 (Array.length correct))
 
-let base_oracle params (fx : Security.fixture) = function
-  | Functional -> Oracle.functional fx.Security.locked
-  | Orap_scan ->
-    let chip = Chip.create fx.Security.basic in
-    Chip.unlock chip;
-    ignore params;
-    Oracle.scan_chip chip
-
-(* the fault stack, innermost first: chip -> measurement noise -> access
-   rate limit -> optional majority-vote repair (each vote is a metered
-   physical query, so retries burn budget — that is the tradeoff) *)
-let build_oracle params fx ~noise ~query_budget ~trial_seed =
-  let o = base_oracle params fx params.oracle in
-  let o = if noise > 0.0 then Faulty.bit_flip ~seed:trial_seed ~p:noise o else o in
+(** The fault stack over a fresh base oracle, innermost first: chip ->
+    measurement noise (seeded by [seed]) -> access rate limit -> optional
+    majority-vote repair (each vote is a metered physical query, so retries
+    burn budget — that is the tradeoff).  [noise = 0.], [query_budget = 0]
+    and [votes = 1] leave their layer out. *)
+let oracle fx kind ~noise ~query_budget ~votes ~seed =
+  let o = Security.oracle fx kind in
+  let o = if noise > 0.0 then Faulty.bit_flip ~seed ~p:noise o else o in
   let o = if query_budget > 0 then Faulty.query_budget ~limit:query_budget o else o in
-  if params.retry_votes > 1 then Faulty.retry ~votes:params.retry_votes o else o
-
-let run_attack kind ~budget ~validate locked oracle :
-    bool array Budget.outcome * int =
-  match kind with
-  | Sat ->
-    let r = Sat_attack.run ~budget ~validate locked oracle in
-    (r.Sat_attack.outcome, r.Sat_attack.queries)
-  | Appsat_k ->
-    let r = Appsat.run ~budget locked oracle in
-    (r.Appsat.outcome, r.Appsat.queries)
-  | Double_dip_k ->
-    let r = Double_dip.run ~budget locked oracle in
-    (r.Double_dip.outcome, r.Double_dip.queries)
-  | Hill ->
-    let r = Hill_climb.run ~budget locked oracle in
-    (r.Hill_climb.outcome, r.Hill_climb.queries)
-  | Sensitize ->
-    let r = Key_sensitization.run ~budget locked oracle in
-    (r.Key_sensitization.outcome, r.Key_sensitization.queries)
+  if votes > 1 then Faulty.retry ~votes o else o
 
 (* one grid cell: an (attack, noise, query budget) point, run for
    [params.trials] trial seeds *)
-type cell = { kind : attack_kind; noise : float; query_budget : int }
-
-let attack_slug = function
-  | Sat -> "sat"
-  | Appsat_k -> "appsat"
-  | Double_dip_k -> "ddip"
-  | Hill -> "hill"
-  | Sensitize -> "sens"
+type cell = { attack : Key_recovery.t; noise : float; query_budget : int }
 
 let cell_id (p : params) (c : cell) =
   Printf.sprintf
     "robustness|gates=%d|key=%d|oracle=%s|trials=%d|iters=%d|wall=%s|confl=%s|votes=%d|validate=%d|seed=%d|attack=%s|noise=%s|qb=%d"
     p.num_gates p.key_size
-    (match p.oracle with Functional -> "functional" | Orap_scan -> "orap")
+    (Security.oracle_slug p.oracle)
     p.trials p.max_iterations
     (Runner.float_repr p.wall_clock_s)
     (match p.max_conflicts with None -> "-" | Some c -> string_of_int c)
-    p.retry_votes p.validate_queries p.seed (attack_slug c.kind)
+    p.retry_votes p.validate_queries p.seed c.attack.slug
     (Runner.float_repr c.noise) c.query_budget
 
 (* [seed] is the cell's derived seed; trial [t] uses [seed + t], so trial
@@ -189,15 +137,13 @@ let run_cell (params : params) fx budget ~seed (c : cell) : row =
   let queries = ref 0 in
   let elapsed = ref 0.0 in
   for trial = 0 to params.trials - 1 do
-    let trial_seed = seed + trial in
     let oracle =
-      build_oracle params fx ~noise:c.noise ~query_budget:c.query_budget
-        ~trial_seed
+      oracle fx params.oracle ~noise:c.noise ~query_budget:c.query_budget
+        ~votes:params.retry_votes ~seed:(seed + trial)
     in
     let t0 = Unix.gettimeofday () in
-    let outcome, q =
-      run_attack c.kind ~budget ~validate:params.validate_queries locked
-        oracle
+    let { Orap_attacks.Attack.outcome; queries = q; _ } =
+      c.attack.run ~budget ~validate:params.validate_queries locked oracle
     in
     elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
     queries := !queries + q;
@@ -216,7 +162,7 @@ let run_cell (params : params) fx budget ~seed (c : cell) : row =
   done;
   let n = float_of_int params.trials in
   {
-    attack = attack_name c.kind;
+    attack = c.attack.name;
     noise = c.noise;
     query_budget = c.query_budget;
     trials = params.trials;
@@ -286,11 +232,11 @@ let canonical (r : row) : string =
 
 let grid (p : params) : cell list =
   List.concat_map
-    (fun kind ->
+    (fun attack ->
       List.concat_map
         (fun noise ->
           List.map
-            (fun query_budget -> { kind; noise; query_budget })
+            (fun query_budget -> { attack; noise; query_budget })
             p.query_budgets)
         p.noise_levels)
     p.attacks
@@ -324,7 +270,7 @@ let report (rows : row list) : Report.t =
           Report.R; Report.R; Report.L ]
   in
   List.iter
-    (fun r ->
+    (fun (r : row) ->
       Report.add_row t
         [ r.attack;
           Printf.sprintf "%.2f" r.noise;

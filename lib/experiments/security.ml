@@ -20,11 +20,9 @@ module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Pulse_gen = Orap_dft.Pulse_gen
 module Prng = Orap_sim.Prng
-module Sat_attack = Orap_attacks.Sat_attack
-module Appsat = Orap_attacks.Appsat
-module Double_dip = Orap_attacks.Double_dip
+module Budget = Orap_attacks.Budget
 module Hill_climb = Orap_attacks.Hill_climb
-module Key_sensitization = Orap_attacks.Key_sensitization
+module Key_recovery = Orap_attacks.Key_recovery
 module Evaluate = Orap_attacks.Evaluate
 
 type fixture = {
@@ -48,6 +46,28 @@ let make_fixture ?(seed = 12) ?(num_inputs = 48) ?(num_outputs = 36)
   in
   { nl; locked; basic = mk Orap.Basic; modified = mk Orap.Modified }
 
+(* --- the attacker's oracle --- *)
+
+type oracle_kind = Functional | Orap_scan
+
+let oracle_slug = function Functional -> "functional" | Orap_scan -> "orap"
+
+(** The oracle kind named [slug]; [Failure] for an unknown one. *)
+let oracle_of_slug = function
+  | "functional" -> Functional
+  | "orap" -> Orap_scan
+  | o -> failwith ("unknown oracle " ^ o)
+
+(** A fresh oracle of the given kind: the locked netlist under its correct
+    key (an unprotected chip), or an unlocked basic-scheme OraP chip queried
+    through its scan chain, which answers with the key register cleared. *)
+let oracle (fx : fixture) = function
+  | Functional -> Oracle.functional fx.locked
+  | Orap_scan ->
+    let chip = Chip.create fx.basic in
+    Chip.unlock chip;
+    Oracle.scan_chip chip
+
 (* --- F1: key register clears on scan start --- *)
 
 type fig1_result = {
@@ -68,17 +88,15 @@ let fig1 (fx : fixture) : fig1_result =
   in
   Chip.set_scan_enable chip false;
   (* a fresh unlocked chip, queried through scan, must answer locked *)
-  let chip2 = Chip.create fx.basic in
-  Chip.unlock chip2;
-  let oracle = Oracle.scan_chip chip2 in
-  let reference = Oracle.functional fx.locked in
+  let scan = oracle fx Orap_scan in
+  let reference = oracle fx Functional in
   let rng = Prng.create 2 in
   let width = Orap.num_ext_inputs fx.basic + Orap.num_ffs fx.basic in
   let corrupted = ref 0 in
   let trials = 32 in
   for _ = 1 to trials do
     let x = Prng.bool_array rng width in
-    if Oracle.query oracle x <> Oracle.query reference x then incr corrupted
+    if Oracle.query scan x <> Oracle.query reference x then incr corrupted
   done;
   {
     unlock_key_correct;
@@ -163,58 +181,17 @@ type attack_row = {
 }
 
 let attack_matrix ?(max_iterations = 128) (fx : fixture) : attack_row list =
-  let mk_oracle = function
-    | `Functional -> Oracle.functional fx.locked
-    | `Orap ->
-      let chip = Chip.create fx.basic in
-      Chip.unlock chip;
-      Oracle.scan_chip chip
-  in
-  let oracle_name = function
-    | `Functional -> "unprotected"
-    | `Orap -> "OraP scan"
-  in
-  let rows = ref [] in
-  List.iter
-    (fun okind ->
-      let o = mk_oracle okind in
-      let r = Sat_attack.run ~max_iterations fx.locked o in
-      rows :=
-        { attack = "SAT attack"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Sat_attack.outcome;
-          iterations = r.Sat_attack.iterations; queries = r.Sat_attack.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Appsat.run ~max_iterations fx.locked o in
-      rows :=
-        { attack = "AppSAT"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Appsat.outcome;
-          iterations = r.Appsat.iterations; queries = r.Appsat.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Double_dip.run ~max_iterations fx.locked o in
-      rows :=
-        { attack = "Double DIP"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Double_dip.outcome;
-          iterations = r.Double_dip.iterations; queries = r.Double_dip.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Hill_climb.run fx.locked o in
-      rows :=
-        { attack = "Hill climbing"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Hill_climb.outcome;
-          iterations = r.Hill_climb.flips; queries = r.Hill_climb.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Key_sensitization.run fx.locked o in
-      rows :=
-        { attack = "Key sensitization"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Key_sensitization.outcome;
-          iterations = r.Key_sensitization.sensitized_bits;
-          queries = r.Key_sensitization.queries }
-        :: !rows)
-    [ `Functional; `Orap ];
-  List.rev !rows
+  let budget = Budget.make ~max_iterations () in
+  List.concat_map
+    (fun (kind, oracle_kind) ->
+      List.map
+        (fun (a : Key_recovery.t) ->
+          let r = a.run ~budget fx.locked (oracle fx kind) in
+          { attack = a.name; oracle_kind;
+            verdict = Evaluate.of_outcome fx.locked r.outcome;
+            iterations = r.iterations; queries = r.queries })
+        Key_recovery.all)
+    [ (Functional, "unprotected"); (Orap_scan, "OraP scan") ]
 
 let attack_report rows : Report.t =
   let t =
@@ -236,15 +213,13 @@ let attack_report rows : Report.t =
     responses are locked-circuit responses (key register cleared).  The
     climb must not recover the key from them. *)
 let hill_climb_on_test_responses (fx : fixture) : Evaluate.verdict =
-  let chip = Chip.create fx.basic in
-  Chip.unlock chip;
-  let oracle = Oracle.scan_chip chip in
+  let scan = oracle fx Orap_scan in
   let rng = Prng.create 77 in
   let width = Orap.num_ext_inputs fx.basic + Orap.num_ffs fx.basic in
   let pairs =
     List.init 48 (fun _ ->
         let x = Prng.bool_array rng width in
-        (x, Oracle.query oracle x))
+        (x, Oracle.query scan x))
   in
   let r = Hill_climb.run_on_responses fx.locked pairs in
-  Evaluate.of_outcome fx.locked r.Hill_climb.outcome
+  Evaluate.of_outcome fx.locked r.outcome

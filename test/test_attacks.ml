@@ -121,14 +121,17 @@ let test_hill_climb_recovers_small_random_key () =
   (* independent key bits: greedy descent works *)
   let lk = Orap_locking.Random_ll.lock base ~key_size:8 in
   let r = Hill_climb.run ~sample:64 ~restarts:5 lk (Oracle.functional lk) in
-  let v = Evaluate.of_outcome lk r.Hill_climb.outcome in
+  let v = Evaluate.of_outcome lk r.outcome in
   check Alcotest.bool "recovered" true v.Evaluate.equivalent;
-  check Alcotest.int "zero residual mismatches" 0 r.Hill_climb.mismatches
+  check Alcotest.bool "zero residual mismatches" true
+    (match r.outcome with
+    | Budget.Approximate (_, st) -> st.Budget.estimated_error = 0.0
+    | _ -> false)
 
 let test_hill_climb_fails_behind_orap () =
   let lk = Orap_locking.Random_ll.lock base ~key_size:8 in
   let r = Hill_climb.run ~sample:64 ~restarts:5 lk (orap_oracle lk) in
-  let v = Evaluate.of_outcome lk r.Hill_climb.outcome in
+  let v = Evaluate.of_outcome lk r.outcome in
   check Alcotest.bool "not equivalent" false v.Evaluate.equivalent
 
 let test_hill_climb_on_responses () =
@@ -142,7 +145,7 @@ let test_hill_climb_on_responses () =
   in
   let r = Hill_climb.run_on_responses ~restarts:5 lk good in
   check Alcotest.bool "recovers from unlocked responses" true
-    (Evaluate.of_outcome lk r.Hill_climb.outcome).Evaluate.equivalent;
+    (Evaluate.of_outcome lk r.outcome).Evaluate.equivalent;
   let zero_key = Array.make 8 false in
   let locked_pairs =
     List.map (fun (x, _) -> (x, Locked.eval lk ~key:zero_key ~inputs:x)) good
@@ -150,15 +153,28 @@ let test_hill_climb_on_responses () =
   let r2 = Hill_climb.run_on_responses ~restarts:5 lk locked_pairs in
   (* converges to the zero key's behaviour, not to the secret *)
   check Alcotest.bool "locked responses mislead" false
-    (Evaluate.of_outcome lk r2.Hill_climb.outcome).Evaluate.equivalent
+    (Evaluate.of_outcome lk r2.outcome).Evaluate.equivalent
 
 let test_key_sensitization_counts () =
   let lk = Orap_locking.Random_ll.lock base ~key_size:8 in
   let r = Key_sensitization.run lk (Oracle.functional lk) in
-  check Alcotest.bool "most bits sensitizable" true
-    (r.Key_sensitization.sensitized_bits >= 6);
-  check Alcotest.int "one query per sensitized bit"
-    r.Key_sensitization.sensitized_bits r.Key_sensitization.queries
+  check Alcotest.bool "most bits sensitizable" true (r.iterations >= 6);
+  check Alcotest.int "one query per sensitized bit" r.iterations r.queries
+
+(* a spent deadline stops every attack before it does any work *)
+let test_every_attack_honours_wall_clock () =
+  let lk = Orap_locking.Random_ll.lock base ~key_size:8 in
+  let budget = Budget.make ~wall_clock_s:0.0 () in
+  List.iter
+    (fun (a : Orap_attacks.Key_recovery.t) ->
+      let r = a.run ~budget lk (Oracle.functional lk) in
+      check Alcotest.string a.name "exhausted: wall-clock budget of 0.00s spent"
+        (Budget.outcome_to_string r.outcome);
+      check Alcotest.bool (a.name ^ " is a Wall_clock stop") true
+        (match r.outcome with
+        | Budget.Exhausted (Budget.Wall_clock _) -> true
+        | _ -> false))
+    Orap_attacks.Key_recovery.all
 
 let test_evaluate_verdicts () =
   let lk = Orap_locking.Random_ll.lock base ~key_size:8 in
@@ -216,6 +232,8 @@ let suite =
       tc "hill climbing fails behind OraP" `Quick test_hill_climb_fails_behind_orap;
       tc "hill climbing on test responses" `Quick test_hill_climb_on_responses;
       tc "key sensitization" `Quick test_key_sensitization_counts;
+      tc "every attack honours a spent wall clock" `Quick
+        test_every_attack_honours_wall_clock;
       tc "verdict evaluation" `Quick test_evaluate_verdicts;
       tc "miter shares the key-free cone" `Quick
         test_miter_shares_key_free_cone;

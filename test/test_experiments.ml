@@ -105,6 +105,94 @@ let test_security_figs () =
   check Alcotest.bool "F3 freeze breaks" true f3.E.Security.frozen_ffs_break_unlock;
   check Alcotest.bool "F3 basic immune" true f3.E.Security.responses_differ_from_basic
 
+(* Attack-matrix rows (attack, oracle, verdict, iterations, queries) and
+   the S3 test-response verdict on a small fixture, recorded before the five
+   attacks shared one result record and one table.  Hill climbing recovers
+   the key against the unprotected oracle here; every attack fails through
+   the OraP scan oracle.  Wall-clock is not part of a row. *)
+let golden_attack_matrix =
+  [
+    "SAT attack\tunprotected\tkey recovered (exact, HD 0%)\t1\t1";
+    "AppSAT\tunprotected\tkey recovered (exact, HD 0%)\t1\t1";
+    "Double DIP\tunprotected\tkey recovered (exact, HD 0%)\t2\t2";
+    "Hill climbing\tunprotected\tkey recovered (exact, HD 0%)\t7\t48";
+    "Key sensitization\tunprotected\tWRONG key (HD 26.5%)\t16\t16";
+    "SAT attack\tOraP scan\tWRONG key (HD 18.4%)\t1\t1";
+    "AppSAT\tOraP scan\tWRONG key (HD 18.4%)\t1\t1";
+    "Double DIP\tOraP scan\tWRONG key (HD 18.4%)\t2\t2";
+    "Hill climbing\tOraP scan\tWRONG key (HD 18.4%)\t6\t48";
+    "Key sensitization\tOraP scan\tWRONG key (HD 26.5%)\t16\t16";
+  ]
+
+let test_attack_matrix_golden () =
+  let fx = E.Security.make_fixture ~num_gates:200 ~key_size:16 () in
+  let row r =
+    String.concat "\t"
+      [ r.E.Security.attack; r.E.Security.oracle_kind;
+        Orap_attacks.Evaluate.to_string r.E.Security.verdict;
+        string_of_int r.E.Security.iterations;
+        string_of_int r.E.Security.queries ]
+  in
+  check
+    Alcotest.(list string)
+    "attack matrix rows" golden_attack_matrix
+    (List.map row (E.Security.attack_matrix fx));
+  check Alcotest.string "S3 verdict" "WRONG key (HD 18.4%)"
+    (Orap_attacks.Evaluate.to_string
+       (E.Security.hill_climb_on_test_responses fx))
+
+(* The CI smoke grid (gates 80, key 8, noise 0/0.05, query budget 200, one
+   trial, 32 iterations) over all five attacks, as canonical rows. *)
+let smoke_params =
+  {
+    E.Robustness.default_params with
+    E.Robustness.num_gates = 80;
+    key_size = 8;
+    noise_levels = [ 0.0; 0.05 ];
+    query_budgets = [ 200 ];
+    trials = 1;
+    max_iterations = 32;
+  }
+
+let golden_robustness_rows =
+  [
+    "SAT attack\t0x0p+0\t200\t1\t1\t1\t0x0p+0\t0x1.08p+5\t0x0p+0\t1 exact";
+    "SAT attack\t0x1.999999999999ap-5\t200\t1\t1\t0\t0x0p+0\t0x1.08p+5\t0x0p+0\t1 approx";
+    "AppSAT\t0x0p+0\t200\t1\t1\t1\t0x0p+0\t0x1p+0\t0x0p+0\t1 exact";
+    "AppSAT\t0x1.999999999999ap-5\t200\t1\t1\t1\t0x0p+0\t0x1p+0\t0x0p+0\t1 exact";
+    "Double DIP\t0x0p+0\t200\t1\t1\t1\t0x0p+0\t0x1p+0\t0x0p+0\t1 exact";
+    "Double DIP\t0x1.999999999999ap-5\t200\t1\t1\t1\t0x0p+0\t0x1p+0\t0x0p+0\t1 exact";
+    "Hill climbing\t0x0p+0\t200\t1\t0\t0\t0x1.9p+4\t0x1.8p+5\t0x0p+0\t1 approx";
+    "Hill climbing\t0x1.999999999999ap-5\t200\t1\t0\t0\t0x1.9p+4\t0x1.8p+5\t0x0p+0\t1 approx";
+    "Key sensitization\t0x0p+0\t200\t1\t0\t0\t0x1.9p+3\t0x1p+3\t0x0p+0\t1 approx";
+    "Key sensitization\t0x1.999999999999ap-5\t200\t1\t0\t0\t0x1.9p+3\t0x1p+3\t0x0p+0\t1 approx";
+  ]
+
+let test_robustness_golden () =
+  check
+    Alcotest.(list string)
+    "robustness smoke rows" golden_robustness_rows
+    (List.map E.Robustness.canonical (E.Robustness.run ~params:smoke_params ()))
+
+(* A cell id feeds the cell's FNV-1a key, hence its derived seed and its
+   journal entry: one cell per attack, at the default parameters. *)
+let golden_cell_ids =
+  List.map
+    (fun slug ->
+      "robustness|gates=300|key=16|oracle=functional|trials=3|iters=256|wall=0x1.4p+3|confl=-|votes=1|validate=32|seed=1|attack="
+      ^ slug ^ "|noise=0x1.999999999999ap-5|qb=200")
+    [ "sat"; "appsat"; "ddip"; "hill"; "sens" ]
+
+let test_cell_id_golden () =
+  let p =
+    { E.Robustness.default_params with
+      E.Robustness.noise_levels = [ 0.05 ]; query_budgets = [ 200 ] }
+  in
+  check
+    Alcotest.(list string)
+    "cell ids" golden_cell_ids
+    (List.map (E.Robustness.cell_id p) (E.Robustness.grid p))
+
 let test_trojan_table_verdicts () =
   let fx = E.Security.make_fixture ~num_gates:300 ~key_size:24 () in
   let rows = E.Trojan_table.run fx in
@@ -138,6 +226,9 @@ let suite =
       tc "table2 shape" `Slow test_table2_shape;
       tc "table2 golden rows" `Quick test_table2_golden;
       tc "security figures" `Quick test_security_figs;
+      tc "attack matrix golden rows" `Quick test_attack_matrix_golden;
+      tc "robustness golden rows" `Quick test_robustness_golden;
+      tc "robustness cell ids" `Quick test_cell_id_golden;
       tc "trojan verdict table" `Quick test_trojan_table_verdicts;
       tc "report rendering" `Quick test_report_rendering;
     ] )

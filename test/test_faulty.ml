@@ -128,7 +128,7 @@ let test_intermittent_lockdown () =
   done;
   check Alcotest.bool "rate 0.0 never intervenes" true !clean
 
-(* --- query budget and latency --- *)
+(* --- query budget --- *)
 
 let test_query_budget_exhausts () =
   let o = Faulty.query_budget ~limit:5 (Oracle.functional lk) in
@@ -140,18 +140,6 @@ let test_query_budget_exhausts () =
     (match Oracle.query o (inputs_of rng) with
     | _ -> false
     | exception Faulty.Refused _ -> true)
-
-let test_latency_meter () =
-  let o, meter = Faulty.with_latency ~cost_s:0.5 (Oracle.functional lk) in
-  let rng = Prng.create 73 in
-  for _ = 1 to 4 do
-    ignore (Oracle.query o (inputs_of rng))
-  done;
-  check Alcotest.int "4 timed queries" 4 meter.Faulty.timed_queries;
-  check Alcotest.bool "modelled cost accumulates" true
-    (meter.Faulty.total_s >= 2.0);
-  check Alcotest.bool "mean includes modelled cost" true
-    (Faulty.mean_latency_s meter >= 0.5)
 
 (* --- width validation in the oracle constructors --- *)
 
@@ -261,7 +249,6 @@ let suite =
       tc "stuck-at scan cells" `Quick test_stuck_at;
       tc "intermittent lockdown" `Quick test_intermittent_lockdown;
       tc "query budget exhausts" `Quick test_query_budget_exhausts;
-      tc "latency meter" `Quick test_latency_meter;
       tc "oracle width validation" `Quick test_width_validation;
       tc "SAT attack reports refusal" `Quick test_sat_attack_oracle_refused;
       tc "SAT attack honours deadline" `Quick test_sat_attack_wall_clock_exhausts;

@@ -13,7 +13,9 @@ module Antisat = Orap_locking.Antisat
 module Oracle = Orap_core.Oracle
 module Orap = Orap_core.Orap
 module Chip = Orap_core.Chip
+module Faulty = Orap_core.Faulty_oracle
 module Budget = Orap_attacks.Budget
+module Key_recovery = Orap_attacks.Key_recovery
 module Miter = Orap_attacks.Miter
 module Sat_attack = Orap_attacks.Sat_attack
 module Appsat = Orap_attacks.Appsat
@@ -229,6 +231,24 @@ let prop_appsat_ddip_fail_behind_orap =
              | None -> true)
            attacks)
 
+(* P: an [Approximate] outcome's stats restate the result record, for every
+   attack in the table; a noisy oracle and the SAT attack's audit make the
+   SAT family settle for approximations too *)
+let prop_approximate_stats_match_result =
+  Prop.to_alcotest ~count:8
+    ~name:"approximate stats restate the result"
+    ~gen:(with_seed benchgen) (fun (nl, seed) ->
+      let lk = Random_ll.lock ~seed nl ~key_size:6 in
+      List.for_all
+        (fun (a : Key_recovery.t) ->
+          let oracle = Faulty.bit_flip ~seed ~p:0.05 (Oracle.functional lk) in
+          let r = a.run ~budget:Budget.default ~validate:16 lk oracle in
+          match r.outcome with
+          | Budget.Approximate (_, st) ->
+            st.Budget.iterations = r.iterations && st.Budget.queries = r.queries
+          | _ -> true)
+        Key_recovery.all)
+
 let suite =
   ( "prop_attacks",
     [
@@ -239,4 +259,5 @@ let suite =
       prop_add_io_keeps_agreeing_keys;
       prop_appsat_ddip_exact_key_is_equivalent;
       prop_appsat_ddip_fail_behind_orap;
+      prop_approximate_stats_match_result;
     ] )

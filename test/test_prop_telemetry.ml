@@ -7,8 +7,9 @@
 module Locked = Orap_locking.Locked
 module Random_ll = Orap_locking.Random_ll
 module Oracle = Orap_core.Oracle
+module Key_recovery = Orap_attacks.Key_recovery
+module Attack = Orap_attacks.Attack
 module Budget = Orap_attacks.Budget
-module Sat_attack = Orap_attacks.Sat_attack
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
 module Telemetry = Orap_telemetry.Telemetry
@@ -17,13 +18,17 @@ let benchgen = Gen.benchgen_netlist ~inputs:8 ~outputs:4 ~gates:40
 
 let with_seed g = Gen.pair g (Gen.int_range 0 0x3FFFFFFF)
 
-(* Run the SAT attack with a memory sink capturing every event it emits. *)
-let traced_attack (nl, seed) =
+(* Run attack [a] with a memory sink capturing every event it emits. *)
+let traced (a : Key_recovery.t) (nl, seed) =
   let lk = Random_ll.lock ~seed nl ~key_size:6 in
   let oracle = Oracle.functional lk in
   let sink, events = Telemetry.memory () in
-  let r = Telemetry.with_sink sink (fun () -> Sat_attack.run lk oracle) in
+  let r =
+    Telemetry.with_sink sink (fun () -> a.run ~budget:Budget.default lk oracle)
+  in
   (r, events ())
+
+let traced_attack = traced (Key_recovery.of_slug "sat")
 
 let spans name events =
   List.filter
@@ -36,14 +41,17 @@ let int_arg key e =
   | Some (Telemetry.Int n) -> Some n
   | _ -> None
 
-(* P: the attack's reported [queries] equals the number of "oracle.query"
+(* P: every attack's reported [queries] equals the number of "oracle.query"
    spans in its trace — the report and the stream count the same thing *)
 let prop_queries_match_trace =
   Prop.to_alcotest ~count:12
     ~name:"reported queries = oracle.query span count"
     ~gen:(with_seed benchgen) (fun input ->
-      let r, events = traced_attack input in
-      r.Sat_attack.queries = List.length (spans "oracle.query" events))
+      List.for_all
+        (fun a ->
+          let r, events = traced a input in
+          r.Attack.queries = List.length (spans "oracle.query" events))
+        Key_recovery.all)
 
 (* P: the per-solve conflict deltas attached to "solver.solve" spans sum to
    the attack's reported [conflicts], which in turn is the fresh solver's
@@ -60,24 +68,37 @@ let prop_conflict_deltas_sum =
       && List.fold_left
            (fun acc e -> acc + Option.get (int_arg "conflicts" e))
            0 solves
-         = r.Sat_attack.conflicts)
+         = r.Attack.conflicts)
 
-(* P: the run span's exit args restate the result record, and the
-   iteration spans count every DIP round plus the final (UNSAT) round
-   that proves the key *)
+let run_spans events =
+  List.filter
+    (fun e ->
+      e.Telemetry.phase = Telemetry.Complete
+      && Filename.check_suffix e.Telemetry.name ".run")
+    events
+
+(* P: every attack opens exactly one [<name>.run] span, whose exit args
+   restate the result record; the SAT attack's iteration spans count every
+   DIP round plus the final (UNSAT) round that proves the key *)
 let prop_run_span_restates_result =
   Prop.to_alcotest ~count:8
-    ~name:"sat_attack.run exit args match the result record"
+    ~name:"<attack>.run exit args match the result record"
     ~gen:(with_seed benchgen) (fun input ->
-      let r, events = traced_attack input in
-      match spans "sat_attack.run" events with
-      | [ run ] ->
-        int_arg "iterations" run = Some r.Sat_attack.iterations
-        && int_arg "queries" run = Some r.Sat_attack.queries
-        && int_arg "conflicts" run = Some r.Sat_attack.conflicts
-        && List.length (spans "sat_attack.iteration" events)
-           = r.Sat_attack.iterations + 1
-      | _ -> false)
+      List.for_all
+        (fun (a : Key_recovery.t) ->
+          let r, events = traced a input in
+          match run_spans events with
+          | [ run ] ->
+            int_arg "iterations" run = Some r.Attack.iterations
+            && int_arg "queries" run = Some r.Attack.queries
+            && int_arg "conflicts" run = Some r.Attack.conflicts
+            && List.assoc_opt "outcome" run.Telemetry.args
+               = Some (Telemetry.String (Budget.outcome_to_string r.Attack.outcome))
+            && (a.slug <> "sat"
+               || List.length (spans "sat_attack.iteration" events)
+                  = r.Attack.iterations + 1)
+          | _ -> false)
+        Key_recovery.all)
 
 (* P: every solve span carries the problem size, and the miter only grows
    (IO constraints add variables and clauses, never remove them) *)

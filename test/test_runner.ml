@@ -324,7 +324,7 @@ let test_robustness_grid_deterministic () =
       noise_levels = [ 0.0; 0.05 ];
       query_budgets = [ 0; 300 ];
       trials = 2;
-      attacks = [ E.Robustness.Hill; E.Robustness.Sensitize ];
+      attacks = List.map Orap_attacks.Key_recovery.of_slug [ "hill"; "sens" ];
       max_iterations = 32;
       wall_clock_s = 120.0 (* generous: no timeout nondeterminism *);
     }
