@@ -28,25 +28,15 @@ let sensitize (locked : Locked.t) j : (bool array * bool array) option * int =
   let kj0 = Solver.new_var solver and kj1 = Solver.new_var solver in
   ignore (Solver.add_clause solver [ Lit.neg kj0 ]);
   ignore (Solver.add_clause solver [ Lit.pos kj1 ]);
-  let input_var kj i =
-    if i < nri then x_vars.(i)
-    else if i - nri = j then kj
-    else k_vars.(i - nri)
+  let input kj i =
+    Lit.pos
+      (if i < nri then x_vars.(i)
+       else if i - nri = j then kj
+       else k_vars.(i - nri))
   in
-  let o0 = Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(input_var kj0)) in
-  let o1 = Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(input_var kj1)) in
-  let diffs =
-    Array.map2
-      (fun v1 v2 ->
-        let d = Solver.new_var solver in
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.pos v1; Lit.pos v2 ]);
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.neg v1; Lit.neg v2 ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.pos v1; Lit.neg v2 ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.neg v1; Lit.pos v2 ]);
-        d)
-      o0 o1
-  in
-  ignore (Solver.add_clause solver (Array.to_list (Array.map Lit.pos diffs)));
+  let o0 = Tseitin.outputs nl (Tseitin.encode solver nl ~input:(input kj0)) in
+  let o1 = Tseitin.outputs nl (Tseitin.encode solver nl ~input:(input kj1)) in
+  Tseitin.clause solver (Array.to_list (Array.map2 (Tseitin.xor solver) o0 o1));
   let found =
     match Solver.decide solver with
     | `Unsat -> None

@@ -4,11 +4,14 @@
 
     A node whose fanin cone holds no key input computes the same function
     in every copy, so it is encoded once, in copy 0, and the other copies
-    reuse its variable; only the key-dependent logic is duplicated.  An
+    reuse its literal; only the key-dependent logic is duplicated.  An
     unshared miter leaves the solver to re-derive the equality of those
-    duplicates by search, which dominates the final UNSAT proof.  The IO
-    constraint of a DIP shares its key-free cone between the copies the
-    same way. *)
+    duplicates by search, which dominates the final UNSAT proof.
+
+    The IO constraint of a DIP ties the regular inputs to the DIP's bits as
+    constants, which [Tseitin.encode] folds: the key-free cone becomes
+    constants, and only the key-dependent logic those constants leave
+    undecided gets variables and clauses. *)
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
@@ -23,10 +26,8 @@ type t = {
   key_free : bool array;  (** per node: no key input in its fanin cone *)
   x_vars : int array;
   keys : int array array;  (** the key variables of each copy *)
-  outs : int array array;  (** the output variables of each copy *)
+  outs : Lit.t array array;  (** the output literals of each copy *)
   activate : Lit.t;  (** assumption literal guarding every difference *)
-  const_true : int;
-  const_false : int;
 }
 
 let key_free (locked : Locked.t) =
@@ -41,19 +42,19 @@ let key_free (locked : Locked.t) =
   free
 
 (* One circuit copy per key-variable array, the regular inputs mapped by
-   [regular]; the key-free nodes are encoded in the first copy only.
-   Returns each copy's output variables. *)
+   [regular] to literals or constants; the key-free nodes are encoded in
+   the first copy only.  Returns each copy's output literals. *)
 let encode_copies solver key_free (locked : Locked.t) ~regular keys =
   let nl = locked.Locked.netlist in
   let nri = locked.Locked.num_regular_inputs in
-  let input_var kv i = if i < nri then regular i else kv.(i - nri) in
-  let first = Tseitin.encode solver nl ~input_var:(input_var keys.(0)) in
-  let reuse = Array.mapi (fun i v -> if key_free.(i) then v else -1) first in
+  let input kv i = if i < nri then regular i else Lit.pos kv.(i - nri) in
+  let first = Tseitin.encode solver nl ~input:(input keys.(0)) in
+  let reuse = (key_free, first) in
   Array.mapi
     (fun c kv ->
-      Tseitin.output_vars nl
+      Tseitin.outputs nl
         (if c = 0 then first
-         else Tseitin.encode ~reuse solver nl ~input_var:(input_var kv)))
+         else Tseitin.encode ~reuse solver nl ~input:(input kv)))
     keys
 
 let create (locked : Locked.t) ~copies =
@@ -64,48 +65,47 @@ let create (locked : Locked.t) ~copies =
   in
   let key_free = key_free locked in
   let outs =
-    encode_copies solver key_free locked ~regular:(fun i -> x_vars.(i)) keys
+    encode_copies solver key_free locked
+      ~regular:(fun i -> Lit.pos x_vars.(i)) keys
   in
   let activate = Lit.pos (Solver.new_var solver) in
-  let const_true = Solver.new_var solver in
-  let const_false = Solver.new_var solver in
-  ignore (Solver.add_clause solver [ Lit.pos const_true ]);
-  ignore (Solver.add_clause solver [ Lit.neg const_false ]);
-  { locked; solver; key_free; x_vars; keys; outs; activate; const_true;
-    const_false }
+  { locked; solver; key_free; x_vars; keys; outs; activate }
 
-(* Under [activate], some pair (a_j, b_j) differs.  A variable the two
+(* Under [activate], some pair (a_j, b_j) differs.  A literal the two
    sides share cannot differ, so it gets no XOR. *)
 let require_difference m a b =
-  let add c = ignore (Solver.add_clause m.solver c) in
   let diffs = ref [] in
   Array.iter2
-    (fun u v ->
-      if u <> v then begin
-        let d = Solver.new_var m.solver in
-        add [ Lit.neg d; Lit.pos u; Lit.pos v ];
-        add [ Lit.neg d; Lit.neg u; Lit.neg v ];
-        add [ Lit.pos d; Lit.pos u; Lit.neg v ];
-        add [ Lit.pos d; Lit.neg u; Lit.pos v ];
-        diffs := Lit.pos d :: !diffs
-      end)
+    (fun u v -> if u <> v then diffs := Tseitin.xor m.solver u v :: !diffs)
     a b;
-  add (Lit.negate m.activate :: !diffs)
+  Tseitin.clause m.solver (Lit.negate m.activate :: !diffs)
 
 (** Under [activate], copies [i] and [j] disagree on some output. *)
 let outputs_differ m i j = require_difference m m.outs.(i) m.outs.(j)
 
 (** Under [activate], the keys of copies [i] and [j] differ. *)
-let keys_differ m i j = require_difference m m.keys.(i) m.keys.(j)
+let keys_differ m i j =
+  require_difference m (Array.map Lit.pos m.keys.(i)) (Array.map Lit.pos m.keys.(j))
 
-(** The IO constraint [C(dip, K_c) = y] on every key copy [c]. *)
+let check_width what ~expected got =
+  if got <> expected then
+    invalid_arg
+      (Printf.sprintf "Miter.add_io: expected %s width %d, got %d" what expected
+         got)
+
+(** The IO constraint [C(dip, K_c) = y] on every key copy [c].  [dip]
+    holds one bit per regular input and [y] one per output. *)
 let add_io m dip y =
-  let regular i = if dip.(i) then m.const_true else m.const_false in
+  let nl = m.locked.Locked.netlist in
+  check_width "DIP" ~expected:m.locked.Locked.num_regular_inputs
+    (Array.length dip);
+  check_width "response" ~expected:(N.num_outputs nl) (Array.length y);
+  let regular i = Tseitin.const dip.(i) in
   let outs = encode_copies m.solver m.key_free m.locked ~regular m.keys in
+  (* an output that folds to the wrong constant adds the empty clause *)
   Array.iter
-    (Array.iteri (fun j v ->
-         let l = if y.(j) then Lit.pos v else Lit.neg v in
-         ignore (Solver.add_clause m.solver [ l ])))
+    (Array.iteri (fun j l ->
+         Tseitin.clause m.solver [ (if y.(j) then l else Lit.negate l) ]))
     outs
 
 (* Read [vars] off the model of the last [Sat] answer, then return the

@@ -27,22 +27,11 @@ let sat_equiv a b =
   let solver = Solver.create () in
   let ni = N.num_inputs a in
   let x_vars = Solver.new_vars solver ni in
-  let va = Tseitin.encode solver a ~input_var:(fun i -> x_vars.(i)) in
-  let vb = Tseitin.encode solver b ~input_var:(fun i -> x_vars.(i)) in
-  let oa = Tseitin.output_vars a va and ob = Tseitin.output_vars b vb in
-  let add c = ignore (Solver.add_clause solver c) in
-  let diffs =
-    Array.map2
-      (fun v1 v2 ->
-        let d = Solver.new_var solver in
-        add [ Lit.neg d; Lit.pos v1; Lit.pos v2 ];
-        add [ Lit.neg d; Lit.neg v1; Lit.neg v2 ];
-        add [ Lit.pos d; Lit.pos v1; Lit.neg v2 ];
-        add [ Lit.pos d; Lit.neg v1; Lit.pos v2 ];
-        d)
-      oa ob
-  in
-  add (Array.to_list (Array.map Lit.pos diffs));
+  let input i = Lit.pos x_vars.(i) in
+  let oa = Tseitin.outputs a (Tseitin.encode solver a ~input) in
+  let ob = Tseitin.outputs b (Tseitin.encode solver b ~input) in
+  Tseitin.clause solver
+    (Array.to_list (Array.map2 (Tseitin.xor solver) oa ob));
   match Solver.decide solver with
   | `Unsat -> Equivalent
   | `Sat ->

@@ -205,14 +205,37 @@ let test_miter_shares_key_free_cone () =
   let module Miter = Orap_attacks.Miter in
   let m = Sat_attack.miter (key_free_fixture ()) in
   let vars () = Orap_sat.Solver.num_vars m.Miter.solver in
-  (* 3 inputs + 2 key copies, g1..g3 once, g3 again for copy 1, the guard,
-     two constants and one XOR for output g3 (g2 is shared): an unshared
-     miter would take 16 *)
-  check Alcotest.int "miter variables" 13 (vars ());
+  let clauses () = Orap_sat.Solver.num_clauses m.Miter.solver in
+  (* 3 inputs + 2 key copies, g1..g3 once, g3 again for copy 1, the guard
+     and one XOR for output g3 (g2 is shared): an unshared miter would
+     take 14 *)
+  check Alcotest.int "miter variables" 11 (vars ());
+  (* g1, g2: 3 clauses each; g3 twice and the output XOR: 4 each; the
+     guarded difference: 1 *)
+  check Alcotest.int "miter clauses" 19 (clauses ());
   check Alcotest.bool "shared output" true (m.Miter.outs.(0).(1) = m.Miter.outs.(1).(1));
-  (* one IO constraint: g1..g3 for copy 0, g3 for copy 1 *)
+  (* one IO constraint: the DIP folds g1 and g2 to constants and g3 to
+     -k in each copy, so it adds no variables and no clauses, only units *)
   Miter.add_io m [| true; true; false |] [| false; true |];
-  check Alcotest.int "variables after one DIP" 17 (vars ())
+  check Alcotest.int "variables after one DIP" 11 (vars ());
+  check Alcotest.int "clauses after one DIP" 19 (clauses ())
+
+(* add_io rejects a DIP or a response of the wrong width *)
+let test_add_io_checks_widths () =
+  let module Miter = Orap_attacks.Miter in
+  let m = Sat_attack.miter (key_free_fixture ()) in
+  let raises name dip y =
+    match Miter.add_io m dip y with
+    | () -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument msg ->
+      check Alcotest.bool (name ^ ": " ^ msg) true
+        (String.starts_with ~prefix:"Miter.add_io: " msg)
+  in
+  raises "short DIP" [| true; true |] [| false; true |];
+  raises "long DIP" [| true; true; false; true |] [| false; true |];
+  raises "short response" [| true; true; false |] [| false |];
+  raises "long response" [| true; true; false |] [| false; true; true |];
+  Miter.add_io m [| true; true; false |] [| false; true |]
 
 let suite =
   ( "attacks",
@@ -237,4 +260,5 @@ let suite =
       tc "verdict evaluation" `Quick test_evaluate_verdicts;
       tc "miter shares the key-free cone" `Quick
         test_miter_shares_key_free_cone;
+      tc "add_io checks widths" `Quick test_add_io_checks_widths;
     ] )

@@ -17,6 +17,7 @@ module Faulty = Orap_core.Faulty_oracle
 module Budget = Orap_attacks.Budget
 module Key_recovery = Orap_attacks.Key_recovery
 module Miter = Orap_attacks.Miter
+module Attack = Orap_attacks.Attack
 module Sat_attack = Orap_attacks.Sat_attack
 module Appsat = Orap_attacks.Appsat
 module Double_dip = Orap_attacks.Double_dip
@@ -25,6 +26,7 @@ module Lit = Orap_sat.Lit
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
 module Equiv = Orap_proptest.Equiv
+module Prng = Orap_sim.Prng
 
 let keyed (lk : Locked.t) key =
   let positions = Locked.key_input_positions lk in
@@ -136,34 +138,50 @@ let prop_miter_matches_simulation =
       | Solver.Unsat -> not disagree
       | Solver.Unknown -> false)
 
-(* P: after one IO constraint (x, y), with y the answer of some key, the
-   keys either copy may still take are exactly those that simulation says
-   answer y on x *)
+(* P: after 1-3 IO constraints (x, y), each y the answer of some key or
+   drawn freely, the keys either copy may still take are exactly those
+   that simulation says answer every y on its x; when no key does, the
+   attack's candidate search reports the oracle inconsistent *)
 let prop_add_io_keeps_agreeing_keys =
-  Prop.to_alcotest ~count:40 ~print:(fun (lk, _) -> print_locked lk)
-    ~name:"add_io leaves exactly the keys that agree with the DIP"
-    ~gen:(Gen.pair small_locked (Gen.int_range 0 0x3FFFFFFF)) (fun (lk, r) ->
+  Prop.to_alcotest ~count:60 ~print:(fun (lk, _) -> print_locked lk)
+    ~name:"add_io leaves exactly the keys that agree with every IO pair"
+    ~gen:(Gen.pair small_locked (Gen.int_range 0 0x3FFFFFFF)) (fun (lk, seed) ->
       let nri = lk.Locked.num_regular_inputs and ksz = Locked.key_size lk in
-      let x = bits nri r in
-      let y = Locked.eval lk ~key:(bits ksz (r lsr nri)) ~inputs:x in
+      let nout = Orap_netlist.Netlist.num_outputs lk.Locked.netlist in
+      let rng = Prng.create seed in
+      let pairs =
+        List.init (1 + Prng.int rng 3) (fun _ ->
+            let x = Prng.bool_array rng nri in
+            if Prng.bool rng then
+              (x, Locked.eval lk ~key:(Prng.bool_array rng ksz) ~inputs:x)
+            else (x, Prng.bool_array rng nout))
+      in
       let m = Sat_attack.miter lk in
-      Miter.add_io m x y;
+      List.iter (fun (x, y) -> Miter.add_io m x y) pairs;
+      let fits key =
+        List.for_all (fun (x, y) -> Locked.eval lk ~key ~inputs:x = y) pairs
+      in
+      let admits copy key =
+        let assumptions =
+          Array.append
+            [| Lit.negate m.Miter.activate |]
+            (Array.map2
+               (fun v b -> Lit.of_var ~negated:(not b) v)
+               m.Miter.keys.(copy) key)
+        in
+        Solver.solve ~assumptions m.Miter.solver = Solver.Sat
+      in
+      let keys = List.init (1 lsl ksz) (bits ksz) in
       List.for_all
-        (fun k ->
-          let key = bits ksz k in
-          List.for_all
-            (fun copy ->
-              let assumptions =
-                Array.append
-                  [| Lit.negate m.Miter.activate |]
-                  (Array.map2
-                     (fun v b -> if b then Lit.pos v else Lit.neg v)
-                     m.Miter.keys.(copy) key)
-              in
-              (Solver.solve ~assumptions m.Miter.solver = Solver.Sat)
-              = (Locked.eval lk ~key ~inputs:x = y))
-            [ 0; 1 ])
-        (List.init (1 lsl ksz) Fun.id))
+        (fun key -> List.for_all (fun c -> admits c key = fits key) [ 0; 1 ])
+        keys
+      && (List.exists fits keys
+         ||
+         let ctx =
+           { Attack.clock = Budget.start Budget.default; miter = m;
+             oracle = Oracle.functional lk; queries0 = 0 }
+         in
+         Attack.candidate ctx = Error Budget.Inconsistent))
 
 (* --- AppSAT and Double DIP on Random LL and weighted locking --- *)
 

@@ -171,21 +171,10 @@ let test_tseitin_equivalence () =
   let nl = random_netlist ~inputs:8 ~outputs:5 ~gates:60 77 in
   let s = Solver.create () in
   let x = Solver.new_vars s (N.num_inputs nl) in
-  let n1 = Tseitin.encode s nl ~input_var:(fun i -> x.(i)) in
-  let n2 = Tseitin.encode s nl ~input_var:(fun i -> x.(i)) in
-  let o1 = Tseitin.output_vars nl n1 and o2 = Tseitin.output_vars nl n2 in
-  let diffs =
-    Array.map2
-      (fun a b ->
-        let d = Solver.new_var s in
-        ignore (Solver.add_clause s [ Lit.neg d; Lit.pos a; Lit.pos b ]);
-        ignore (Solver.add_clause s [ Lit.neg d; Lit.neg a; Lit.neg b ]);
-        ignore (Solver.add_clause s [ Lit.pos d; Lit.pos a; Lit.neg b ]);
-        ignore (Solver.add_clause s [ Lit.pos d; Lit.neg a; Lit.pos b ]);
-        d)
-      o1 o2
-  in
-  ignore (Solver.add_clause s (Array.to_list (Array.map Lit.pos diffs)));
+  let input i = Lit.pos x.(i) in
+  let o1 = Tseitin.outputs nl (Tseitin.encode s nl ~input) in
+  let o2 = Tseitin.outputs nl (Tseitin.encode s nl ~input) in
+  Tseitin.clause s (Array.to_list (Array.map2 (Tseitin.xor s) o1 o2));
   check result "self-miter UNSAT" Solver.Unsat (Solver.solve s)
 
 let prop_tseitin_matches_simulation =
@@ -193,8 +182,9 @@ let prop_tseitin_matches_simulation =
       let nl = random_netlist ~inputs:7 ~outputs:4 ~gates:45 seed in
       let s = Solver.create () in
       let x = Solver.new_vars s (N.num_inputs nl) in
-      let nodes = Tseitin.encode s nl ~input_var:(fun i -> x.(i)) in
-      let outs = Tseitin.output_vars nl nodes in
+      let outs =
+        Tseitin.outputs nl (Tseitin.encode s nl ~input:(fun i -> Lit.pos x.(i)))
+      in
       (* force a random input assignment via unit clauses *)
       let rng = Prng.create (seed + 1) in
       let inp = Array.init (N.num_inputs nl) (fun _ -> Prng.bool rng) in
@@ -207,8 +197,51 @@ let prop_tseitin_matches_simulation =
       | Solver.Unsat | Solver.Unknown -> false
       | Solver.Sat ->
         let sim = Orap_sim.Sim.eval_bools nl inp in
-        Array.for_all2 (fun ov expect -> Solver.model_value s ov = expect)
-          outs sim)
+        Array.for_all2 (fun o expect -> Solver.model_lit s o = expect) outs sim)
+
+(* P: with a random subset of the inputs tied to constants, every node's
+   literal or constant agrees with simulation under every assignment of
+   the other inputs, on full-vocabulary netlists (Const gates, Mux); with
+   every input constant, the encoding folds to constants and makes no
+   variable *)
+let prop_tseitin_folds_constant_inputs =
+  qtest ~count:40 "tseitin with constant inputs agrees with simulation"
+    seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let params = { Orap_proptest.Gen.default_params with inputs = (1, 7) } in
+      let nl = Orap_proptest.Gen.netlist ~params () rng in
+      let ni = N.num_inputs nl in
+      let fixed =
+        Array.init ni (fun _ -> if Prng.bool rng then Some (Prng.bool rng) else None)
+      in
+      let free = List.filter (fun i -> fixed.(i) = None) (List.init ni Fun.id) in
+      let s = Solver.create () in
+      let x = Solver.new_vars s ni in
+      let lits =
+        Tseitin.encode s nl ~input:(fun i ->
+            match fixed.(i) with Some b -> Tseitin.const b | None -> Lit.pos x.(i))
+      in
+      let value l =
+        if Tseitin.is_const l then l = Tseitin.true_ else Solver.model_lit s l
+      in
+      (free <> [] || Solver.num_vars s = ni)
+      && List.for_all
+           (fun a ->
+             let inp = Array.map (Option.value ~default:false) fixed in
+             List.iteri (fun j i -> inp.(i) <- (a lsr j) land 1 = 1) free;
+             let assumptions =
+               Array.of_list
+                 (List.map
+                    (fun i -> Lit.of_var ~negated:(not inp.(i)) x.(i))
+                    free)
+             in
+             let sim =
+               Orap_sim.Sim.eval_word nl ~input_word:(fun i ->
+                   if inp.(i) then -1L else 0L)
+             in
+             Solver.solve ~assumptions s = Solver.Sat
+             && Array.for_all2 (fun l w -> value l = (w <> 0L)) lits sim)
+           (List.init (1 lsl List.length free) Fun.id))
 
 (* --- DIMACS --- *)
 
@@ -279,6 +312,7 @@ let suite =
       prop_random_3sat_sound;
       tc "tseitin self-miter" `Quick test_tseitin_equivalence;
       prop_tseitin_matches_simulation;
+      prop_tseitin_folds_constant_inputs;
       tc "dimacs roundtrip" `Quick test_dimacs_roundtrip;
       tc "dimacs solver cross-check" `Quick test_dimacs_solver_cross_check;
       tc "statistics exposed" `Quick test_stats_exposed;
