@@ -2,13 +2,21 @@
 
 type cnf = { num_vars : int; clauses : int list list (* dimacs ints *) }
 
+(** Parse DIMACS CNF text, skipping comment lines.  A malformed problem
+    line or a token that is not an integer raises [Failure] naming the line
+    and the token. *)
 let parse (text : string) : cnf =
   let num_vars = ref 0 in
   let clauses = ref [] in
   let current = ref [] in
-  let handle_token tok =
+  let fail lineno what = failwith (Printf.sprintf "Dimacs.parse: line %d: %s" lineno what) in
+  let tokens line =
+    String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) line)
+    |> List.filter (( <> ) "")
+  in
+  let handle_token lineno tok =
     match int_of_string_opt tok with
-    | None -> ()
+    | None -> fail lineno (Printf.sprintf "bad literal %S" tok)
     | Some 0 ->
       clauses := List.rev !current :: !clauses;
       current := []
@@ -16,19 +24,18 @@ let parse (text : string) : cnf =
       if abs i > !num_vars then num_vars := abs i;
       current := i :: !current
   in
-  List.iter
-    (fun line ->
-      let line = String.trim line in
+  List.iteri
+    (fun i line ->
+      let lineno = i + 1 and line = String.trim line in
       if line = "" || line.[0] = 'c' then ()
       else if line.[0] = 'p' then begin
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ "p"; "cnf"; nv; _nc ] -> num_vars := max !num_vars (int_of_string nv)
-        | _ -> ()
+        match tokens line with
+        | [ "p"; "cnf"; nv; nc ]
+          when int_of_string_opt nv <> None && int_of_string_opt nc <> None ->
+          num_vars := max !num_vars (int_of_string nv)
+        | _ -> fail lineno (Printf.sprintf "bad problem line %S" line)
       end
-      else
-        String.split_on_char ' ' line
-        |> List.filter (( <> ) "")
-        |> List.iter handle_token)
+      else List.iter (handle_token lineno) (tokens line))
     (String.split_on_char '\n' text);
   if !current <> [] then clauses := List.rev !current :: !clauses;
   { num_vars = !num_vars; clauses = List.rev !clauses }

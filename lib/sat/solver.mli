@@ -1,6 +1,15 @@
 (** CDCL SAT solver: two-watched-literal propagation, first-UIP learning,
     VSIDS branching with phase saving, Luby restarts, activity-based learnt
-    clause reduction and assumption-based incremental solving. *)
+    clause reduction and assumption-based incremental solving.
+
+    Clauses live in one flat [int array] arena (a header word, an activity
+    index and the literals inline), literal values in a per-literal array,
+    and the search loop allocates nothing.  Deleted learnt clauses are
+    compacted away once they pass a quarter of the arena, so memory follows
+    the live clauses.  The storage took the place of boxed clause records
+    without changing the search: for the same calls the solver makes the
+    same decisions, conflicts and propagations, and returns the same
+    models. *)
 
 type result =
   | Sat
@@ -63,6 +72,10 @@ val num_learnts : t -> int
 val num_conflicts : t -> int
 val num_decisions : t -> int
 val num_propagations : t -> int
+
+(** Words of the clause arena in use: live clauses plus deleted ones not
+    yet compacted away, which stay below a third of the live words. *)
+val arena_words : t -> int
 
 (** Current assignment of a variable: 1 true, -1 false, 0 unassigned. *)
 val value_var : t -> int -> int

@@ -5,6 +5,7 @@ module Tseitin = Orap_sat.Tseitin
 module Dimacs = Orap_sat.Dimacs
 module N = Orap_netlist.Netlist
 module Prng = Orap_sim.Prng
+module Ref = Solver_ref
 
 let result = Alcotest.testable
     (fun fmt r -> Format.pp_print_string fmt
@@ -34,19 +35,24 @@ let test_unit_conflict () =
   ignore (Solver.add_clause s [ Lit.neg v ]);
   check result "x & ~x" Solver.Unsat (Solver.solve s)
 
+(* pigeon p in hole h is variable p * holes + h *)
+let php_clauses ~holes ~pigeons =
+  let v p h = (p * holes) + h in
+  List.init pigeons (fun p -> List.init holes (fun h -> Lit.pos (v p h)))
+  @ List.concat
+      (List.init holes (fun h ->
+           List.concat
+             (List.init pigeons (fun p1 ->
+                  List.filter_map
+                    (fun p2 ->
+                      if p2 > p1 then Some [ Lit.neg (v p1 h); Lit.neg (v p2 h) ]
+                      else None)
+                    (List.init pigeons Fun.id)))))
+
 let php_solver ~holes ~pigeons =
   let s = Solver.create () in
-  let v = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Solver.new_var s)) in
-  for p = 0 to pigeons - 1 do
-    ignore (Solver.add_clause s (List.init holes (fun h -> Lit.pos v.(p).(h))))
-  done;
-  for h = 0 to holes - 1 do
-    for p1 = 0 to pigeons - 1 do
-      for p2 = p1 + 1 to pigeons - 1 do
-        ignore (Solver.add_clause s [ Lit.neg v.(p1).(h); Lit.neg v.(p2).(h) ])
-      done
-    done
-  done;
+  ignore (Solver.new_vars s (holes * pigeons));
+  List.iter (fun c -> ignore (Solver.add_clause s c)) (php_clauses ~holes ~pigeons);
   s
 
 let php ~holes ~pigeons = Solver.solve (php_solver ~holes ~pigeons)
@@ -163,6 +169,127 @@ let prop_random_3sat_sound =
              !clauses
       | Solver.Unsat -> not expected
       | Solver.Unknown -> false)
+
+(* --- the solver against its reference copy --- *)
+
+(* The search counts the solver spends on fixed inputs, recorded before the
+   clause arena replaced boxed clause records.  Any change to a search
+   decision moves them. *)
+let test_pinned_search_counts () =
+  let s = php_solver ~holes:7 ~pigeons:8 in
+  check result "php(7,8)" Solver.Unsat (Solver.solve s);
+  check Alcotest.int "php(7,8) conflicts" 4201 (Solver.num_conflicts s);
+  check Alcotest.int "php(7,8) decisions" 5053 (Solver.num_decisions s);
+  check Alcotest.int "php(7,8) propagations" 49571 (Solver.num_propagations s);
+  let fx = Orap_experiments.Security.make_fixture ~num_gates:200 ~key_size:16 () in
+  let locked = fx.Orap_experiments.Security.locked in
+  let r =
+    Orap_attacks.Sat_attack.run locked (Orap_core.Oracle.functional locked)
+  in
+  check Alcotest.int "SAT attack conflicts" 260 r.Orap_attacks.Sat_attack.conflicts
+
+let verdict = function
+  | Solver.Sat -> "SAT" | Solver.Unsat -> "UNSAT" | Solver.Unknown -> "UNKNOWN"
+
+let ref_verdict = function
+  | Ref.Sat -> "SAT" | Ref.Unsat -> "UNSAT" | Ref.Unknown -> "UNKNOWN"
+
+(* Both solvers hold the same counters and the same assignment (the model
+   after [Sat], the root-level units otherwise), and the arena holds at
+   most 4/3 of the words of the live clauses. *)
+let same_state s r =
+  Solver.num_vars s = Ref.num_vars r
+  && Solver.num_clauses s = Ref.num_clauses r
+  && Solver.num_learnts s = Ref.num_learnts r
+  && Solver.num_conflicts s = Ref.num_conflicts r
+  && Solver.num_decisions s = Ref.num_decisions r
+  && Solver.num_propagations s = Ref.num_propagations r
+  && List.for_all
+       (fun v -> Solver.value_var s v = Ref.value_var r v)
+       (List.init (Solver.num_vars s) Fun.id)
+  && 3 * Solver.arena_words s <= 4 * Ref.live_words r
+
+(* Drive a fresh solver and a fresh reference through the same steps and
+   compare them after each: load [clauses] over [nvars] variables, then
+   six rounds of a solve under up to three random assumptions, half the
+   time with a conflict limit a few hundred conflicts ahead (so some end
+   [Unknown]), followed by one more clause: one that blocks the model on
+   its first eight variables after [Sat], a random 3-clause otherwise. *)
+let differential rng ~nvars clauses =
+  let s = Solver.create () and r = Ref.create () in
+  let ok = ref (Solver.new_vars s nvars = Ref.new_vars r nvars) in
+  let step a b = ok := !ok && a = b && same_state s r in
+  let add c = if !ok then step (Solver.add_clause s c) (Ref.add_clause r c) in
+  let random_lit () = Lit.of_var ~negated:(Prng.bool rng) (Prng.int rng nvars) in
+  List.iter add clauses;
+  for _ = 1 to 6 do
+    let assumptions = Array.init (Prng.int rng 4) (fun _ -> random_lit ()) in
+    let conflict_limit =
+      if Prng.bool rng then Some (Solver.num_conflicts s + 1 + Prng.int rng 400)
+      else None
+    in
+    if !ok then begin
+      let v = Solver.solve ~assumptions ?conflict_limit s in
+      step (verdict v) (ref_verdict (Ref.solve ~assumptions ?conflict_limit r));
+      add
+        (if v = Solver.Sat then
+           List.init (min 8 nvars) (fun x ->
+               Lit.of_var ~negated:(Solver.model_value s x) x)
+         else List.init 3 (fun _ -> random_lit ()))
+    end
+  done;
+  !ok
+
+(* 4.0 to 4.3 clauses per variable: around the satisfiability threshold *)
+let random_3sat rng nvars =
+  List.init
+    (nvars * (400 + Prng.int rng 31) / 100)
+    (fun _ -> List.init 3 (fun _ -> Lit.of_var ~negated:(Prng.bool rng) (Prng.int rng nvars)))
+
+let seed = Orap_proptest.Gen.int_range 0 1_000_000_000
+
+(* P: on random 3-SAT near the threshold (40-80 variables), the arena
+   solver takes exactly the reference solver's steps *)
+let prop_matches_reference_3sat =
+  Orap_proptest.Prop.to_alcotest ~count:30
+    ~name:"solver matches the reference on random 3-SAT" ~gen:seed
+    ~print:string_of_int (fun seed ->
+      let rng = Prng.create seed in
+      let nvars = 40 + Prng.int rng 41 in
+      differential rng ~nvars (random_3sat rng nvars))
+
+(* P: on pigeonhole instances, whose refutations run through several
+   restarts, clause reductions and compactions, the arena solver takes
+   exactly the reference solver's steps *)
+let prop_matches_reference_php =
+  Orap_proptest.Prop.to_alcotest ~count:6
+    ~name:"solver matches the reference on pigeonhole" ~gen:seed
+    ~print:string_of_int (fun seed ->
+      let rng = Prng.create seed in
+      let holes = 6 + Prng.int rng 2 in
+      differential rng ~nvars:(holes * (holes + 1))
+        (php_clauses ~holes ~pigeons:(holes + 1)))
+
+(* A long refutation deletes far more learnt clauses than it keeps; the
+   arena must follow the live clauses, not the conflicts so far. *)
+let test_arena_compaction () =
+  let holes = 8 and pigeons = 9 in
+  let s = Solver.create () and r = Ref.create () in
+  ignore (Solver.new_vars s (holes * pigeons), Ref.new_vars r (holes * pigeons));
+  List.iter
+    (fun c -> ignore (Solver.add_clause s c, Ref.add_clause r c))
+    (php_clauses ~holes ~pigeons);
+  check result "capped run" Solver.Unknown (Solver.solve ~conflict_limit:12_000 s);
+  ignore (Ref.solve ~conflict_limit:12_000 r);
+  check Alcotest.bool "same search" true (same_state s r);
+  let arena = Solver.arena_words s and live = Ref.live_words r in
+  check Alcotest.bool
+    (Printf.sprintf "arena %d words within 4/3 of live %d" arena live)
+    true (3 * arena <= 4 * live);
+  check Alcotest.bool
+    (Printf.sprintf "arena %d words far below the %d ever allocated" arena
+       (Ref.allocated_words r))
+    true (4 * arena < Ref.allocated_words r)
 
 (* --- Tseitin --- *)
 
@@ -289,6 +416,21 @@ let test_dimacs_solver_cross_check () =
       check result (name ^ " after roundtrip") expected (Solver.solve s2))
     cases
 
+(* a token that is not an integer is an error naming its line, not a
+   literal silently dropped *)
+let test_dimacs_rejects_bad_tokens () =
+  let raises text expected =
+    match Dimacs.parse text with
+    | _ -> Alcotest.failf "parsed %S" text
+    | exception Failure msg -> check Alcotest.string text expected msg
+  in
+  raises "p cnf 2 1\n1 x 0\n" "Dimacs.parse: line 2: bad literal \"x\"";
+  raises "c ok\n1 -2 0\n2 0.5 0\n" "Dimacs.parse: line 3: bad literal \"0.5\"";
+  raises "p cnf two 1\n1 0\n" "Dimacs.parse: line 1: bad problem line \"p cnf two 1\"";
+  (* tabs separate tokens too *)
+  let cnf = Dimacs.parse "p cnf 2 2\n1\t-2 0\n2 0\n" in
+  check Alcotest.(list (list int)) "tabs" [ [ 1; -2 ]; [ 2 ] ] cnf.Dimacs.clauses
+
 let test_stats_exposed () =
   let s = Solver.create () in
   ignore (php ~holes:3 ~pigeons:4);
@@ -310,10 +452,15 @@ let suite =
       tc "assumptions" `Quick test_assumptions;
       tc "incremental clause adding" `Quick test_incremental_add;
       prop_random_3sat_sound;
+      tc "pinned search counts" `Quick test_pinned_search_counts;
+      prop_matches_reference_3sat;
+      prop_matches_reference_php;
+      tc "arena compaction bounds memory" `Quick test_arena_compaction;
       tc "tseitin self-miter" `Quick test_tseitin_equivalence;
       prop_tseitin_matches_simulation;
       prop_tseitin_folds_constant_inputs;
       tc "dimacs roundtrip" `Quick test_dimacs_roundtrip;
       tc "dimacs solver cross-check" `Quick test_dimacs_solver_cross_check;
+      tc "dimacs rejects bad tokens" `Quick test_dimacs_rejects_bad_tokens;
       tc "statistics exposed" `Quick test_stats_exposed;
     ] )
