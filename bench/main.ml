@@ -236,11 +236,12 @@ let tests () =
   let design = Lazy.force bench_design in
   let rng = Orap_sim.Prng.create 3 in
   let words = Array.init (N.num_inputs nl) (fun _ -> Orap_sim.Prng.next64 rng) in
+  let store = Orap_sim.Sim.store nl in
   (* Table I kernels *)
   let t_sim =
     Test.make ~name:"table1/bit-parallel sim (64 patterns, 2k gates)"
       (Staged.stage (fun () ->
-           ignore (Orap_sim.Sim.eval_word nl ~input_word:(fun i -> words.(i)))))
+           Orap_sim.Sim.eval nl store words))
   in
   let wrong_key = Array.make 48 true in
   let t_hd =

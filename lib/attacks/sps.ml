@@ -27,20 +27,23 @@ type report = {
 }
 
 (** Estimated P(=1) of every node over [words] random 64-pattern words
-    (inputs and key inputs both random, as the attacker would drive them). *)
+    (inputs and key inputs both random, as the attacker would drive them).
+    Raises [Invalid_argument] when [words] < 1. *)
 let signal_probabilities ?(seed = 2024) ?(words = 64) (nl : N.t) : float array =
+  if words < 1 then invalid_arg "Sps.signal_probabilities: words must be positive";
   let n = N.num_nodes nl in
   let ones = Array.make n 0 in
   let rng = Prng.create seed in
   let ni = N.num_inputs nl in
   let input_buf = Array.make ni 0L in
+  let store = Sim.store nl in
   for _ = 1 to words do
     for i = 0 to ni - 1 do
       input_buf.(i) <- Prng.next64 rng
     done;
-    let values = Sim.eval_word nl ~input_word:(fun i -> input_buf.(i)) in
+    Sim.eval nl store input_buf;
     for i = 0 to n - 1 do
-      ones.(i) <- ones.(i) + Sim.popcount64 values.(i)
+      ones.(i) <- ones.(i) + Sim.popcount64 (Sim.word store i)
     done
   done;
   let total = float_of_int (64 * words) in

@@ -2,15 +2,17 @@
     word, event-driven faulty-value propagation restricted to the affected
     region, fault dropping on first detection.
 
-    Good and faulty words live in per-engine [Bytes] (8 bytes per node), so
-    neither simulation nor propagation allocates.  Node ids are
-    topological, so pending events are drained in ascending id order from
-    a bit per node ({!Pending}).  Faulty words are valid only on the nodes
-    listed in [touched]; every propagation clears them again before it
-    returns. *)
+    Good values come from {!Orap_sim.Sim.eval} into the engine's one
+    {!Orap_sim.Sim.store}, and faulty words are computed by
+    {!Orap_sim.Sim.eval_gate} and written in place over the good ones.
+    Before a node's word is overwritten, its good word goes on an undo log
+    ([touched] / [undo]); the output differences are read against the log
+    and every propagation restores the good words from it before it
+    returns.  Nothing is allocated.  Node ids are topological, so pending
+    events are drained in ascending id order from a bit per node
+    ({!Pending}) and every node is overwritten at most once. *)
 
 module N = Orap_netlist.Netlist
-module Gate = Orap_netlist.Gate
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
 
@@ -21,12 +23,10 @@ type t = {
   nl : N.t;
   fanouts : int array array;
   is_output : bool array;
-  inputs : int array;
   input_words : int64 array;  (* scratch: one word per input *)
-  good : Bytes.t;  (* good word per node *)
-  faulty : Bytes.t;  (* faulty word, valid where [dirty] is set *)
-  dirty : Bytes.t;
-  touched : int array;  (* the dirty nodes, [n_touched] of them *)
+  store : Sim.store;  (* good words; faulty ones in place while propagating *)
+  touched : int array;  (* the overwritten nodes, [n_touched] of them *)
+  undo : Bytes.t;  (* the good word of [touched.(i)] at offset [8 i] *)
   mutable n_touched : int;
   pending : Pending.t;
 }
@@ -39,62 +39,21 @@ let create (nl : N.t) : t =
     nl;
     fanouts = N.fanouts nl;
     is_output;
-    inputs = N.inputs nl;
     input_words = Array.make (N.num_inputs nl) 0L;
-    good = Bytes.make (8 * n) '\000';
-    faulty = Bytes.make (8 * n) '\000';
-    dirty = Bytes.make n '\000';
+    store = Sim.store nl;
     touched = Array.make n 0;
+    undo = Bytes.make (8 * n) '\000';
     n_touched = 0;
     pending = Pending.create n;
   }
 
-let[@inline] good t n = get64 t.good (n lsl 3)
+(* the good word of the [i]-th touched node *)
+let[@inline] logged t i = get64 t.undo (i lsl 3)
 
-let[@inline] value t n =
-  if Bytes.unsafe_get t.dirty n = '\000' then get64 t.good (n lsl 3)
-  else get64 t.faulty (n lsl 3)
-
-(* fanin [pos] of [fan]; the fanin at [fpos] reads [fw] instead *)
-let[@inline] operand t fan fpos fw pos = if pos = fpos then fw else value t fan.(pos)
-
-(* evaluate gate [n] over the current values (the good ones outside the
-   dirty region) into [dst]; [fpos]/[fw] force one fanin, [fpos] = -1 for
-   none.  Writing into [dst] rather than returning keeps the word unboxed *)
-let eval_into t dst n fpos fw =
-  let fan = N.fanins t.nl n in
-  let w =
-    match N.kind t.nl n with
-    | Gate.Input -> good t n
-    | Gate.Const0 -> 0L
-    | Gate.Const1 -> -1L
-    | Gate.Buf -> operand t fan fpos fw 0
-    | Gate.Not -> Int64.lognot (operand t fan fpos fw 0)
-    | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor) as k ->
-      let acc = ref (match k with Gate.And | Gate.Nand -> -1L | _ -> 0L) in
-      for pos = 0 to Array.length fan - 1 do
-        let o = operand t fan fpos fw pos in
-        acc :=
-          match k with
-          | Gate.And | Gate.Nand -> Int64.logand !acc o
-          | Gate.Or | Gate.Nor -> Int64.logor !acc o
-          | _ -> Int64.logxor !acc o
-      done;
-      (match k with Gate.Nand | Gate.Nor | Gate.Xnor -> Int64.lognot !acc | _ -> !acc)
-    | Gate.Mux ->
-      let sel = operand t fan fpos fw 0 in
-      Int64.logor
-        (Int64.logand (Int64.lognot sel) (operand t fan fpos fw 1))
-        (Int64.logand sel (operand t fan fpos fw 2))
-  in
-  set64 dst (n lsl 3) w
-
-(* good values of every node, from [input_words] by input position *)
-let simulate_good t (input_words : int64 array) =
-  Array.iteri (fun pos id -> set64 t.good (id lsl 3) input_words.(pos)) t.inputs;
-  for n = 0 to N.num_nodes t.nl - 1 do
-    if N.kind t.nl n <> Gate.Input then eval_into t t.good n (-1) 0L
-  done
+(* [n] is about to be overwritten: log its good word in the next slot *)
+let[@inline] log t n =
+  t.touched.(t.n_touched) <- n;
+  set64 t.undo (t.n_touched lsl 3) (Sim.word t.store n)
 
 let schedule_fanouts t n =
   let fo = t.fanouts.(n) in
@@ -102,12 +61,10 @@ let schedule_fanouts t n =
     Pending.push t.pending fo.(i)
   done
 
-(* the faulty word of [n] was just written: keep it when it differs from
-   the good word and schedule the readers *)
+(* the faulty word of [n] was just written over the good word logged for
+   it: keep the log entry when they differ and schedule the readers *)
 let commit t n =
-  if get64 t.faulty (n lsl 3) <> good t n then begin
-    Bytes.unsafe_set t.dirty n '\001';
-    t.touched.(t.n_touched) <- n;
+  if Sim.word t.store n <> logged t t.n_touched then begin
     t.n_touched <- t.n_touched + 1;
     schedule_fanouts t n
   end
@@ -117,7 +74,8 @@ let commit t n =
 let rec propagate t =
   let i = Pending.pop t.pending in
   if i >= 0 then begin
-    eval_into t t.faulty i (-1) 0L;
+    log t i;
+    Sim.eval_gate t.nl t.store i (-1) 0L;
     commit t i;
     propagate t
   end
@@ -126,7 +84,8 @@ let rec propagate t =
    value with fanin [pos] stuck at [w] (a branch fault: only [n] reads the
    branch), and propagate it *)
 let inject t n pos w =
-  if pos < 0 then set64 t.faulty (n lsl 3) w else eval_into t t.faulty n pos w;
+  log t n;
+  if pos < 0 then Sim.set_word t.store n w else Sim.eval_gate t.nl t.store n pos w;
   commit t n;
   propagate t
 
@@ -136,17 +95,17 @@ let inject_fault t (fault : Fault.t) =
   | Fault.Output n -> inject t n (-1) w
   | Fault.Input (n, pos) -> inject t n pos w
 
-(* end a propagation: clear the dirty region *)
-let clear t =
+(* end a propagation: restore the good words from the undo log *)
+let restore t =
   for i = 0 to t.n_touched - 1 do
-    Bytes.unsafe_set t.dirty t.touched.(i) '\000'
+    Sim.set_word t.store t.touched.(i) (logged t i)
   done;
   t.n_touched <- 0
 
 (* the output difference word of the [i]-th touched node (0 off outputs) *)
 let[@inline] output_diff t i =
   let n = t.touched.(i) in
-  if t.is_output.(n) then Int64.logxor (get64 t.faulty (n lsl 3)) (good t n) else 0L
+  if t.is_output.(n) then Int64.logxor (Sim.word t.store n) (logged t i) else 0L
 
 let output_differs t =
   let found = ref false and i = ref 0 in
@@ -156,27 +115,28 @@ let output_differs t =
   done;
   !found
 
-(** Simulate one fault against one 64-pattern word of good values.
-    Returns the mask of patterns that detect the fault. *)
-let detect_word (t : t) (good : int64 array) (fault : Fault.t) : int64 =
-  Array.iteri (fun n w -> set64 t.good (n lsl 3) w) good;
+(** Simulate one fault against one 64-pattern word: [inputs] holds one
+    word per primary input.  Returns the mask of patterns that detect the
+    fault.  Raises [Invalid_argument] on a wrong input count. *)
+let detect_word (t : t) (inputs : int64 array) (fault : Fault.t) : int64 =
+  Sim.eval t.nl t.store inputs;
   inject_fault t fault;
   let mask = ref 0L in
   for i = 0 to t.n_touched - 1 do
     mask := Int64.logor !mask (output_diff t i)
   done;
-  clear t;
+  restore t;
   !mask
 
 (** Output bit flips, summed over the outputs, when the stem of [node] is
-    inverted under the good values of the last {!simulate_good}. *)
+    inverted under the good values last simulated into [t.store]. *)
 let invert_impact (t : t) node : int =
-  inject t node (-1) (Int64.lognot (good t node));
+  inject t node (-1) (Int64.lognot (Sim.word t.store node));
   let bits = ref 0 in
   for i = 0 to t.n_touched - 1 do
     bits := !bits + Sim.popcount64 (output_diff t i)
   done;
-  clear t;
+  restore t;
   !bits
 
 (* drop every remaining fault the loaded good values detect *)
@@ -189,7 +149,7 @@ let drop_detected t (faults : Fault.t array) (remaining : bool array) =
         remaining.(i) <- false;
         incr dropped
       end;
-      clear t
+      restore t
     end
   done;
   !dropped
@@ -208,7 +168,7 @@ let random_simulate ?(seed = 99) ~words (nl : N.t) (faults : Fault.t array)
     for i = 0 to Array.length t.input_words - 1 do
       t.input_words.(i) <- Prng.next64 rng
     done;
-    simulate_good t t.input_words;
+    Sim.eval nl t.store t.input_words;
     stats.simulated_words <- stats.simulated_words + 1;
     stats.detected <- stats.detected + drop_detected t faults remaining
   done;
@@ -216,9 +176,12 @@ let random_simulate ?(seed = 99) ~words (nl : N.t) (faults : Fault.t array)
 
 (** Simulate a single concrete test pattern (from ATPG) against the
     remaining faults, dropping everything it detects.  Unspecified inputs
-    must already be filled by the caller. *)
+    must already be filled by the caller; raises [Invalid_argument] unless
+    the pattern has one value per primary input. *)
 let simulate_pattern (t : t) (pattern : bool array) (faults : Fault.t array)
     (remaining : bool array) : int =
+  if Array.length pattern <> Array.length t.input_words then
+    invalid_arg "Fsim.simulate_pattern: one value per primary input required";
   Array.iteri (fun i b -> t.input_words.(i) <- (if b then -1L else 0L)) pattern;
-  simulate_good t t.input_words;
+  Sim.eval t.nl t.store t.input_words;
   drop_detected t faults remaining

@@ -6,11 +6,13 @@
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 module Prng = Orap_sim.Prng
+module Sim = Orap_sim.Sim
 module Fsim = Orap_faultsim.Fsim
 
 (** Impact scores for all internal (non-input) nodes, estimated over
-    [words] random 64-pattern words; unscored nodes get 0.  Each candidate's
-    stem is forced to its inverted good word by the fault simulator
+    [words] random 64-pattern words; unscored nodes get 0.  The good words
+    are simulated into the fault simulator's store, and each candidate's
+    stem is forced to its inverted good word there
     ({!Fsim.invert_impact}). *)
 let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
     int array =
@@ -39,7 +41,7 @@ let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
     for i = 0 to ni - 1 do
       input_buf.(i) <- Prng.next64 rng
     done;
-    Fsim.simulate_good fsim input_buf;
+    Sim.eval nl fsim.Fsim.store input_buf;
     List.iter
       (fun node -> score.(node) <- score.(node) + Fsim.invert_impact fsim node)
       candidates

@@ -67,34 +67,3 @@ let arity_ok kind n =
 let is_inverter_like = function
   | Buf | Not -> true
   | Input | Const0 | Const1 | And | Nand | Or | Nor | Xor | Xnor | Mux -> false
-
-(** Boolean evaluation over 64 parallel patterns packed in an [int64]. *)
-let eval_word kind (operands : int64 array) : int64 =
-  let open Int64 in
-  let fold f init =
-    let acc = ref init in
-    for i = 0 to Array.length operands - 1 do
-      acc := f !acc operands.(i)
-    done;
-    !acc
-  in
-  match kind with
-  | Input -> invalid_arg "Gate.eval_word: Input has no evaluation"
-  | Const0 -> 0L
-  | Const1 -> minus_one
-  | Buf -> operands.(0)
-  | Not -> lognot operands.(0)
-  | And -> fold logand minus_one
-  | Nand -> lognot (fold logand minus_one)
-  | Or -> fold logor 0L
-  | Nor -> lognot (fold logor 0L)
-  | Xor -> fold logxor 0L
-  | Xnor -> lognot (fold logxor 0L)
-  | Mux ->
-    let sel = operands.(0) and a = operands.(1) and b = operands.(2) in
-    logor (logand (lognot sel) a) (logand sel b)
-
-(** Single-bit evaluation. *)
-let eval_bool kind (operands : bool array) : bool =
-  let word = Array.map (fun b -> if b then Int64.minus_one else 0L) operands in
-  Int64.logand (eval_word kind word) 1L <> 0L

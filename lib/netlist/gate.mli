@@ -26,9 +26,3 @@ val arity_ok : kind -> int -> bool
 
 (** Gates that carry no logic (excluded from the paper's gate counts). *)
 val is_inverter_like : kind -> bool
-
-(** Evaluation over 64 parallel patterns packed in an [int64]. *)
-val eval_word : kind -> int64 array -> int64
-
-(** Single-pattern evaluation. *)
-val eval_bool : kind -> bool array -> bool

@@ -41,12 +41,14 @@ let max_exhaustive_inputs = 12
 
 (* the word of input [i] when simulating patterns [w*64 .. w*64+63]:
    pattern p assigns bit i of p to input i *)
+let low_words =
+  [|
+    0xAAAAAAAAAAAAAAAAL; 0xCCCCCCCCCCCCCCCCL; 0xF0F0F0F0F0F0F0F0L;
+    0xFF00FF00FF00FF00L; 0xFFFF0000FFFF0000L; 0xFFFFFFFF00000000L;
+  |]
+
 let input_word_for ~word_index i =
-  if i < 6 then
-    [|
-      0xAAAAAAAAAAAAAAAAL; 0xCCCCCCCCCCCCCCCCL; 0xF0F0F0F0F0F0F0F0L;
-      0xFF00FF00FF00FF00L; 0xFFFF0000FFFF0000L; 0xFFFFFFFF00000000L;
-    |].(i)
+  if i < 6 then low_words.(i)
   else if (word_index lsr (i - 6)) land 1 = 1 then Int64.minus_one
   else 0L
 
@@ -60,16 +62,22 @@ let exhaustive_equiv a b =
   let words = max 1 (patterns / 64) in
   let live_bits = min patterns 64 in
   let result = ref Equivalent in
+  let inputs = Array.make ni 0L in
+  let sa = Sim.store a and sb = Sim.store b in
+  let oa = N.outputs a and ob = N.outputs b in
   (try
      for w = 0 to words - 1 do
-       let input_word i = input_word_for ~word_index:w i in
-       let va = Sim.eval_word a ~input_word in
-       let vb = Sim.eval_word b ~input_word in
-       let oa = Sim.output_words a va and ob = Sim.output_words b vb in
+       for i = 0 to ni - 1 do
+         inputs.(i) <- input_word_for ~word_index:w i
+       done;
+       Sim.eval a sa inputs;
+       Sim.eval b sb inputs;
        let diff = ref 0L in
-       Array.iteri
-         (fun j wa -> diff := Int64.logor !diff (Int64.logxor wa ob.(j)))
-         oa;
+       for j = 0 to Array.length oa - 1 do
+         diff :=
+           Int64.logor !diff
+             (Int64.logxor (Sim.word sa oa.(j)) (Sim.word sb ob.(j)))
+       done;
        if live_bits < 64 then
          diff :=
            Int64.logand !diff

@@ -23,76 +23,43 @@ let shared_width (c : config) =
     (fun acc b -> match b with Shared j -> max acc (j + 1) | Fixed _ -> acc)
     0 c.bindings
 
+(* the input words of configuration [c] over the current shared words *)
+let fill_inputs (c : config) (shared : int64 array) (inputs : int64 array) =
+  for i = 0 to Array.length inputs - 1 do
+    inputs.(i) <-
+      (match c.bindings.(i) with
+       | Fixed true -> Int64.minus_one
+       | Fixed false -> 0L
+       | Shared j -> shared.(j))
+  done
+
 (** Average fraction of differing output bits, in [0, 1].  [words] words of
     64 patterns each are applied. *)
 let distance ?(seed = 1) ~words (c1 : config) (c2 : config) : float =
   let no = N.num_outputs c1.netlist in
   if no <> N.num_outputs c2.netlist then
     invalid_arg "Hamming.distance: output counts differ";
+  if no = 0 then invalid_arg "Hamming.distance: no outputs";
+  if words < 1 then invalid_arg "Hamming.distance: words must be positive";
   let width = max (shared_width c1) (shared_width c2) in
   let rng = Prng.create seed in
-  let shared = Array.make (max width 1) 0L in
-  let word_of bindings i =
-    match bindings.(i) with
-    | Fixed true -> Int64.minus_one
-    | Fixed false -> 0L
-    | Shared j -> shared.(j)
-  in
+  let shared = Array.make width 0L in
+  let in1 = Array.make (N.num_inputs c1.netlist) 0L in
+  let in2 = Array.make (N.num_inputs c2.netlist) 0L in
+  let s1 = Sim.store c1.netlist and s2 = Sim.store c2.netlist in
+  let o1 = N.outputs c1.netlist and o2 = N.outputs c2.netlist in
   let diff_bits = ref 0 in
   for _ = 1 to words do
     for j = 0 to width - 1 do
       shared.(j) <- Prng.next64 rng
     done;
-    let v1 = Sim.eval_word c1.netlist ~input_word:(word_of c1.bindings) in
-    let v2 = Sim.eval_word c2.netlist ~input_word:(word_of c2.bindings) in
-    let o1 = N.outputs c1.netlist and o2 = N.outputs c2.netlist in
+    fill_inputs c1 shared in1;
+    fill_inputs c2 shared in2;
+    Sim.eval c1.netlist s1 in1;
+    Sim.eval c2.netlist s2 in2;
     for k = 0 to no - 1 do
       diff_bits :=
-        !diff_bits + Sim.popcount64 (Int64.logxor v1.(o1.(k)) v2.(o2.(k)))
+        !diff_bits + Sim.popcount64 (Int64.logxor (Sim.word s1 o1.(k)) (Sim.word s2 o2.(k)))
     done
   done;
   float_of_int !diff_bits /. float_of_int (words * 64 * no)
-
-(** Exact functional-equivalence check by exhaustive simulation; only valid
-    for configurations whose shared width is at most [limit] (default 20). *)
-let equal_exhaustive ?(limit = 20) (c1 : config) (c2 : config) : bool =
-  let no = N.num_outputs c1.netlist in
-  if no <> N.num_outputs c2.netlist then
-    invalid_arg "Hamming.equal_exhaustive: output counts differ";
-  let width = max (shared_width c1) (shared_width c2) in
-  if width > limit then invalid_arg "Hamming.equal_exhaustive: too many inputs";
-  let shared = Array.make (max width 1) 0L in
-  let word_of bindings i =
-    match bindings.(i) with
-    | Fixed true -> Int64.minus_one
-    | Fixed false -> 0L
-    | Shared j -> shared.(j)
-  in
-  let total = 1 lsl width in
-  let equal = ref true in
-  let base = ref 0 in
-  while !equal && !base < total do
-    (* pack patterns base..base+63 into one word per shared signal *)
-    for j = 0 to width - 1 do
-      let w = ref 0L in
-      for bit = 0 to 63 do
-        let pattern = !base + bit in
-        if pattern < total && (pattern lsr j) land 1 = 1 then
-          w := Int64.logor !w (Int64.shift_left 1L bit)
-      done;
-      shared.(j) <- !w
-    done;
-    let v1 = Sim.eval_word c1.netlist ~input_word:(word_of c1.bindings) in
-    let v2 = Sim.eval_word c2.netlist ~input_word:(word_of c2.bindings) in
-    let o1 = N.outputs c1.netlist and o2 = N.outputs c2.netlist in
-    let mask =
-      if total - !base >= 64 then Int64.minus_one
-      else Int64.sub (Int64.shift_left 1L (total - !base)) 1L
-    in
-    for k = 0 to no - 1 do
-      if Int64.logand (Int64.logxor v1.(o1.(k)) v2.(o2.(k))) mask <> 0L then
-        equal := false
-    done;
-    base := !base + 64
-  done;
-  !equal

@@ -11,9 +11,6 @@ type config = { netlist : Orap_netlist.Netlist.t; bindings : binding array }
 val config : Orap_netlist.Netlist.t -> binding array -> config
 
 (** Average fraction of differing output bits, in [0, 1], over [words]
-    64-pattern words. *)
+    64-pattern words.  Raises [Invalid_argument] when [words] < 1, when the
+    output counts differ or when there are no outputs. *)
 val distance : ?seed:int -> words:int -> config -> config -> float
-
-(** Exhaustive equivalence over at most [limit] shared signals
-    (default 20). *)
-val equal_exhaustive : ?limit:int -> config -> config -> bool

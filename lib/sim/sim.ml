@@ -1,56 +1,82 @@
-(** Bit-parallel logic simulation: 64 input patterns per call. *)
+(** See sim.mli.  The store is a [Bytes.t] of 8 bytes per node, read and
+    written with the unboxed 64-bit primitives so that neither evaluation
+    nor a gate's accumulator allocates. *)
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 
-(** [eval_word t ~input_word] simulates one 64-pattern word and returns the
-    value word of every node.  [input_word i] is the word of the [i]-th
-    primary input (position in [N.inputs t]). *)
-let eval_word (t : N.t) ~(input_word : int -> int64) : int64 array =
-  let n = N.num_nodes t in
-  let values = Array.make n 0L in
-  let input_pos = ref 0 in
-  for i = 0 to n - 1 do
-    match N.kind t i with
-    | Gate.Input ->
-      values.(i) <- input_word !input_pos;
-      incr input_pos
-    | k ->
-      let fan = N.fanins t i in
-      let ops = Array.map (fun f -> values.(f)) fan in
-      values.(i) <- Gate.eval_word k ops
-  done;
-  values
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(** Output word extraction after [eval_word]. *)
-let output_words (t : N.t) (values : int64 array) : int64 array =
-  Array.map (fun o -> values.(o)) (N.outputs t)
+type store = Bytes.t
 
-(** Single-pattern simulation on a bool input assignment (by input position). *)
-let eval_bools (t : N.t) (assignment : bool array) : bool array =
-  if Array.length assignment <> N.num_inputs t then
-    invalid_arg "Sim.eval_bools: wrong input count";
-  let values =
-    eval_word t ~input_word:(fun i ->
-        if assignment.(i) then Int64.minus_one else 0L)
+let store nl = Bytes.make (8 * N.num_nodes nl) '\000'
+let[@inline] word s n = get64 s (n lsl 3)
+let[@inline] set_word s n w = set64 s (n lsl 3) w
+
+let check_store name nl s =
+  if Bytes.length s < 8 * N.num_nodes nl then
+    invalid_arg (name ^ ": store smaller than the netlist")
+
+(* fanin [pos] of [fan]; the fanin at [fpos] reads [fw] instead.  Every
+   fanin id is below the gate's, so within the store checked by the caller *)
+let[@inline] operand s fan fpos fw pos =
+  if pos = fpos then fw else unsafe_get64 s (fan.(pos) lsl 3)
+
+(* the gate switch: evaluate [n] over the words in [s] into [s]; writing
+   rather than returning keeps the word unboxed *)
+let gate nl s n fpos fw =
+  let fan = N.fanins nl n in
+  let w =
+    match N.kind nl n with
+    | Gate.Input -> unsafe_get64 s (n lsl 3)
+    | Gate.Const0 -> 0L
+    | Gate.Const1 -> -1L
+    | Gate.Buf -> operand s fan fpos fw 0
+    | Gate.Not -> Int64.lognot (operand s fan fpos fw 0)
+    | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor) as k ->
+      let acc = ref (match k with Gate.And | Gate.Nand -> -1L | _ -> 0L) in
+      for pos = 0 to Array.length fan - 1 do
+        let o = operand s fan fpos fw pos in
+        acc :=
+          match k with
+          | Gate.And | Gate.Nand -> Int64.logand !acc o
+          | Gate.Or | Gate.Nor -> Int64.logor !acc o
+          | _ -> Int64.logxor !acc o
+      done;
+      (match k with Gate.Nand | Gate.Nor | Gate.Xnor -> Int64.lognot !acc | _ -> !acc)
+    | Gate.Mux ->
+      let sel = operand s fan fpos fw 0 in
+      Int64.logor
+        (Int64.logand (Int64.lognot sel) (operand s fan fpos fw 1))
+        (Int64.logand sel (operand s fan fpos fw 2))
   in
-  Array.map (fun o -> Int64.logand values.(o) 1L <> 0L) (N.outputs t)
+  unsafe_set64 s (n lsl 3) w
 
-(** Simulate [words] random 64-pattern words, calling
-    [f ~word_index ~outputs] after each word.  Returns unit; used by
-    measurement harnesses that fold over output words. *)
-let random_words (t : N.t) ~seed ~words
-    ~(f : word_index:int -> outputs:int64 array -> unit) : unit =
-  let rng = Prng.create seed in
-  let ni = N.num_inputs t in
-  let input_buf = Array.make ni 0L in
-  for w = 0 to words - 1 do
-    for i = 0 to ni - 1 do
-      input_buf.(i) <- Prng.next64 rng
-    done;
-    let values = eval_word t ~input_word:(fun i -> input_buf.(i)) in
-    f ~word_index:w ~outputs:(output_words t values)
+let eval_gate nl s n fpos fw =
+  check_store "Sim.eval_gate" nl s;
+  gate nl s n fpos fw
+
+let eval nl s (inputs : int64 array) =
+  check_store "Sim.eval" nl s;
+  let ids = N.inputs nl in
+  if Array.length inputs <> Array.length ids then
+    invalid_arg "Sim.eval: one word per primary input required";
+  for pos = 0 to Array.length ids - 1 do
+    unsafe_set64 s (ids.(pos) lsl 3) inputs.(pos)
+  done;
+  for n = 0 to N.num_nodes nl - 1 do
+    gate nl s n (-1) 0L
   done
+
+let eval_bools nl (assignment : bool array) : bool array =
+  if Array.length assignment <> N.num_inputs nl then
+    invalid_arg "Sim.eval_bools: wrong input count";
+  let s = store nl in
+  eval nl s (Array.map (fun b -> if b then -1L else 0L) assignment);
+  Array.map (fun o -> Int64.logand (word s o) 1L <> 0L) (N.outputs nl)
 
 let popcount64 (x : int64) =
   let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in

@@ -63,44 +63,11 @@ let test_scoap_basics () =
 
 let brute_detectable nl fault =
   let ni = N.num_inputs nl in
-  let eval_with_fault inp =
-    let n = N.num_nodes nl in
-    let values = Array.make n false in
-    let pos = ref 0 in
-    for i = 0 to n - 1 do
-      let v =
-        match N.kind nl i with
-        | Gate.Input ->
-          let v = inp.(!pos) in
-          incr pos;
-          v
-        | k ->
-          let fan = N.fanins nl i in
-          let ops =
-            Array.mapi
-              (fun p f ->
-                match fault.Fault.site with
-                | Fault.Input (fn, fp) when fn = i && fp = p ->
-                  fault.Fault.stuck
-                | Fault.Input _ | Fault.Output _ -> values.(f))
-              fan
-          in
-          Gate.eval_bool k ops
-      in
-      let v =
-        match fault.Fault.site with
-        | Fault.Output fn when fn = i -> fault.Fault.stuck
-        | Fault.Output _ | Fault.Input _ -> v
-      in
-      values.(i) <- v
-    done;
-    Array.map (fun o -> values.(o)) (N.outputs nl)
-  in
   let found = ref false in
   for m = 0 to (1 lsl ni) - 1 do
     if not !found then begin
       let inp = Array.init ni (fun i -> (m lsr i) land 1 = 1) in
-      if eval_with_fault inp <> Sim.eval_bools nl inp then found := true
+      if eval_with_fault nl fault inp <> Sim.eval_bools nl inp then found := true
     end
   done;
   !found
@@ -141,12 +108,11 @@ let prop_podem_tests_detect =
               let pattern =
                 Array.map (function Some b -> b | None -> false) assignment
               in
-              let good =
-                Sim.eval_word nl ~input_word:(fun i ->
-                    if pattern.(i) then Int64.minus_one else 0L)
+              let words =
+                Array.map (fun b -> if b then Int64.minus_one else 0L) pattern
               in
               if
-                Int64.logand (Orap_faultsim.Fsim.detect_word fsim good fault) 1L
+                Int64.logand (Orap_faultsim.Fsim.detect_word fsim words fault) 1L
                 = 0L
               then ok := false
             | Podem.Redundant | Podem.Aborted -> ()

@@ -15,6 +15,7 @@ module Orap = Orap_core.Orap
 module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Prng = Orap_sim.Prng
+module Hamming = Orap_sim.Hamming
 
 (* --- Vec --- *)
 
@@ -212,6 +213,32 @@ let test_key_input_positions () =
   check Alcotest.bool "named key0" true
     (N.find lk.Locked.netlist "key0" <> None)
 
+(* --- zero-sample simulation estimates --- *)
+
+let test_zero_words_rejected () =
+  let nl = random_netlist ~inputs:10 ~outputs:6 ~gates:80 5 in
+  let lk = Orap_locking.Weighted.lock nl ~key_size:9 ~ctrl_inputs:3 in
+  let shared = Hamming.config nl (Array.init 10 (fun i -> Hamming.Shared i)) in
+  Alcotest.check_raises "HD over 0 words"
+    (Invalid_argument "Hamming.distance: words must be positive") (fun () ->
+      ignore (Hamming.distance ~words:0 shared shared));
+  Alcotest.check_raises "hamming_vs_original over 0 words"
+    (Invalid_argument "Hamming.distance: words must be positive") (fun () ->
+      ignore (Locked.hamming_vs_original ~words:0 lk lk.Locked.correct_key));
+  Alcotest.check_raises "signal probabilities over 0 words"
+    (Invalid_argument "Sps.signal_probabilities: words must be positive")
+    (fun () -> ignore (Orap_attacks.Sps.signal_probabilities ~words:0 nl))
+
+let test_no_outputs_rejected () =
+  let b = N.Builder.create () in
+  let x = N.Builder.add_input b in
+  ignore (N.Builder.add_node b Gate.Not [| x |]);
+  let nl = N.Builder.finish b in
+  let c = Hamming.config nl [| Hamming.Shared 0 |] in
+  Alcotest.check_raises "HD without outputs"
+    (Invalid_argument "Hamming.distance: no outputs") (fun () ->
+      ignore (Hamming.distance ~words:4 c c))
+
 let suite =
   ( "edges",
     [
@@ -228,4 +255,6 @@ let suite =
       tc "unlock determinism" `Quick test_unlock_idempotent_key;
       tc "locked eval width check" `Quick test_locked_eval_width_check;
       tc "key input positions" `Quick test_key_input_positions;
+      tc "zero words rejected" `Quick test_zero_words_rejected;
+      tc "HD without outputs rejected" `Quick test_no_outputs_rejected;
     ] )

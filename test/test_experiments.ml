@@ -193,6 +193,22 @@ let test_cell_id_golden () =
     "cell ids" golden_cell_ids
     (List.map (E.Robustness.cell_id p) (E.Robustness.grid p))
 
+(* The ten Trojan-table rows, encoded by [Trojan_table.row_codec]: scenario,
+   scheme, oracle obtained, payload in NAND2 equivalents, detectable. *)
+let golden_trojan_rows =
+  [
+    "(a) suppress per-cell reset\tbasic\ttrue\t0x1.8p+3\ttrue";
+    "(b) exclude LFSR from scan\tbasic\ttrue\t0x1.ccp+5\ttrue";
+    "(c) shadow key register\tbasic\ttrue\t0x1.bp+7\ttrue";
+    "(d) XOR-tree key reconstruction\tbasic\ttrue\t0x1.248p+10\ttrue";
+    "(e) freeze FFs during unlock\tbasic\ttrue\t0x1p+2\tfalse";
+    "(a) suppress per-cell reset\tmodified\ttrue\t0x1.8p+3\ttrue";
+    "(b) exclude LFSR from scan\tmodified\ttrue\t0x1.ccp+5\ttrue";
+    "(c) shadow key register\tmodified\ttrue\t0x1.bp+7\ttrue";
+    "(d) XOR-tree key reconstruction\tmodified\ttrue\t0x1.644p+11\ttrue";
+    "(e) freeze FFs during unlock\tmodified\tfalse\t0x1p+2\tfalse";
+  ]
+
 let test_trojan_table_verdicts () =
   let fx = E.Security.make_fixture ~num_gates:300 ~key_size:24 () in
   let rows = E.Trojan_table.run fx in
@@ -205,7 +221,11 @@ let test_trojan_table_verdicts () =
       | Orap_core.Threat.Freeze_state_ffs, "basic" ->
         check Alcotest.bool "(e) wins vs basic" false defeated
       | _ -> check Alcotest.bool "defeated" true defeated)
-    rows
+    rows;
+  check
+    Alcotest.(list string)
+    "trojan rows" golden_trojan_rows
+    (List.map E.Trojan_table.row_codec.Orap_runner.Runner.encode rows)
 
 let test_report_rendering () =
   let t =

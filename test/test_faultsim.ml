@@ -61,19 +61,14 @@ let prop_detect_word_matches_reference =
       let rng = Prng.create (seed + 13) in
       let ni = N.num_inputs nl in
       let words = Array.init ni (fun _ -> Prng.next64 rng) in
-      let good = Sim.eval_word nl ~input_word:(fun i -> words.(i)) in
       let ok = ref true in
       (* probe a subset of faults against a subset of the 64 patterns *)
       Array.iteri
         (fun fi fault ->
           if fi mod 3 = 0 then begin
-            let mask = Fsim.detect_word t good fault in
+            let mask = Fsim.detect_word t words fault in
             for bit = 0 to 7 do
-              let inp =
-                Array.init ni (fun i ->
-                    Int64.logand (Int64.shift_right_logical words.(i) bit) 1L
-                    <> 0L)
-              in
+              let inp = lane_of words bit in
               let faulty = eval_with_fault nl fault inp in
               let good_b = Sim.eval_bools nl inp in
               let expected = faulty <> good_b in
@@ -107,6 +102,46 @@ let test_simulate_pattern_consistency () =
   (* second run of the same pattern drops nothing new *)
   check Alcotest.int "idempotent" 0 (Fsim.simulate_pattern t pattern faults remaining)
 
+let test_width_checked () =
+  let nl = random_netlist ~inputs:8 ~outputs:6 ~gates:60 31 in
+  let faults = Fault.collapsed_list nl in
+  let t = Fsim.create nl in
+  let remaining = Array.make (Array.length faults) true in
+  List.iter
+    (fun width ->
+      Alcotest.check_raises "detect_word width"
+        (Invalid_argument "Sim.eval: one word per primary input required")
+        (fun () -> ignore (Fsim.detect_word t (Array.make width 0L) faults.(0)));
+      Alcotest.check_raises "simulate_pattern width"
+        (Invalid_argument "Fsim.simulate_pattern: one value per primary input required")
+        (fun () ->
+          ignore (Fsim.simulate_pattern t (Array.make width true) faults remaining)))
+    [ 7; 9; N.num_nodes nl + 1 ];
+  check Alcotest.bool "nothing dropped" true (Array.for_all Fun.id remaining)
+
+(* faulty words are written over the good ones in place; after every
+   propagation the store holds the good words again, so propagations that
+   share one good pass see the same values as fresh ones *)
+let test_store_restored () =
+  let nl = random_netlist ~inputs:8 ~outputs:6 ~gates:60 37 in
+  let rng = Prng.create 5 in
+  let words = Array.init 8 (fun _ -> Prng.next64 rng) in
+  let fresh node =
+    let t = Fsim.create nl in
+    Sim.eval nl t.Fsim.store words;
+    Fsim.invert_impact t node
+  in
+  let t = Fsim.create nl in
+  Sim.eval nl t.Fsim.store words;
+  for n = 0 to N.num_nodes nl - 1 do
+    check Alcotest.int "impact on a shared good pass" (fresh n) (Fsim.invert_impact t n)
+  done;
+  let good = Sim.store nl in
+  Sim.eval nl good words;
+  for n = 0 to N.num_nodes nl - 1 do
+    check Alcotest.int64 "good word restored" (Sim.word good n) (Sim.word t.Fsim.store n)
+  done
+
 let suite =
   ( "faultsim",
     [
@@ -116,4 +151,6 @@ let suite =
       prop_detect_word_matches_reference;
       tc "random simulate with dropping" `Quick test_random_simulate_drops;
       tc "simulate_pattern accounting" `Quick test_simulate_pattern_consistency;
+      tc "input width checked" `Quick test_width_checked;
+      tc "good words restored" `Quick test_store_restored;
     ] )

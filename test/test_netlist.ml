@@ -166,8 +166,18 @@ let test_dot_output () =
 
 (* --- gate semantics --- *)
 
+(* one gate over one input per operand, simulated through [Sim] *)
 let test_gate_eval_word () =
   let open Gate in
+  let eval_word kind operands =
+    let b = N.Builder.create () in
+    let g = N.Builder.add_node b kind (Array.map (fun _ -> N.Builder.add_input b) operands) in
+    N.Builder.mark_output b g;
+    let nl = N.Builder.finish b in
+    let s = Sim.store nl in
+    Sim.eval nl s operands;
+    Sim.word s g
+  in
   let t = Int64.minus_one and f = 0L in
   check Alcotest.bool "and" true (eval_word And [| t; t |] = t);
   check Alcotest.bool "and0" true (eval_word And [| t; f |] = f);
@@ -178,7 +188,13 @@ let test_gate_eval_word () =
   check Alcotest.bool "xnor" true (eval_word Xnor [| t; f |] = f);
   check Alcotest.bool "mux sel0" true (eval_word Mux [| f; t; f |] = t);
   check Alcotest.bool "mux sel1" true (eval_word Mux [| t; t; f |] = f);
-  check Alcotest.bool "const" true (eval_word Const1 [||] = t)
+  check Alcotest.bool "const" true (eval_word Const1 [||] = t);
+  (* lanes are independent: lane b of each operand is pattern b *)
+  let a = 0xAAAAAAAAAAAAAAAAL and c = 0xCCCCCCCCCCCCCCCCL and e = 0xF0F0F0F0F0F0F0F0L in
+  check Alcotest.int64 "and lanes" 0x8888888888888888L (eval_word And [| a; c |]);
+  check Alcotest.int64 "nor lanes" 0x1111111111111111L (eval_word Nor [| a; c |]);
+  check Alcotest.int64 "xor lanes" 0x9696969696969696L (eval_word Xor [| a; c; e |]);
+  check Alcotest.int64 "mux lanes" 0xE4E4E4E4E4E4E4E4L (eval_word Mux [| a; c; e |])
 
 let test_gate_string_roundtrip () =
   List.iter

@@ -45,28 +45,25 @@ let prop_copy_into_equivalent =
       Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
       Equiv.equivalent nl (N.Builder.finish b))
 
-(* P: the 64-pattern word simulator agrees with single-pattern simulation
-   on every lane (sim layer vs itself, different code paths) *)
-let prop_word_sim_matches_bools =
-  Prop.netlist_with_seed ~count:40 "eval_word lanes agree with eval_bools"
+(* P: every node's word from the 64-lane simulator agrees, lane by lane,
+   with the scalar bool reference of [Util], which shares no code with it;
+   the default parameters draw every gate kind, Mux, constants and wide
+   gates included *)
+let prop_word_sim_matches_reference =
+  Prop.netlist_with_seed ~count:40 "word sim lanes agree with the scalar reference"
     (fun nl ~aux ->
       let rng = Prng.create aux in
-      let ni = N.num_inputs nl in
-      let words = Array.init ni (fun _ -> Prng.next64 rng) in
-      let values = Sim.eval_word nl ~input_word:(fun i -> words.(i)) in
-      let word_outs = Sim.output_words nl values in
+      let words = Array.init (N.num_inputs nl) (fun _ -> Prng.next64 rng) in
+      let s = Sim.store nl in
+      Sim.eval nl s words;
       let ok = ref true in
-      for lane = 0 to 7 do
-        let inp =
-          Array.init ni (fun i ->
-              Int64.logand (Int64.shift_right_logical words.(i) lane) 1L <> 0L)
-        in
-        let bools = Sim.eval_bools nl inp in
+      for lane = 0 to 63 do
+        let reference = eval_nodes nl (lane_of words lane) in
         Array.iteri
-          (fun j w ->
-            let bit = Int64.logand (Int64.shift_right_logical w lane) 1L <> 0L in
-            if bit <> bools.(j) then ok := false)
-          word_outs
+          (fun n v ->
+            let bit = Int64.logand (Int64.shift_right_logical (Sim.word s n) lane) 1L <> 0L in
+            if bit <> v then ok := false)
+          reference
       done;
       !ok)
 
@@ -87,6 +84,6 @@ let suite =
       prop_bench_roundtrip;
       prop_bench_print_stable;
       prop_copy_into_equivalent;
-      prop_word_sim_matches_bools;
+      prop_word_sim_matches_reference;
       prop_verilog_deterministic;
     ] )

@@ -24,17 +24,12 @@ let prop_fsim_matches_forced_resim =
         let t = Fsim.create nl in
         let ni = N.num_inputs nl in
         let words = Array.init ni (fun _ -> Prng.next64 rng) in
-        let good = Sim.eval_word nl ~input_word:(fun i -> words.(i)) in
         let ok = ref true in
         for _ = 1 to 8 do
           let fault = faults.(Prng.int rng (Array.length faults)) in
-          let mask = Fsim.detect_word t good fault in
+          let mask = Fsim.detect_word t words fault in
           for lane = 0 to 3 do
-            let inp =
-              Array.init ni (fun i ->
-                  Int64.logand (Int64.shift_right_logical words.(i) lane) 1L
-                  <> 0L)
-            in
+            let inp = lane_of words lane in
             let detected_ref =
               eval_with_fault nl fault inp <> Sim.eval_bools nl inp
             in

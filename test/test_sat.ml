@@ -362,12 +362,8 @@ let prop_tseitin_folds_constant_inputs =
                     (fun i -> Lit.of_var ~negated:(not inp.(i)) x.(i))
                     free)
              in
-             let sim =
-               Orap_sim.Sim.eval_word nl ~input_word:(fun i ->
-                   if inp.(i) then -1L else 0L)
-             in
              Solver.solve ~assumptions s = Solver.Sat
-             && Array.for_all2 (fun l w -> value l = (w <> 0L)) lits sim)
+             && Array.for_all2 (fun l v -> value l = v) lits (eval_nodes nl inp))
            (List.init (1 lsl List.length free) Fun.id))
 
 (* --- DIMACS --- *)

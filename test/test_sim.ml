@@ -4,6 +4,9 @@ module Gate = Orap_netlist.Gate
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
 module Hamming = Orap_sim.Hamming
+module Equiv = Orap_proptest.Equiv
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 let test_prng_deterministic () =
   let a = Prng.create 7 and b = Prng.create 7 in
@@ -53,30 +56,21 @@ let test_popcount () =
 let test_word_vs_bool_agree () =
   let nl = random_netlist ~inputs:10 ~outputs:6 ~gates:80 42 in
   let rng = Prng.create 9 in
+  let s = Sim.store nl in
   for _ = 1 to 10 do
     let words = Array.init 10 (fun _ -> Prng.next64 rng) in
-    let values = Sim.eval_word nl ~input_word:(fun i -> words.(i)) in
-    let outs_w = Sim.output_words nl values in
+    Sim.eval nl s words;
     for bit = 0 to 63 do
-      let inp =
-        Array.init 10 (fun i ->
-            Int64.logand (Int64.shift_right_logical words.(i) bit) 1L <> 0L)
-      in
-      let outs_b = Sim.eval_bools nl inp in
+      let outs_b = Sim.eval_bools nl (lane_of words bit) in
       Array.iteri
-        (fun j w ->
-          let expected = Int64.logand (Int64.shift_right_logical w bit) 1L <> 0L in
+        (fun j o ->
+          let expected =
+            Int64.logand (Int64.shift_right_logical (Sim.word s o) bit) 1L <> 0L
+          in
           check Alcotest.bool "bit agrees" expected outs_b.(j))
-        outs_w
+        (N.outputs nl)
     done
   done
-
-let test_random_words_callback_count () =
-  let nl = random_netlist 3 in
-  let calls = ref 0 in
-  Sim.random_words nl ~seed:1 ~words:7 ~f:(fun ~word_index:_ ~outputs:_ ->
-      incr calls);
-  check Alcotest.int "one call per word" 7 !calls
 
 (* --- Hamming --- *)
 
@@ -125,27 +119,33 @@ let test_hamming_fixed_binding () =
 
 let test_equal_exhaustive () =
   let nl = random_netlist ~inputs:8 ~outputs:4 ~gates:40 23 in
-  let c = shared_config nl in
-  check Alcotest.bool "self equal" true (Hamming.equal_exhaustive c c);
+  check Alcotest.bool "self equal" true (Equiv.exhaustive_equiv nl nl = Equiv.Equivalent);
   (* distinct circuits very unlikely equal *)
   let other = random_netlist ~inputs:8 ~outputs:4 ~gates:40 24 in
   check Alcotest.bool "different" false
-    (Hamming.equal_exhaustive c (shared_config other))
+    (Equiv.exhaustive_equiv nl other = Equiv.Equivalent)
 
 let prop_distance_in_unit_interval =
-  qtest "distance lies in [0,1]" QCheck.(pair seed_gen seed_gen)
-    (fun (s1, s2) ->
-      let a = random_netlist ~inputs:5 ~outputs:3 ~gates:25 s1 in
-      let b = random_netlist ~inputs:5 ~outputs:3 ~gates:25 s2 in
+  Prop.to_alcotest ~count:50 ~name:"distance lies in [0,1]"
+    ~gen:
+      (Gen.pair
+         (Gen.benchgen_netlist ~inputs:5 ~outputs:3 ~gates:25)
+         (Gen.benchgen_netlist ~inputs:5 ~outputs:3 ~gates:25))
+    (fun (a, b) ->
       let d = Hamming.distance ~words:4 (shared_config a) (shared_config b) in
       d >= 0.0 && d <= 1.0)
 
+(* a circuit against a one-gate mutant of itself: equivalent exactly when
+   512 random patterns show no difference.  With at most 5 inputs a
+   distinguishing pattern is missed with probability below 1e-7 *)
 let prop_exhaustive_matches_distance_zero =
-  qtest ~count:25 "exhaustive equality iff distance 0" seed_gen (fun seed ->
-      let nl = random_netlist ~inputs:6 ~outputs:3 ~gates:30 seed in
-      let c = shared_config nl in
-      Hamming.equal_exhaustive c c
-      && Hamming.distance ~words:8 c c = 0.0)
+  Prop.to_alcotest ~count:25 ~name:"exhaustive equality iff distance 0"
+    ~gen:
+      (Gen.bind (Gen.netlist ~params:Gen.tiny_params ()) (fun a ->
+           Gen.map (fun b -> (a, b)) (Gen.mutant a)))
+    (fun (a, b) ->
+      Equiv.exhaustive_equiv a b = Equiv.Equivalent
+      = (Hamming.distance ~words:8 (shared_config a) (shared_config b) = 0.0))
 
 let suite =
   ( "sim",
@@ -157,7 +157,6 @@ let suite =
       tc "prng bool balance" `Quick test_prng_bool_balance;
       tc "popcount64" `Quick test_popcount;
       tc "word vs single-pattern agreement" `Quick test_word_vs_bool_agree;
-      tc "random_words callback count" `Quick test_random_words_callback_count;
       tc "hamming self = 0" `Quick test_hamming_self_zero;
       tc "hamming complement = 1" `Quick test_hamming_complement_one;
       tc "hamming symmetric" `Quick test_hamming_symmetric;

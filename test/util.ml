@@ -90,10 +90,36 @@ let netlists_structurally_equal a b =
   done;
   !ok
 
-(** Reference fault simulation: full-circuit evaluation with the single
-    stuck-at fault forced in, one pattern at a time. *)
-let eval_with_fault nl fault inp =
+(** Reference single-pattern gate evaluation over [bool]s, written
+    independently of the 64-lane word simulator. *)
+let eval_gate_bool kind (ops : bool array) =
+  let all = Array.for_all Fun.id ops and any = Array.exists Fun.id ops in
+  let parity = Array.fold_left ( <> ) false ops in
+  match kind with
+  | Gate.Input -> invalid_arg "eval_gate_bool: Input has no evaluation"
+  | Gate.Const0 -> false
+  | Gate.Const1 -> true
+  | Gate.Buf -> ops.(0)
+  | Gate.Not -> not ops.(0)
+  | Gate.And -> all
+  | Gate.Nand -> not all
+  | Gate.Or -> any
+  | Gate.Nor -> not any
+  | Gate.Xor -> parity
+  | Gate.Xnor -> not parity
+  | Gate.Mux -> if ops.(0) then ops.(2) else ops.(1)
+
+(** Reference single-pattern simulation: the value of every node under the
+    input assignment [inp] (by input position), with the single stuck-at
+    [fault] forced in when given. *)
+let eval_nodes ?fault nl inp =
   let module Fault = Orap_faultsim.Fault in
+  let forced_branch i p =
+    match fault with
+    | Some { Fault.site = Fault.Input (fn, fp); stuck } when fn = i && fp = p ->
+      Some stuck
+    | Some _ | None -> None
+  in
   let n = N.num_nodes nl in
   let values = Array.make n false in
   let pos = ref 0 in
@@ -105,22 +131,24 @@ let eval_with_fault nl fault inp =
         incr pos;
         v
       | k ->
-        let fan = N.fanins nl i in
-        let ops =
-          Array.mapi
-            (fun p f ->
-              match fault.Fault.site with
-              | Fault.Input (fn, fp) when fn = i && fp = p -> fault.Fault.stuck
-              | Fault.Input _ | Fault.Output _ -> values.(f))
-            fan
-        in
-        Gate.eval_bool k ops
+        eval_gate_bool k
+          (Array.mapi
+             (fun p f -> Option.value (forced_branch i p) ~default:values.(f))
+             (N.fanins nl i))
     in
-    let v =
-      match fault.Fault.site with
-      | Fault.Output fn when fn = i -> fault.Fault.stuck
-      | Fault.Output _ | Fault.Input _ -> v
-    in
-    values.(i) <- v
+    values.(i) <-
+      (match fault with
+       | Some { Fault.site = Fault.Output fn; stuck } when fn = i -> stuck
+       | Some _ | None -> v)
   done;
+  values
+
+(** Reference fault simulation: the outputs of full-circuit evaluation with
+    the single stuck-at fault forced in, one pattern at a time. *)
+let eval_with_fault nl fault inp =
+  let values = eval_nodes ~fault nl inp in
   Array.map (fun o -> values.(o)) (N.outputs nl)
+
+(** Lane [lane] of every word in [words], as a pattern. *)
+let lane_of words lane =
+  Array.map (fun w -> Int64.logand (Int64.shift_right_logical w lane) 1L <> 0L) words
