@@ -89,6 +89,23 @@ let runner_opts : Runner.options Term.t =
   in
   Term.(const mk $ jobs $ journal $ resume $ progress)
 
+(* an int option below [lo] is a usage error, not a failure deep inside *)
+let int_at_least lo =
+  let parse v =
+    match int_of_string_opt v with
+    | Some n when n >= lo -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" v))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+(* fixture sizes the locking and generation steps accept *)
+let fixture_gates default =
+  Arg.(value & opt (int_at_least 1) default & info [ "gates" ] ~doc:"fixture gate count")
+
+let fixture_key_size default =
+  Arg.(value & opt (int_at_least 2) default & info [ "key-size" ] ~doc:"key bits")
+
 let read_netlist path =
   let src = Bench_format.parse_file path in
   src.Bench_format.netlist
@@ -121,11 +138,10 @@ let lock_cmd =
     let nl = read_netlist input in
     let locked =
       match technique with
-      | "weighted" -> Orap_locking.Weighted.lock nl ~key_size ~ctrl_inputs:ctrl
-      | "random" -> Orap_locking.Random_ll.lock nl ~key_size
-      | "sarlock" -> Orap_locking.Sarlock.lock nl ~key_size
-      | "antisat" -> Orap_locking.Antisat.lock nl ~key_size
-      | t -> failwith ("unknown technique " ^ t)
+      | `Weighted -> Orap_locking.Weighted.lock nl ~key_size ~ctrl_inputs:ctrl
+      | `Random -> Orap_locking.Random_ll.lock nl ~key_size
+      | `Sarlock -> Orap_locking.Sarlock.lock nl ~key_size
+      | `Antisat -> Orap_locking.Antisat.lock nl ~key_size
     in
     Bench_format.print_to_file out locked.Locked.netlist;
     let key =
@@ -138,7 +154,14 @@ let lock_cmd =
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH") in
   let technique =
-    Arg.(value & opt string "weighted" & info [ "technique" ] ~doc:"weighted|random|sarlock|antisat")
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("weighted", `Weighted); ("random", `Random);
+               ("sarlock", `Sarlock); ("antisat", `Antisat) ])
+          `Weighted
+      & info [ "technique" ] ~doc:"weighted|random|sarlock|antisat")
   in
   let key_size = Arg.(value & opt int 64 & info [ "key-size" ] ~doc:"key bits") in
   let ctrl = Arg.(value & opt int 3 & info [ "ctrl-inputs" ] ~doc:"control gate width") in
@@ -150,7 +173,8 @@ let lock_cmd =
 (* --- atpg --- *)
 
 let atpg_cmd =
-  let run input words limit =
+  let run input words limit obs =
+    with_obs obs @@ fun () ->
     let nl = read_netlist input in
     let r = Orap_atpg.Atpg.run ~random_words:words ~backtrack_limit:limit nl in
     Printf.printf
@@ -165,7 +189,7 @@ let atpg_cmd =
   let limit = Arg.(value & opt int 64 & info [ "backtrack-limit" ] ~doc:"PODEM backtrack limit") in
   Cmd.v
     (Cmd.info "atpg" ~doc:"Stuck-at ATPG (random phase + PODEM)")
-    Term.(const run $ input $ words $ limit)
+    Term.(const run $ input $ words $ limit $ obs_opts)
 
 (* --- attack --- *)
 
@@ -209,8 +233,8 @@ let attack_cmd =
   let attack = Arg.(value & opt string "sat" & info [ "attack" ] ~doc:Key_recovery.slugs) in
   let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"functional|orap") in
   let seed = Arg.(value & opt int 12 & info [ "seed" ] ~doc:"fixture seed") in
-  let gates = Arg.(value & opt int 500 & info [ "gates" ] ~doc:"fixture gate count") in
-  let key_size = Arg.(value & opt int 32 & info [ "key-size" ] ~doc:"key bits") in
+  let gates = fixture_gates 500 in
+  let key_size = fixture_key_size 32 in
   let noise = Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"per-query bit-flip probability") in
   let qbudget = Arg.(value & opt int 0 & info [ "query-budget" ] ~doc:"oracle refuses after N queries (0 = unlimited)") in
   let votes = Arg.(value & opt int 1 & info [ "votes" ] ~doc:"majority-vote retries per query (odd; 1 = off)") in
@@ -261,8 +285,8 @@ let robustness_cmd =
     E.Report.print (E.Robustness.report (E.Robustness.run ~params ~options ()))
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"fixture seed") in
-  let gates = Arg.(value & opt int 300 & info [ "gates" ] ~doc:"fixture gate count") in
-  let key_size = Arg.(value & opt int 16 & info [ "key-size" ] ~doc:"key bits") in
+  let gates = fixture_gates 300 in
+  let key_size = fixture_key_size 16 in
   let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"base oracle: functional|orap") in
   let noise = Arg.(value & opt string "0.0,0.02,0.1" & info [ "noise" ] ~doc:"comma-separated bit-flip probabilities") in
   let qbudgets = Arg.(value & opt string "0,2000" & info [ "query-budget" ] ~doc:"comma-separated query budgets (0 = unlimited)") in
@@ -310,7 +334,8 @@ let table2_cmd =
     Term.(const run $ scale_arg $ runner_opts $ obs_opts)
 
 let security_cmd =
-  let run () =
+  let run obs =
+    with_obs obs @@ fun () ->
     let fx = E.Security.make_fixture () in
     let f1 = E.Security.fig1 fx in
     Printf.printf
@@ -331,7 +356,7 @@ let security_cmd =
       (Orap_attacks.Evaluate.to_string (E.Security.hill_climb_on_test_responses fx))
   in
   Cmd.v (Cmd.info "security" ~doc:"Figs. 1-3 behaviour and the attack matrix")
-    Term.(const run $ const ())
+    Term.(const run $ obs_opts)
 
 let trojans_cmd =
   let run options obs =
@@ -343,17 +368,19 @@ let trojans_cmd =
     Term.(const run $ runner_opts $ obs_opts)
 
 let ablation_cmd =
-  let run () =
+  let run obs =
+    with_obs obs @@ fun () ->
     let fx = E.Security.make_fixture () in
     E.Report.print (E.Ablation.a1_report (E.Ablation.site_selection ()));
     E.Report.print (E.Ablation.a3_report (E.Ablation.key_register_structure ()));
     E.Report.print (E.Ablation.a4_report (E.Ablation.scheme_comparison fx))
   in
   Cmd.v (Cmd.info "ablation" ~doc:"Design-choice ablation tables")
-    Term.(const run $ const ())
+    Term.(const run $ obs_opts)
 
 let scanflow_cmd =
-  let run () =
+  let run obs =
+    with_obs obs @@ fun () ->
     let fx = E.Security.make_fixture () in
     let r = E.Scan_flow.run fx.E.Security.basic in
     Printf.printf
@@ -364,7 +391,7 @@ let scanflow_cmd =
   Cmd.v
     (Cmd.info "scanflow"
        ~doc:"Apply ATPG patterns through the protected chip's scan chains")
-    Term.(const run $ const ())
+    Term.(const run $ obs_opts)
 
 let tracecheck_cmd =
   let run input to_chrome =

@@ -28,7 +28,8 @@ type scratch = {
   cone : int array;
   local_refs : int array;  (* their ref counts while [freed_nodes] runs *)
   mutable cone_size : int;
-  mutable tables : Bytes.t;  (* slot-major truth-table words *)
+  (* slot-major truth-table words of the cone, then the ISOP's frames *)
+  isop : Isop.scratch;
 }
 
 let scratch (aig : Aig.t) ~cut_size =
@@ -39,12 +40,12 @@ let scratch (aig : Aig.t) ~cut_size =
     stamp = 0;
     mark = Array.make n 0;
     slot = Array.make n 0;
-    leaves = Array.make (max 2 cut_size) 0;
+    leaves = Array.make cut_size 0;
     num_leaves = 0;
     cone = Array.make (max_expansions + 1) 0;
     local_refs = Array.make (max_expansions + 1) 0;
     cone_size = 0;
-    tables = Bytes.create 0;
+    isop = Isop.scratch ();
   }
 
 let leaf_tag s = 2 * s.stamp
@@ -131,42 +132,41 @@ let collect_cone s root =
 
 (* Truth table of the root over the leaves.  Every fanin of a cone node is
    a leaf or a cone node, so one pass in topological order fills the slots:
-   leaves first (slot i = variable i), then the cone, the root last. *)
+   leaves first (slot i = variable i), then the cone, the root last.
+   Returns the word offset of the root's table in [s.isop]'s buffer. *)
 let cone_truth s =
   let nvars = s.num_leaves in
   let words = Truth.num_words nvars in
   let slots = nvars + s.cone_size in
-  if Bytes.length s.tables < slots * words * 8 then
-    s.tables <- Bytes.create (slots * words * 8);
-  let tt = s.tables in
-  let word slot w = Bytes.get_int64_ne tt (((slot * words) + w) * 8) in
+  Isop.reserve s.isop ~keep:0 (slots * words);
+  let tt = s.isop.tt in
   for i = 0 to nvars - 1 do
     s.slot.(s.leaves.(i)) <- i;
     for w = 0 to words - 1 do
-      let v =
-        if i < 6 then Truth.var_masks.(i)
-        else if (w lsr (i - 6)) land 1 = 1 then Int64.minus_one
-        else 0L
-      in
-      Bytes.set_int64_ne tt (((i * words) + w) * 8) v
+      Truth.set_word tt ((i * words) + w)
+        (if i < 6 then Truth.var_masks.(i)
+         else if (w lsr (i - 6)) land 1 = 1 then Int64.minus_one
+         else 0L)
     done
   done;
   for j = 0 to s.cone_size - 1 do
     let n = s.cone.(j) and slot = nvars + j in
     let l0 = Aig.fanin0 s.aig n and l1 = Aig.fanin1 s.aig n in
-    let s0 = s.slot.(Aig.node_of_lit l0) and s1 = s.slot.(Aig.node_of_lit l1) in
+    let s0 = s.slot.(Aig.node_of_lit l0) * words
+    and s1 = s.slot.(Aig.node_of_lit l1) * words in
     let c0 = if Aig.is_compl l0 then Int64.minus_one else 0L in
     let c1 = if Aig.is_compl l1 then Int64.minus_one else 0L in
     for w = 0 to words - 1 do
-      Bytes.set_int64_ne tt
-        (((slot * words) + w) * 8)
+      Truth.set_word tt
+        ((slot * words) + w)
         (Int64.logand
-           (Int64.logxor c0 (word s0 w))
-           (Int64.logxor c1 (word s1 w)))
+           (Int64.logxor c0 (Truth.word tt (s0 + w)))
+           (Int64.logxor c1 (Truth.word tt (s1 + w))))
     done
   done;
-  let root = slots - 1 in
-  { Truth.nvars; words = Array.init words (fun w -> Truth.mask_last nvars (word root w)) }
+  let root = (slots - 1) * words in
+  Truth.set_word tt root (Truth.mask_last nvars (Truth.word tt root));
+  root
 
 (* nodes of the cone freed if the root is re-expressed over the leaves:
    ref-count decrement simulation confined to the cone *)
@@ -188,17 +188,23 @@ let freed_nodes s root =
   deref root;
   !count
 
-(** One refactoring pass.  Returns the rebuilt AIG.
+let check_cut_size cut_size =
+  if cut_size < 2 || cut_size > Truth.max_vars then
+    invalid_arg
+      (Printf.sprintf "Refactor: cut_size %d is outside 2..%d" cut_size
+         Truth.max_vars)
 
-    A cone is rebuilt only when its ISOP costs fewer nodes than the cone
-    frees.  Any exact cover holds a literal of every variable the function
-    depends on, and [Isop.cost] is at least the literal count minus one, so
-    [cost >= |support| - 1]: when that bound already reaches the saving, the
-    ISOP is not computed.  The skip never changes the result. *)
-let run ?(cut_size = 10) ?(min_cone = 2) (aig : Aig.t) : Aig.t =
-  let s = scratch aig ~cut_size in
-  let replacements : (int, replacement) Hashtbl.t = Hashtbl.create 64 in
-  let isop_calls = ref 0 and isop_skipped = ref 0 in
+(* The cone scan behind [run] and [costed_cones].  A cone is costed only
+   when its ISOP could cost fewer nodes than the cone frees.  Any exact
+   cover holds a literal of every variable the function depends on, and
+   [Isop.cost] is at least the literal count minus one, so
+   [cost >= |support| - 1]: when that bound already reaches the saving, the
+   ISOP is not computed.  Otherwise the ISOP is left in [s.isop] and
+   [costed root at saved] is called, [at] being the root's table.  Returns
+   the number of ISOPs computed and skipped. *)
+let scan s ~cut_size ~min_cone costed =
+  let aig = s.aig in
+  let calls = ref 0 and skipped = ref 0 in
   for root = Aig.num_pis aig + 1 to Aig.num_nodes aig - 1 do
     if s.refs.(root) > 0 then begin
       grow_cut s root ~cut_size;
@@ -206,22 +212,50 @@ let run ?(cut_size = 10) ?(min_cone = 2) (aig : Aig.t) : Aig.t =
       if k >= 2 && k <= cut_size then begin
         collect_cone s root;
         if s.cone_size >= min_cone then begin
-          let truth = cone_truth s in
+          let at = cone_truth s in
           let saved = freed_nodes s root in
-          if Truth.support_size truth - 1 >= saved then incr isop_skipped
+          if Truth.support_size_words s.isop.tt ~at ~nvars:k - 1 >= saved then
+            incr skipped
           else begin
-            incr isop_calls;
-            let cubes = Isop.compute truth in
-            if Isop.cost cubes < saved then
-              Hashtbl.replace replacements root
-                { leaves = Array.sub s.leaves 0 k; cubes }
+            incr calls;
+            Isop.run s.isop ~nvars:k ~at;
+            costed root at saved
           end
         end
       end
     end
   done;
-  Metrics.add (Metrics.counter "synth.isop_calls") !isop_calls;
-  Metrics.add (Metrics.counter "synth.isop_skipped") !isop_skipped;
+  (!calls, !skipped)
+
+(** Every cone [run] costs, in order: the root's truth table over its cut
+    and the kernel's cover of it.  For differential tests. *)
+let costed_cones ?(cut_size = 10) ?(min_cone = 2) (aig : Aig.t) =
+  check_cut_size cut_size;
+  let s = scratch aig ~cut_size in
+  let cones = ref [] in
+  ignore
+    (scan s ~cut_size ~min_cone (fun _ at _ ->
+         cones :=
+           (Truth.of_words s.isop.tt ~at ~nvars:s.num_leaves, Isop.cubes s.isop)
+           :: !cones));
+  List.rev !cones
+
+(** One refactoring pass.  Returns the rebuilt AIG.  A cone is rebuilt only
+    when its ISOP costs fewer nodes than the cone frees.  [cut_size] must
+    be in [2..Truth.max_vars]. *)
+let run ?(cut_size = 10) ?(min_cone = 2) (aig : Aig.t) : Aig.t =
+  check_cut_size cut_size;
+  let s = scratch aig ~cut_size in
+  let replacements : (int, replacement) Hashtbl.t = Hashtbl.create 64 in
+  let isop_calls, isop_skipped =
+    scan s ~cut_size ~min_cone (fun root _ saved ->
+        if Isop.scratch_cost s.isop < saved then
+          Hashtbl.replace replacements root
+            { leaves = Array.sub s.leaves 0 s.num_leaves;
+              cubes = Isop.cubes s.isop })
+  in
+  Metrics.add (Metrics.counter "synth.isop_calls") isop_calls;
+  Metrics.add (Metrics.counter "synth.isop_skipped") isop_skipped;
   (* rebuild demand-driven from the outputs *)
   let fresh = Aig.create ~num_pis:(Aig.num_pis aig) in
   let memo = Array.make (Aig.num_nodes aig) (-1) in

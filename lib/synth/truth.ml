@@ -133,18 +133,28 @@ let cofactor0 a i =
   end;
   r
 
-(** Does the function depend on variable [i]?  Same answer as
-    [not (equal (cofactor0 a i) (cofactor1 a i))], found by comparing the
-    two cofactor halves in place, without building either cofactor. *)
-let depends_on a i =
-  if i < 0 || i >= a.nvars then invalid_arg "Truth.depends_on";
-  let n = Array.length a.words in
+(** {1 Word tables}
+
+    The refactoring kernels keep tables as runs of unboxed words in a
+    caller's [Bytes]: the table at word offset [at] is words [at],
+    [at + 1], ... *)
+
+let word b k = Bytes.get_int64_ne b (k lsl 3)
+let set_word b k w = Bytes.set_int64_ne b (k lsl 3) w
+
+(** The all-ones word of an [nvars]-variable table. *)
+let full nvars = mask_last nvars Int64.minus_one
+
+(** Does the table at [at] depend on variable [i]?  Only its first [nw]
+    words are read, so [i] must be below the variables they span.  Bit [p]
+    (variable [i] clear) is compared with bit [p + 2^i] in place, without
+    building either cofactor. *)
+let depends_on_words b ~at ~nw ~full i =
   if i < 6 then begin
-    (* bit p (variable i clear) against bit p + 2^i (variable i set) *)
-    let m = mask_last a.nvars (Int64.lognot var_masks.(i)) and sh = 1 lsl i in
+    let m = Int64.logand full (Int64.lognot var_masks.(i)) and sh = 1 lsl i in
     let rec differs k =
-      k < n
-      && (let w = a.words.(k) in
+      k < nw
+      && (let w = word b (at + k) in
           Int64.logand m (Int64.logxor w (Int64.shift_right_logical w sh)) <> 0L
           || differs (k + 1))
     in
@@ -154,21 +164,41 @@ let depends_on a i =
     (* word k of each variable-clear block against word k + stride *)
     let stride = 1 lsl (i - 6) in
     let rec differs k =
-      k < n
-      && (a.words.(k) <> a.words.(k + stride)
+      k < nw
+      && (word b (at + k) <> word b (at + k + stride)
          || differs
               (if (k + 1) land (stride - 1) = 0 then k + 1 + stride else k + 1))
     in
     differs 0
   end
 
-(** Number of variables the function depends on. *)
-let support_size a =
+(** Number of variables the [nvars]-variable table at [at] depends on. *)
+let support_size_words b ~at ~nvars =
+  let nw = num_words nvars and full = full nvars in
   let s = ref 0 in
-  for i = 0 to a.nvars - 1 do
-    if depends_on a i then incr s
+  for i = 0 to nvars - 1 do
+    if depends_on_words b ~at ~nw ~full i then incr s
   done;
   !s
+
+(** The [nvars]-variable table at [at] as a [t]. *)
+let of_words b ~at ~nvars =
+  { nvars; words = Array.init (num_words nvars) (fun w -> word b (at + w)) }
+
+let to_words a =
+  let b = Bytes.create (8 * Array.length a.words) in
+  Array.iteri (set_word b) a.words;
+  b
+
+(** Does the function depend on variable [i]?  Same answer as
+    [not (equal (cofactor0 a i) (cofactor1 a i))]. *)
+let depends_on a i =
+  if i < 0 || i >= a.nvars then invalid_arg "Truth.depends_on";
+  depends_on_words (to_words a) ~at:0 ~nw:(Array.length a.words)
+    ~full:(full a.nvars) i
+
+(** Number of variables the function depends on. *)
+let support_size a = support_size_words (to_words a) ~at:0 ~nvars:a.nvars
 
 let popcount a =
   Array.fold_left

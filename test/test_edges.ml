@@ -125,6 +125,27 @@ let prop_isop_to_aig_builds_function =
       done;
       !ok)
 
+(* refactoring with a cut the truth tables cannot hold fails up front *)
+let test_refactor_cut_size_checked () =
+  let aig = Aig.of_netlist (random_netlist ~inputs:6 ~outputs:3 ~gates:30 7) in
+  List.iter
+    (fun cut_size ->
+      match Orap_synth.Refactor.run ~cut_size aig with
+      | _ -> Alcotest.failf "cut_size %d accepted" cut_size
+      | exception Invalid_argument msg ->
+        check Alcotest.bool
+          (Printf.sprintf "cut_size %d named in %S" cut_size msg)
+          true (contains msg "cut_size"))
+    [ -1; 0; 1; Truth.max_vars + 1 ];
+  List.iter
+    (fun cut_size ->
+      let g = Orap_synth.Refactor.run ~cut_size aig in
+      check Alcotest.bool
+        (Printf.sprintf "cut_size %d keeps the function" cut_size)
+        true
+        (equivalent_on_random (Aig.to_netlist aig) (Aig.to_netlist g)))
+    [ 2; Truth.max_vars ]
+
 (* --- chip protocol errors --- *)
 
 let chip_fixture () =
@@ -248,6 +269,7 @@ let suite =
       tc "aig constant outputs" `Quick test_aig_const_outputs;
       tc "aig complemented output" `Quick test_aig_complemented_output;
       prop_isop_to_aig_builds_function;
+      tc "refactor cut_size checked" `Quick test_refactor_cut_size_checked;
       tc "chip mode errors" `Quick test_chip_mode_errors;
       tc "oracle width check" `Quick test_oracle_width_error;
       tc "scan oracle deterministic" `Quick test_scan_oracle_deterministic;

@@ -150,6 +150,26 @@ let prop_depends_on_cofactors =
       List.init t.Truth.nvars (Truth.depends_on t) = by_cofactors
       && Truth.support_size t = List.length (List.filter Fun.id by_cofactors))
 
+(* P: the word-table kernel returns the reference recursion's cubes, in the
+   same order, on random tables *)
+let prop_isop_matches_reference =
+  Prop.to_alcotest ~count:300 ~name:"ISOP kernel = reference ISOP"
+    ~gen:truth_gen ~print:pp_truth (fun t ->
+      Isop.compute t = Isop_ref.compute t)
+
+(* P: the same on every cone refactoring costs, at both of the pipeline's
+   cut sizes: the tables and covers the pass actually meets *)
+let prop_isop_matches_reference_on_cones =
+  Prop.netlist ~count:20 ~params:Gen.default_params
+    "ISOP kernel = reference ISOP on refactor's cones" (fun nl ->
+      let aig = Aig.of_netlist nl in
+      List.for_all
+        (fun (cut_size, min_cone) ->
+          List.for_all
+            (fun (t, cubes) -> cubes = Isop_ref.compute t)
+            (Refactor.costed_cones ~cut_size ~min_cone aig))
+        [ (10, 3); (4, 1) ])
+
 let suite =
   ( "prop_synth",
     [
@@ -160,4 +180,6 @@ let suite =
       prop_representations_agree;
       prop_isop_cost_bound;
       prop_depends_on_cofactors;
+      prop_isop_matches_reference;
+      prop_isop_matches_reference_on_cones;
     ] )

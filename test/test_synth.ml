@@ -71,7 +71,7 @@ let prop_isop_covers_function =
       let rng = Prng.create seed in
       let f = random_truth rng nvars in
       let cubes = Isop.compute f in
-      Truth.equal (Isop.cover_truth nvars cubes) f)
+      Truth.equal (Isop_ref.cover_truth nvars cubes) f)
 
 let test_isop_constants () =
   check Alcotest.int "zero -> no cubes" 0 (List.length (Isop.compute (Truth.zero 4)));
@@ -196,6 +196,32 @@ let test_overhead_zero_for_identical () =
   check (Alcotest.float 1e-9) "area" 0.0 o.Abc.area_pct;
   check (Alcotest.float 1e-9) "delay" 0.0 o.Abc.delay_pct
 
+(* Refactor's scratch belongs to one [Refactor.run] call, so two domains
+   optimising different netlists at the same time get the serial results *)
+let test_evaluate_on_two_domains () =
+  let netlist seed =
+    Orap_benchgen.Benchgen.generate
+      { Orap_benchgen.Benchgen.seed; num_inputs = 40; num_outputs = 20;
+        num_gates = 1500 }
+  in
+  let nls = [| netlist 3; netlist 4 |] in
+  let serial = Array.map (fun nl -> Abc.evaluate nl) nls in
+  let domains =
+    Array.map
+      (fun nl -> Domain.spawn (fun () -> List.init 3 (fun _ -> Abc.evaluate nl)))
+      nls
+  in
+  Array.iteri
+    (fun i d ->
+      List.iter
+        (fun (m : Abc.metrics) ->
+          check Alcotest.(pair int int)
+            (Printf.sprintf "netlist %d: ands, levels" i)
+            (serial.(i).Abc.ands, serial.(i).Abc.levels)
+            (m.ands, m.levels))
+        (Domain.join d))
+    domains
+
 let suite =
   ( "synth",
     [
@@ -216,4 +242,5 @@ let suite =
       tc "balance reduces chain depth" `Quick test_balance_reduces_chain_depth;
       tc "strash dedups redundancy" `Quick test_refactor_compresses_redundancy;
       tc "overhead of identical circuit is 0" `Quick test_overhead_zero_for_identical;
+      tc "evaluate on two domains = serial" `Quick test_evaluate_on_two_domains;
     ] )
