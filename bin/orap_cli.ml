@@ -106,9 +106,21 @@ let fixture_gates default =
 let fixture_key_size default =
   Arg.(value & opt (int_at_least 2) default & info [ "key-size" ] ~doc:"key bits")
 
-let read_netlist path =
-  let src = Bench_format.parse_file path in
-  src.Bench_format.netlist
+(* a .bench file argument, read and parsed while the command line is: a
+   missing, unreadable or malformed file is a usage error *)
+let netlist_file =
+  let parse path =
+    match Bench_format.parse_file path with
+    | src -> Ok src.Bench_format.netlist
+    | exception Sys_error msg -> Error (`Msg msg)
+    | exception Bench_format.Parse_error (0, msg) | exception N.Invalid msg ->
+      Error (`Msg (Printf.sprintf "%s: %s" path msg))
+    | exception Bench_format.Parse_error (line, msg) ->
+      Error (`Msg (Printf.sprintf "%s: line %d: %s" path line msg))
+  in
+  Arg.conv ~docv:"BENCH" (parse, fun ppf _ -> Format.pp_print_string ppf "<netlist>")
+
+let bench_arg = Arg.(required & pos 0 (some netlist_file) None & info [] ~docv:"BENCH")
 
 (* --- generate --- *)
 
@@ -134,8 +146,7 @@ let generate_cmd =
 (* --- lock --- *)
 
 let lock_cmd =
-  let run input technique key_size ctrl out =
-    let nl = read_netlist input in
+  let run nl technique key_size ctrl out =
     let locked =
       match technique with
       | `Weighted -> Orap_locking.Weighted.lock nl ~key_size ~ctrl_inputs:ctrl
@@ -152,7 +163,6 @@ let lock_cmd =
     Printf.printf "wrote %s (%s)\ncorrect key: %s\n" out
       locked.Locked.technique key
   in
-  let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH") in
   let technique =
     Arg.(
       value
@@ -168,14 +178,13 @@ let lock_cmd =
   let out = Arg.(value & opt string "locked.bench" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v
     (Cmd.info "lock" ~doc:"Lock a circuit with a combinational locking technique")
-    Term.(const run $ input $ technique $ key_size $ ctrl $ out)
+    Term.(const run $ bench_arg $ technique $ key_size $ ctrl $ out)
 
 (* --- atpg --- *)
 
 let atpg_cmd =
-  let run input words limit obs =
+  let run nl words limit obs =
     with_obs obs @@ fun () ->
-    let nl = read_netlist input in
     let r = Orap_atpg.Atpg.run ~random_words:words ~backtrack_limit:limit nl in
     Printf.printf
       "faults: %d\ndetected: %d (%.2f%%)\nredundant: %d\naborted: %d\nrandom-phase detections: %d\ndeterministic patterns: %d\n"
@@ -184,12 +193,15 @@ let atpg_cmd =
       r.Orap_atpg.Atpg.aborted r.Orap_atpg.Atpg.random_detected
       (List.length r.Orap_atpg.Atpg.patterns)
   in
-  let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH") in
-  let words = Arg.(value & opt int 32 & info [ "random-words" ] ~doc:"64-pattern random words") in
-  let limit = Arg.(value & opt int 64 & info [ "backtrack-limit" ] ~doc:"PODEM backtrack limit") in
+  let words =
+    Arg.(value & opt (int_at_least 0) 32 & info [ "random-words" ] ~doc:"64-pattern random words")
+  in
+  let limit =
+    Arg.(value & opt (int_at_least 0) 64 & info [ "backtrack-limit" ] ~doc:"PODEM backtrack limit")
+  in
   Cmd.v
     (Cmd.info "atpg" ~doc:"Stuck-at ATPG (random phase + PODEM)")
-    Term.(const run $ input $ words $ limit $ obs_opts)
+    Term.(const run $ bench_arg $ words $ limit $ obs_opts)
 
 (* --- attack --- *)
 
@@ -428,16 +440,14 @@ let tracecheck_cmd =
     Term.(ret (const run $ input $ to_chrome))
 
 let export_cmd =
-  let run input out =
-    let nl = read_netlist input in
+  let run nl out =
     Orap_netlist.Verilog.print_to_file out nl;
     Printf.printf "wrote %s (structural Verilog, %d gates)\n" out
       (N.gate_count nl)
   in
-  let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH") in
   let out = Arg.(value & opt string "out.v" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v (Cmd.info "export" ~doc:"Convert a .bench netlist to structural Verilog")
-    Term.(const run $ input $ out)
+    Term.(const run $ bench_arg $ out)
 
 let main =
   Cmd.group

@@ -4,12 +4,16 @@
     simulation (the paper uses HOPE for the two largest circuits); phase 2
     runs PODEM on each survivor, fault-simulating every generated test to
     drop whatever else it catches.  Faults that PODEM exhausts are counted
-    redundant; faults hitting the backtrack/decision limit are aborted. *)
+    redundant; faults hitting the backtrack/decision limit are aborted.
+
+    Each call opens one [atpg.run] span whose exit args restate the report
+    and PODEM's search effort. *)
 
 module N = Orap_netlist.Netlist
 module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Prng = Orap_sim.Prng
+module Telemetry = Orap_telemetry.Telemetry
 
 type report = {
   total_faults : int;
@@ -20,12 +24,30 @@ type report = {
   patterns : bool array list;  (** deterministic tests, PI-ordered *)
 }
 
-let coverage r = 100.0 *. float_of_int r.detected /. float_of_int r.total_faults
+let coverage r =
+  if r.total_faults = 0 then 100.0
+  else 100.0 *. float_of_int r.detected /. float_of_int r.total_faults
 
 let redundant_plus_aborted r = r.redundant + r.aborted
 
+(* one PODEM call per test, redundancy proof or abort *)
+let span_args ((r : report), (s : Podem.stats)) =
+  let podem_calls = List.length r.patterns + r.redundant + r.aborted in
+  Telemetry.
+    [
+      ("faults", Int r.total_faults);
+      ("random_detected", Int r.random_detected);
+      ("podem_calls", Int podem_calls);
+      ("redundant", Int r.redundant);
+      ("aborted", Int r.aborted);
+      ("decisions", Int s.Podem.decisions);
+      ("backtracks", Int s.Podem.backtracks);
+      ("implications", Int s.Podem.implications);
+    ]
+
 let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
     : report =
+  fst @@ Telemetry.span "atpg.run" ~exit_args:span_args @@ fun () ->
   let faults = Fault.collapsed_list nl in
   let total = Array.length faults in
   let remaining = Array.make total true in
@@ -59,14 +81,15 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
         | Podem.Aborted -> incr aborted
       end)
     faults;
-  {
-    total_faults = total;
-    detected = !det;
-    redundant = !redundant;
-    aborted = !aborted;
-    random_detected = stats.Fsim.detected;
-    patterns = List.rev !patterns;
-  }
+  ( {
+      total_faults = total;
+      detected = !det;
+      redundant = !redundant;
+      aborted = !aborted;
+      random_detected = stats.Fsim.detected;
+      patterns = List.rev !patterns;
+    },
+    Podem.stats engine )
 
 (** Reverse-order test compaction: re-fault-simulate the deterministic
     patterns latest-first and keep only those that detect a not-yet-covered

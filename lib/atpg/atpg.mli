@@ -11,7 +11,8 @@ type report = {
   patterns : bool array list;  (** deterministic tests, PI-ordered *)
 }
 
-(** Fault coverage in percent: detected / total. *)
+(** Fault coverage in percent: detected / total; 100.0 when there are no
+    faults, which are then all (vacuously) covered. *)
 val coverage : report -> float
 
 (** Table II's last column. *)

@@ -17,9 +17,21 @@
     are monotone, so every node that changed after the mark was [X] at the
     mark.
 
+    Implication is confined to the fault's region R = TFO(site) ∪
+    TFI(TFO(site)), the fault node's fanout cone and everything that cone
+    reads.  The search reads no node outside R: objectives, the
+    D-frontier, X-paths and detection live in the TFO; backtrace and
+    [pick_x] walk fanins of TFO nodes or of the activation target (the
+    fault node or one of its fanins); and test extraction reads inputs, of
+    which one outside R is never decided.  R is fanin-closed, so no node outside
+    it can schedule or feed one inside it: every node of R is evaluated in
+    the same id order, to the same value, as under whole-circuit
+    implication, and the search is the same step for step.
+
     The fold order of [d_nodes] (a [Hashtbl]) breaks ties between frontier
     gates at equal distance to an output, so the table's exact history of
-    [replace]/[remove]/[reset] is part of Table II's output. *)
+    [replace]/[remove]/[reset] is part of Table II's output.  Only nodes of
+    R carry D/D', so R leaves that history as it was. *)
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
@@ -75,12 +87,20 @@ type engine = {
   mutable stamp : int;
   frontier : int array;  (* distinct nodes, thanks to [seen] *)
   mutable frontier_len : int;
+  (* the fault's region: node [n] is in it iff [region.(n) = region_stamp];
+     [frontier] doubles as the worklist that marks it *)
+  region : int array;
+  mutable region_stamp : int;
   (* the current fault: its node, fanin position (-1 = output stem), stuck
      value and the table applying it *)
   mutable fault_node : int;
   mutable fault_pos : int;
   mutable stuck : bool;
   mutable faulted : Bytes.t;
+  (* cumulative over every [run] *)
+  mutable decisions : int;
+  mutable backtracks : int;
+  mutable implications : int;
 }
 
 let create (nl : N.t) : engine =
@@ -109,10 +129,15 @@ let create (nl : N.t) : engine =
     stamp = 0;
     frontier = Array.make n 0;
     frontier_len = 0;
+    region = Array.make n 0;
+    region_stamp = 0;
     fault_node = -1;
     fault_pos = -1;
     stuck = false;
     faulted = faulted_t.(0);
+    decisions = 0;
+    backtracks = 0;
+    implications = 0;
   }
 
 let[@inline] get e n = Char.code (Bytes.unsafe_get e.values n)
@@ -186,16 +211,44 @@ let undo_to e mark =
   done;
   e.trail_len <- mark
 
+let[@inline] in_region e n = Array.unsafe_get e.region n = e.region_stamp
+
 let schedule_fanouts e n =
   let fo = e.fanouts.(n) in
   for i = 0 to Array.length fo - 1 do
-    Pending.push e.pending fo.(i)
+    let r = Array.unsafe_get fo i in
+    if in_region e r then Pending.push e.pending r
+  done
+
+(* stamp the fault's region: the fanout cone of the fault node, then
+   everything that cone reads, each node's fanouts or fanins walked once *)
+let mark_region e =
+  e.region_stamp <- e.region_stamp + 1;
+  let q = e.frontier and len = ref 0 in
+  let add n =
+    if not (in_region e n) then begin
+      e.region.(n) <- e.region_stamp;
+      q.(!len) <- n;
+      incr len
+    end
+  in
+  add e.fault_node;
+  let i = ref 0 in
+  while !i < !len do
+    Array.iter add e.fanouts.(q.(!i));
+    incr i
+  done;
+  i := 0;
+  while !i < !len do
+    Array.iter add (N.fanins e.nl q.(!i));
+    incr i
   done
 
 (* drain the pending events in id (= topological) order *)
 let rec propagate e =
   let i = Pending.pop e.pending in
   if i >= 0 then begin
+    e.implications <- e.implications + 1;
     let v = eval_node e i in
     if v <> get e i then begin
       set_value e i v;
@@ -372,12 +425,13 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
     e.fault_pos <- pos);
   e.stuck <- fault.Fault.stuck;
   e.faulted <- faulted_t.(Bool.to_int e.stuck);
+  mark_region e;
   (* reset state *)
   Bytes.fill e.values 0 (Bytes.length e.values) (Char.chr c_x);
   Hashtbl.reset e.d_nodes;
   e.d_outputs <- 0;
   (* constants and their cones must be implied up-front *)
-  Array.iter (Pending.push e.pending) e.consts;
+  Array.iter (fun c -> if in_region e c then Pending.push e.pending c) e.consts;
   propagate e;
   e.trail_len <- 0;
   let ni = N.num_inputs e.nl in
@@ -453,4 +507,11 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
         end
     end
   done;
+  e.decisions <- e.decisions + !decisions;
+  e.backtracks <- e.backtracks + !backtracks;
   match !result with Some r -> r | None -> assert false
+
+type stats = { decisions : int; backtracks : int; implications : int }
+
+let stats (e : engine) =
+  { decisions = e.decisions; backtracks = e.backtracks; implications = e.implications }

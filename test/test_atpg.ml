@@ -7,6 +7,10 @@ module Podem = Orap_atpg.Podem
 module Atpg = Orap_atpg.Atpg
 module Fault = Orap_faultsim.Fault
 module Sim = Orap_sim.Sim
+module Telemetry = Orap_telemetry.Telemetry
+module Table2 = Orap_experiments.Table2
+module Benchgen = Orap_benchgen.Benchgen
+module Runner = Orap_runner.Runner
 
 (* --- five-valued algebra --- *)
 
@@ -158,6 +162,76 @@ let test_atpg_deterministic () =
   check Alcotest.int "same detected" r1.Atpg.detected r2.Atpg.detected;
   check Alcotest.int "same aborted" r1.Atpg.aborted r2.Atpg.aborted
 
+let test_atpg_no_faults () =
+  let b = N.Builder.create () in
+  ignore (N.Builder.add_input b);
+  let r = Atpg.run (N.Builder.finish b) in
+  check Alcotest.int "no faults" 0 r.Atpg.total_faults;
+  check (Alcotest.float 0.0) "vacuously covered" 100.0 (Atpg.coverage r)
+
+(* the [atpg.run] spans of [f], as (arg name, int value) lists *)
+let atpg_spans f =
+  let sink, events = Telemetry.memory () in
+  let x = Telemetry.with_sink sink f in
+  ( x,
+    List.filter_map
+      (fun ev ->
+        if ev.Telemetry.name <> "atpg.run" then None
+        else
+          Some
+            (List.filter_map
+               (function k, Telemetry.Int v -> Some (k, v) | _ -> None)
+               ev.Telemetry.args))
+      (events ()) )
+
+let test_atpg_span_restates_report () =
+  let nl = random_netlist ~inputs:12 ~outputs:8 ~gates:150 5 in
+  let r, spans = atpg_spans (fun () -> Atpg.run ~random_words:1 ~backtrack_limit:4 nl) in
+  match spans with
+  | [ args ] ->
+    let arg k = List.assoc k args in
+    check Alcotest.int "faults" r.Atpg.total_faults (arg "faults");
+    check Alcotest.int "random_detected" r.Atpg.random_detected (arg "random_detected");
+    check Alcotest.int "redundant" r.Atpg.redundant (arg "redundant");
+    check Alcotest.int "aborted" r.Atpg.aborted (arg "aborted");
+    check Alcotest.int "podem_calls: one per test, proof or abort"
+      (List.length r.Atpg.patterns + r.Atpg.redundant + r.Atpg.aborted)
+      (arg "podem_calls");
+    check Alcotest.bool "PODEM ran" true (arg "podem_calls" > 0);
+    check Alcotest.bool "a search step per call" true (arg "decisions" >= arg "podem_calls");
+    check Alcotest.bool "search effort recorded" true
+      (arg "backtracks" >= 0 && arg "implications" > 0)
+  | _ -> Alcotest.fail "expected exactly one atpg.run span"
+
+(* Table II's b19 cell at scale 96 and seed 2020: restricting implication
+   to the fault's region must leave PODEM's search unchanged step for step
+   (the decision and backtrack counts of the whole-circuit engine) while
+   draining far fewer events *)
+let test_podem_search_pinned () =
+  let b19 = List.filter (fun p -> p.Benchgen.name = "b19") Benchgen.table1_profiles in
+  let _, spans =
+    atpg_spans (fun () ->
+        Table2.run
+          ~params:{ Table2.default_params with Table2.scale = 96 }
+          ~options:{ Runner.default_options with Runner.jobs = 1 }
+          ~profiles:b19 ())
+  in
+  let side faults =
+    match List.find_opt (fun args -> List.assoc "faults" args = faults) spans with
+    | Some args -> fun k -> List.assoc k args
+    | None -> Alcotest.failf "no atpg.run span over %d faults" faults
+  in
+  (* original, then protected: faults, decisions, backtracks, and the
+     implications the whole-circuit engine drained *)
+  List.iter
+    (fun (faults, decisions, backtracks, whole_circuit) ->
+      let arg = side faults in
+      check Alcotest.int "decisions" decisions (arg "decisions");
+      check Alcotest.int "backtracks" backtracks (arg "backtracks");
+      check Alcotest.bool "implications fell by half or more" true
+        (2 * arg "implications" <= whole_circuit))
+    [ (7956, 40549, 17659, 5698930); (8162, 43297, 16174, 4259257) ]
+
 let suite =
   ( "atpg",
     [
@@ -171,4 +245,7 @@ let suite =
       tc "redundant fault identified" `Quick test_podem_redundant_circuit;
       tc "ATPG driver accounting" `Quick test_atpg_driver_accounting;
       tc "ATPG determinism" `Quick test_atpg_deterministic;
+      tc "ATPG coverage with no faults" `Quick test_atpg_no_faults;
+      tc "atpg.run span restates the report" `Quick test_atpg_span_restates_report;
+      tc "PODEM search pinned on b19/96" `Quick test_podem_search_pinned;
     ] )

@@ -2,13 +2,14 @@
     simulator against forced-value resimulation, PODEM's generated
     vectors against the fault simulator — three independent
     implementations of "does this pattern detect this fault?" — and the
-    trail-undo PODEM engine against the re-implying reference engine of
-    [Podem_ref]. *)
+    trail-undo, region-restricted PODEM engine against the re-implying,
+    whole-circuit reference engine of [Podem_ref]. *)
 
 open Util
 module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Podem = Orap_atpg.Podem
+module Scoap = Orap_atpg.Scoap
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
 
@@ -134,6 +135,45 @@ let prop_podem_matches_reference =
           = Podem_ref.run reference fault ~backtrack_limit)
         (differential_faults nl rng))
 
+(* nodes in the fanout cone of [n] or read by it: the region PODEM
+   implies for a fault at [n] *)
+let region_size nl n =
+  let fanouts = N.fanouts nl in
+  let cone next roots =
+    let mark = Array.make (N.num_nodes nl) false in
+    let rec walk m =
+      if not mark.(m) then begin
+        mark.(m) <- true;
+        Array.iter walk (next m)
+      end
+    in
+    List.iter walk roots;
+    List.filter (fun m -> mark.(m)) (List.init (N.num_nodes nl) Fun.id)
+  in
+  List.length (cone (N.fanins nl) (cone (Array.get fanouts) [ n ]))
+
+(* P: on faults near an output of a multi-output netlist, whose region
+   leaves out some of the circuit, the region-restricted engine finds the
+   same outcome as the reference that implies every node *)
+let prop_podem_region_matches_reference =
+  Prop.netlist_with_seed ~count:40 "PODEM on a partial region matches the reference"
+    (fun nl ~aux ->
+      let rng = Prng.create aux in
+      let dist = (Scoap.compute nl).Scoap.dist_po in
+      let node f = match f.Fault.site with Fault.Output n | Fault.Input (n, _) -> n in
+      let near =
+        List.filter
+          (fun f -> dist.(node f) <= 1 && region_size nl (node f) < N.num_nodes nl)
+          (Array.to_list (Fault.collapsed_list nl))
+      in
+      let engine = Podem.create nl and reference = Podem_ref.create nl in
+      List.for_all
+        (fun fault ->
+          let backtrack_limit = Gen.oneof [| 0; 1; 2; 5; 64; 2000 |] rng in
+          Podem.run engine fault ~backtrack_limit
+          = Podem_ref.run reference fault ~backtrack_limit)
+        near)
+
 (* A fault whose search grows [d_nodes] past 128 entries, undoes the
    decision that did so, and then breaks a frontier tie.  [c] = CONST1
    stuck-at-0 carries D from the start.  PODEM first sets [w] = 1 for [K]
@@ -184,5 +224,6 @@ let suite =
       prop_podem_vectors_detect;
       prop_podem_redundant_means_undetectable;
       prop_podem_matches_reference;
+      prop_podem_region_matches_reference;
       tc "PODEM matches the reference after a wide undo" `Quick test_podem_wide_backtrack;
     ] )

@@ -1,4 +1,4 @@
-(** Verilog export and ATPG test compaction. *)
+(** Verilog export, ATPG test compaction and the CLI's [.bench] readers. *)
 
 open Util
 module N = Orap_netlist.Netlist
@@ -132,6 +132,52 @@ let test_compaction_preserves_coverage () =
   check Alcotest.int "same deterministic coverage" (covered original)
     (covered compacted)
 
+(* every subcommand that reads a .bench file reports a missing or
+   malformed one as a usage error (exit 124) naming the file, rather than
+   as an uncaught exception (exit 125) *)
+let test_cli_rejects_bad_bench () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let bench text =
+    let path = Filename.temp_file "orap" ".bench" in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    path
+  in
+  let cases =
+    [
+      (bench "INPUT(a)\nOUTPUT(z)\n", "undefined signal");
+      (bench "INPUT(a)\nz = AND(a\n", "line 2:");
+      (bench "INPUT(a)\nOUTPUT(z)\nz = NOT(a, a)\n", "cannot take 2 fanins");
+      (Filename.concat (Filename.get_temp_dir_name ()) "orap-missing.bench", "No such file");
+    ]
+  in
+  let err = Filename.temp_file "orap" ".err" in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (path, msg) ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s %s > /dev/null 2> %s" (Filename.quote cli) cmd
+                 (Filename.quote path) (Filename.quote err))
+          in
+          (* cmdliner wraps long messages: compare with spaces collapsed *)
+          let stderr =
+            In_channel.with_open_text err In_channel.input_all
+            |> String.map (fun c -> if c = '\n' then ' ' else c)
+            |> String.split_on_char ' '
+            |> List.filter (( <> ) "")
+            |> String.concat " "
+          in
+          let what = Printf.sprintf "orap %s, %s" cmd msg in
+          check Alcotest.int (what ^ ": exit code") 124 code;
+          if not (contains stderr (path ^ ": ") && contains stderr msg) then
+            Alcotest.failf "%s: the message does not name the file and the fault: %S"
+              what stderr)
+        cases)
+    [ "lock"; "atpg"; "export" ];
+  List.iter (fun (path, _) -> if Sys.file_exists path then Sys.remove path) cases;
+  Sys.remove err
+
 let suite =
   ( "tools",
     [
@@ -141,4 +187,5 @@ let suite =
       tc "dot covers structure" `Quick test_dot_covers_structure;
       tc "verilog deterministic" `Quick test_verilog_deterministic;
       tc "compaction preserves coverage" `Quick test_compaction_preserves_coverage;
+      tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
     ] )
