@@ -135,9 +135,15 @@ let generate_cmd =
       (N.gate_count nl) (N.num_inputs nl) (N.num_outputs nl) (N.depth nl)
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed") in
-  let inputs = Arg.(value & opt int 64 & info [ "inputs" ] ~doc:"primary inputs") in
-  let outputs = Arg.(value & opt int 32 & info [ "outputs" ] ~doc:"primary outputs") in
-  let gates = Arg.(value & opt int 1000 & info [ "gates" ] ~doc:"target gate count") in
+  let inputs =
+    Arg.(value & opt (int_at_least 2) 64 & info [ "inputs" ] ~doc:"primary inputs")
+  in
+  let outputs =
+    Arg.(value & opt (int_at_least 1) 32 & info [ "outputs" ] ~doc:"primary outputs")
+  in
+  let gates =
+    Arg.(value & opt (int_at_least 1) 1000 & info [ "gates" ] ~doc:"target gate count")
+  in
   let out = Arg.(value & opt string "out.bench" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic benchmark circuit (.bench)")
@@ -146,22 +152,27 @@ let generate_cmd =
 (* --- lock --- *)
 
 let lock_cmd =
+  let lock nl technique key_size ctrl =
+    match technique with
+    | `Weighted -> Orap_locking.Weighted.lock nl ~key_size ~ctrl_inputs:ctrl
+    | `Random -> Orap_locking.Random_ll.lock nl ~key_size
+    | `Sarlock -> Orap_locking.Sarlock.lock nl ~key_size
+    | `Antisat -> Orap_locking.Antisat.lock nl ~key_size
+  in
   let run nl technique key_size ctrl out =
-    let locked =
-      match technique with
-      | `Weighted -> Orap_locking.Weighted.lock nl ~key_size ~ctrl_inputs:ctrl
-      | `Random -> Orap_locking.Random_ll.lock nl ~key_size
-      | `Sarlock -> Orap_locking.Sarlock.lock nl ~key_size
-      | `Antisat -> Orap_locking.Antisat.lock nl ~key_size
-    in
-    Bench_format.print_to_file out locked.Locked.netlist;
-    let key =
-      String.concat ""
-        (List.map (fun b -> if b then "1" else "0")
-           (Array.to_list locked.Locked.correct_key))
-    in
-    Printf.printf "wrote %s (%s)\ncorrect key: %s\n" out
-      locked.Locked.technique key
+    (* a key the circuit cannot hold ("circuit too small") is a usage error *)
+    match lock nl technique key_size ctrl with
+    | exception Invalid_argument msg -> `Error (true, msg)
+    | locked ->
+      Bench_format.print_to_file out locked.Locked.netlist;
+      let key =
+        String.concat ""
+          (List.map (fun b -> if b then "1" else "0")
+             (Array.to_list locked.Locked.correct_key))
+      in
+      Printf.printf "wrote %s (%s)\ncorrect key: %s\n" out
+        locked.Locked.technique key;
+      `Ok ()
   in
   let technique =
     Arg.(
@@ -173,12 +184,16 @@ let lock_cmd =
           `Weighted
       & info [ "technique" ] ~doc:"weighted|random|sarlock|antisat")
   in
-  let key_size = Arg.(value & opt int 64 & info [ "key-size" ] ~doc:"key bits") in
-  let ctrl = Arg.(value & opt int 3 & info [ "ctrl-inputs" ] ~doc:"control gate width") in
+  let key_size =
+    Arg.(value & opt (int_at_least 1) 64 & info [ "key-size" ] ~doc:"key bits")
+  in
+  let ctrl =
+    Arg.(value & opt (int_at_least 1) 3 & info [ "ctrl-inputs" ] ~doc:"control gate width")
+  in
   let out = Arg.(value & opt string "locked.bench" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v
     (Cmd.info "lock" ~doc:"Lock a circuit with a combinational locking technique")
-    Term.(const run $ bench_arg $ technique $ key_size $ ctrl $ out)
+    Term.(ret (const run $ bench_arg $ technique $ key_size $ ctrl $ out))
 
 (* --- atpg --- *)
 

@@ -7,7 +7,9 @@
     redundant; faults hitting the backtrack/decision limit are aborted.
 
     Each call opens one [atpg.run] span whose exit args restate the report
-    and PODEM's search effort. *)
+    and PODEM's search effort, and count the faults fault dropping injected
+    ([drop_injections], both phases: faults whose site already carries the
+    stuck value are skipped). *)
 
 module N = Orap_netlist.Netlist
 module Fault = Orap_faultsim.Fault
@@ -31,7 +33,7 @@ let coverage r =
 let redundant_plus_aborted r = r.redundant + r.aborted
 
 (* one PODEM call per test, redundancy proof or abort *)
-let span_args ((r : report), (s : Podem.stats)) =
+let span_args ((r : report), (s : Podem.stats), drop_injections) =
   let podem_calls = List.length r.patterns + r.redundant + r.aborted in
   Telemetry.
     [
@@ -43,11 +45,12 @@ let span_args ((r : report), (s : Podem.stats)) =
       ("decisions", Int s.Podem.decisions);
       ("backtracks", Int s.Podem.backtracks);
       ("implications", Int s.Podem.implications);
+      ("drop_injections", Int drop_injections);
     ]
 
 let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
     : report =
-  fst @@ Telemetry.span "atpg.run" ~exit_args:span_args @@ fun () ->
+  (fun (r, _, _) -> r) @@ Telemetry.span "atpg.run" ~exit_args:span_args @@ fun () ->
   let faults = Fault.collapsed_list nl in
   let total = Array.length faults in
   let remaining = Array.make total true in
@@ -89,7 +92,8 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
       random_detected = stats.Fsim.detected;
       patterns = List.rev !patterns;
     },
-    Podem.stats engine )
+    Podem.stats engine,
+    stats.Fsim.injections + fsim.Fsim.injections )
 
 (** Reverse-order test compaction: re-fault-simulate the deterministic
     patterns latest-first and keep only those that detect a not-yet-covered

@@ -7,7 +7,9 @@
 
     Node values are stored as one byte per node (the codes of [F], [T], [D],
     [D'], [X] are 0..4) and gates are evaluated through 5×5 tables built
-    from {!Five}.  Node ids are topological, so pending events are drained
+    from {!Five}.  Only the fault node evaluates through the fault
+    ([eval_faulty]); every other node reads its fanins' values directly
+    ([eval_plain]).  Node ids are topological, so pending events are drained
     in ascending id order from a bit per node ({!Orap_faultsim.Pending}).
 
     Every value change is recorded on a trail, and each decision keeps the
@@ -26,7 +28,8 @@
     which one outside R is never decided.  R is fanin-closed, so no node outside
     it can schedule or feed one inside it: every node of R is evaluated in
     the same id order, to the same value, as under whole-circuit
-    implication, and the search is the same step for step.
+    implication, and the search is the same step for step.  R depends on
+    the fault node alone and is marked again only when that node changes.
 
     The fold order of [d_nodes] (a [Hashtbl]) breaks ties between frontier
     gates at equal distance to an output, so the table's exact history of
@@ -88,9 +91,12 @@ type engine = {
   frontier : int array;  (* distinct nodes, thanks to [seen] *)
   mutable frontier_len : int;
   (* the fault's region: node [n] is in it iff [region.(n) = region_stamp];
-     [frontier] doubles as the worklist that marks it *)
+     [frontier] doubles as the worklist that marks it.  It depends on the
+     fault node alone, so it is kept while consecutive faults share
+     [region_node] *)
   region : int array;
   mutable region_stamp : int;
+  mutable region_node : int;
   (* the current fault: its node, fanin position (-1 = output stem), stuck
      value and the table applying it *)
   mutable fault_node : int;
@@ -131,6 +137,7 @@ let create (nl : N.t) : engine =
     frontier_len = 0;
     region = Array.make n 0;
     region_stamp = 0;
+    region_node = -1;
     fault_node = -1;
     fault_pos = -1;
     stuck = false;
@@ -142,45 +149,78 @@ let create (nl : N.t) : engine =
 
 let[@inline] get e n = Char.code (Bytes.unsafe_get e.values n)
 
-(* fanin [pos] of [fan], with the fault inserted when it is the faulty
-   branch; [fpos] is the fault position when [fan] belongs to the fault
-   node, else -2 *)
-let[@inline] operand e fan fpos pos =
-  let v = get e fan.(pos) in
-  if pos = fpos then ap1 e.faulted v else v
+(* [fan]'s values folded through table [t] from its identity [init]: a
+   fault-free node *)
+let fold e fan t init =
+  if Array.length fan = 2 then
+    ap2 t (get e (Array.unsafe_get fan 0)) (get e (Array.unsafe_get fan 1))
+  else begin
+    let acc = ref init in
+    for pos = 0 to Array.length fan - 1 do
+      acc := ap2 t !acc (get e (Array.unsafe_get fan pos))
+    done;
+    !acc
+  end
 
-let fold e fan fpos t init =
+(* value of fault-free node [n] recomputed from current fanin values *)
+let eval_plain e n =
+  let fan = N.fanins e.nl n in
+  match N.kind e.nl n with
+  | Gate.Input -> get e n
+  | Gate.Const0 -> c_f
+  | Gate.Const1 -> c_t
+  | Gate.Buf -> get e fan.(0)
+  | Gate.Not -> ap1 not_t (get e fan.(0))
+  | Gate.And -> fold e fan and_t c_t
+  | Gate.Nand -> ap1 not_t (fold e fan and_t c_t)
+  | Gate.Or -> fold e fan or_t c_f
+  | Gate.Nor -> ap1 not_t (fold e fan or_t c_f)
+  | Gate.Xor -> fold e fan xor_t c_f
+  | Gate.Xnor -> ap1 not_t (fold e fan xor_t c_f)
+  | Gate.Mux ->
+    let sel = get e fan.(0) in
+    ap2 or_t (ap2 and_t (ap1 not_t sel) (get e fan.(1))) (ap2 and_t sel (get e fan.(2)))
+
+(* fanin [pos] of the fault node, with the fault inserted when it is the
+   faulty branch *)
+let[@inline] operand e fan pos =
+  let v = get e fan.(pos) in
+  if pos = e.fault_pos then ap1 e.faulted v else v
+
+let fold_faulty e fan t init =
   let acc = ref init in
   for pos = 0 to Array.length fan - 1 do
-    acc := ap2 t !acc (operand e fan fpos pos)
+    acc := ap2 t !acc (operand e fan pos)
   done;
   !acc
 
-(* value of node [n] recomputed from current fanin values, with the fault
-   inserted *)
-let eval_node e n =
+(* value of the fault node, with the fault inserted *)
+let eval_faulty e n =
   let fan = N.fanins e.nl n in
-  let fpos = if n = e.fault_node then e.fault_pos else -2 in
   let v =
     match N.kind e.nl n with
     | Gate.Input -> get e n
     | Gate.Const0 -> c_f
     | Gate.Const1 -> c_t
-    | Gate.Buf -> operand e fan fpos 0
-    | Gate.Not -> ap1 not_t (operand e fan fpos 0)
-    | Gate.And -> fold e fan fpos and_t c_t
-    | Gate.Nand -> ap1 not_t (fold e fan fpos and_t c_t)
-    | Gate.Or -> fold e fan fpos or_t c_f
-    | Gate.Nor -> ap1 not_t (fold e fan fpos or_t c_f)
-    | Gate.Xor -> fold e fan fpos xor_t c_f
-    | Gate.Xnor -> ap1 not_t (fold e fan fpos xor_t c_f)
+    | Gate.Buf -> operand e fan 0
+    | Gate.Not -> ap1 not_t (operand e fan 0)
+    | Gate.And -> fold_faulty e fan and_t c_t
+    | Gate.Nand -> ap1 not_t (fold_faulty e fan and_t c_t)
+    | Gate.Or -> fold_faulty e fan or_t c_f
+    | Gate.Nor -> ap1 not_t (fold_faulty e fan or_t c_f)
+    | Gate.Xor -> fold_faulty e fan xor_t c_f
+    | Gate.Xnor -> ap1 not_t (fold_faulty e fan xor_t c_f)
     | Gate.Mux ->
-      let sel = operand e fan fpos 0 in
+      let sel = operand e fan 0 in
       ap2 or_t
-        (ap2 and_t (ap1 not_t sel) (operand e fan fpos 1))
-        (ap2 and_t sel (operand e fan fpos 2))
+        (ap2 and_t (ap1 not_t sel) (operand e fan 1))
+        (ap2 and_t sel (operand e fan 2))
   in
-  if fpos = -1 then ap1 e.faulted v else v
+  if e.fault_pos < 0 then ap1 e.faulted v else v
+
+(* value of node [n] recomputed from current fanin values; only the fault
+   node reads through the fault *)
+let[@inline] eval_node e n = if n = e.fault_node then eval_faulty e n else eval_plain e n
 
 let d_count e n c = if is_d c && e.is_output.(n) then 1 else 0
 
@@ -235,12 +275,18 @@ let mark_region e =
   add e.fault_node;
   let i = ref 0 in
   while !i < !len do
-    Array.iter add e.fanouts.(q.(!i));
+    let fo = e.fanouts.(q.(!i)) in
+    for j = 0 to Array.length fo - 1 do
+      add (Array.unsafe_get fo j)
+    done;
     incr i
   done;
   i := 0;
   while !i < !len do
-    Array.iter add (N.fanins e.nl q.(!i));
+    let fan = N.fanins e.nl q.(!i) in
+    for j = 0 to Array.length fan - 1 do
+      add (Array.unsafe_get fan j)
+    done;
     incr i
   done
 
@@ -287,14 +333,15 @@ let d_frontier e =
   e.frontier_len <- 0;
   Hashtbl.iter
     (fun n () ->
-      Array.iter
-        (fun r ->
-          if get e r = c_x && e.seen.(r) <> e.stamp then begin
-            e.seen.(r) <- e.stamp;
-            e.frontier.(e.frontier_len) <- r;
-            e.frontier_len <- e.frontier_len + 1
-          end)
-        e.fanouts.(n))
+      let fo = e.fanouts.(n) in
+      for i = 0 to Array.length fo - 1 do
+        let r = fo.(i) in
+        if get e r = c_x && e.seen.(r) <> e.stamp then begin
+          e.seen.(r) <- e.stamp;
+          e.frontier.(e.frontier_len) <- r;
+          e.frontier_len <- e.frontier_len + 1
+        end
+      done)
     e.d_nodes
 
 (* is there a path of X-valued nodes from [n]'s output to a PO?  Memoised
@@ -322,15 +369,15 @@ let cc e b f = if b then e.scoap.Scoap.cc1.(f) else e.scoap.Scoap.cc0.(f)
    [hardest], the greatest) [b]-controllability *)
 let pick_x e ~hardest b fan =
   let best = ref (-1) in
-  Array.iter
-    (fun f ->
-      if get e f = c_x then
-        if !best < 0 then best := f
-        else begin
-          let c = cc e b f and cb = cc e b !best in
-          if (hardest && c > cb) || ((not hardest) && c < cb) then best := f
-        end)
-    fan;
+  for i = 0 to Array.length fan - 1 do
+    let f = fan.(i) in
+    if get e f = c_x then
+      if !best < 0 then best := f
+      else begin
+        let c = cc e b f and cb = cc e b !best in
+        if (hardest && c > cb) || ((not hardest) && c < cb) then best := f
+      end
+  done;
   if !best < 0 then raise Backtrace_blocked else !best
 
 (* walk an objective (node, desired boolean) down to a PI assignment *)
@@ -425,7 +472,10 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
     e.fault_pos <- pos);
   e.stuck <- fault.Fault.stuck;
   e.faulted <- faulted_t.(Bool.to_int e.stuck);
-  mark_region e;
+  if e.fault_node <> e.region_node then begin
+    e.region_node <- e.fault_node;
+    mark_region e
+  end;
   (* reset state *)
   Bytes.fill e.values 0 (Bytes.length e.values) (Char.chr c_x);
   Hashtbl.reset e.d_nodes;

@@ -6,18 +6,24 @@
     {!Orap_sim.Sim.store}, and faulty words are computed by
     {!Orap_sim.Sim.eval_gate} and written in place over the good ones.
     Before a node's word is overwritten, its good word goes on an undo log
-    ([touched] / [undo]); the output differences are read against the log
-    and every propagation restores the good words from it before it
-    returns.  Nothing is allocated.  Node ids are topological, so pending
-    events are drained in ascending id order from a bit per node
-    ({!Pending}) and every node is overwritten at most once. *)
+    ([touched] / [undo], a second store); the output differences are read
+    against the log and every propagation restores the good words from it
+    before it returns.  Node ids are topological, so pending events are
+    drained in ascending id order from a bit per node ({!Pending}) and
+    every node is overwritten at most once.
+
+    Fault dropping injects only faults that are activated somewhere: a
+    fault whose site (the node for a stem fault, the fanin for a branch
+    fault) already carries the stuck value in every lane leaves the faulty
+    circuit equal to the good one, so it is skipped without propagation.
+    [injections] counts the faults actually injected.
+
+    Dropping allocates nothing: the store is touched only through {!Sim}
+    operations that return no [int64]. *)
 
 module N = Orap_netlist.Netlist
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
-
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type t = {
   nl : N.t;
@@ -26,9 +32,10 @@ type t = {
   input_words : int64 array;  (* scratch: one word per input *)
   store : Sim.store;  (* good words; faulty ones in place while propagating *)
   touched : int array;  (* the overwritten nodes, [n_touched] of them *)
-  undo : Bytes.t;  (* the good word of [touched.(i)] at offset [8 i] *)
+  undo : Sim.store;  (* the good word of [touched.(i)] as word [i] *)
   mutable n_touched : int;
   pending : Pending.t;
+  mutable injections : int;  (* faults injected, over the engine's life *)
 }
 
 let create (nl : N.t) : t =
@@ -42,18 +49,19 @@ let create (nl : N.t) : t =
     input_words = Array.make (N.num_inputs nl) 0L;
     store = Sim.store nl;
     touched = Array.make n 0;
-    undo = Bytes.make (8 * n) '\000';
+    undo = Sim.store nl;
     n_touched = 0;
     pending = Pending.create n;
+    injections = 0;
   }
 
 (* the good word of the [i]-th touched node *)
-let[@inline] logged t i = get64 t.undo (i lsl 3)
+let[@inline] logged t i = Sim.word t.undo i
 
 (* [n] is about to be overwritten: log its good word in the next slot *)
 let[@inline] log t n =
   t.touched.(t.n_touched) <- n;
-  set64 t.undo (t.n_touched lsl 3) (Sim.word t.store n)
+  Sim.copy_word t.store n t.undo t.n_touched
 
 let schedule_fanouts t n =
   let fo = t.fanouts.(n) in
@@ -64,7 +72,7 @@ let schedule_fanouts t n =
 (* the faulty word of [n] was just written over the good word logged for
    it: keep the log entry when they differ and schedule the readers *)
 let commit t n =
-  if Sim.word t.store n <> logged t t.n_touched then begin
+  if not (Sim.same_word t.store n t.undo t.n_touched) then begin
     t.n_touched <- t.n_touched + 1;
     schedule_fanouts t n
   end
@@ -89,8 +97,11 @@ let inject t n pos w =
   commit t n;
   propagate t
 
+let[@inline] stuck_word (fault : Fault.t) = if fault.Fault.stuck then -1L else 0L
+
 let inject_fault t (fault : Fault.t) =
-  let w = if fault.Fault.stuck then -1L else 0L in
+  t.injections <- t.injections + 1;
+  let w = stuck_word fault in
   match fault.Fault.site with
   | Fault.Output n -> inject t n (-1) w
   | Fault.Input (n, pos) -> inject t n pos w
@@ -98,7 +109,7 @@ let inject_fault t (fault : Fault.t) =
 (* end a propagation: restore the good words from the undo log *)
 let restore t =
   for i = 0 to t.n_touched - 1 do
-    Sim.set_word t.store t.touched.(i) (logged t i)
+    Sim.copy_word t.undo i t.store t.touched.(i)
   done;
   t.n_touched <- 0
 
@@ -110,10 +121,21 @@ let[@inline] output_diff t i =
 let output_differs t =
   let found = ref false and i = ref 0 in
   while (not !found) && !i < t.n_touched do
-    if output_diff t !i <> 0L then found := true;
+    let n = t.touched.(!i) in
+    if t.is_output.(n) && not (Sim.same_word t.store n t.undo !i) then found := true;
     incr i
   done;
   !found
+
+(* the site already carries the stuck value in every lane: the faulty
+   circuit is the good one *)
+let unactivated t (fault : Fault.t) =
+  let site =
+    match fault.Fault.site with
+    | Fault.Output n -> n
+    | Fault.Input (n, pos) -> (N.fanins t.nl n).(pos)
+  in
+  Sim.word_is t.store site (stuck_word fault)
 
 (** Simulate one fault against one 64-pattern word: [inputs] holds one
     word per primary input.  Returns the mask of patterns that detect the
@@ -143,7 +165,7 @@ let invert_impact (t : t) node : int =
 let drop_detected t (faults : Fault.t array) (remaining : bool array) =
   let dropped = ref 0 in
   for i = 0 to Array.length faults - 1 do
-    if remaining.(i) then begin
+    if remaining.(i) && not (unactivated t faults.(i)) then begin
       inject_fault t faults.(i);
       if output_differs t then begin
         remaining.(i) <- false;
@@ -154,7 +176,11 @@ let drop_detected t (faults : Fault.t array) (remaining : bool array) =
   done;
   !dropped
 
-type stats = { mutable detected : int; mutable simulated_words : int }
+type stats = {
+  mutable detected : int;
+  mutable simulated_words : int;
+  mutable injections : int;  (** faults injected: the rest were unactivated *)
+}
 
 (** Random-pattern fault simulation with dropping.  [faults] is mutated:
     [remaining.(i)] is set to [false] when fault [i] is detected.  Returns
@@ -163,7 +189,7 @@ let random_simulate ?(seed = 99) ~words (nl : N.t) (faults : Fault.t array)
     (remaining : bool array) : stats =
   let t = create nl in
   let rng = Prng.create seed in
-  let stats = { detected = 0; simulated_words = 0 } in
+  let stats = { detected = 0; simulated_words = 0; injections = 0 } in
   for _ = 1 to words do
     for i = 0 to Array.length t.input_words - 1 do
       t.input_words.(i) <- Prng.next64 rng
@@ -172,6 +198,7 @@ let random_simulate ?(seed = 99) ~words (nl : N.t) (faults : Fault.t array)
     stats.simulated_words <- stats.simulated_words + 1;
     stats.detected <- stats.detected + drop_detected t faults remaining
   done;
+  stats.injections <- t.injections;
   stats
 
 (** Simulate a single concrete test pattern (from ATPG) against the

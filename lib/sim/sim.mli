@@ -13,11 +13,13 @@
     - After {!eval_gate}, only node [n]'s word has changed; every other
       word is as it was.  Fault simulation writes faulty words in place
       this way and restores the good ones itself.
-    - No call allocates per gate.  {!eval} and {!eval_gate} allocate
+    - {!eval}, {!eval_gate} and the word operations below allocate
       nothing at all; {!eval_bools} allocates one store per call.
 
     Node ids are topological, so a single ascending sweep is a complete
-    evaluation. *)
+    evaluation.  Each gate is dispatched once on its kind, to a loop
+    specialised to that kind; a forced fanin (a branch fault) takes a
+    general path. *)
 
 type store
 
@@ -42,6 +44,18 @@ val word : store -> int -> int64
 
 (** Overwrite the word of node [n]. *)
 val set_word : store -> int -> int64 -> unit
+
+(** The word operations below return no [int64], so they allocate nothing
+    even when a caller in another module cannot inline them. *)
+
+(** [word_is s n w]: the word of node [n] is [w]. *)
+val word_is : store -> int -> int64 -> bool
+
+(** [same_word a i b j]: node [i]'s word in [a] equals node [j]'s in [b]. *)
+val same_word : store -> int -> store -> int -> bool
+
+(** [copy_word a i b j] writes node [i]'s word in [a] as node [j]'s in [b]. *)
+val copy_word : store -> int -> store -> int -> unit
 
 (** Single-pattern simulation on a bool input assignment (by input
     position); returns the output values.  Raises [Invalid_argument] on a

@@ -7,6 +7,8 @@ module Podem = Orap_atpg.Podem
 module Atpg = Orap_atpg.Atpg
 module Fault = Orap_faultsim.Fault
 module Sim = Orap_sim.Sim
+module Prng = Orap_sim.Prng
+module Fsim = Orap_faultsim.Fsim
 module Telemetry = Orap_telemetry.Telemetry
 module Table2 = Orap_experiments.Table2
 module Benchgen = Orap_benchgen.Benchgen
@@ -184,6 +186,43 @@ let atpg_spans f =
                ev.Telemetry.args))
       (events ()) )
 
+(* replay [Atpg.run ~random_words:1]'s fault dropping (the random word,
+   then each test in order) and count the remaining faults it injects,
+   those whose site does not carry the stuck value in every lane, and those
+   it skips; PODEM's tests always detect their fault, so the tests alone
+   reproduce [remaining] *)
+let replay_drop_injections nl (r : Atpg.report) =
+  let faults = Fault.collapsed_list nl in
+  let remaining = Array.make (Array.length faults) true in
+  let injected = ref 0 and skipped = ref 0 in
+  let tally activated =
+    Array.iteri
+      (fun i f ->
+        if remaining.(i) then begin
+          let site =
+            match f.Fault.site with
+            | Fault.Output n -> n
+            | Fault.Input (n, pos) -> (N.fanins nl n).(pos)
+          in
+          if activated site f.Fault.stuck then incr injected else incr skipped
+        end)
+      faults
+  in
+  let rng = Prng.create 2020 in
+  let words = Array.init (N.num_inputs nl) (fun _ -> Prng.next64 rng) in
+  let s = Sim.store nl in
+  Sim.eval nl s words;
+  tally (fun n stuck -> Sim.word s n <> if stuck then -1L else 0L);
+  ignore (Fsim.random_simulate ~seed:2020 ~words:1 nl faults remaining);
+  let t = Fsim.create nl in
+  List.iter
+    (fun pattern ->
+      let values = eval_nodes nl pattern in
+      tally (fun n stuck -> values.(n) <> stuck);
+      ignore (Fsim.simulate_pattern t pattern faults remaining))
+    r.Atpg.patterns;
+  (!injected, !skipped)
+
 let test_atpg_span_restates_report () =
   let nl = random_netlist ~inputs:12 ~outputs:8 ~gates:150 5 in
   let r, spans = atpg_spans (fun () -> Atpg.run ~random_words:1 ~backtrack_limit:4 nl) in
@@ -200,7 +239,10 @@ let test_atpg_span_restates_report () =
     check Alcotest.bool "PODEM ran" true (arg "podem_calls" > 0);
     check Alcotest.bool "a search step per call" true (arg "decisions" >= arg "podem_calls");
     check Alcotest.bool "search effort recorded" true
-      (arg "backtracks" >= 0 && arg "implications" > 0)
+      (arg "backtracks" >= 0 && arg "implications" > 0);
+    let injected, skipped = replay_drop_injections nl r in
+    check Alcotest.int "drop_injections" injected (arg "drop_injections");
+    check Alcotest.bool "unactivated faults skipped" true (skipped > 0)
   | _ -> Alcotest.fail "expected exactly one atpg.run span"
 
 (* Table II's b19 cell at scale 96 and seed 2020: restricting implication

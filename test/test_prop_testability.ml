@@ -1,9 +1,9 @@
 (** Testability-layer properties: the event-driven parallel fault
-    simulator against forced-value resimulation, PODEM's generated
-    vectors against the fault simulator — three independent
-    implementations of "does this pattern detect this fault?" — and the
-    trail-undo, region-restricted PODEM engine against the re-implying,
-    whole-circuit reference engine of [Podem_ref]. *)
+    simulator and its fault dropping against forced-value resimulation,
+    PODEM's generated vectors against the fault simulator — three
+    independent implementations of "does this pattern detect this
+    fault?" — and the trail-undo, region-restricted PODEM engine against
+    the re-implying, whole-circuit reference engine of [Podem_ref]. *)
 
 open Util
 module Fault = Orap_faultsim.Fault
@@ -42,6 +42,64 @@ let prop_fsim_matches_forced_resim =
         done;
         !ok
       end)
+
+(* every single stuck-at fault of [nl]: both values on every stem and on
+   every fanin branch, whether or not collapsing would keep it *)
+let all_faults nl =
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun site -> [ { Fault.site; stuck = false }; { Fault.site; stuck = true } ])
+        (Fault.Output n :: List.init (Array.length (N.fanins nl n)) (fun p -> Fault.Input (n, p))))
+    (List.init (N.num_nodes nl) Fun.id)
+  |> Array.of_list
+
+(* [remaining] after dropping every fault that one of [patterns] detects
+   according to the scalar reference evaluator *)
+let reference_drop nl faults remaining patterns =
+  let outputs values = Array.map (fun o -> values.(o)) (N.outputs nl) in
+  let goods = List.map (fun p -> outputs (eval_nodes nl p)) patterns in
+  Array.mapi
+    (fun i r ->
+      r
+      && not
+           (List.exists2
+              (fun p good -> eval_with_fault nl faults.(i) p <> good)
+              patterns goods))
+    remaining
+
+let count_dropped before after =
+  let n = ref 0 in
+  Array.iteri (fun i r -> if r && not after.(i) then incr n) before;
+  !n
+
+(* P: fault dropping drops exactly the remaining faults the scalar
+   reference detects, over one random word and then two single patterns on
+   a reused engine.  Every stem and branch fault takes part, half of them
+   stuck at the value their site carries, and a third start dropped *)
+let prop_drop_matches_reference =
+  Prop.netlist_with_seed ~count:25 "fault dropping matches the reference"
+    (fun nl ~aux ->
+      let faults = all_faults nl in
+      let rng = Prng.create aux in
+      let ni = N.num_inputs nl in
+      let remaining = Array.init (Array.length faults) (fun _ -> Prng.int rng 3 > 0) in
+      (* the word [random_simulate ~seed:aux ~words:1] draws *)
+      let word_rng = Prng.create aux in
+      let words = Array.init ni (fun _ -> Prng.next64 word_rng) in
+      let before = Array.copy remaining in
+      let stats = Fsim.random_simulate ~seed:aux ~words:1 nl faults remaining in
+      let expected = reference_drop nl faults before (List.init 64 (lane_of words)) in
+      let ok = ref (remaining = expected && stats.Fsim.detected = count_dropped before remaining) in
+      let t = Fsim.create nl in
+      for _ = 1 to 2 do
+        let pattern = Prng.bool_array rng ni in
+        let before = Array.copy remaining in
+        let dropped = Fsim.simulate_pattern t pattern faults remaining in
+        let expected = reference_drop nl faults before [ pattern ] in
+        if remaining <> expected || dropped <> count_dropped before remaining then ok := false
+      done;
+      !ok)
 
 (* P: every vector PODEM emits really detects its target fault, for any
    don't-care fill *)
@@ -221,6 +279,7 @@ let suite =
   ( "prop_testability",
     [
       prop_fsim_matches_forced_resim;
+      prop_drop_matches_reference;
       prop_podem_vectors_detect;
       prop_podem_redundant_means_undetectable;
       prop_podem_matches_reference;

@@ -7,6 +7,8 @@ module Hamming = Orap_sim.Hamming
 module Equiv = Orap_proptest.Equiv
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
+module Fault = Orap_faultsim.Fault
+module Fsim = Orap_faultsim.Fsim
 
 let test_prng_deterministic () =
   let a = Prng.create 7 and b = Prng.create 7 in
@@ -71,6 +73,63 @@ let test_word_vs_bool_agree () =
         (N.outputs nl)
     done
   done
+
+(* every gate kind, and each associative kind at two and three inputs,
+   every gate an output; returns the netlist, a 2-input AND and a 3-input
+   XOR *)
+let every_kind_netlist () =
+  let b = N.Builder.create () in
+  let x = Array.init 3 (fun _ -> N.Builder.add_input b) in
+  let gate k fan =
+    let n = N.Builder.add_node b k fan in
+    N.Builder.mark_output b n;
+    n
+  in
+  List.iter
+    (fun (k, fan) -> ignore (gate k fan))
+    Gate.[ (Const0, [||]); (Const1, [||]); (Buf, [| x.(0) |]); (Not, [| x.(1) |]); (Mux, x) ];
+  let two_three k = (gate k [| x.(0); x.(1) |], gate k x) in
+  let and2, _ = two_three Gate.And in
+  List.iter (fun k -> ignore (two_three k)) Gate.[ Nand; Or; Nor; Xnor ];
+  let _, xor3 = two_three Gate.Xor in
+  (N.Builder.finish b, and2, xor3)
+
+(* minor words allocated by the second of two calls of [f] *)
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* the word kernels allocate nothing: evaluation, the one-gate switch
+   without a fault, and dropping a stem and a branch fault (injection,
+   propagation, detection and restore) on a reused engine *)
+let test_kernels_allocate_nothing () =
+  let nl, and2, xor3 = every_kind_netlist () in
+  let words = [| 0xF0F0F0F0F0F0F0F0L; 0xCCCCCCCCCCCCCCCCL; 0xAAAAAAAAAAAAAAAAL |] in
+  let s = Sim.store nl in
+  check (Alcotest.float 0.0) "the probe itself" 0.0 (minor_words (fun () -> ()));
+  check (Alcotest.float 0.0) "Sim.eval" 0.0 (minor_words (fun () -> Sim.eval nl s words));
+  check (Alcotest.float 0.0) "Sim.eval_gate, no fault" 0.0
+    (minor_words (fun () ->
+         for n = 0 to N.num_nodes nl - 1 do
+           Sim.eval_gate nl s n (-1) 0L
+         done));
+  let t = Fsim.create nl in
+  Sim.eval nl t.Fsim.store words;
+  List.iter
+    (fun (name, fault) ->
+      let faults = [| fault |] and remaining = [| true |] in
+      let drop () =
+        remaining.(0) <- true;
+        ignore (Fsim.drop_detected t faults remaining)
+      in
+      check (Alcotest.float 0.0) name 0.0 (minor_words drop);
+      check Alcotest.bool (name ^ " dropped") false remaining.(0))
+    [
+      ("stem fault dropped", { Fault.site = Fault.Output and2; stuck = false });
+      ("branch fault dropped", { Fault.site = Fault.Input (xor3, 1); stuck = true });
+    ]
 
 (* --- Hamming --- *)
 
@@ -157,6 +216,7 @@ let suite =
       tc "prng bool balance" `Quick test_prng_bool_balance;
       tc "popcount64" `Quick test_popcount;
       tc "word vs single-pattern agreement" `Quick test_word_vs_bool_agree;
+      tc "word kernels allocate nothing" `Quick test_kernels_allocate_nothing;
       tc "hamming self = 0" `Quick test_hamming_self_zero;
       tc "hamming complement = 1" `Quick test_hamming_complement_one;
       tc "hamming symmetric" `Quick test_hamming_symmetric;

@@ -178,6 +178,36 @@ let test_cli_rejects_bad_bench () =
   List.iter (fun (path, _) -> if Sys.file_exists path then Sys.remove path) cases;
   Sys.remove err
 
+(* sizes the generator or a lock cannot take are usage errors (exit 124)
+   that say why, not uncaught exceptions (exit 125) or a keyless lock *)
+let test_cli_rejects_bad_sizes () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let path = Filename.temp_file "orap" ".bench" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n");
+  let out = Filename.temp_file "orap" ".out" and err = Filename.temp_file "orap" ".err" in
+  List.iter
+    (fun (args, msg) ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s -o %s > /dev/null 2> %s" (Filename.quote cli) args
+             (Filename.quote out) (Filename.quote err))
+      in
+      let stderr = In_channel.with_open_text err In_channel.input_all in
+      check Alcotest.int (args ^ ": exit code") 124 code;
+      if not (contains stderr msg) then Alcotest.failf "%s: %S lacks %S" args stderr msg)
+    [
+      ("generate --gates 0", "below the minimum 1");
+      ("generate --inputs 1", "below the minimum 2");
+      ("generate --outputs 0", "below the minimum 1");
+      ("lock --key-size 0 " ^ path, "below the minimum 1");
+      ("lock --technique sarlock --key-size 0 " ^ path, "below the minimum 1");
+      ("lock --ctrl-inputs 0 " ^ path, "below the minimum 1");
+      ("lock --technique random --key-size 100 " ^ path, "Random_ll.lock: circuit too small");
+      ("lock --key-size 64 " ^ path, "Weighted.lock: circuit too small");
+    ];
+  List.iter Sys.remove [ path; out; err ]
+
 let suite =
   ( "tools",
     [
@@ -188,4 +218,5 @@ let suite =
       tc "verilog deterministic" `Quick test_verilog_deterministic;
       tc "compaction preserves coverage" `Quick test_compaction_preserves_coverage;
       tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
+      tc "CLI rejects sizes it cannot build" `Quick test_cli_rejects_bad_sizes;
     ] )
