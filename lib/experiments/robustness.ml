@@ -188,41 +188,32 @@ let row_tag (r : row) =
   | None -> "?"
 
 let row_codec : row Runner.codec =
-  {
-    encode =
-      (fun r ->
-        Runner.fields
-          [ r.attack; Runner.float_repr r.noise;
-            string_of_int r.query_budget; string_of_int r.trials;
-            string_of_int r.equivalent; string_of_int r.exact_proofs;
-            (match r.mean_key_hd_pct with
-            | None -> "-"
-            | Some h -> Runner.float_repr h);
-            Runner.float_repr r.mean_queries;
-            Runner.float_repr r.mean_elapsed_s; r.outcomes ]);
-    decode =
-      (fun s ->
-        match Runner.unfields s with
-        | [ attack; noise; query_budget; trials; equivalent; exact_proofs;
-            hd; mean_queries; mean_elapsed_s; outcomes ] -> (
-          try
-            Some
-              {
-                attack;
-                noise = float_of_string noise;
-                query_budget = int_of_string query_budget;
-                trials = int_of_string trials;
-                equivalent = int_of_string equivalent;
-                exact_proofs = int_of_string exact_proofs;
-                mean_key_hd_pct =
-                  (if hd = "-" then None else Some (float_of_string hd));
-                mean_queries = float_of_string mean_queries;
-                mean_elapsed_s = float_of_string mean_elapsed_s;
-                outcomes;
-              }
-          with _ -> None)
-        | _ -> None);
-  }
+  Runner.codec
+    ~encode:(fun (r : row) ->
+      [ r.attack; Runner.float_repr r.noise;
+        string_of_int r.query_budget; string_of_int r.trials;
+        string_of_int r.equivalent; string_of_int r.exact_proofs;
+        (match r.mean_key_hd_pct with
+        | None -> "-"
+        | Some h -> Runner.float_repr h);
+        Runner.float_repr r.mean_queries;
+        Runner.float_repr r.mean_elapsed_s; r.outcomes ])
+    ~decode:(fun [@warning "-8"]
+      [ attack; noise; query_budget; trials; equivalent; exact_proofs;
+        hd; mean_queries; mean_elapsed_s; outcomes ] ->
+      {
+        attack;
+        noise = float_of_string noise;
+        query_budget = int_of_string query_budget;
+        trials = int_of_string trials;
+        equivalent = int_of_string equivalent;
+        exact_proofs = int_of_string exact_proofs;
+        mean_key_hd_pct =
+          (if hd = "-" then None else Some (float_of_string hd));
+        mean_queries = float_of_string mean_queries;
+        mean_elapsed_s = float_of_string mean_elapsed_s;
+        outcomes;
+      })
 
 (** A scheduling-independent rendering of a row: every field except the
     wall-clock timing (which can never be byte-identical across runs).

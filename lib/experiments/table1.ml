@@ -114,34 +114,24 @@ let cell_id (p : params) (profile : Benchgen.profile) =
     p.scale p.hd_words p.hd_keys p.synth_effort p.seed profile.Benchgen.name
 
 let row_codec : row Runner.codec =
-  {
-    encode =
-      (fun r ->
-        Runner.fields
-          [ r.name; string_of_int r.gates; string_of_int r.outputs;
-            string_of_int r.lfsr_size; string_of_int r.ctrl_inputs;
-            Runner.float_repr r.hd_pct; Runner.float_repr r.area_pct;
-            Runner.float_repr r.delay_pct ]);
-    decode =
-      (fun s ->
-        match Runner.unfields s with
-        | [ name; gates; outputs; lfsr_size; ctrl_inputs; hd; area; delay ]
-          -> (
-          try
-            Some
-              {
-                name;
-                gates = int_of_string gates;
-                outputs = int_of_string outputs;
-                lfsr_size = int_of_string lfsr_size;
-                ctrl_inputs = int_of_string ctrl_inputs;
-                hd_pct = float_of_string hd;
-                area_pct = float_of_string area;
-                delay_pct = float_of_string delay;
-              }
-          with _ -> None)
-        | _ -> None);
-  }
+  Runner.codec
+    ~encode:(fun r ->
+      [ r.name; string_of_int r.gates; string_of_int r.outputs;
+        string_of_int r.lfsr_size; string_of_int r.ctrl_inputs;
+        Runner.float_repr r.hd_pct; Runner.float_repr r.area_pct;
+        Runner.float_repr r.delay_pct ])
+    ~decode:(fun [@warning "-8"]
+      [ name; gates; outputs; lfsr_size; ctrl_inputs; hd; area; delay ] ->
+      {
+        name;
+        gates = int_of_string gates;
+        outputs = int_of_string outputs;
+        lfsr_size = int_of_string lfsr_size;
+        ctrl_inputs = int_of_string ctrl_inputs;
+        hd_pct = float_of_string hd;
+        area_pct = float_of_string area;
+        delay_pct = float_of_string delay;
+      })
 
 let run ?(params = default_params) ?(options = Runner.default_options)
     ?(profiles = Benchgen.table1_profiles) () : row list =

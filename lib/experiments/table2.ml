@@ -74,25 +74,15 @@ let side_of_fields fc ra tf =
   }
 
 let row_codec : row Runner.codec =
-  {
-    encode =
-      (fun r ->
-        Runner.fields
-          ((r.name :: side_fields r.original) @ side_fields r.protected_));
-    decode =
-      (fun s ->
-        match Runner.unfields s with
-        | [ name; ofc; ora; otf; pfc; pra; ptf ] -> (
-          try
-            Some
-              {
-                name;
-                original = side_of_fields ofc ora otf;
-                protected_ = side_of_fields pfc pra ptf;
-              }
-          with _ -> None)
-        | _ -> None);
-  }
+  Runner.codec
+    ~encode:(fun r ->
+      (r.name :: side_fields r.original) @ side_fields r.protected_)
+    ~decode:(fun [@warning "-8"] [ name; ofc; ora; otf; pfc; pra; ptf ] ->
+      {
+        name;
+        original = side_of_fields ofc ora otf;
+        protected_ = side_of_fields pfc pra ptf;
+      })
 
 let run ?(params = default_params) ?(options = Runner.default_options)
     ?(profiles = Benchgen.table1_profiles) () : row list =

@@ -12,47 +12,35 @@ type row = {
   outcome : Threat.outcome;
 }
 
-let scenario_of_label label =
-  List.find_opt
-    (fun sc -> Threat.scenario_label sc = label)
-    Threat.all_scenarios
-
 let cell_id (scheme, sc) =
   Printf.sprintf "trojan|scheme=%s|scenario=%s" scheme
     (Threat.scenario_label sc)
 
 let row_codec : row Runner.codec =
-  {
-    encode =
-      (fun r ->
-        Runner.fields
-          [ Threat.scenario_label r.scenario; r.scheme;
-            string_of_bool r.outcome.Threat.oracle_obtained;
-            Runner.float_repr r.outcome.Threat.payload_nand2;
-            string_of_bool r.outcome.Threat.detectable ]);
-    decode =
-      (fun s ->
-        match Runner.unfields s with
-        | [ label; scheme; obtained; payload; detectable ] -> (
-          match scenario_of_label label with
-          | None -> None
-          | Some scenario -> (
-            try
-              Some
-                {
-                  scenario;
-                  scheme;
-                  outcome =
-                    {
-                      Threat.scenario;
-                      oracle_obtained = bool_of_string obtained;
-                      payload_nand2 = float_of_string payload;
-                      detectable = bool_of_string detectable;
-                    };
-                }
-            with _ -> None))
-        | _ -> None);
-  }
+  Runner.codec
+    ~encode:(fun r ->
+      [ Threat.scenario_label r.scenario; r.scheme;
+        string_of_bool r.outcome.Threat.oracle_obtained;
+        Runner.float_repr r.outcome.Threat.payload_nand2;
+        string_of_bool r.outcome.Threat.detectable ])
+    ~decode:(fun [@warning "-8"]
+      [ label; scheme; obtained; payload; detectable ] ->
+      let scenario =
+        List.find
+          (fun sc -> Threat.scenario_label sc = label)
+          Threat.all_scenarios
+      in
+      {
+        scenario;
+        scheme;
+        outcome =
+          {
+            Threat.scenario;
+            oracle_obtained = bool_of_string obtained;
+            payload_nand2 = float_of_string payload;
+            detectable = bool_of_string detectable;
+          };
+      })
 
 let run ?(options = Runner.default_options) (fx : Security.fixture) : row list
     =

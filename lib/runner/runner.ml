@@ -24,8 +24,14 @@ let default_options =
 
 type 'b codec = { encode : 'b -> string; decode : string -> 'b option }
 
-let fields = String.concat "\t"
 let unfields = String.split_on_char '\t'
+
+let codec ~encode ~decode =
+  {
+    encode = (fun r -> String.concat "\t" (encode r));
+    decode = (fun s -> try Some (decode (unfields s)) with _ -> None);
+  }
+
 let float_repr x = Printf.sprintf "%h" x
 
 let map_grid ?(options = default_options) ?codec ?(tag = fun _ -> "done") ~id

@@ -30,10 +30,15 @@ val default_options : options
     mismatch — the cell is then recomputed rather than failing the run. *)
 type 'b codec = { encode : 'b -> string; decode : string -> 'b option }
 
-(** Tab-join / tab-split for field-per-value codecs. *)
-val fields : string list -> string
-
+(** Tab-split of an encoded row (the inverse of {!codec}'s join). *)
 val unfields : string -> string list
+
+(** A codec that stores a row as tab-separated fields.  [decode] may raise
+    on any mismatch (wrong field count, malformed number, unknown label),
+    so it can take the field list apart with one partial pattern; the
+    codec's [decode] then returns [None]. *)
+val codec :
+  encode:('b -> string list) -> decode:(string list -> 'b) -> 'b codec
 
 (** Exact round-trip float representation (hex float literal). *)
 val float_repr : float -> string

@@ -13,6 +13,8 @@ module Telemetry = Orap_telemetry.Telemetry
 module Table2 = Orap_experiments.Table2
 module Benchgen = Orap_benchgen.Benchgen
 module Runner = Orap_runner.Runner
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 (* --- five-valued algebra --- *)
 
@@ -79,7 +81,8 @@ let brute_detectable nl fault =
   !found
 
 let prop_podem_complete_and_sound =
-  qtest ~count:12 "PODEM agrees with brute-force detectability" seed_gen
+  Prop.to_alcotest ~count:12 ~name:"PODEM agrees with brute-force detectability"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let nl = random_netlist ~inputs:9 ~outputs:5 ~gates:60 seed in
       let faults = Fault.collapsed_list nl in
@@ -98,7 +101,8 @@ let prop_podem_complete_and_sound =
       !ok)
 
 let prop_podem_tests_detect =
-  qtest ~count:12 "PODEM tests actually detect their faults" seed_gen
+  Prop.to_alcotest ~count:12 ~name:"PODEM tests actually detect their faults"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let nl = random_netlist ~inputs:9 ~outputs:5 ~gates:60 seed in
       let faults = Fault.collapsed_list nl in

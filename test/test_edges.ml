@@ -16,6 +16,8 @@ module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Prng = Orap_sim.Prng
 module Hamming = Orap_sim.Hamming
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 (* --- Vec --- *)
 
@@ -87,8 +89,9 @@ let test_aig_complemented_output () =
   check Alcotest.bool "inverter-only circuit" true (equivalent_on_random nl back)
 
 let prop_isop_to_aig_builds_function =
-  qtest ~count:30 "Isop.to_aig realises the cover"
-    QCheck.(pair seed_gen (int_range 2 6))
+  Prop.to_alcotest ~count:30 ~name:"Isop.to_aig realises the cover"
+    ~gen:(Gen.pair (Gen.int_range 0 10_000) (Gen.int_range 2 6))
+    ~print:(fun (seed, nvars) -> Printf.sprintf "(%d, %d)" seed nvars)
     (fun (seed, nvars) ->
       let rng = Prng.create seed in
       let t = Truth.zero nvars in

@@ -1,6 +1,27 @@
 open Util
 module E = Orap_experiments
 module Benchgen = Orap_benchgen.Benchgen
+module Runner = Orap_runner.Runner
+
+(* Every golden row decodes to a row that encodes back to the same bytes.
+   The first golden row, one field short, one field over, and with each
+   [(index, value)] of [bad] swapped in, is rejected. *)
+let check_codec (c : _ Runner.codec) golden ~bad =
+  List.iter
+    (fun s ->
+      match c.Runner.decode s with
+      | None -> Alcotest.failf "golden row does not decode: %S" s
+      | Some r -> check Alcotest.string "encode (decode s)" s (c.Runner.encode r))
+    golden;
+  let row = List.hd golden in
+  let fields = Runner.unfields row in
+  let join = String.concat "\t" in
+  let swap (i, v) = join (List.mapi (fun j f -> if j = i then v else f) fields) in
+  List.iter
+    (fun s ->
+      check Alcotest.bool (Printf.sprintf "rejects %S" s) true
+        (c.Runner.decode s = None))
+    (join (List.tl fields) :: (row ^ "\t0") :: List.map swap bad)
 
 let tiny_t1_params =
   { E.Table1.quick_params with E.Table1.scale = 32; hd_words = 16; hd_keys = 2 }
@@ -51,7 +72,9 @@ let test_table1_golden () =
   check
     Alcotest.(list string)
     "Table I rows" golden_t1_rows
-    (List.map E.Table1.row_codec.Orap_runner.Runner.encode rows)
+    (List.map E.Table1.row_codec.Runner.encode rows);
+  (* gates, HD *)
+  check_codec E.Table1.row_codec golden_t1_rows ~bad:[ (1, "x"); (5, "x") ]
 
 let test_table2_shape () =
   let rows = E.Table2.run ~params:tiny_t2_params ~profiles:small_profiles () in
@@ -88,7 +111,9 @@ let test_table2_golden () =
   check
     Alcotest.(list string)
     "Table II rows" golden_t2_rows
-    (List.map E.Table2.row_codec.Orap_runner.Runner.encode rows)
+    (List.map E.Table2.row_codec.Runner.encode rows);
+  (* original fault coverage, original red+abrt *)
+  check_codec E.Table2.row_codec golden_t2_rows ~bad:[ (1, "x"); (2, "x") ]
 
 let test_security_figs () =
   let fx = E.Security.make_fixture ~num_gates:300 ~key_size:24 () in
@@ -172,7 +197,10 @@ let test_robustness_golden () =
   check
     Alcotest.(list string)
     "robustness smoke rows" golden_robustness_rows
-    (List.map E.Robustness.canonical (E.Robustness.run ~params:smoke_params ()))
+    (List.map E.Robustness.canonical (E.Robustness.run ~params:smoke_params ()));
+  (* noise, query budget, key HD *)
+  check_codec E.Robustness.row_codec golden_robustness_rows
+    ~bad:[ (1, "x"); (2, "x"); (6, "x") ]
 
 (* A cell id feeds the cell's FNV-1a key, hence its derived seed and its
    journal entry: one cell per attack, at the default parameters. *)
@@ -225,7 +253,10 @@ let test_trojan_table_verdicts () =
   check
     Alcotest.(list string)
     "trojan rows" golden_trojan_rows
-    (List.map E.Trojan_table.row_codec.Orap_runner.Runner.encode rows)
+    (List.map E.Trojan_table.row_codec.Runner.encode rows);
+  (* scenario label, oracle obtained, payload *)
+  check_codec E.Trojan_table.row_codec golden_trojan_rows
+    ~bad:[ (0, "(f) no such scenario"); (2, "x"); (3, "x") ]
 
 let test_report_rendering () =
   let t =

@@ -5,6 +5,8 @@ module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 (* the forced-value reference simulation lives in Util.eval_with_fault *)
 
@@ -53,7 +55,8 @@ let test_single_fanout_branches_collapsed () =
   check Alcotest.int "no branch faults on single fanout" 0 (List.length branch)
 
 let prop_detect_word_matches_reference =
-  qtest ~count:40 "parallel fault sim agrees with reference" seed_gen
+  Prop.to_alcotest ~count:40 ~name:"parallel fault sim agrees with reference"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let nl = random_netlist ~inputs:6 ~outputs:4 ~gates:35 seed in
       let faults = Fault.collapsed_list nl in

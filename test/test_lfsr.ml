@@ -4,6 +4,8 @@ module Keyseq = Orap_lfsr.Keyseq
 module Symbolic = Orap_lfsr.Symbolic
 module Bitset = Orap_lfsr.Bitset
 module Prng = Orap_sim.Prng
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 (* --- bitset --- *)
 
@@ -20,7 +22,9 @@ let test_bitset_basics () =
   check Alcotest.bool "empty" true (Bitset.is_empty (Bitset.create 10))
 
 let prop_bitset_xor_involution =
-  qtest "bitset xor is an involution" QCheck.(pair seed_gen (int_range 1 200))
+  Prop.to_alcotest ~count:50 ~name:"bitset xor is an involution"
+    ~gen:(Gen.pair (Gen.int_range 0 10_000) (Gen.int_range 1 200))
+    ~print:(fun (seed, width) -> Printf.sprintf "(%d, %d)" seed width)
     (fun (seed, width) ->
       let rng = Prng.create seed in
       let a = Bitset.create width and b = Bitset.create width in
@@ -107,8 +111,9 @@ let test_xor_gate_count () =
 (* --- key sequences --- *)
 
 let prop_solve_for_key =
-  qtest ~count:25 "solve_for_key reaches arbitrary targets"
-    QCheck.(pair seed_gen (int_range 8 96))
+  Prop.to_alcotest ~count:25 ~name:"solve_for_key reaches arbitrary targets"
+    ~gen:(Gen.pair (Gen.int_range 0 10_000) (Gen.int_range 8 96))
+    ~print:(fun (seed, size) -> Printf.sprintf "(%d, %d)" seed size)
     (fun (seed, size) ->
       let l = Lfsr.create ~size () in
       let rng = Prng.create seed in
@@ -117,7 +122,8 @@ let prop_solve_for_key =
       Keyseq.apply l ks = target)
 
 let prop_symbolic_matches_concrete =
-  qtest ~count:25 "symbolic LFSR matches concrete simulation" seed_gen
+  Prop.to_alcotest ~count:25 ~name:"symbolic LFSR matches concrete simulation"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let size = 24 in
       let l = Lfsr.create ~size () in
@@ -146,7 +152,8 @@ let test_unlock_cycles () =
   check Alcotest.int "seed bits" (5 * 16) (Keyseq.total_seed_bits ks)
 
 let prop_linear_solver =
-  qtest ~count:30 "Symbolic.solve solves random consistent systems" seed_gen
+  Prop.to_alcotest ~count:30 ~name:"Symbolic.solve solves random consistent systems"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let rng = Prng.create seed in
       let num_vars = 20 and rows = 16 in

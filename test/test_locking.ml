@@ -7,6 +7,8 @@ module Sarlock = Orap_locking.Sarlock
 module Antisat = Orap_locking.Antisat
 module Fault_impact = Orap_locking.Fault_impact
 module Prng = Orap_sim.Prng
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 let base = random_netlist ~inputs:24 ~outputs:16 ~gates:220 55
 
@@ -125,14 +127,17 @@ let test_top_sites_avoid_critical () =
     sites
 
 let prop_weighted_equivalence =
-  qtest ~count:15 "weighted locking is invisible under the correct key"
-    seed_gen (fun seed ->
+  Prop.to_alcotest ~count:15 ~name:"weighted locking is invisible under the correct key"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:12 ~outputs:8 ~gates:100 seed in
       let lk = Weighted.lock nl ~key_size:9 ~ctrl_inputs:3 in
       Locked.equivalent_under_key lk lk.Locked.correct_key)
 
 let prop_random_wrong_keys_corrupt =
-  qtest ~count:15 "complement keys corrupt outputs" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:15 ~name:"complement keys corrupt outputs"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:12 ~outputs:8 ~gates:100 seed in
       let lk = Weighted.lock nl ~key_size:9 ~ctrl_inputs:3 in
       (* the complement actuates every key gate; 256 words make even

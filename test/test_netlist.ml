@@ -3,6 +3,8 @@ module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 module Bench_format = Orap_netlist.Bench_format
 module Dot = Orap_netlist.Dot
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 (* the tiny reference circuit lives in Util.full_adder *)
 let test_full_adder_truth () =
@@ -208,26 +210,34 @@ let test_gate_string_roundtrip () =
 (* --- properties --- *)
 
 let prop_generated_valid =
-  qtest "generated netlists validate" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:50 ~name:"generated netlists validate"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist seed in
       N.validate nl;
       true)
 
 let prop_roundtrip =
-  qtest ~count:20 "bench print/parse preserves function" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:20 ~name:"bench print/parse preserves function"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:6 ~outputs:4 ~gates:40 seed in
       let src = Bench_format.parse (Bench_format.print nl) in
       equivalent_on_random ~n:64 nl src.Bench_format.netlist)
 
 let prop_levels_bound_depth =
-  qtest "levels bound the depth" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:50 ~name:"levels bound the depth"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist seed in
       let lev = N.levels nl in
       let m = Array.fold_left max 0 lev in
       N.depth nl <= m)
 
 let prop_slack_nonneg =
-  qtest "slacks of reachable nodes are non-negative" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:50 ~name:"slacks of reachable nodes are non-negative"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist seed in
       let s = N.slacks nl in
       Array.for_all (fun x -> x >= 0) s)

@@ -6,6 +6,8 @@ module Dimacs = Orap_sat.Dimacs
 module N = Orap_netlist.Netlist
 module Prng = Orap_sim.Prng
 module Ref = Solver_ref
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 let result = Alcotest.testable
     (fun fmt r -> Format.pp_print_string fmt
@@ -146,7 +148,9 @@ let brute_force_sat nv clauses =
   !sat
 
 let prop_random_3sat_sound =
-  qtest ~count:60 "random 3-SAT agrees with brute force" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:60 ~name:"random 3-SAT agrees with brute force"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let rng = Prng.create seed in
       let nv = 12 in
       let s = Solver.create () in
@@ -305,7 +309,9 @@ let test_tseitin_equivalence () =
   check result "self-miter UNSAT" Solver.Unsat (Solver.solve s)
 
 let prop_tseitin_matches_simulation =
-  qtest ~count:30 "tseitin model agrees with simulation" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:30 ~name:"tseitin model agrees with simulation"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:7 ~outputs:4 ~gates:45 seed in
       let s = Solver.create () in
       let x = Solver.new_vars s (N.num_inputs nl) in
@@ -332,8 +338,9 @@ let prop_tseitin_matches_simulation =
    every input constant, the encoding folds to constants and makes no
    variable *)
 let prop_tseitin_folds_constant_inputs =
-  qtest ~count:40 "tseitin with constant inputs agrees with simulation"
-    seed_gen (fun seed ->
+  Prop.to_alcotest ~count:40 ~name:"tseitin with constant inputs agrees with simulation"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let rng = Prng.create seed in
       let params = { Orap_proptest.Gen.default_params with inputs = (1, 7) } in
       let nl = Orap_proptest.Gen.netlist ~params () rng in

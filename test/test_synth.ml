@@ -8,6 +8,8 @@ module Refactor = Orap_synth.Refactor
 module Balance = Orap_synth.Balance
 module Abc = Orap_synth.Abc_script
 module Prng = Orap_sim.Prng
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 (* --- truth tables --- *)
 
@@ -65,8 +67,9 @@ let random_truth rng nvars =
   Truth.logand t (Truth.ones nvars)
 
 let prop_isop_covers_function =
-  qtest ~count:60 "ISOP cover equals the function"
-    QCheck.(pair seed_gen (int_range 1 8))
+  Prop.to_alcotest ~count:60 ~name:"ISOP cover equals the function"
+    ~gen:(Gen.pair (Gen.int_range 0 10_000) (Gen.int_range 1 8))
+    ~print:(fun (seed, nvars) -> Printf.sprintf "(%d, %d)" seed nvars)
     (fun (seed, nvars) ->
       let rng = Prng.create seed in
       let f = random_truth rng nvars in
@@ -129,14 +132,16 @@ let eval_aig g inputs =
     (Aig.outputs g)
 
 let prop_aig_roundtrip =
-  qtest ~count:30 "netlist -> AIG -> netlist preserves function" seed_gen
+  Prop.to_alcotest ~count:30 ~name:"netlist -> AIG -> netlist preserves function"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let nl = random_netlist ~inputs:7 ~outputs:4 ~gates:50 seed in
       let back = Aig.to_netlist (Aig.of_netlist nl) in
       equivalent_on_random ~n:64 nl back)
 
 let prop_aig_matches_simulation =
-  qtest ~count:30 "AIG evaluation matches netlist simulation" seed_gen
+  Prop.to_alcotest ~count:30 ~name:"AIG evaluation matches netlist simulation"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let nl = random_netlist ~inputs:6 ~outputs:4 ~gates:40 seed in
       let g = Aig.of_netlist nl in
@@ -149,19 +154,25 @@ let prop_aig_matches_simulation =
       !ok)
 
 let prop_refactor_preserves_function =
-  qtest ~count:25 "refactor preserves function" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:25 ~name:"refactor preserves function"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:7 ~outputs:4 ~gates:60 seed in
       let g = Refactor.run ~cut_size:8 (Aig.of_netlist nl) in
       equivalent_on_random ~n:64 nl (Aig.to_netlist g))
 
 let prop_balance_preserves_function =
-  qtest ~count:25 "balance preserves function" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:25 ~name:"balance preserves function"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:7 ~outputs:4 ~gates:60 seed in
       let g = Balance.run (Aig.of_netlist nl) in
       equivalent_on_random ~n:64 nl (Aig.to_netlist g))
 
 let prop_pipeline_preserves_function =
-  qtest ~count:15 "full abc pipeline preserves function" seed_gen (fun seed ->
+  Prop.to_alcotest ~count:15 ~name:"full abc pipeline preserves function"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
       let nl = random_netlist ~inputs:8 ~outputs:5 ~gates:80 seed in
       let g = Abc.optimize nl in
       equivalent_on_random ~n:64 nl (Aig.to_netlist g))

@@ -27,12 +27,6 @@ let equivalent_on_random ?(seed = 424) ?(n = 128) a b =
     !ok
   end
 
-(** QCheck generator for small seeds. *)
-let seed_gen = QCheck.(int_range 0 10_000)
-
-let qtest ?(count = 50) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
-
 (** Naive substring test, for asserting on printed reports. *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
