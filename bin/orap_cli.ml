@@ -89,15 +89,19 @@ let runner_opts : Runner.options Term.t =
   in
   Term.(const mk $ jobs $ journal $ resume $ progress)
 
-(* an int option below [lo] is a usage error, not a failure deep inside *)
-let int_at_least lo =
+(* an int option that fails [ok] is a usage error, not a failure deep
+   inside; [what] completes "N is ..." *)
+let checked_int ~what ok =
   let parse v =
     match int_of_string_opt v with
-    | Some n when n >= lo -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | Some n when ok n -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is %s" n what))
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" v))
   in
   Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+let int_at_least lo =
+  checked_int ~what:(Printf.sprintf "below the minimum %d" lo) (fun n -> n >= lo)
 
 (* fixture sizes the locking and generation steps accept *)
 let fixture_gates default =
@@ -224,9 +228,39 @@ module Budget = Orap_attacks.Budget
 module Evaluate = Orap_attacks.Evaluate
 module Key_recovery = Orap_attacks.Key_recovery
 
+(* an attack named by its slug; [Arg.enum]'s own printer would compare the
+   attack records, closures included *)
+let attack_conv =
+  let by_slug = Arg.enum (List.map (fun a -> (a.Key_recovery.slug, a)) Key_recovery.all) in
+  Arg.conv ~docv:"ATTACK"
+    (Arg.conv_parser by_slug, fun ppf a -> Format.pp_print_string ppf a.Key_recovery.slug)
+
+let oracle_arg ~doc =
+  let kinds = E.Security.[ Functional; Orap_scan ] in
+  Arg.(
+    value
+    & opt (enum (List.map (fun k -> (E.Security.oracle_slug k, k)) kinds)) E.Security.Functional
+    & info [ "oracle" ] ~doc)
+
+(* a bit-flip probability *)
+let probability =
+  let parse v =
+    match float_of_string_opt v with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a probability in [0, 1]" v))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number" v))
+  in
+  Arg.conv ~docv:"P" (parse, fun ppf p -> Format.fprintf ppf "%g" p)
+
+let votes_arg =
+  Arg.(
+    value
+    & opt (checked_int ~what:"not an odd count of at least 1" (fun n -> n >= 1 && n land 1 = 1)) 1
+    & info [ "votes" ] ~doc:"majority-vote retries per query (odd; 1 = off)")
+
 let attack_cmd =
-  let run attack oracle seed gates key_size noise qbudget votes wall_clock
-      max_conflicts validate obs =
+  let run (attack : Key_recovery.t) oracle seed gates key_size noise qbudget
+      votes wall_clock max_conflicts validate obs =
     with_obs obs @@ fun () ->
     let fx =
       E.Security.make_fixture ~seed ~num_gates:gates ~key_size ()
@@ -239,9 +273,8 @@ let attack_cmd =
     in
     let locked = fx.E.Security.locked in
     let r =
-      (Key_recovery.of_slug attack).run ~budget ~validate locked
-        (E.Robustness.oracle fx (E.Security.oracle_of_slug oracle) ~noise
-           ~query_budget:qbudget ~votes ~seed)
+      attack.run ~budget ~validate locked
+        (E.Robustness.oracle fx oracle ~noise ~query_budget:qbudget ~votes ~seed)
     in
     let verdict = Evaluate.of_outcome locked r.outcome in
     let shown =
@@ -252,54 +285,42 @@ let attack_cmd =
         "false proof (exact only vs. the oracle's answers)"
       | o -> Budget.outcome_to_string o
     in
-    Printf.printf "%s vs %s oracle: %s — %s (iters=%d, queries=%d)\n" attack
-      oracle shown
+    Printf.printf "%s vs %s oracle: %s — %s (iters=%d, queries=%d)\n"
+      attack.slug (E.Security.oracle_slug oracle) shown
       (Evaluate.to_string verdict)
       r.iterations r.queries
   in
-  let attack = Arg.(value & opt string "sat" & info [ "attack" ] ~doc:Key_recovery.slugs) in
-  let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"functional|orap") in
+  let attack =
+    Arg.(value & opt attack_conv (List.hd Key_recovery.all) & info [ "attack" ] ~doc:Key_recovery.slugs)
+  in
+  let oracle = oracle_arg ~doc:"functional|orap" in
   let seed = Arg.(value & opt int 12 & info [ "seed" ] ~doc:"fixture seed") in
   let gates = fixture_gates 500 in
   let key_size = fixture_key_size 32 in
-  let noise = Arg.(value & opt float 0.0 & info [ "noise" ] ~doc:"per-query bit-flip probability") in
-  let qbudget = Arg.(value & opt int 0 & info [ "query-budget" ] ~doc:"oracle refuses after N queries (0 = unlimited)") in
-  let votes = Arg.(value & opt int 1 & info [ "votes" ] ~doc:"majority-vote retries per query (odd; 1 = off)") in
+  let noise = Arg.(value & opt probability 0.0 & info [ "noise" ] ~doc:"per-query bit-flip probability") in
+  let qbudget = Arg.(value & opt (int_at_least 0) 0 & info [ "query-budget" ] ~doc:"oracle refuses after N queries (0 = unlimited)") in
   let wall_clock = Arg.(value & opt float 0.0 & info [ "wall-clock" ] ~doc:"attack deadline in seconds (0 = none)") in
   let max_conflicts = Arg.(value & opt int 0 & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)") in
   let validate = Arg.(value & opt int 32 & info [ "validate" ] ~doc:"post-proof audit queries for SAT's exact claims (0 = trust the proof)") in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run an oracle-based attack on a locked fixture")
     Term.(const run $ attack $ oracle $ seed $ gates $ key_size $ noise
-          $ qbudget $ votes $ wall_clock $ max_conflicts $ validate $ obs_opts)
+          $ qbudget $ votes_arg $ wall_clock $ max_conflicts $ validate $ obs_opts)
 
 (* --- robustness --- *)
 
 let robustness_cmd =
-  let parse_list ~what conv s =
-    match
-      List.map conv
-        (List.filter (fun x -> x <> "") (String.split_on_char ',' s))
-    with
-    | [] -> failwith ("empty " ^ what ^ " list")
-    | l -> l
-    | exception _ -> failwith ("bad " ^ what ^ " list: " ^ s)
-  in
-  let run seed gates key_size oracle noise qbudgets trials attacks iters
-      wall_clock max_conflicts votes options obs =
+  let run seed gates key_size oracle noise_levels query_budgets trials attacks
+      iters wall_clock max_conflicts votes options obs =
     with_obs obs @@ fun () ->
-    let attacks =
-      if attacks = "all" then Key_recovery.all
-      else parse_list ~what:"attack" Key_recovery.of_slug attacks
-    in
     let params =
       {
         E.Robustness.seed;
         num_gates = gates;
         key_size;
-        oracle = E.Security.oracle_of_slug oracle;
-        noise_levels = parse_list ~what:"noise" float_of_string noise;
-        query_budgets = parse_list ~what:"query-budget" int_of_string qbudgets;
+        oracle;
+        noise_levels;
+        query_budgets;
         trials;
         attacks;
         max_iterations = iters;
@@ -311,23 +332,42 @@ let robustness_cmd =
     in
     E.Report.print (E.Robustness.report (E.Robustness.run ~params ~options ()))
   in
+  (* a comma-separated list of [conv] values; an empty one is a usage error *)
+  let nonempty_list conv =
+    let list = Arg.list conv in
+    let parse v =
+      match Arg.conv_parser list v with
+      | Ok [] -> Error (`Msg "expected a non-empty comma-separated list")
+      | r -> r
+    in
+    Arg.conv (parse, Arg.conv_printer list)
+  in
+  (* "all", or a list of attack slugs *)
+  let attacks_conv =
+    let list = nonempty_list attack_conv in
+    let parse = function "all" -> Ok Key_recovery.all | v -> Arg.conv_parser list v in
+    let print ppf l =
+      if l == Key_recovery.all then Format.pp_print_string ppf "all"
+      else Arg.conv_printer list ppf l
+    in
+    Arg.conv (parse, print)
+  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"fixture seed") in
   let gates = fixture_gates 300 in
   let key_size = fixture_key_size 16 in
-  let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"base oracle: functional|orap") in
-  let noise = Arg.(value & opt string "0.0,0.02,0.1" & info [ "noise" ] ~doc:"comma-separated bit-flip probabilities") in
-  let qbudgets = Arg.(value & opt string "0,2000" & info [ "query-budget" ] ~doc:"comma-separated query budgets (0 = unlimited)") in
-  let trials = Arg.(value & opt int 3 & info [ "trials" ] ~doc:"noise seeds per cell") in
-  let attacks = Arg.(value & opt string "all" & info [ "attacks" ] ~doc:("all or comma-separated " ^ Key_recovery.slugs)) in
+  let oracle = oracle_arg ~doc:"base oracle: functional|orap" in
+  let noise = Arg.(value & opt (nonempty_list probability) [ 0.0; 0.02; 0.1 ] & info [ "noise" ] ~doc:"comma-separated bit-flip probabilities") in
+  let qbudgets = Arg.(value & opt (nonempty_list (int_at_least 0)) [ 0; 2000 ] & info [ "query-budget" ] ~doc:"comma-separated query budgets (0 = unlimited)") in
+  let trials = Arg.(value & opt (int_at_least 1) 3 & info [ "trials" ] ~doc:"noise seeds per cell") in
+  let attacks = Arg.(value & opt attacks_conv Key_recovery.all & info [ "attacks" ] ~doc:("all or comma-separated " ^ Key_recovery.slugs)) in
   let iters = Arg.(value & opt int 256 & info [ "max-iterations" ] ~doc:"DIP/loop iteration cap") in
   let wall_clock = Arg.(value & opt float 10.0 & info [ "wall-clock" ] ~doc:"per-attack deadline, seconds") in
   let max_conflicts = Arg.(value & opt int 0 & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)") in
-  let votes = Arg.(value & opt int 1 & info [ "votes" ] ~doc:"majority-vote retries per query (odd; 1 = off)") in
   Cmd.v
     (Cmd.info "robustness"
        ~doc:"Sweep noise level x query budget x attack against an imperfect oracle")
     Term.(const run $ seed $ gates $ key_size $ oracle $ noise $ qbudgets
-          $ trials $ attacks $ iters $ wall_clock $ max_conflicts $ votes
+          $ trials $ attacks $ iters $ wall_clock $ max_conflicts $ votes_arg
           $ runner_opts $ obs_opts)
 
 (* --- experiment tables --- *)

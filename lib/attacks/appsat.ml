@@ -27,8 +27,11 @@ let run ?(budget = Budget.default) ?max_iterations ?(probe_every = 8)
       match Attack.candidate ctx with
       | Error r -> Attack.Stop (Budget.Exhausted r)
       | Ok key -> (
-        match Attack.sample ctx rng probe_size with
-        | Error r -> Attack.Stop (Budget.Oracle_refused r)
+        match
+          Attack.sample oracle ~inputs:locked.Locked.num_regular_inputs rng
+            probe_size
+        with
+        | Error msg -> Attack.Stop (Budget.Oracle_refused msg)
         | Ok pairs ->
           let failing =
             List.filter (fun (x, y) -> Locked.eval locked ~key ~inputs:x <> y) pairs
@@ -36,12 +39,7 @@ let run ?(budget = Budget.default) ?max_iterations ?(probe_every = 8)
           let err =
             float_of_int (List.length failing) /. float_of_int probe_size
           in
-          if err <= error_threshold then
-            Attack.Stop
-              (Budget.Approximate
-                 ( key,
-                   Budget.stats_of ctx.Attack.clock ~iterations:iters
-                     ~queries:(Attack.queries ctx) ~estimated_error:err () ))
+          if err <= error_threshold then Attack.Stop (Budget.Approximate (key, err))
           else begin
             (* failing probes double as constraints, as in AppSAT *)
             List.iter (fun (x, y) -> Miter.add_io ctx.Attack.miter x y) failing;

@@ -44,15 +44,7 @@ let span name f =
     f
 
 (** What a hook sees of a run in progress. *)
-type ctx = {
-  clock : Budget.clock;
-  miter : Miter.t;
-  oracle : Oracle.t;
-  queries0 : int;  (** the oracle's lifetime count when the run began *)
-}
-
-(** Oracle queries made by this run so far. *)
-let queries ctx = Oracle.num_queries ctx.oracle - ctx.queries0
+type ctx = { clock : Budget.clock; miter : Miter.t }
 
 type step = Continue | Stop of bool array Budget.outcome
 
@@ -69,29 +61,39 @@ let candidate ctx =
   | Ok Budget.Unsat -> Error Budget.Inconsistent
   | Ok Budget.Sat -> Ok (Miter.key m 0)
 
-(** The oracle's answers on [n] inputs drawn from [rng], or the refusal
-    that cut the sample short. *)
-let sample ctx rng n =
-  let nri = ctx.miter.Miter.locked.Locked.num_regular_inputs in
+(** [oracle]'s answers on [n] [inputs]-bit patterns drawn from [rng], or
+    the refusal that cut the sample short. *)
+let sample (oracle : Oracle.t) ~inputs rng n =
   let rec go acc n =
     if n = 0 then Ok (List.rev acc)
     else
-      let x = Prng.bool_array rng nri in
-      match Budget.query ctx.oracle x with
+      let x = Prng.bool_array rng inputs in
+      match Budget.query oracle x with
       | Error r -> Error r
       | Ok y -> go ((x, y) :: acc) (n - 1)
   in
   go [] n
 
+(** Output bits on which [locked] under [key] disagrees with the answers
+    in [pairs]. *)
+let mismatches (locked : Locked.t) key pairs =
+  List.fold_left
+    (fun acc (x, y) ->
+      let y' = Locked.eval locked ~key ~inputs:x in
+      let m = ref 0 in
+      Array.iteri (fun j b -> if b <> y'.(j) then incr m) y;
+      acc + !m)
+    0 pairs
+
 (** Run the DIP loop of the attack [name] (the span prefix) on the miter
     [build] returns, against [oracle] under [budget]; [max_iterations]
     overrides the budget's cap.  [before_dip ctx i] runs ahead of DIP
     iteration [i] and may stop the run (AppSAT's probes);
-    [on_proof ctx key i] turns the key found after the miter proof into
+    [on_proof key] turns the key found after the miter proof into
     the outcome (default [Exact key]).  The clock starts before the miter
     is built; the run span opens after. *)
 let run ~name ~budget ?max_iterations ?(before_dip = fun _ _ -> Continue)
-    ?(on_proof = fun _ key _ -> Budget.Exact key) ~(build : unit -> Miter.t)
+    ?(on_proof = fun key -> Budget.Exact key) ~(build : unit -> Miter.t)
     (oracle : Oracle.t) : result =
   let budget =
     match max_iterations with
@@ -100,27 +102,28 @@ let run ~name ~budget ?max_iterations ?(before_dip = fun _ _ -> Continue)
   in
   let clock = Budget.start budget in
   let m = build () in
-  let ctx = { clock; miter = m; oracle; queries0 = Oracle.num_queries oracle } in
+  let ctx = { clock; miter = m } in
+  let queries0 = Oracle.num_queries oracle in
   let finish outcome iters =
-    { outcome; iterations = iters; queries = queries ctx;
+    { outcome; iterations = iters; queries = Oracle.num_queries oracle - queries0;
       conflicts = Solver.num_conflicts m.Miter.solver;
       elapsed_s = Budget.elapsed_s clock }
   in
   (* one DIP iteration: miter solve, oracle query, IO constraint *)
-  let dip_step iters =
+  let dip_step () =
     match Budget.solve clock ~assumptions:[| m.Miter.activate |] m.Miter.solver with
     | Error r -> Stop (Budget.Exhausted r)
     | Ok Budget.Sat -> (
       let dip = Miter.dip m in
       match Budget.query oracle dip with
-      | Error r -> Stop (Budget.Oracle_refused r)
+      | Error msg -> Stop (Budget.Oracle_refused msg)
       | Ok y ->
         Miter.add_io m dip y;
         Continue)
     | Ok Budget.Unsat -> (
       match candidate ctx with
       | Error r -> Stop (Budget.Exhausted r)
-      | Ok key -> Stop (on_proof ctx key iters))
+      | Ok key -> Stop (on_proof key))
   in
   let iteration = name ^ ".iteration" in
   let rec loop iters =
@@ -133,7 +136,7 @@ let run ~name ~budget ?max_iterations ?(before_dip = fun _ _ -> Continue)
         match
           Telemetry.span iteration
             ~args:[ ("iter", Telemetry.Int iters) ]
-            (fun () -> dip_step iters)
+            dip_step
         with
         | Stop outcome -> finish outcome iters
         | Continue -> loop (iters + 1)))

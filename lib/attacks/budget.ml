@@ -23,31 +23,20 @@ type reason =
   | Wall_clock of float  (** the wall-clock allotment, seconds *)
   | Conflicts of int  (** the cumulative solver-conflict budget *)
   | Inconsistent  (** oracle answers fit no key (OraP's signature) *)
-  | Refusal of string  (** the oracle declined to answer *)
-  | No_progress of string  (** the attack found nothing to work on *)
 
 let reason_to_string = function
   | Iterations n -> Printf.sprintf "iteration cap of %d reached" n
   | Wall_clock s -> Printf.sprintf "wall-clock budget of %.2fs spent" s
   | Conflicts n -> Printf.sprintf "solver-conflict budget of %d spent" n
   | Inconsistent -> "oracle answers are consistent with no key"
-  | Refusal msg -> "oracle refused: " ^ msg
-  | No_progress msg -> "no progress: " ^ msg
 
 (* --- what an attack produced --- *)
 
-type stats = {
-  iterations : int;
-  queries : int;
-  elapsed_s : float;
-  estimated_error : float;  (** failing fraction on the attack's own probe *)
-}
-
 type 'a outcome =
   | Exact of 'a  (** proved (miter-exhausted) recovery *)
-  | Approximate of 'a * stats  (** best-effort recovery, no proof *)
+  | Approximate of 'a * float  (** best-effort recovery and its estimated error *)
   | Exhausted of reason  (** a resource budget tripped first *)
-  | Oracle_refused of reason  (** the oracle stopped answering *)
+  | Oracle_refused of string  (** the oracle stopped answering, and why *)
 
 let recovered = function
   | Exact x -> Some x
@@ -58,10 +47,10 @@ let succeeded o = match o with Exact _ | Approximate _ -> true | _ -> false
 
 let outcome_to_string = function
   | Exact _ -> "exact"
-  | Approximate (_, st) ->
-    Printf.sprintf "approximate (est. error %.1f%%)" (100.0 *. st.estimated_error)
+  | Approximate (_, err) ->
+    Printf.sprintf "approximate (est. error %.1f%%)" (100.0 *. err)
   | Exhausted r -> "exhausted: " ^ reason_to_string r
-  | Oracle_refused r -> "refused: " ^ reason_to_string r
+  | Oracle_refused msg -> "refused: oracle refused: " ^ msg
 
 (* --- the budget itself --- *)
 
@@ -84,9 +73,13 @@ let make ?(max_iterations = default.max_iterations) ?wall_clock_s ?max_conflicts
   | _ -> ());
   { max_iterations; wall_clock_s; max_conflicts }
 
-type clock = { budget : t; started : float }
+type clock = {
+  budget : t;
+  started : float;
+  mutable conflicts : int;  (** spent by this clock's solves, on any solver *)
+}
 
-let start budget = { budget; started = Unix.gettimeofday () }
+let start budget = { budget; started = Unix.gettimeofday (); conflicts = 0 }
 
 let elapsed_s c = Unix.gettimeofday () -. c.started
 
@@ -112,16 +105,21 @@ type answer = Sat | Unsat
 
 (** Budget-aware satisfiability: [Ok answer] on an honest answer, [Error
     reason] when the conflict budget or the deadline ran out first; an
-    indeterminate chunk either resumes or becomes an [Error]. *)
+    indeterminate chunk either resumes or becomes an [Error].  The conflict
+    budget is the clock's, so it spans every solver the run builds. *)
 let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
-  let cap_abs =
-    match c.budget.max_conflicts with Some n -> n | None -> max_int
+  let conflicts0 = Solver.num_conflicts s in
+  (* [s]'s conflict count at which the clock's budget runs out *)
+  let cap_abs, spent =
+    match c.budget.max_conflicts with
+    | Some n -> (conflicts0 + n - c.conflicts, Error (Conflicts n))
+    | None -> (max_int, Error (Conflicts max_int))
   in
   let rec go () =
     match out_of_time c with
     | Some r -> Error r
     | None ->
-      if Solver.num_conflicts s >= cap_abs then Error (Conflicts cap_abs)
+      if Solver.num_conflicts s >= cap_abs then spent
       else begin
         let cap =
           match c.budget.wall_clock_s with
@@ -133,11 +131,9 @@ let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
         | Solver.Unsat -> Ok Unsat
         | Solver.Unknown ->
           (* the chunk's limit tripped: recheck budgets, resume *)
-          if Solver.num_conflicts s >= cap_abs then Error (Conflicts cap_abs)
-          else go ()
+          if Solver.num_conflicts s >= cap_abs then spent else go ()
       end
   in
-  let conflicts0 = Solver.num_conflicts s in
   let decisions0 = Solver.num_decisions s in
   let propagations0 = Solver.num_propagations s in
   Metrics.incr (Metrics.counter "solver.solves");
@@ -146,6 +142,7 @@ let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
     let dc = Solver.num_conflicts s - conflicts0 in
     let dd = Solver.num_decisions s - decisions0 in
     let dp = Solver.num_propagations s - propagations0 in
+    c.conflicts <- c.conflicts + dc;
     Metrics.add (Metrics.counter "solver.conflicts") dc;
     Metrics.add (Metrics.counter "solver.decisions") dd;
     Metrics.add (Metrics.counter "solver.propagations") dp;
@@ -176,11 +173,8 @@ let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
     r
   end
 
-(** Oracle query that converts {!Faulty_oracle.Refused} into a reason. *)
-let query (oracle : Oracle.t) inputs : (bool array, reason) result =
+(** Oracle query that converts {!Faulty_oracle.Refused} into its message. *)
+let query (oracle : Oracle.t) inputs : (bool array, string) result =
   match Oracle.query oracle inputs with
   | y -> Ok y
-  | exception Faulty_oracle.Refused msg -> Error (Refusal msg)
-
-let stats_of c ~iterations ~queries ?(estimated_error = 0.0) () =
-  { iterations; queries; elapsed_s = elapsed_s c; estimated_error }
+  | exception Faulty_oracle.Refused msg -> Error msg

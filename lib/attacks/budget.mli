@@ -10,26 +10,19 @@ type reason =
   | Wall_clock of float  (** the wall-clock allotment, seconds *)
   | Conflicts of int  (** the cumulative solver-conflict budget *)
   | Inconsistent  (** oracle answers fit no key (OraP's signature) *)
-  | Refusal of string  (** the oracle declined to answer *)
-  | No_progress of string  (** the attack found nothing to work on *)
 
 val reason_to_string : reason -> string
-
-type stats = {
-  iterations : int;
-  queries : int;
-  elapsed_s : float;
-  estimated_error : float;  (** failing fraction on the attack's own probe *)
-}
 
 (** The shared result type of every attack: ['a] is the recovered artefact
     — a key ([bool array]) for key-recovery attacks, a netlist for the
     structural ones (bypass, SPS, removal). *)
 type 'a outcome =
   | Exact of 'a  (** proved (miter-exhausted) recovery *)
-  | Approximate of 'a * stats  (** best-effort recovery, no proof *)
+  | Approximate of 'a * float
+      (** best-effort recovery, no proof, with its estimated error: the
+          failing fraction on the attack's own probe *)
   | Exhausted of reason  (** a resource budget tripped first *)
-  | Oracle_refused of reason  (** the oracle stopped answering *)
+  | Oracle_refused of string  (** the oracle stopped answering, and why *)
 
 (** The recovered artefact, if any. *)
 val recovered : 'a outcome -> 'a option
@@ -63,8 +56,9 @@ val check_iteration : clock -> int -> reason option
     never a third answer. *)
 type answer = Sat | Unsat
 
-(** Budget-aware satisfiability: threads the remaining conflict budget
-    through [Solver.solve]'s [?conflict_limit] and slices long solves so a
+(** Budget-aware satisfiability: threads the conflicts the clock has left
+    (the budget less every conflict its earlier solves spent, on any
+    solver) through [Solver.solve]'s [?conflict_limit] and slices long solves so a
     wall-clock deadline is honoured to ~thousands of conflicts.  A genuine
     [Unsat] proved on exactly the cap-th conflict is [Ok Unsat]; [Error
     reason] means a budget ran out mid-solve.  Always feeds the [solver.*]
@@ -79,13 +73,5 @@ val solve :
   (answer, reason) result
 
 (** Oracle query that converts {!Orap_core.Faulty_oracle.Refused} into
-    [Error (Refusal _)]. *)
-val query : Orap_core.Oracle.t -> bool array -> (bool array, reason) result
-
-val stats_of :
-  clock ->
-  iterations:int ->
-  queries:int ->
-  ?estimated_error:float ->
-  unit ->
-  stats
+    [Error] carrying the oracle's message. *)
+val query : Orap_core.Oracle.t -> bool array -> (bool array, string) result

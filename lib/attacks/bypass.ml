@@ -52,43 +52,35 @@ let find_disagreements (locked : Locked.t) (oracle : Oracle.t) key key2 ~clock =
   fix m.Miter.keys.(0) key;
   fix m.Miter.keys.(1) key2;
   Miter.outputs_differ m 0 1;
-  let patches = ref [] in
-  let stopped = ref None in
-  let iters = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match Budget.check_iteration clock !iters with
-    | Some r ->
-      stopped := Some (Budget.Exhausted r);
-      continue_ := false
+  (* enumerate disagreeing inputs until none is left or something stops
+     the attack; returns the patches and the stop *)
+  let rec enumerate iters patches =
+    let stop o = (List.rev patches, Some o) in
+    match Budget.check_iteration clock iters with
+    | Some r -> stop (Budget.Exhausted r)
     | None -> (
       match Budget.solve clock ~assumptions:[| m.Miter.activate |] solver with
-      | Error r ->
-        stopped := Some (Budget.Exhausted r);
-        continue_ := false
-      | Ok Budget.Unsat -> continue_ := false
+      | Error r -> stop (Budget.Exhausted r)
+      | Ok Budget.Unsat -> (List.rev patches, None)
       | Ok Budget.Sat -> (
-        incr iters;
         let x = Miter.dip m in
         (* the attacker checks x against the real oracle *)
         match Budget.query oracle x with
-        | Error r ->
-          stopped := Some (Budget.Oracle_refused r);
-          continue_ := false
+        | Error msg -> stop (Budget.Oracle_refused msg)
         | Ok y_oracle ->
           let y_wrong = Locked.eval locked ~key ~inputs:x in
           let mask = Array.map2 (fun a b -> a <> b) y_wrong y_oracle in
-          if Array.exists (fun b -> b) mask then
-            patches := (x, mask) :: !patches;
           (* block this input *)
           ignore
             (Solver.add_clause solver
                (Array.to_list
                   (Array.mapi
                      (fun i v -> if x.(i) then Lit.neg v else Lit.pos v)
-                     m.Miter.x_vars)))))
-  done;
-  (List.rev !patches, !stopped)
+                     m.Miter.x_vars)));
+          enumerate (iters + 1)
+            (if Array.exists Fun.id mask then (x, mask) :: patches else patches)))
+  in
+  enumerate 0 []
 
 (* patch the keyed netlist with comparators *)
 let build_patched (locked : Locked.t) key patches : N.t =
@@ -157,7 +149,6 @@ let run ?(budget = { Budget.default with Budget.max_iterations = 32 })
     | None -> budget
   in
   let clock = Budget.start budget in
-  let queries0 = Oracle.num_queries oracle in
   let rng = Orap_sim.Prng.create seed in
   let ksz = Locked.key_size locked in
   let key = Orap_sim.Prng.bool_array rng ksz in
@@ -167,11 +158,6 @@ let run ?(budget = { Budget.default with Budget.max_iterations = 32 })
   let outcome =
     match stopped with
     | Some o -> o
-    | None ->
-      let stats =
-        Budget.stats_of clock ~iterations:(List.length patches)
-          ~queries:(Oracle.num_queries oracle - queries0) ()
-      in
-      Budget.Approximate (build_patched locked key patches, stats)
+    | None -> Budget.Approximate (build_patched locked key patches, 0.0)
   in
   { outcome; key_used = key; patches }

@@ -12,16 +12,6 @@ module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
 module Prng = Orap_sim.Prng
 
-(* mismatching output bits of [key] against response pairs *)
-let cost (locked : Locked.t) key pairs =
-  List.fold_left
-    (fun acc (x, y) ->
-      let y' = Locked.eval locked ~key ~inputs:x in
-      let m = ref 0 in
-      Array.iteri (fun j b -> if b <> y'.(j) then incr m) y;
-      acc + !m)
-    0 pairs
-
 exception Stopped of Budget.reason
 
 (* Greedy restarts over [pairs].  The budget is checked after every flip
@@ -35,13 +25,13 @@ let climb clock (locked : Locked.t) pairs ~seed ~restarts ~flips =
   let passes = ref 0 in
   for _ = 1 to restarts do
     let key = Prng.bool_array rng ksz in
-    let current = ref (cost locked key pairs) in
+    let current = ref (Attack.mismatches locked key pairs) in
     let improved = ref true in
     while !improved && !current > 0 do
       improved := false;
       for j = 0 to ksz - 1 do
         key.(j) <- not key.(j);
-        let c = cost locked key pairs in
+        let c = Attack.mismatches locked key pairs in
         if c < !current then begin
           current := c;
           incr flips;
@@ -73,7 +63,7 @@ let attack ~budget ~seed ~restarts (locked : Locked.t) ~queries collect :
     | Some r -> Budget.Exhausted r
     | None -> (
       match collect () with
-      | Error r -> Budget.Oracle_refused r
+      | Error msg -> Budget.Oracle_refused msg
       | Ok pairs -> (
         match climb clock locked pairs ~seed ~restarts ~flips with
         | exception Stopped r -> Budget.Exhausted r
@@ -82,14 +72,10 @@ let attack ~budget ~seed ~restarts (locked : Locked.t) ~queries collect :
             List.length pairs
             * Array.length (Orap_netlist.Netlist.outputs locked.Locked.netlist)
           in
-          let err =
-            if bits = 0 then 1.0
-            else float_of_int mismatches /. float_of_int bits
-          in
           Budget.Approximate
             ( key,
-              Budget.stats_of clock ~iterations:!flips ~queries:(queries ())
-                ~estimated_error:err () )))
+              if bits = 0 then 1.0
+              else float_of_int mismatches /. float_of_int bits )))
   in
   { Attack.outcome; iterations = !flips; queries = queries (); conflicts = 0;
     elapsed_s = Budget.elapsed_s clock }
@@ -97,20 +83,12 @@ let attack ~budget ~seed ~restarts (locked : Locked.t) ~queries collect :
 (** Attack from [sample] live oracle queries on random patterns. *)
 let run ?(budget = Budget.default) ?(seed = 51) ?(sample = 48) ?(restarts = 3)
     (locked : Locked.t) (oracle : Oracle.t) : Attack.result =
-  let rng = Prng.create seed in
-  let nri = locked.Locked.num_regular_inputs in
   let queries0 = Oracle.num_queries oracle in
-  let rec collect n acc =
-    if n = 0 then Ok (List.rev acc)
-    else
-      let x = Prng.bool_array rng nri in
-      match Budget.query oracle x with
-      | Error r -> Error r
-      | Ok y -> collect (n - 1) ((x, y) :: acc)
-  in
   attack ~budget ~seed:(seed + 1) ~restarts locked
     ~queries:(fun () -> Oracle.num_queries oracle - queries0)
-    (fun () -> collect sample [])
+    (fun () ->
+      Attack.sample oracle ~inputs:locked.Locked.num_regular_inputs
+        (Prng.create seed) sample)
 
 (** Attack from given test patterns and their responses (footnote 1): under
     OraP these are locked-circuit responses. *)

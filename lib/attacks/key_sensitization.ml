@@ -15,9 +15,10 @@ module Tseitin = Orap_sat.Tseitin
 module Prng = Orap_sim.Prng
 
 (* find (x, k_rest) such that flipping key bit j flips some output; the
-   sensitisation heuristic then assumes k_rest does not interfere.  Also
-   returns the conflicts the search spent. *)
-let sensitize (locked : Locked.t) j : (bool array * bool array) option * int =
+   sensitisation heuristic then assumes k_rest does not interfere.  The
+   search is one budgeted solve on [clock]; also returns the conflicts it
+   spent. *)
+let sensitize clock (locked : Locked.t) j =
   let solver = Solver.create () in
   let nl = locked.Locked.netlist in
   let nri = locked.Locked.num_regular_inputs in
@@ -38,17 +39,18 @@ let sensitize (locked : Locked.t) j : (bool array * bool array) option * int =
   let o1 = Tseitin.outputs nl (Tseitin.encode solver nl ~input:(input kj1)) in
   Tseitin.clause solver (Array.to_list (Array.map2 (Tseitin.xor solver) o0 o1));
   let found =
-    match Solver.decide solver with
-    | `Unsat -> None
-    | `Sat ->
+    match Budget.solve clock solver with
+    | Error r -> Error r
+    | Ok Budget.Unsat -> Ok None
+    | Ok Budget.Sat ->
       let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
       let k_rest = Array.map (fun v -> Solver.model_value solver v) k_vars in
-      Some (x, k_rest)
+      Ok (Some (x, k_rest))
   in
   (found, Solver.num_conflicts solver)
 
 (** [iterations] counts the sensitised bits: those for which a sensitising
-    pattern existed. *)
+    pattern existed.  The budget's conflict cap spans all per-bit solves. *)
 let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
     (oracle : Oracle.t) : Attack.result =
   Attack.span "key_sensitization" @@ fun () ->
@@ -59,49 +61,38 @@ let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
   let key = Array.init ksz (fun _ -> Prng.bool rng) in
   let sensitized = ref 0 in
   let conflicts = ref 0 in
-  let stopped = ref None in
-  (try
-     for j = 0 to ksz - 1 do
-       (match Budget.check_iteration clock j with
-       | Some r ->
-         stopped := Some (Budget.Exhausted r);
-         raise Exit
-       | None -> ());
-       let found, c = sensitize locked j in
-       conflicts := !conflicts + c;
-       match found with
-       | None -> ()
-       | Some (x, k_rest) -> (
-         incr sensitized;
-         match Budget.query oracle x with
-         | Error r ->
-           stopped := Some (Budget.Oracle_refused r);
-           raise Exit
-         | Ok y ->
-           (* choose the bit value whose simulation matches the oracle *)
-           let with_bit b =
-             let k = Array.copy k_rest in
-             k.(j) <- b;
-             Locked.eval locked ~key:k ~inputs:x
-           in
-           if with_bit true = y then key.(j) <- true
-           else if with_bit false = y then key.(j) <- false
-           else
-             (* interference: neither matches — keep the random guess *)
-             ())
-     done
-   with Exit -> ());
-  let queries = Oracle.num_queries oracle - queries0 in
-  let outcome =
-    match !stopped with
-    | Some o -> o
-    | None ->
+  (* read key bit [j] and the ones after it *)
+  let rec read j =
+    if j = ksz then
       (* unsensitised bits stay random guesses: estimate the miss rate *)
-      let err = float_of_int (ksz - !sensitized) /. float_of_int (max 1 ksz) in
       Budget.Approximate
-        (key,
-         Budget.stats_of clock ~iterations:!sensitized ~queries
-           ~estimated_error:err ())
+        (key, float_of_int (ksz - !sensitized) /. float_of_int (max 1 ksz))
+    else
+      match Budget.check_iteration clock j with
+      | Some r -> Budget.Exhausted r
+      | None -> (
+        let found, c = sensitize clock locked j in
+        conflicts := !conflicts + c;
+        match found with
+        | Error r -> Budget.Exhausted r
+        | Ok None -> read (j + 1)
+        | Ok (Some (x, k_rest)) -> (
+          incr sensitized;
+          match Budget.query oracle x with
+          | Error msg -> Budget.Oracle_refused msg
+          | Ok y ->
+            (* choose the bit value whose simulation matches the oracle;
+               under interference neither does: keep the random guess *)
+            let with_bit b =
+              let k = Array.copy k_rest in
+              k.(j) <- b;
+              Locked.eval locked ~key:k ~inputs:x
+            in
+            if with_bit true = y then key.(j) <- true
+            else if with_bit false = y then key.(j) <- false;
+            read (j + 1)))
   in
-  { Attack.outcome; iterations = !sensitized; queries; conflicts = !conflicts;
+  let outcome = read 0 in
+  { Attack.outcome; iterations = !sensitized;
+    queries = Oracle.num_queries oracle - queries0; conflicts = !conflicts;
     elapsed_s = Budget.elapsed_s clock }

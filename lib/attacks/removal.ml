@@ -84,22 +84,6 @@ let attack (locked : Locked.t) : result =
   Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   { netlist = N.Builder.finish b; removed_key_gates = List.length splices }
 
-(** Structured entry point: removal under the shared outcome type.  The
-    attack is purely structural — it fails only by identifying nothing. *)
-let run ?(budget = Budget.default) (locked : Locked.t) :
-    N.t Budget.outcome * result =
-  let clock = Budget.start budget in
-  let r = attack locked in
-  let outcome =
-    if r.removed_key_gates = 0 then
-      Budget.Exhausted
-        (Budget.No_progress "no structurally identifiable key gates")
-    else
-      Budget.Approximate
-        (r.netlist, Budget.stats_of clock ~iterations:r.removed_key_gates ~queries:0 ())
-  in
-  (outcome, r)
-
 (** Does the removal recover the original function?  (Checked on random
     patterns over the original inputs; the removed netlist still carries
     the dangling key inputs, which are driven arbitrarily.) *)

@@ -21,28 +21,19 @@ let miter locked =
 (* Audit a proved key on [validate] fresh random oracle queries: a
    mismatch demotes it to [Approximate] with the failing fraction of
    output bits, a refusal to [Oracle_refused]. *)
-let audit ~validate ~seed (locked : Locked.t) (ctx : Attack.ctx) key iters =
+let audit ~validate ~seed (locked : Locked.t) oracle key =
   if validate <= 0 then Budget.Exact key
   else
-    match Attack.sample ctx (Orap_sim.Prng.create seed) validate with
-    | Error r -> Budget.Oracle_refused r
+    match
+      Attack.sample oracle ~inputs:locked.Locked.num_regular_inputs
+        (Orap_sim.Prng.create seed) validate
+    with
+    | Error msg -> Budget.Oracle_refused msg
     | Ok pairs ->
-      let bits, wrong =
-        List.fold_left
-          (fun (bits, wrong) (x, y) ->
-            let y' = Locked.eval locked ~key ~inputs:x in
-            let w = ref 0 in
-            Array.iteri (fun j b -> if b <> y'.(j) then incr w) y;
-            (bits + Array.length y, wrong + !w))
-          (0, 0) pairs
-      in
+      let wrong = Attack.mismatches locked key pairs in
+      let bits = List.fold_left (fun n (_, y) -> n + Array.length y) 0 pairs in
       if wrong = 0 then Budget.Exact key
-      else
-        Budget.Approximate
-          ( key,
-            Budget.stats_of ctx.Attack.clock ~iterations:iters
-              ~queries:(Attack.queries ctx)
-              ~estimated_error:(float_of_int wrong /. float_of_int bits) () )
+      else Budget.Approximate (key, float_of_int wrong /. float_of_int bits)
 
 (** Run the attack against [oracle] under [budget].  [max_iterations]
     overrides the budget's DIP-loop cap.
@@ -58,6 +49,6 @@ let run ?(budget = Budget.default) ?max_iterations ?(validate = 0)
     ?(validation_seed = 11213) (locked : Locked.t) (oracle : Oracle.t) :
     result =
   Attack.run ~name:"sat_attack" ~budget ?max_iterations
-    ~on_proof:(audit ~validate ~seed:validation_seed locked)
+    ~on_proof:(audit ~validate ~seed:validation_seed locked oracle)
     ~build:(fun () -> miter locked)
     oracle

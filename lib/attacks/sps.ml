@@ -110,26 +110,3 @@ let attack ?(seed = 2024) ?(words = 64) ?(epsilon = 0.01) (locked : Locked.t) :
     done;
     Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
     Some (N.Builder.finish b, best)
-
-type result = {
-  outcome : N.t Budget.outcome;  (** the repaired netlist, when found *)
-  report : report;
-  finding : finding option;  (** the signal that was removed *)
-}
-
-(** Structured entry point: run the analysis and removal under a budget
-    (wall-clock only — SPS is simulation-based, no oracle, no solver). *)
-let run ?(budget = Budget.default) ?(seed = 2024) ?(words = 64)
-    ?(epsilon = 0.01) (locked : Locked.t) : result =
-  let clock = Budget.start budget in
-  let report = analyze ~seed ~words ~epsilon locked.Locked.netlist in
-  match attack ~seed ~words ~epsilon locked with
-  | None ->
-    { outcome =
-        Budget.Exhausted
-          (Budget.No_progress "no skewed internal signal to remove");
-      report; finding = None }
-  | Some (repaired, best) ->
-    let stats = Budget.stats_of clock ~iterations:words ~queries:0 () in
-    { outcome = Budget.Approximate (repaired, stats); report;
-      finding = Some best }

@@ -74,8 +74,6 @@ let outcome_tag ~genuine = function
   | Budget.Exhausted (Budget.Wall_clock _) -> "timeout"
   | Budget.Exhausted (Budget.Conflicts _) -> "conflict-cap"
   | Budget.Exhausted Budget.Inconsistent -> "inconsistent"
-  | Budget.Exhausted (Budget.Refusal _) -> "refused"
-  | Budget.Exhausted (Budget.No_progress _) -> "no-progress"
   | Budget.Oracle_refused _ -> "refused"
 
 let summarize_tags tags =

@@ -52,12 +52,6 @@ type oracle_kind = Functional | Orap_scan
 
 let oracle_slug = function Functional -> "functional" | Orap_scan -> "orap"
 
-(** The oracle kind named [slug]; [Failure] for an unknown one. *)
-let oracle_of_slug = function
-  | "functional" -> Functional
-  | "orap" -> Orap_scan
-  | o -> failwith ("unknown oracle " ^ o)
-
 (** A fresh oracle of the given kind: the locked netlist under its correct
     key (an unprotected chip), or an unlocked basic-scheme OraP chip queried
     through its scan chain, which answers with the key register cleared. *)

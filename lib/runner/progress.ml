@@ -2,7 +2,6 @@
 
 type t = {
   total : int;
-  interval_s : float;
   out : out_channel;
   enabled : bool;
   now : unit -> float;
@@ -18,11 +17,13 @@ type t = {
   mutable tag_order : string list;  (** first-seen order, reversed *)
 }
 
-let create ?(interval_s = 1.0) ?(out = stderr) ?(enabled = true)
+(* seconds between status lines *)
+let interval_s = 1.0
+
+let create ?(out = stderr) ?(enabled = true)
     ?(now = Unix.gettimeofday) ~total () =
   {
     total;
-    interval_s;
     out;
     enabled;
     now;
@@ -110,7 +111,7 @@ let tick t ~tag =
         t.tag_order <- tag :: t.tag_order);
       if t.enabled then begin
         let now = t.now () in
-        if now -. t.last_emit >= t.interval_s then begin
+        if now -. t.last_emit >= interval_s then begin
           t.last_emit <- now;
           emit t
         end

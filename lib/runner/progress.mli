@@ -6,12 +6,11 @@
 
 type t
 
-(** [create ~total ()] — [interval_s] (default 1.0) throttles emission;
+(** [create ~total ()] — status lines are at least a second apart;
     [enabled:false] (the default used under tests) keeps the counters but
     never writes; output goes to [out] (default [stderr]); [now] injects a
     clock for deterministic tests (default [Unix.gettimeofday]). *)
 val create :
-  ?interval_s:float ->
   ?out:out_channel ->
   ?enabled:bool ->
   ?now:(unit -> float) ->

@@ -9,7 +9,6 @@ type options = {
   resume : bool;
   root_seed : int;
   progress : bool;
-  progress_interval_s : float;
 }
 
 let default_options =
@@ -19,7 +18,6 @@ let default_options =
     resume = false;
     root_seed = 0;
     progress = false;
-    progress_interval_s = 1.0;
   }
 
 type 'b codec = { encode : 'b -> string; decode : string -> 'b option }
@@ -68,10 +66,7 @@ let map_grid ?(options = default_options) ?codec ?(tag = fun _ -> "done") ~id
          (fun cell -> Option.is_none results.(cell.Task.index))
          (Array.to_list cells))
   in
-  let progress =
-    Progress.create ~interval_s:options.progress_interval_s
-      ~enabled:options.progress ~total:n ()
-  in
+  let progress = Progress.create ~enabled:options.progress ~total:n () in
   let cached = n - Array.length todo in
   Progress.add_cached progress cached;
   Metrics.add (Metrics.counter "runner.cache_hits") cached;

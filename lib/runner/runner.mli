@@ -19,8 +19,7 @@ type options = {
   journal : string option;  (** JSONL checkpoint file; [None] = no journal *)
   resume : bool;  (** skip cells already present in the journal *)
   root_seed : int;  (** mixed into every cell key and derived seed *)
-  progress : bool;  (** periodic stderr telemetry *)
-  progress_interval_s : float;
+  progress : bool;  (** periodic stderr telemetry, one line a second *)
 }
 
 (** jobs = all cores, no journal, no resume, root seed 0, progress off. *)

@@ -21,14 +21,6 @@ let derive_seed ~root_seed ~id =
   let h = hash64 (Printf.sprintf "seed\x00%d\x00%s" root_seed id) in
   Int64.to_int (Int64.logand h 0x3FFF_FFFF_FFFF_FFFFL)
 
-let hash_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      hash_hex (really_input_string ic n))
-
 type 'a cell = {
   index : int;
   id : string;

@@ -24,10 +24,6 @@ val cell_key : root_seed:int -> id:string -> string
     scheduling.  Always non-negative. *)
 val derive_seed : root_seed:int -> id:string -> int
 
-(** Content hash of a file (e.g. a [.bench] input referenced by a journal),
-    as 16 hex digits.  Raises [Sys_error] if unreadable. *)
-val hash_file : string -> string
-
 type 'a cell = {
   index : int;  (** position in the grid; results are returned in this order *)
   id : string;  (** caller-supplied canonical spec *)

@@ -125,7 +125,7 @@ let test_hill_climb_recovers_small_random_key () =
   check Alcotest.bool "recovered" true v.Evaluate.equivalent;
   check Alcotest.bool "zero residual mismatches" true
     (match r.outcome with
-    | Budget.Approximate (_, st) -> st.Budget.estimated_error = 0.0
+    | Budget.Approximate (_, err) -> err = 0.0
     | _ -> false)
 
 let test_hill_climb_fails_behind_orap () =
@@ -160,6 +160,39 @@ let test_key_sensitization_counts () =
   let r = Key_sensitization.run lk (Oracle.functional lk) in
   check Alcotest.bool "most bits sensitizable" true (r.iterations >= 6);
   check Alcotest.int "one query per sensitized bit" r.iterations r.queries
+
+(* the conflict budget spans key sensitization's per-bit solves, which feed
+   the solver counters like every other budgeted solve *)
+let test_key_sensitization_conflict_budget () =
+  let lk = Orap_locking.Random_ll.lock base ~key_size:8 in
+  let solves () = Orap_telemetry.Metrics.(value (counter "solver.solves")) in
+  let before = solves () in
+  let free = Key_sensitization.run lk (Oracle.functional lk) in
+  check Alcotest.bool "one counted solve per key bit" true (solves () - before >= 8);
+  check Alcotest.bool "the free run needs conflicts" true (free.conflicts > 1);
+  let budget = Budget.make ~max_conflicts:1 () in
+  let r = Key_sensitization.run ~budget lk (Oracle.functional lk) in
+  check Alcotest.string "conflict budget" "exhausted: solver-conflict budget of 1 spent"
+    (Budget.outcome_to_string r.outcome);
+  check Alcotest.bool "Exhausted (Conflicts 1)" true
+    (r.outcome = Budget.Exhausted (Budget.Conflicts 1));
+  check Alcotest.int "conflicts within the budget" 1 r.conflicts
+
+(* every outcome prints as it always has: tables and the CLI show these *)
+let test_outcome_strings () =
+  List.iter
+    (fun (want, o) -> check Alcotest.string want want (Budget.outcome_to_string o))
+    [
+      ("exact", Budget.Exact ());
+      ("approximate (est. error 0.1%)", Budget.Approximate ((), 0.001));
+      ("approximate (est. error 26.5%)", Budget.Approximate ((), 0.265));
+      ("exhausted: iteration cap of 256 reached", Budget.Exhausted (Budget.Iterations 256));
+      ("exhausted: wall-clock budget of 0.00s spent", Budget.Exhausted (Budget.Wall_clock 0.0));
+      ("exhausted: solver-conflict budget of 1 spent", Budget.Exhausted (Budget.Conflicts 1));
+      ("exhausted: oracle answers are consistent with no key", Budget.Exhausted Budget.Inconsistent);
+      ( "refused: oracle refused: query budget of 5 exhausted (functional oracle)",
+        Budget.Oracle_refused "query budget of 5 exhausted (functional oracle)" );
+    ]
 
 (* a spent deadline stops every attack before it does any work *)
 let test_every_attack_honours_wall_clock () =
@@ -255,6 +288,9 @@ let suite =
       tc "hill climbing fails behind OraP" `Quick test_hill_climb_fails_behind_orap;
       tc "hill climbing on test responses" `Quick test_hill_climb_on_responses;
       tc "key sensitization" `Quick test_key_sensitization_counts;
+      tc "key sensitization honours a conflict budget" `Quick
+        test_key_sensitization_conflict_budget;
+      tc "outcome strings" `Quick test_outcome_strings;
       tc "every attack honours a spent wall clock" `Quick
         test_every_attack_honours_wall_clock;
       tc "verdict evaluation" `Quick test_evaluate_verdicts;

@@ -179,7 +179,8 @@ let test_sat_attack_oracle_refused () =
   let r = Sat_attack.run lk_hard o in
   check Alcotest.bool "structured refusal" true
     (match r.Sat_attack.outcome with
-    | Budget.Oracle_refused (Budget.Refusal _) -> true
+    | Budget.Oracle_refused msg ->
+      String.starts_with ~prefix:"query budget of 3 exhausted" msg
     | _ -> false);
   (* the refused call itself is the 4th *)
   check Alcotest.bool "queries capped" true (r.Sat_attack.queries <= 4)

@@ -132,6 +132,15 @@ let test_compaction_preserves_coverage () =
   check Alcotest.int "same deterministic coverage" (covered original)
     (covered compacted)
 
+(* a CLI's stderr with runs of spaces and newlines collapsed: cmdliner
+   wraps long messages *)
+let read_squeezed path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.map (fun c -> if c = '\n' then ' ' else c)
+  |> String.split_on_char ' '
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
 (* every subcommand that reads a .bench file reports a missing or
    malformed one as a usage error (exit 124) naming the file, rather than
    as an uncaught exception (exit 125) *)
@@ -160,14 +169,7 @@ let test_cli_rejects_bad_bench () =
               (Printf.sprintf "%s %s %s > /dev/null 2> %s" (Filename.quote cli) cmd
                  (Filename.quote path) (Filename.quote err))
           in
-          (* cmdliner wraps long messages: compare with spaces collapsed *)
-          let stderr =
-            In_channel.with_open_text err In_channel.input_all
-            |> String.map (fun c -> if c = '\n' then ' ' else c)
-            |> String.split_on_char ' '
-            |> List.filter (( <> ) "")
-            |> String.concat " "
-          in
+          let stderr = read_squeezed err in
           let what = Printf.sprintf "orap %s, %s" cmd msg in
           check Alcotest.int (what ^ ": exit code") 124 code;
           if not (contains stderr (path ^ ": ") && contains stderr msg) then
@@ -178,8 +180,9 @@ let test_cli_rejects_bad_bench () =
   List.iter (fun (path, _) -> if Sys.file_exists path then Sys.remove path) cases;
   Sys.remove err
 
-(* sizes the generator or a lock cannot take are usage errors (exit 124)
-   that say why, not uncaught exceptions (exit 125) or a keyless lock *)
+(* sizes the generator or a lock cannot take, and attack or robustness
+   settings outside their range, are usage errors (exit 124) that say why,
+   not uncaught exceptions (exit 125), a keyless lock or a [-nan] table *)
 let test_cli_rejects_bad_sizes () =
   let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
   let path = Filename.temp_file "orap" ".bench" in
@@ -188,12 +191,18 @@ let test_cli_rejects_bad_sizes () =
   let out = Filename.temp_file "orap" ".out" and err = Filename.temp_file "orap" ".err" in
   List.iter
     (fun (args, msg) ->
+      (* a generate or lock that got through would write its output here *)
+      let out_opt =
+        if String.starts_with ~prefix:"generate" args || String.starts_with ~prefix:"lock" args
+        then " -o " ^ Filename.quote out
+        else ""
+      in
       let code =
         Sys.command
-          (Printf.sprintf "%s %s -o %s > /dev/null 2> %s" (Filename.quote cli) args
-             (Filename.quote out) (Filename.quote err))
+          (Printf.sprintf "%s %s%s > /dev/null 2> %s" (Filename.quote cli) args out_opt
+             (Filename.quote err))
       in
-      let stderr = In_channel.with_open_text err In_channel.input_all in
+      let stderr = read_squeezed err in
       check Alcotest.int (args ^ ": exit code") 124 code;
       if not (contains stderr msg) then Alcotest.failf "%s: %S lacks %S" args stderr msg)
     [
@@ -205,6 +214,20 @@ let test_cli_rejects_bad_sizes () =
       ("lock --ctrl-inputs 0 " ^ path, "below the minimum 1");
       ("lock --technique random --key-size 100 " ^ path, "Random_ll.lock: circuit too small");
       ("lock --key-size 64 " ^ path, "Weighted.lock: circuit too small");
+      ("attack --attack foo", "invalid value 'foo'");
+      ("attack --oracle foo", "invalid value 'foo'");
+      ("attack --noise abc", "invalid value 'abc'");
+      ("attack --noise 2", "2 is not a probability in [0, 1]");
+      ("attack --votes 2", "2 is not an odd count of at least 1");
+      ("attack --query-budget=-1", "-1 is below the minimum 0");
+      ("robustness --attacks foo", "invalid value 'foo'");
+      ("robustness --attacks sat,foo", "invalid value 'foo'");
+      ("robustness --oracle foo", "invalid value 'foo'");
+      ("robustness --noise 0.0,abc", "invalid value 'abc'");
+      ("robustness --noise 2", "2 is not a probability in [0, 1]");
+      ("robustness --votes 2", "2 is not an odd count of at least 1");
+      ("robustness --trials 0", "0 is below the minimum 1");
+      ("robustness --query-budget 0,-5", "-5 is below the minimum 0");
     ];
   List.iter Sys.remove [ path; out; err ]
 
