@@ -163,9 +163,21 @@ let lock_cmd =
     | `Sarlock -> Orap_locking.Sarlock.lock nl ~key_size
     | `Antisat -> Orap_locking.Antisat.lock nl ~key_size
   in
-  let run nl technique key_size ctrl out =
-    (* a key the circuit cannot hold ("circuit too small") is a usage error *)
+  (* without --key-size: 64 bits, halved until the circuit holds the key *)
+  let rec lock_default nl technique key_size ctrl =
     match lock nl technique key_size ctrl with
+    | exception Invalid_argument _ when key_size > 1 ->
+      lock_default nl technique (key_size / 2) ctrl
+    | locked -> locked
+  in
+  let run nl technique key_size ctrl out =
+    let lock () =
+      match key_size with
+      | Some k -> lock nl technique k ctrl
+      | None -> lock_default nl technique 64 ctrl
+    in
+    (* a key the circuit cannot hold ("circuit too small") is a usage error *)
+    match lock () with
     | exception Invalid_argument msg -> `Error (true, msg)
     | locked ->
       Bench_format.print_to_file out locked.Locked.netlist;
@@ -189,7 +201,11 @@ let lock_cmd =
       & info [ "technique" ] ~doc:"weighted|random|sarlock|antisat")
   in
   let key_size =
-    Arg.(value & opt (int_at_least 1) 64 & info [ "key-size" ] ~doc:"key bits")
+    Arg.(
+      value
+      & opt (some (int_at_least 1)) None
+      & info [ "key-size" ]
+          ~doc:"key bits (default: 64, or the largest power of two below it the circuit can hold)")
   in
   let ctrl =
     Arg.(value & opt (int_at_least 1) 3 & info [ "ctrl-inputs" ] ~doc:"control gate width")
@@ -252,6 +268,21 @@ let probability =
   in
   Arg.conv ~docv:"P" (parse, fun ppf p -> Format.fprintf ppf "%g" p)
 
+(* a time budget in seconds *)
+let seconds =
+  let parse v =
+    match float_of_string_opt v with
+    | Some t when t >= 0.0 -> Ok t
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a non-negative number of seconds" v))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number" v))
+  in
+  Arg.conv ~docv:"S" (parse, fun ppf t -> Format.fprintf ppf "%g" t)
+
+let max_conflicts_arg =
+  Arg.(
+    value & opt (int_at_least 0) 0
+    & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)")
+
 let votes_arg =
   Arg.(
     value
@@ -299,13 +330,12 @@ let attack_cmd =
   let key_size = fixture_key_size 32 in
   let noise = Arg.(value & opt probability 0.0 & info [ "noise" ] ~doc:"per-query bit-flip probability") in
   let qbudget = Arg.(value & opt (int_at_least 0) 0 & info [ "query-budget" ] ~doc:"oracle refuses after N queries (0 = unlimited)") in
-  let wall_clock = Arg.(value & opt float 0.0 & info [ "wall-clock" ] ~doc:"attack deadline in seconds (0 = none)") in
-  let max_conflicts = Arg.(value & opt int 0 & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)") in
-  let validate = Arg.(value & opt int 32 & info [ "validate" ] ~doc:"post-proof audit queries for SAT's exact claims (0 = trust the proof)") in
+  let wall_clock = Arg.(value & opt seconds 0.0 & info [ "wall-clock" ] ~doc:"attack deadline in seconds (0 = none)") in
+  let validate = Arg.(value & opt (int_at_least 0) 32 & info [ "validate" ] ~doc:"post-proof audit queries for SAT's exact claims (0 = trust the proof)") in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run an oracle-based attack on a locked fixture")
     Term.(const run $ attack $ oracle $ seed $ gates $ key_size $ noise
-          $ qbudget $ votes_arg $ wall_clock $ max_conflicts $ validate $ obs_opts)
+          $ qbudget $ votes_arg $ wall_clock $ max_conflicts_arg $ validate $ obs_opts)
 
 (* --- robustness --- *)
 
@@ -360,14 +390,13 @@ let robustness_cmd =
   let qbudgets = Arg.(value & opt (nonempty_list (int_at_least 0)) [ 0; 2000 ] & info [ "query-budget" ] ~doc:"comma-separated query budgets (0 = unlimited)") in
   let trials = Arg.(value & opt (int_at_least 1) 3 & info [ "trials" ] ~doc:"noise seeds per cell") in
   let attacks = Arg.(value & opt attacks_conv Key_recovery.all & info [ "attacks" ] ~doc:("all or comma-separated " ^ Key_recovery.slugs)) in
-  let iters = Arg.(value & opt int 256 & info [ "max-iterations" ] ~doc:"DIP/loop iteration cap") in
-  let wall_clock = Arg.(value & opt float 10.0 & info [ "wall-clock" ] ~doc:"per-attack deadline, seconds") in
-  let max_conflicts = Arg.(value & opt int 0 & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)") in
+  let iters = Arg.(value & opt (int_at_least 0) 256 & info [ "max-iterations" ] ~doc:"DIP/loop iteration cap") in
+  let wall_clock = Arg.(value & opt seconds 10.0 & info [ "wall-clock" ] ~doc:"per-attack deadline, seconds") in
   Cmd.v
     (Cmd.info "robustness"
        ~doc:"Sweep noise level x query budget x attack against an imperfect oracle")
     Term.(const run $ seed $ gates $ key_size $ oracle $ noise $ qbudgets
-          $ trials $ attacks $ iters $ wall_clock $ max_conflicts $ votes_arg
+          $ trials $ attacks $ iters $ wall_clock $ max_conflicts_arg $ votes_arg
           $ runner_opts $ obs_opts)
 
 (* --- experiment tables --- *)

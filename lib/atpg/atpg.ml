@@ -6,10 +6,12 @@
     drop whatever else it catches.  Faults that PODEM exhausts are counted
     redundant; faults hitting the backtrack/decision limit are aborted.
 
+    Both phases drop faults on one {!Fsim} engine, which propagates each
+    fanout-free region's root at most once per pattern word.
+
     Each call opens one [atpg.run] span whose exit args restate the report
-    and PODEM's search effort, and count the faults fault dropping injected
-    ([drop_injections], both phases: faults whose site already carries the
-    stuck value are skipped). *)
+    and PODEM's search effort, and count the root propagations fault
+    dropping ran ([drop_propagations], both phases). *)
 
 module N = Orap_netlist.Netlist
 module Fault = Orap_faultsim.Fault
@@ -33,7 +35,7 @@ let coverage r =
 let redundant_plus_aborted r = r.redundant + r.aborted
 
 (* one PODEM call per test, redundancy proof or abort *)
-let span_args ((r : report), (s : Podem.stats), drop_injections) =
+let span_args ((r : report), (s : Podem.stats), drop_propagations) =
   let podem_calls = List.length r.patterns + r.redundant + r.aborted in
   Telemetry.
     [
@@ -45,7 +47,7 @@ let span_args ((r : report), (s : Podem.stats), drop_injections) =
       ("decisions", Int s.Podem.decisions);
       ("backtracks", Int s.Podem.backtracks);
       ("implications", Int s.Podem.implications);
-      ("drop_injections", Int drop_injections);
+      ("drop_propagations", Int drop_propagations);
     ]
 
 let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
@@ -54,9 +56,11 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
   let faults = Fault.collapsed_list nl in
   let total = Array.length faults in
   let remaining = Array.make total true in
-  let stats = Fsim.random_simulate ~seed ~words:random_words nl faults remaining in
-  let engine = Podem.create nl in
   let fsim = Fsim.create nl in
+  let stats =
+    Fsim.random_simulate ~seed ~engine:fsim ~words:random_words nl faults remaining
+  in
+  let engine = Podem.create nl in
   let rng = Prng.create (seed + 1) in
   let redundant = ref 0 and aborted = ref 0 and det = ref stats.Fsim.detected in
   let patterns = ref [] in
@@ -93,7 +97,7 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
       patterns = List.rev !patterns;
     },
     Podem.stats engine,
-    stats.Fsim.injections + fsim.Fsim.injections )
+    fsim.Fsim.propagations )
 
 (** Reverse-order test compaction: re-fault-simulate the deterministic
     patterns latest-first and keep only those that detect a not-yet-covered

@@ -1,10 +1,35 @@
-(** Parallel-pattern single-fault propagation (HOPE-style): 64 patterns per
-    word, event-driven faulty-value propagation restricted to the affected
-    region, fault dropping on first detection.
+(** Parallel-pattern fault simulation with fault dropping by fanout-free
+    region (HOPE-style): 64 patterns per word, one event-driven
+    propagation per region root and word, faults dropped on first
+    detection.
 
-    Good values come from {!Orap_sim.Sim.eval} into the engine's one
-    {!Orap_sim.Sim.store}, and faulty words are computed by
-    {!Orap_sim.Sim.eval_gate} and written in place over the good ones.
+    {b Regions.}  A node is a region root when it is a primary output or
+    has other than one fanout entry (a reader that reads it twice counts
+    twice).  Every other node is a region member: it feeds exactly one
+    fanin position of one reader and nothing else, so a fault's effect
+    inside a region travels along the single path from the fault to the
+    region's root and reaches the rest of the circuit only through the
+    root.  A fault is therefore detected in the lanes of
+    [act ∧ local ∧ obs(root)]:
+    - [act]: the lanes where the fault's site (the node of a stem fault,
+      the fanin of a branch fault) differs from the stuck value;
+    - [local]: the lanes where each gate on the path passes a flip of its
+      path fanin, the other fanins holding their good words
+      ({!Orap_sim.Sim.sensitise}); a branch fault enters the path at its
+      reader and fanin position;
+    - [obs(root)]: the lanes where inverting the root's good word flips an
+      output.  It is propagated once per word and root, only when some
+      fault reaches the root ([act ∧ local ≠ 0]), and memoised under a
+      word stamp.
+    This is exact: in those lanes the faulty circuit is the good one with
+    the root inverted, and in the others it equals the good one outside
+    the path, which holds no output.  The region tables are built on the
+    first drop, so an engine used only for {!invert_impact} never pays
+    for them.
+
+    {b Propagation.}  Good values come from {!Orap_sim.Sim.eval} into the
+    engine's one {!Orap_sim.Sim.store}; a root's inverted word is written
+    in place and its readers re-evaluated by {!Orap_sim.Sim.eval_gate}.
     Before a node's word is overwritten, its good word goes on an undo log
     ([touched] / [undo], a second store); the output differences are read
     against the log and every propagation restores the good words from it
@@ -12,18 +37,34 @@
     drained in ascending id order from a bit per node ({!Pending}) and
     every node is overwritten at most once.
 
-    Fault dropping injects only faults that are activated somewhere: a
-    fault whose site (the node for a stem fault, the fanin for a branch
-    fault) already carries the stuck value in every lane leaves the faulty
-    circuit equal to the good one, so it is skipped without propagation.
-    [injections] counts the faults actually injected.
+    {b Live faults.}  The engine keeps the indices of the faults still
+    remaining in the [faults]/[remaining] pair it last dropped from, and
+    visits only those.  A caller may clear [remaining.(i)] between calls;
+    to bring a fault back, pass a fresh [remaining] array.
 
-    Dropping allocates nothing: the store is touched only through {!Sim}
-    operations that return no [int64]. *)
+    Dropping allocates nothing once the tables exist: the stores are
+    touched only through {!Sim} operations that return no [int64]. *)
 
 module N = Orap_netlist.Netlist
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
+
+(* [up.(n)] packs a node's region state into one int: a member's link to
+   its reader, reader lsl [pos_bits] lor fanin position (>= 0, as a
+   reader's id is positive); a root's stamp [s] as [lnot s] (< 0), the
+   word [obs] holds the root's mask for (0 = none yet) *)
+let pos_bits = 31
+let pos_mask = (1 lsl pos_bits) - 1
+
+type regions = {
+  up : int array;
+  obs : Sim.store;  (* per root: the lanes where inverting it flips an output *)
+  mask : Sim.store;  (* one word: a fault's lanes, narrowed along its path *)
+}
+
+(* live fault indices, 32 bits each *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
 type t = {
   nl : N.t;
@@ -35,7 +76,13 @@ type t = {
   undo : Sim.store;  (* the good word of [touched.(i)] as word [i] *)
   mutable n_touched : int;
   pending : Pending.t;
-  mutable injections : int;  (* faults injected, over the engine's life *)
+  mutable regions : regions option;  (* built on the first drop *)
+  mutable word : int;  (* stamp of the good words being dropped against *)
+  mutable live : Bytes.t;  (* remaining fault indices, [n_live] of them *)
+  mutable n_live : int;
+  mutable live_faults : Fault.t array;  (* the pair [live] was taken from *)
+  mutable live_remaining : bool array;
+  mutable propagations : int;  (* root propagations, over the engine's life *)
 }
 
 let create (nl : N.t) : t =
@@ -52,11 +99,35 @@ let create (nl : N.t) : t =
     undo = Sim.store nl;
     n_touched = 0;
     pending = Pending.create n;
-    injections = 0;
+    regions = None;
+    word = 0;
+    live = Bytes.empty;
+    n_live = 0;
+    live_faults = [||];
+    live_remaining = [||];
+    propagations = 0;
   }
 
-(* the good word of the [i]-th touched node *)
-let[@inline] logged t i = Sim.word t.undo i
+let build_regions t =
+  let n = N.num_nodes t.nl in
+  let up = Array.make n (-1) in
+  for r = 0 to n - 1 do
+    let fan = N.fanins t.nl r in
+    for pos = 0 to Array.length fan - 1 do
+      let m = fan.(pos) in
+      if Array.length t.fanouts.(m) = 1 && not t.is_output.(m) then
+        up.(m) <- (r lsl pos_bits) lor pos
+    done
+  done;
+  { up; obs = Sim.store t.nl; mask = Sim.words 1 }
+
+let regions t =
+  match t.regions with
+  | Some rg -> rg
+  | None ->
+    let rg = build_regions t in
+    t.regions <- Some rg;
+    rg
 
 (* [n] is about to be overwritten: log its good word in the next slot *)
 let[@inline] log t n =
@@ -77,8 +148,8 @@ let commit t n =
     schedule_fanouts t n
   end
 
-(* drain the pending events in id (= topological) order; the fault site is
-   never re-evaluated, since every event lies downstream of it *)
+(* drain the pending events in id (= topological) order; the inverted
+   node is never re-evaluated, since every event lies downstream of it *)
 let rec propagate t =
   let i = Pending.pop t.pending in
   if i >= 0 then begin
@@ -88,23 +159,12 @@ let rec propagate t =
     propagate t
   end
 
-(* set the faulty word of [n] to [w] ([pos] = -1, a stem fault) or to its
-   value with fanin [pos] stuck at [w] (a branch fault: only [n] reads the
-   branch), and propagate it *)
-let inject t n pos w =
+(* invert the good word of [n] in every lane and propagate the flip *)
+let invert t n =
   log t n;
-  if pos < 0 then Sim.set_word t.store n w else Sim.eval_gate t.nl t.store n pos w;
+  Sim.xor_word t.store n (-1L) t.store n;
   commit t n;
   propagate t
-
-let[@inline] stuck_word (fault : Fault.t) = if fault.Fault.stuck then -1L else 0L
-
-let inject_fault t (fault : Fault.t) =
-  t.injections <- t.injections + 1;
-  let w = stuck_word fault in
-  match fault.Fault.site with
-  | Fault.Output n -> inject t n (-1) w
-  | Fault.Input (n, pos) -> inject t n pos w
 
 (* end a propagation: restore the good words from the undo log *)
 let restore t =
@@ -116,44 +176,67 @@ let restore t =
 (* the output difference word of the [i]-th touched node (0 off outputs) *)
 let[@inline] output_diff t i =
   let n = t.touched.(i) in
-  if t.is_output.(n) then Int64.logxor (Sim.word t.store n) (logged t i) else 0L
+  if t.is_output.(n) then Int64.logxor (Sim.word t.store n) (Sim.word t.undo i) else 0L
 
-let output_differs t =
-  let found = ref false and i = ref 0 in
-  while (not !found) && !i < t.n_touched do
-    let n = t.touched.(!i) in
-    if t.is_output.(n) && not (Sim.same_word t.store n t.undo !i) then found := true;
-    incr i
+(* obs(root): propagate its inversion once per word *)
+let observe t rg root =
+  if rg.up.(root) <> lnot t.word then begin
+    rg.up.(root) <- lnot t.word;
+    t.propagations <- t.propagations + 1;
+    invert t root;
+    Sim.set_word rg.obs root 0L;
+    for i = 0 to t.n_touched - 1 do
+      let n = t.touched.(i) in
+      if t.is_output.(n) then Sim.or_diff t.store n t.undo i rg.obs root
+    done;
+    restore t
+  end
+
+let[@inline] stuck_word (fault : Fault.t) = if fault.Fault.stuck then -1L else 0L
+
+(* narrow [rg.mask] to the lanes where [fault] flips its region's root,
+   [act ∧ local]; the root, or -1 when no lane is left *)
+let to_root t rg (fault : Fault.t) =
+  let cur = ref (-1) and link = ref (-1) in
+  (match fault.Fault.site with
+   | Fault.Output n ->
+     Sim.xor_word t.store n (stuck_word fault) rg.mask 0;
+     cur := n;
+     link := rg.up.(n)
+   | Fault.Input (n, pos) ->
+     Sim.xor_word t.store (N.fanins t.nl n).(pos) (stuck_word fault) rg.mask 0;
+     link := (n lsl pos_bits) lor pos);
+  while !link >= 0 && not (Sim.word_is rg.mask 0 0L) do
+    let r = !link lsr pos_bits in
+    Sim.sensitise t.nl t.store r (!link land pos_mask) rg.mask 0;
+    cur := r;
+    link := rg.up.(r)
   done;
-  !found
+  if Sim.word_is rg.mask 0 0L then -1 else !cur
 
-(* the site already carries the stuck value in every lane: the faulty
-   circuit is the good one *)
-let unactivated t (fault : Fault.t) =
-  let site =
-    match fault.Fault.site with
-    | Fault.Output n -> n
-    | Fault.Input (n, pos) -> (N.fanins t.nl n).(pos)
-  in
-  Sim.word_is t.store site (stuck_word fault)
+(* narrow [rg.mask] to the lanes that detect [fault]; false if none *)
+let detects t rg fault =
+  let root = to_root t rg fault in
+  root >= 0
+  && begin
+    observe t rg root;
+    Sim.and_word rg.obs root rg.mask 0;
+    not (Sim.word_is rg.mask 0 0L)
+  end
 
 (** Simulate one fault against one 64-pattern word: [inputs] holds one
     word per primary input.  Returns the mask of patterns that detect the
     fault.  Raises [Invalid_argument] on a wrong input count. *)
 let detect_word (t : t) (inputs : int64 array) (fault : Fault.t) : int64 =
   Sim.eval t.nl t.store inputs;
-  inject_fault t fault;
-  let mask = ref 0L in
-  for i = 0 to t.n_touched - 1 do
-    mask := Int64.logor !mask (output_diff t i)
-  done;
-  restore t;
-  !mask
+  t.word <- t.word + 1;
+  let rg = regions t in
+  if detects t rg fault then Sim.word rg.mask 0 else 0L
 
 (** Output bit flips, summed over the outputs, when the stem of [node] is
     inverted under the good values last simulated into [t.store]. *)
 let invert_impact (t : t) node : int =
-  inject t node (-1) (Int64.lognot (Sim.word t.store node));
+  invert t node;
   let bits = ref 0 in
   for i = 0 to t.n_touched - 1 do
     bits := !bits + Sim.popcount64 (output_diff t i)
@@ -161,35 +244,57 @@ let invert_impact (t : t) node : int =
   restore t;
   !bits
 
-(* drop every remaining fault the loaded good values detect *)
+(* take the live list from [remaining] unless it already mirrors it *)
+let track t (faults : Fault.t array) (remaining : bool array) =
+  if faults != t.live_faults || remaining != t.live_remaining then begin
+    if Bytes.length t.live < 4 * Array.length faults then
+      t.live <- Bytes.create (4 * Array.length faults);
+    t.n_live <- 0;
+    for i = 0 to Array.length faults - 1 do
+      if remaining.(i) then begin
+        set32 t.live (4 * t.n_live) (Int32.of_int i);
+        t.n_live <- t.n_live + 1
+      end
+    done;
+    t.live_faults <- faults;
+    t.live_remaining <- remaining
+  end
+
+(** Drop every remaining fault the good values last simulated into
+    [t.store] detect; returns how many were dropped. *)
 let drop_detected t (faults : Fault.t array) (remaining : bool array) =
-  let dropped = ref 0 in
-  for i = 0 to Array.length faults - 1 do
-    if remaining.(i) && not (unactivated t faults.(i)) then begin
-      inject_fault t faults.(i);
-      if output_differs t then begin
+  let rg = regions t in
+  track t faults remaining;
+  t.word <- t.word + 1;
+  let dropped = ref 0 and kept = ref 0 in
+  for k = 0 to t.n_live - 1 do
+    let i = Int32.to_int (get32 t.live (4 * k)) in
+    if remaining.(i) then
+      if detects t rg faults.(i) then begin
         remaining.(i) <- false;
         incr dropped
-      end;
-      restore t
-    end
+      end
+      else begin
+        set32 t.live (4 * !kept) (Int32.of_int i);
+        incr kept
+      end
   done;
+  t.n_live <- !kept;
   !dropped
 
-type stats = {
-  mutable detected : int;
-  mutable simulated_words : int;
-  mutable injections : int;  (** faults injected: the rest were unactivated *)
-}
+type stats = { mutable detected : int; mutable simulated_words : int }
 
 (** Random-pattern fault simulation with dropping.  [faults] is mutated:
-    [remaining.(i)] is set to [false] when fault [i] is detected.  Returns
-    statistics. *)
-let random_simulate ?(seed = 99) ~words (nl : N.t) (faults : Fault.t array)
+    [remaining.(i)] is set to [false] when fault [i] is detected.  Drops
+    on [engine] when given (an engine for [nl], which then keeps the live
+    list for the later {!simulate_pattern} calls), else on a fresh one.
+    Returns statistics. *)
+let random_simulate ?(seed = 99) ?engine ~words (nl : N.t) (faults : Fault.t array)
     (remaining : bool array) : stats =
-  let t = create nl in
+  let t = match engine with Some t -> t | None -> create nl in
+  if t.nl != nl then invalid_arg "Fsim.random_simulate: engine built for another netlist";
   let rng = Prng.create seed in
-  let stats = { detected = 0; simulated_words = 0; injections = 0 } in
+  let stats = { detected = 0; simulated_words = 0 } in
   for _ = 1 to words do
     for i = 0 to Array.length t.input_words - 1 do
       t.input_words.(i) <- Prng.next64 rng
@@ -198,7 +303,6 @@ let random_simulate ?(seed = 99) ~words (nl : N.t) (faults : Fault.t array)
     stats.simulated_words <- stats.simulated_words + 1;
     stats.detected <- stats.detected + drop_detected t faults remaining
   done;
-  stats.injections <- t.injections;
   stats
 
 (** Simulate a single concrete test pattern (from ATPG) against the

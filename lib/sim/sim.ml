@@ -17,12 +17,20 @@ external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type store = Bytes.t
 
-let store nl = Bytes.make (8 * N.num_nodes nl) '\000'
+let words k = Bytes.make (8 * k) '\000'
+let store nl = words (N.num_nodes nl)
 let[@inline] word s n = get64 s (n lsl 3)
 let[@inline] set_word s n w = set64 s (n lsl 3) w
 let[@inline] word_is s n w = Int64.equal (get64 s (n lsl 3)) w
 let[@inline] same_word a i b j = Int64.equal (get64 a (i lsl 3)) (get64 b (j lsl 3))
 let[@inline] copy_word a i b j = set64 b (j lsl 3) (get64 a (i lsl 3))
+let[@inline] xor_word a i w b j = set64 b (j lsl 3) (Int64.logxor (get64 a (i lsl 3)) w)
+let[@inline] and_word a i b j =
+  set64 b (j lsl 3) (Int64.logand (get64 b (j lsl 3)) (get64 a (i lsl 3)))
+
+let[@inline] or_diff a i b j c k =
+  set64 c (k lsl 3)
+    (Int64.logor (get64 c (k lsl 3)) (Int64.logxor (get64 a (i lsl 3)) (get64 b (j lsl 3))))
 
 let check_store name nl s =
   if Bytes.length s < 8 * N.num_nodes nl then
@@ -108,6 +116,32 @@ let gate_forced nl s n fpos fw =
     done;
     put s n
       (match k with Gate.Nand | Gate.Nor | Gate.Xnor -> Int64.lognot !acc | _ -> !acc)
+
+(* AND into word [j] of [m] the lanes where every fanin of [fan] but the
+   one at [pos] reads 1 ([flip] = 0) or 0 ([flip] = all ones) *)
+let and_others s fan pos flip m j =
+  let acc = ref (get64 m (j lsl 3)) in
+  for i = 0 to Array.length fan - 1 do
+    if i <> pos then
+      acc := Int64.logand !acc (Int64.logxor (get s (Array.unsafe_get fan i)) flip)
+  done;
+  set64 m (j lsl 3) !acc
+
+let sensitise nl s n pos m j =
+  check_store "Sim.sensitise" nl s;
+  let fan = N.fanins nl n in
+  match N.kind nl n with
+  | Gate.And | Gate.Nand -> and_others s fan pos 0L m j
+  | Gate.Or | Gate.Nor -> and_others s fan pos (-1L) m j
+  | Gate.Mux ->
+    let sel = get s fan.(0) in
+    let pass =
+      if pos = 0 then Int64.logxor (get s fan.(1)) (get s fan.(2))
+      else if pos = 1 then Int64.lognot sel
+      else sel
+    in
+    set64 m (j lsl 3) (Int64.logand (get64 m (j lsl 3)) pass)
+  | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> ()
 
 let eval_gate nl s n fpos fw =
   check_store "Sim.eval_gate" nl s;

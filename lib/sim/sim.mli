@@ -26,6 +26,10 @@ type store
 (** A zeroed store with one word per node of the netlist. *)
 val store : Orap_netlist.Netlist.t -> store
 
+(** A zeroed store of [k] words, for masks kept beside a netlist's store:
+    only the word operations below read or write it. *)
+val words : int -> store
+
 (** [eval nl s inputs] writes [inputs.(i)] as the word of the [i]-th
     primary input (position in {!Orap_netlist.Netlist.inputs}) and then
     evaluates every gate in id order.  Raises [Invalid_argument] unless
@@ -56,6 +60,26 @@ val same_word : store -> int -> store -> int -> bool
 
 (** [copy_word a i b j] writes node [i]'s word in [a] as node [j]'s in [b]. *)
 val copy_word : store -> int -> store -> int -> unit
+
+(** [xor_word a i w b j] writes node [i]'s word in [a], XORed with [w], as
+    word [j] of [b]. *)
+val xor_word : store -> int -> int64 -> store -> int -> unit
+
+(** [and_word a i b j] ANDs node [i]'s word in [a] into word [j] of [b]. *)
+val and_word : store -> int -> store -> int -> unit
+
+(** [or_diff a i b j c k] ORs into word [k] of [c] the lanes where word [i]
+    of [a] and word [j] of [b] differ. *)
+val or_diff : store -> int -> store -> int -> store -> int -> unit
+
+(** [sensitise nl s n pos m j] clears, in word [j] of [m], the lanes where
+    flipping fanin [pos] of node [n] alone would leave [n]'s value as it
+    is, every other fanin holding its word in [s].  AND and NAND pass the
+    flip where every other fanin is 1, OR and NOR where every other fanin
+    is 0; a MUX select passes where the data inputs differ, a data input
+    where it is selected; XOR, XNOR, BUF and NOT pass it in every lane.
+    Raises [Invalid_argument] unless [s] has a word per node. *)
+val sensitise : Orap_netlist.Netlist.t -> store -> int -> int -> store -> int -> unit
 
 (** Single-pattern simulation on a bool input assignment (by input
     position); returns the output values.  Raises [Invalid_argument] on a

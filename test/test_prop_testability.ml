@@ -2,10 +2,14 @@
     simulator and its fault dropping against forced-value resimulation,
     PODEM's generated vectors against the fault simulator — three
     independent implementations of "does this pattern detect this
-    fault?" — and the trail-undo, region-restricted PODEM engine against
-    the re-implying, whole-circuit reference engine of [Podem_ref]. *)
+    fault?" — dropping by fanout-free region against the per-fault
+    injection engine of [Fsim_ref], and the trail-undo, region-restricted
+    PODEM engine against the re-implying, whole-circuit reference engine
+    of [Podem_ref]. *)
 
 open Util
+module Gate = Orap_netlist.Gate
+module Bench_format = Orap_netlist.Bench_format
 module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Podem = Orap_atpg.Podem
@@ -100,6 +104,158 @@ let prop_drop_matches_reference =
         if remaining <> expected || dropped <> count_dropped before remaining then ok := false
       done;
       !ok)
+
+(* Region dropping against per-fault injection on one netlist: every stem
+   and branch fault, a quarter cleared up front, and two random 64-lane
+   words; then, on the same engine and a fresh [remaining] array (a
+   quarter cleared again), four single patterns, each after the caller
+   cleared one fault the pattern detects (as [Atpg.run] clears PODEM's
+   target); then every fault's detect mask over one more word.  The same
+   [remaining] array and the same dropped counts throughout. *)
+let region_drop_matches_reference nl ~aux =
+  let faults = all_faults nl in
+  let n = Array.length faults in
+  let rng = Prng.create aux in
+  let remaining = Array.init n (fun _ -> Prng.int rng 4 > 0) in
+  let expected = Array.copy remaining in
+  let t = Fsim.create nl and r = Fsim_ref.create nl in
+  let stats = Fsim.random_simulate ~seed:aux ~engine:t ~words:2 nl faults remaining in
+  let ok =
+    ref
+      (stats.Fsim.detected = Fsim_ref.random_simulate ~seed:aux ~words:2 nl faults expected
+      && remaining = expected)
+  in
+  let ni = N.num_inputs nl in
+  let remaining = Array.init n (fun _ -> Prng.int rng 4 > 0) in
+  let expected = Array.copy remaining in
+  for _ = 1 to 4 do
+    let pattern = Prng.bool_array rng ni in
+    let lanes = Array.map (fun b -> if b then -1L else 0L) pattern in
+    let caught =
+      List.filter
+        (fun i -> remaining.(i) && Fsim_ref.detect_word r lanes faults.(i) <> 0L)
+        (List.init n Fun.id)
+    in
+    if caught <> [] then begin
+      let i = List.nth caught (Prng.int rng (List.length caught)) in
+      remaining.(i) <- false;
+      expected.(i) <- false
+    end;
+    let dropped = Fsim.simulate_pattern t pattern faults remaining in
+    if dropped <> Fsim_ref.simulate_pattern r pattern faults expected || remaining <> expected
+    then ok := false
+  done;
+  let words = Array.init ni (fun _ -> Prng.next64 rng) in
+  Array.iter
+    (fun f -> if Fsim.detect_word t words f <> Fsim_ref.detect_word r words f then ok := false)
+    faults;
+  !ok
+
+(* P: on [Gen] netlists (every gate kind, fanins up to three, some read
+   twice, constants) *)
+let prop_region_drop_matches_reference =
+  Prop.netlist_with_seed ~count:40 "region dropping matches per-fault injection"
+    region_drop_matches_reference
+
+(* A DAG whose associative gates take 2 to 6 fanins drawn with
+   repetition, mostly among the last few nodes (long single-fanout
+   chains), with constants, and outputs drawn from every node, so that
+   some outputs also fan out *)
+let wide_netlist rng =
+  let b = N.Builder.create () in
+  for _ = 1 to Gen.int_range 3 7 rng do
+    ignore (N.Builder.add_input b)
+  done;
+  let kinds =
+    Gate.[| And; Nand; Or; Nor; Xor; Xnor; Mux; Mux; Buf; Not; Const0; Const1 |]
+  in
+  for _ = 1 to Gen.int_range 10 50 rng do
+    let kind = Gen.oneof kinds rng in
+    let len = N.Builder.length b in
+    let arity =
+      match Gate.arity kind with
+      | `Exactly a -> a
+      | `At_least a -> Gen.int_range a 6 rng
+    in
+    let pick () =
+      if Prng.int rng 4 = 0 then Prng.int rng len else len - 1 - Prng.int rng (min len 4)
+    in
+    ignore (N.Builder.add_node b kind (Array.init arity (fun _ -> pick ())))
+  done;
+  let len = N.Builder.length b in
+  N.Builder.mark_output b (len - 1);
+  for _ = 1 to Gen.int_range 0 3 rng do
+    N.Builder.mark_output b (Prng.int rng len)
+  done;
+  N.Builder.finish b
+
+(* P: on wide DAGs *)
+let prop_region_drop_wide =
+  Prop.to_alcotest ~count:40 ~name:"wide-gate region dropping matches per-fault injection"
+    ~gen:(Gen.pair wide_netlist (Gen.int_range 0 0x3FFFFFFF))
+    ~print:(fun (nl, aux) -> Printf.sprintf "aux %d\n%s" aux (Bench_format.print nl))
+    (fun (nl, aux) -> region_drop_matches_reference nl ~aux)
+
+(* Every region case at once, small enough to check exhaustively: a
+   5-input AND and a 4-input NOR fed by constants, both sitting in the
+   region of a MUX whose select (through an XOR) and data input (through
+   an XNOR) are region members; a BUF read twice by an OR, which makes it
+   a root; that OR an output that also feeds a second MUX's data input *)
+let region_corner_netlist () =
+  let b = N.Builder.create () in
+  let x = Array.init 6 (fun _ -> N.Builder.add_input b) in
+  let g k fan = N.Builder.add_node b k fan in
+  let c1 = g Gate.Const1 [||] and c0 = g Gate.Const0 [||] in
+  let n1 = g Gate.Not [| x.(0) |] in
+  let a5 = g Gate.And [| n1; x.(1); x.(2); c1; x.(3) |] in
+  let o4 = g Gate.Nor [| c0; x.(4); x.(5); x.(1) |] in
+  let sel = g Gate.Xor [| a5; x.(2) |] in
+  let d0 = g Gate.Xnor [| o4; x.(3) |] in
+  let m = g Gate.Mux [| sel; d0; x.(0) |] in
+  let bf = g Gate.Buf [| m |] in
+  let dup = g Gate.Or [| bf; bf; x.(4) |] in
+  N.Builder.mark_output b dup;
+  let m2 = g Gate.Mux [| x.(5); dup; x.(2) |] in
+  N.Builder.mark_output b (g Gate.Nand [| m2; x.(1); x.(3) |]);
+  N.Builder.finish b
+
+(* on the corner netlist, whose 6 inputs make one word exhaustive: every
+   fault's detect mask over all 64 patterns, and dropping over that word
+   and then over each pattern alone, against the reference *)
+let test_region_corners () =
+  let nl = region_corner_netlist () in
+  let faults = all_faults nl in
+  let exhaustive =
+    Array.init 6 (fun i ->
+        let w = ref 0L in
+        for lane = 0 to 63 do
+          if (lane lsr i) land 1 = 1 then w := Int64.logor !w (Int64.shift_left 1L lane)
+        done;
+        !w)
+  in
+  let t = Fsim.create nl and r = Fsim_ref.create nl in
+  Array.iter
+    (fun f ->
+      check Alcotest.int64 (Fault.to_string nl f)
+        (Fsim_ref.detect_word r exhaustive f) (Fsim.detect_word t exhaustive f))
+    faults;
+  let remaining = Array.make (Array.length faults) true in
+  let expected = Array.copy remaining in
+  Sim.eval nl t.Fsim.store exhaustive;
+  Sim.eval nl r.Fsim_ref.store exhaustive;
+  check Alcotest.int "dropped by the exhaustive word"
+    (Fsim_ref.drop_detected r faults expected) (Fsim.drop_detected t faults remaining);
+  check Alcotest.(array bool) "remaining after the word" expected remaining;
+  let remaining = Array.make (Array.length faults) true in
+  let expected = Array.copy remaining in
+  for lane = 0 to 63 do
+    let pattern = lane_of exhaustive lane in
+    check Alcotest.int "dropped by one pattern"
+      (Fsim_ref.simulate_pattern r pattern faults expected)
+      (Fsim.simulate_pattern t pattern faults remaining)
+  done;
+  check Alcotest.(array bool) "remaining after every pattern" expected remaining;
+  check Alcotest.bool "some fault survives" true (Array.exists Fun.id remaining)
 
 (* P: every vector PODEM emits really detects its target fault, for any
    don't-care fill *)
@@ -280,6 +436,9 @@ let suite =
     [
       prop_fsim_matches_forced_resim;
       prop_drop_matches_reference;
+      prop_region_drop_matches_reference;
+      prop_region_drop_wide;
+      tc "region dropping on every region case" `Quick test_region_corners;
       prop_podem_vectors_detect;
       prop_podem_redundant_means_undetectable;
       prop_podem_matches_reference;

@@ -228,8 +228,32 @@ let test_cli_rejects_bad_sizes () =
       ("robustness --votes 2", "2 is not an odd count of at least 1");
       ("robustness --trials 0", "0 is below the minimum 1");
       ("robustness --query-budget 0,-5", "-5 is below the minimum 0");
+      ("attack --validate=-3", "-3 is below the minimum 0");
+      ("attack --wall-clock=-1", "-1 is not a non-negative number of seconds");
+      ("attack --max-conflicts=-2", "-2 is below the minimum 0");
+      ("robustness --max-iterations=-1", "-1 is below the minimum 0");
+      ("robustness --wall-clock=-1", "-1 is not a non-negative number of seconds");
+      ("robustness --max-conflicts=-2", "-2 is below the minimum 0");
     ];
   List.iter Sys.remove [ path; out; err ]
+
+(* without --key-size, lock fits the key to the circuit: 64 bits do not
+   fit a 12-gate circuit, and the lock still succeeds with a smaller key *)
+let test_cli_lock_default_key_fits () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let nl = random_netlist ~inputs:4 ~outputs:2 ~gates:12 3 in
+  let path = Filename.temp_file "orap" ".bench" and out = Filename.temp_file "orap" ".bench" in
+  Orap_netlist.Bench_format.print_to_file path nl;
+  let code =
+    Sys.command
+      (Printf.sprintf "%s lock %s -o %s > /dev/null 2>&1" (Filename.quote cli)
+         (Filename.quote path) (Filename.quote out))
+  in
+  check Alcotest.int "exit code" 0 code;
+  let locked = (Orap_netlist.Bench_format.parse_file out).Orap_netlist.Bench_format.netlist in
+  let keys = N.num_inputs locked - N.num_inputs nl in
+  check Alcotest.bool "a key under 64 bits" true (keys >= 1 && keys < 64);
+  List.iter Sys.remove [ path; out ]
 
 let suite =
   ( "tools",
@@ -242,4 +266,5 @@ let suite =
       tc "compaction preserves coverage" `Quick test_compaction_preserves_coverage;
       tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
       tc "CLI rejects sizes it cannot build" `Quick test_cli_rejects_bad_sizes;
+      tc "CLI lock fits its default key" `Quick test_cli_lock_default_key_fits;
     ] )
