@@ -173,10 +173,18 @@ let lock_cmd =
   let run nl technique key_size ctrl out =
     let lock () =
       match key_size with
-      | Some k -> lock nl technique k ctrl
+      | Some k ->
+        let locked = lock nl technique k ctrl in
+        (* SARLock and Anti-SAT clamp a size they cannot build *)
+        if Locked.key_size locked <> k then
+          invalid_arg
+            (Printf.sprintf "%s builds a %d-bit key on this circuit, not %d"
+               locked.Locked.technique (Locked.key_size locked) k);
+        locked
       | None -> lock_default nl technique 64 ctrl
     in
-    (* a key the circuit cannot hold ("circuit too small") is a usage error *)
+    (* a key the circuit cannot hold ("circuit too small") or the technique
+       cannot build is a usage error *)
     match lock () with
     | exception Invalid_argument msg -> `Error (true, msg)
     | locked ->
@@ -205,7 +213,11 @@ let lock_cmd =
       value
       & opt (some (int_at_least 1)) None
       & info [ "key-size" ]
-          ~doc:"key bits (default: 64, or the largest power of two below it the circuit can hold)")
+          ~doc:
+            "key bits; a size the technique cannot build on the circuit is an error \
+             (SARLock takes at most one bit per input, Anti-SAT an even count of at most \
+             two per input).  Default: 64, halved until random or weighted locking fits; \
+             SARLock and Anti-SAT take their largest key up to 64 bits")
   in
   let ctrl =
     Arg.(value & opt (int_at_least 1) 3 & info [ "ctrl-inputs" ] ~doc:"control gate width")

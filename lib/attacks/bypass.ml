@@ -99,12 +99,7 @@ let build_patched (locked : Locked.t) key patches : N.t =
             (if key.(pos - nri) then Gate.Const1 else Gate.Const0)
             [||])
     inputs;
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ()
-    | k ->
-      map.(i) <- N.Builder.add_node b k (Array.map (fun f -> map.(f)) (N.fanins nl i))
-  done;
+  ignore (N.copy_into ~map_inputs:false b nl map);
   (* hit_j = (x == pattern_j) *)
   let hits =
     List.map

@@ -1,7 +1,6 @@
 (** Post-attack evaluation: what a recovered key is actually worth. *)
 
 module Locked = Orap_locking.Locked
-module Hamming = Orap_sim.Hamming
 
 type verdict = {
   recovered : bool;  (** attack produced some key *)

@@ -71,16 +71,10 @@ let attack (locked : Locked.t) : result =
   List.iter (fun (g, keep) -> Hashtbl.replace splice_of g keep) splices;
   let b = N.Builder.create ~size_hint:(N.num_nodes nl) () in
   let map = Array.make (N.num_nodes nl) (-1) in
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> map.(i) <- N.Builder.add_input b
-    | k -> (
-      match Hashtbl.find_opt splice_of i with
-      | Some keep -> map.(i) <- map.(keep)
-      | None ->
-        map.(i) <-
-          N.Builder.add_node b k (Array.map (fun f -> map.(f)) (N.fanins nl i)))
-  done;
+  let node i copy =
+    match Hashtbl.find_opt splice_of i with Some keep -> map.(keep) | None -> copy ()
+  in
+  ignore (N.copy_into ~node b nl map);
   Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   { netlist = N.Builder.finish b; removed_key_gates = List.length splices }
 

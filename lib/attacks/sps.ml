@@ -93,20 +93,10 @@ let attack ?(seed = 2024) ?(words = 64) ?(epsilon = 0.01) (locked : Locked.t) :
   match r.findings with
   | [] -> None
   | best :: _ ->
-    let constant = best.probability < 0.5 in
     (* rebuild with the skewed node tied to its constant *)
+    let tie = if best.probability < 0.5 then Gate.Const0 else Gate.Const1 in
     let b = N.Builder.create ~size_hint:(N.num_nodes nl) () in
-    let map = Array.make (N.num_nodes nl) (-1) in
-    for i = 0 to N.num_nodes nl - 1 do
-      match N.kind nl i with
-      | Gate.Input -> map.(i) <- N.Builder.add_input b
-      | k ->
-        if i = best.node then
-          map.(i) <-
-            N.Builder.add_node b (if constant then Gate.Const0 else Gate.Const1) [||]
-        else
-          map.(i) <-
-            N.Builder.add_node b k (Array.map (fun f -> map.(f)) (N.fanins nl i))
-    done;
+    let node i copy = if i = best.node then N.Builder.add_node b tie [||] else copy () in
+    let map = N.copy_into ~node b nl (Array.make (N.num_nodes nl) (-1)) in
     Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
     Some (N.Builder.finish b, best)

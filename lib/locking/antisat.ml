@@ -16,40 +16,12 @@ let lock ?(seed = 31) (nl : N.t) ~key_size : Locked.t =
   let k1 = Prng.bool_array rng n in
   (* correct key: K1 arbitrary, K2 = K1 (both halves equal) *)
   let correct_key = Array.append k1 k1 in
-  let b = N.Builder.create ~size_hint:(N.num_nodes nl + (8 * n)) () in
-  let map = Array.make (N.num_nodes nl) (-1) in
-  Array.iter (fun id -> map.(id) <- N.Builder.add_input b) (N.inputs nl);
-  let key_ids =
-    Array.init (2 * n) (fun j ->
-        N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
+  let flip b ~key ~inputs =
+    let xor_taps offset =
+      Array.init n (fun j -> N.Builder.add_node b Gate.Xor [| inputs.(j); key.(offset + j) |])
+    in
+    let g1 = N.Builder.add_node b Gate.And (xor_taps 0) in
+    let g2 = N.Builder.add_node b Gate.Nand (xor_taps n) in
+    N.Builder.add_node b Gate.And [| g1; g2 |]
   in
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ()
-    | kind ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b kind fan
-  done;
-  let inputs = N.inputs nl in
-  let xor_taps offset =
-    Array.init n (fun j ->
-        N.Builder.add_node b Gate.Xor
-          [| map.(inputs.(j)); key_ids.(offset + j) |])
-  in
-  let g1 = N.Builder.add_node b Gate.And (xor_taps 0) in
-  let g2 = N.Builder.add_node b Gate.Nand (xor_taps n) in
-  let y = N.Builder.add_node b Gate.And [| g1; g2 |] in
-  let outputs = N.outputs nl in
-  Array.iteri
-    (fun idx o ->
-      if idx = 0 then
-        N.Builder.mark_output b (N.Builder.add_node b Gate.Xor [| map.(o); y |])
-      else N.Builder.mark_output b map.(o))
-    outputs;
-  {
-    Locked.original = nl;
-    netlist = N.Builder.finish b;
-    num_regular_inputs = ni;
-    correct_key;
-    technique = Printf.sprintf "antisat(n=%d)" n;
-  }
+  Locked.make ~technique:(Printf.sprintf "antisat(n=%d)" n) ~correct_key ~flip nl

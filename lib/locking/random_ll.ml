@@ -31,31 +31,12 @@ let lock ?(seed = 13) (nl : N.t) ~key_size : Locked.t =
   for j = 0 to key_size - 1 do
     Hashtbl.replace site_key arr.(j) j
   done;
-  let b = N.Builder.create ~size_hint:(N.num_nodes nl + (2 * key_size)) () in
-  let map = Array.make (N.num_nodes nl) (-1) in
-  Array.iter (fun id -> map.(id) <- N.Builder.add_input b) (N.inputs nl);
-  let key_ids =
-    Array.init key_size (fun j ->
-        N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
-  in
-  for i = 0 to N.num_nodes nl - 1 do
-    (match N.kind nl i with
-    | Gate.Input -> ()
-    | k ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b k fan);
+  (* XOR gate passes the wire when the key bit is 0, XNOR when 1 *)
+  let splice b ~key i img =
     match Hashtbl.find_opt site_key i with
-    | None -> ()
+    | None -> img
     | Some j ->
-      (* XOR gate passes the wire when the key bit is 0, XNOR when 1 *)
       let kind = if correct_key.(j) then Gate.Xnor else Gate.Xor in
-      map.(i) <- N.Builder.add_node b kind [| map.(i); key_ids.(j) |]
-  done;
-  Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
-  {
-    Locked.original = nl;
-    netlist = N.Builder.finish b;
-    num_regular_inputs = N.num_inputs nl;
-    correct_key;
-    technique = Printf.sprintf "random(k=%d)" key_size;
-  }
+      N.Builder.add_node b kind [| img; key.(j) |]
+  in
+  Locked.make ~technique:(Printf.sprintf "random(k=%d)" key_size) ~correct_key ~splice nl

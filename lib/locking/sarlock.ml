@@ -14,46 +14,18 @@ let lock ?(seed = 29) (nl : N.t) ~key_size : Locked.t =
   if k < 1 then invalid_arg "Sarlock.lock";
   let rng = Prng.create seed in
   let correct_key = Prng.bool_array rng k in
-  let b = N.Builder.create ~size_hint:(N.num_nodes nl + (4 * k)) () in
-  let map = Array.make (N.num_nodes nl) (-1) in
-  Array.iter (fun id -> map.(id) <- N.Builder.add_input b) (N.inputs nl);
-  let key_ids =
-    Array.init k (fun j -> N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
+  let flip b ~key ~inputs =
+    (* match = AND_j (x_j XNOR key_j) over the first k inputs *)
+    let eq_bits =
+      Array.init k (fun j -> N.Builder.add_node b Gate.Xnor [| inputs.(j); key.(j) |])
+    in
+    let match_all = N.Builder.add_node b Gate.And eq_bits in
+    (* wrong = NOT (AND_j (key_j XNOR correct_j)) — the restore comparator *)
+    let right_bits =
+      Array.init k (fun j ->
+          if correct_key.(j) then key.(j) else N.Builder.add_node b Gate.Not [| key.(j) |])
+    in
+    let wrong = N.Builder.add_node b Gate.Nand right_bits in
+    N.Builder.add_node b Gate.And [| match_all; wrong |]
   in
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ()
-    | kind ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b kind fan
-  done;
-  (* match = AND_j (x_j XNOR key_j) over the first k inputs *)
-  let inputs = N.inputs nl in
-  let eq_bits =
-    Array.init k (fun j ->
-        N.Builder.add_node b Gate.Xnor [| map.(inputs.(j)); key_ids.(j) |])
-  in
-  let match_all = N.Builder.add_node b Gate.And eq_bits in
-  (* wrong = NOT (AND_j (key_j XNOR correct_j)) — the restore comparator *)
-  let right_bits =
-    Array.init k (fun j ->
-        if correct_key.(j) then key_ids.(j)
-        else N.Builder.add_node b Gate.Not [| key_ids.(j) |])
-  in
-  let wrong = N.Builder.add_node b Gate.Nand right_bits in
-  let flip = N.Builder.add_node b Gate.And [| match_all; wrong |] in
-  (* flip the first primary output *)
-  let outputs = N.outputs nl in
-  Array.iteri
-    (fun idx o ->
-      if idx = 0 then
-        N.Builder.mark_output b (N.Builder.add_node b Gate.Xor [| map.(o); flip |])
-      else N.Builder.mark_output b map.(o))
-    outputs;
-  {
-    Locked.original = nl;
-    netlist = N.Builder.finish b;
-    num_regular_inputs = ni;
-    correct_key;
-    technique = Printf.sprintf "sarlock(k=%d)" k;
-  }
+  Locked.make ~technique:(Printf.sprintf "sarlock(k=%d)" k) ~correct_key ~flip nl

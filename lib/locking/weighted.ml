@@ -53,27 +53,14 @@ let lock ?(params : params option) (nl : N.t) ~key_size ~ctrl_inputs :
   in
   if Array.length sites < List.length groups then
     invalid_arg "Weighted.lock: circuit too small for this key size";
-  let b = N.Builder.create ~size_hint:(N.num_nodes nl + (4 * p.key_size)) () in
-  (* regular inputs keep their positions, then the key inputs *)
-  let map = Array.make (N.num_nodes nl) (-1) in
-  Array.iteri (fun _ id -> map.(id) <- N.Builder.add_input b) (N.inputs nl);
-  let key_ids =
-    Array.init p.key_size (fun j ->
-        N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
-  in
   (* site -> its key group index *)
   let site_group = Hashtbl.create 32 in
   List.iteri
     (fun gi group -> Hashtbl.replace site_group sites.(gi) (gi, group))
     groups;
-  for i = 0 to N.num_nodes nl - 1 do
-    (match N.kind nl i with
-    | Gate.Input -> () (* already mapped *)
-    | k ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b k fan);
+  let splice b ~key i img =
     match Hashtbl.find_opt site_group i with
-    | None -> ()
+    | None -> img
     | Some (gi, group) ->
       (* alternate XOR/NAND and XNOR/AND flavours per gate *)
       let use_xnor = gi land 1 = 1 in
@@ -83,22 +70,15 @@ let lock ?(params : params option) (nl : N.t) ~key_size ~ctrl_inputs :
             (* the control gate must see 1 on the correct sub-key for the
                NAND flavour (output 0 = inactive), and the same literal
                pattern works for the AND flavour (output 1 = pass) *)
-            if correct_key.(kbit) then key_ids.(kbit)
-            else N.Builder.add_node b Gate.Not [| key_ids.(kbit) |])
+            if correct_key.(kbit) then key.(kbit)
+            else N.Builder.add_node b Gate.Not [| key.(kbit) |])
           group
       in
       let ctrl_kind = if use_xnor then Gate.And else Gate.Nand in
       let ctrl = N.Builder.add_node b ctrl_kind lits in
       let key_gate_kind = if use_xnor then Gate.Xnor else Gate.Xor in
-      let kg = N.Builder.add_node b key_gate_kind [| map.(i); ctrl |] in
-      map.(i) <- kg
-  done;
-  Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
-  {
-    Locked.original = nl;
-    netlist = N.Builder.finish b;
-    num_regular_inputs = N.num_inputs nl;
-    correct_key;
-    technique =
-      Printf.sprintf "weighted(k=%d,w=%d)" p.key_size p.ctrl_inputs;
-  }
+      N.Builder.add_node b key_gate_kind [| img; ctrl |]
+  in
+  Locked.make
+    ~technique:(Printf.sprintf "weighted(k=%d,w=%d)" p.key_size p.ctrl_inputs)
+    ~correct_key ~splice nl

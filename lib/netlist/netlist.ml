@@ -244,16 +244,20 @@ let validate t =
 
 (** [copy_into builder t map] appends every node of [t] into [builder],
     rewriting fanins through [map] (which must already contain the images of
-    all [Input] nodes of [t] if [map_inputs] is [false]).  Returns the image
-    array.  Node names are not copied (callers name what they need). *)
-let copy_into ?(map_inputs = true) builder t (map : int array) =
+    all [Input] nodes of [t] if [map_inputs] is [false]).  [node i copy]
+    gives the image of logic node [i]; [copy ()] appends its plain copy, the
+    default.  Returns the image array.  Node names are not copied (callers
+    name what they need). *)
+let copy_into ?(map_inputs = true) ?node builder t (map : int array) =
   for i = 0 to num_nodes t - 1 do
     match t.kinds.(i) with
     | Gate.Input ->
       if map_inputs then map.(i) <- Builder.add_input builder
       else if map.(i) < 0 then invalidf "copy_into: unmapped input %d" i
     | k ->
-      let fan = Array.map (fun f -> map.(f)) t.fanins.(i) in
-      map.(i) <- Builder.add_node builder k fan
+      let copy () =
+        Builder.add_node builder k (Array.map (fun f -> map.(f)) t.fanins.(i))
+      in
+      map.(i) <- (match node with None -> copy () | Some f -> f i copy)
   done;
   map

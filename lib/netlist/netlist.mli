@@ -76,6 +76,15 @@ val critical_nodes : t -> bool array
 val validate : t -> unit
 
 (** [copy_into builder t map] appends every node of [t] into [builder],
-    rewriting fanins through [map].  With [map_inputs = false] the images
-    of the input nodes must be preset in [map]. *)
-val copy_into : ?map_inputs:bool -> Builder.builder -> t -> int array -> int array
+    rewriting fanins through [map], and returns [map].  With [map_inputs =
+    false] the images of the input nodes must be preset in [map].  [node i
+    copy] gives the image of logic node [i]: [copy ()] appends the plain
+    copy (the default), and the hook may append more nodes around it or
+    return an existing image instead. *)
+val copy_into :
+  ?map_inputs:bool ->
+  ?node:(int -> (unit -> int) -> int) ->
+  Builder.builder ->
+  t ->
+  int array ->
+  int array

@@ -97,6 +97,33 @@ let test_s27_end_to_end () =
   done;
   check Alcotest.bool "locked responses exist" true (!corrupted > 0)
 
+(* the locked-netlist layout (inputs, key<j>, the copy with its key logic)
+   byte for byte: MD5 digests of the .bench text of each scheme at the
+   CLI's default sizes on s27, and of the removal attack's rebuild *)
+let test_s27_locked_layouts_pinned () =
+  let nl = (s27 ()).Bench_format.netlist in
+  let digest nl = Digest.to_hex (Digest.string (Bench_format.print nl)) in
+  let bits k = String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") k)) in
+  let random = Orap_locking.Random_ll.lock nl ~key_size:8 in
+  List.iter
+    (fun ((lk : Locked.t), (technique, key, md5)) ->
+      check Alcotest.string "technique" technique lk.Locked.technique;
+      check Alcotest.string (technique ^ " key") key (bits lk.Locked.correct_key);
+      check Alcotest.string (technique ^ " netlist") md5 (digest lk.Locked.netlist))
+    [
+      ( Orap_locking.Weighted.lock nl ~key_size:16 ~ctrl_inputs:3,
+        ("weighted(k=16,w=3)", "0000010001101101", "5c6589996ebac0c89c43c8a93ce02647") );
+      (random, ("random(k=8)", "01000111", "73fb8172fadfe33fdbed6c071408aaba"));
+      ( Orap_locking.Sarlock.lock nl ~key_size:7,
+        ("sarlock(k=7)", "1111100", "b8a6f1d7bf36b89ee9e6219ba75ea36f") );
+      ( Orap_locking.Antisat.lock nl ~key_size:14,
+        ("antisat(n=7)", "00010100001010", "0b5c97d6a2a0505260f7470ab89a50ac") );
+    ];
+  let r = Orap_attacks.Removal.attack random in
+  check Alcotest.int "key gates removed" 8 r.Orap_attacks.Removal.removed_key_gates;
+  check Alcotest.string "removal netlist" "9011133196efb6de214f2f028224a33f"
+    (digest r.Orap_attacks.Removal.netlist)
+
 let test_s27_atpg_full_coverage () =
   let nl = (s27 ()).Bench_format.netlist in
   let r = Orap_atpg.Atpg.run ~backtrack_limit:1000 nl in
@@ -112,4 +139,5 @@ let suite =
       tc "s27 parses" `Quick test_s27_parses;
       tc "s27 lock/protect/deny end to end" `Quick test_s27_end_to_end;
       tc "s27 full ATPG" `Quick test_s27_atpg_full_coverage;
+      tc "s27 locked layouts pinned" `Quick test_s27_locked_layouts_pinned;
     ] )

@@ -242,7 +242,7 @@ let test_key_input_positions () =
 let test_zero_words_rejected () =
   let nl = random_netlist ~inputs:10 ~outputs:6 ~gates:80 5 in
   let lk = Orap_locking.Weighted.lock nl ~key_size:9 ~ctrl_inputs:3 in
-  let shared = Hamming.config nl (Array.init 10 (fun i -> Hamming.Shared i)) in
+  let shared = (nl, [||]) in
   Alcotest.check_raises "HD over 0 words"
     (Invalid_argument "Hamming.distance: words must be positive") (fun () ->
       ignore (Hamming.distance ~words:0 shared shared));
@@ -258,10 +258,15 @@ let test_no_outputs_rejected () =
   let x = N.Builder.add_input b in
   ignore (N.Builder.add_node b Gate.Not [| x |]);
   let nl = N.Builder.finish b in
-  let c = Hamming.config nl [| Hamming.Shared 0 |] in
+  let c = (nl, [||]) in
   Alcotest.check_raises "HD without outputs"
     (Invalid_argument "Hamming.distance: no outputs") (fun () ->
-      ignore (Hamming.distance ~words:4 c c))
+      ignore (Hamming.distance ~words:4 c c));
+  (* a side cannot hold more constant bits than it has inputs *)
+  let one = random_netlist ~inputs:2 ~outputs:1 ~gates:4 3 in
+  Alcotest.check_raises "HD with more constant bits than inputs"
+    (Invalid_argument "Hamming.distance: more constant bits than inputs") (fun () ->
+      ignore (Hamming.distance ~words:4 (one, [||]) (one, [| true; false; true |])))
 
 let suite =
   ( "edges",

@@ -2,7 +2,6 @@ open Util
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 module Bench_format = Orap_netlist.Bench_format
-module Dot = Orap_netlist.Dot
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
 
@@ -160,12 +159,6 @@ let test_bench_cycle_detected () =
   | exception Bench_format.Parse_error (_, _) -> ()
   | _ -> Alcotest.fail "expected cycle error"
 
-let test_dot_output () =
-  let nl = full_adder () in
-  let dot = Dot.of_netlist nl in
-  check Alcotest.bool "digraph" true
-    (String.length dot > 20 && String.sub dot 0 7 = "digraph")
-
 (* --- gate semantics --- *)
 
 (* one gate over one input per operand, simulated through [Sim] *)
@@ -262,7 +255,6 @@ let suite =
       tc "bench comments and case" `Quick test_bench_parse_comments_and_case;
       tc "bench parse errors" `Quick test_bench_parse_errors;
       tc "bench combinational cycle" `Quick test_bench_cycle_detected;
-      tc "dot export" `Quick test_dot_output;
       tc "gate word evaluation" `Quick test_gate_eval_word;
       tc "gate name roundtrip" `Quick test_gate_string_roundtrip;
       prop_generated_valid;

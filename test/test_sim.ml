@@ -138,8 +138,7 @@ let test_kernels_allocate_nothing () =
 
 (* --- Hamming --- *)
 
-let shared_config nl =
-  Hamming.config nl (Array.init (N.num_inputs nl) (fun i -> Hamming.Shared i))
+let shared_config nl = (nl, [||])
 
 let test_hamming_self_zero () =
   let nl = random_netlist 11 in
@@ -175,7 +174,7 @@ let test_hamming_fixed_binding () =
   let o = N.Builder.add_node b Gate.Xor [| x; y |] in
   N.Builder.mark_output b o;
   let nl = N.Builder.finish b in
-  let cfg v = Hamming.config nl [| Hamming.Shared 0; Hamming.Fixed v |] in
+  let cfg v = (nl, [| v |]) in
   check (Alcotest.float 1e-9) "same fixing -> 0" 0.0
     (Hamming.distance ~words:4 (cfg true) (cfg true));
   check (Alcotest.float 1e-9) "opposite fixing -> 1" 1.0

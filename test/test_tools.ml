@@ -59,53 +59,6 @@ let test_verilog_golden () =
   check Alcotest.string "verilog golden" expected
     (Verilog.of_netlist ~module_name:"fa" nl)
 
-let test_dot_golden () =
-  let nl = full_adder () in
-  let expected =
-    "digraph fa {\n\
-    \  rankdir=LR;\n\
-    \  n0 [label=\"a\\nINPUT\" shape=invtriangle];\n\
-    \  n1 [label=\"b\\nINPUT\" shape=invtriangle];\n\
-    \  n2 [label=\"cin\\nINPUT\" shape=invtriangle];\n\
-    \  n3 [label=\"s1\\nXOR\" shape=box];\n\
-    \  n0 -> n3;\n\
-    \  n1 -> n3;\n\
-    \  n4 [label=\"sum\\nXOR\" shape=box];\n\
-    \  n3 -> n4;\n\
-    \  n2 -> n4;\n\
-    \  n5 [label=\"n5\\nAND\" shape=box];\n\
-    \  n0 -> n5;\n\
-    \  n1 -> n5;\n\
-    \  n6 [label=\"n6\\nAND\" shape=box];\n\
-    \  n3 -> n6;\n\
-    \  n2 -> n6;\n\
-    \  n7 [label=\"cout\\nOR\" shape=box];\n\
-    \  n5 -> n7;\n\
-    \  n6 -> n7;\n\
-    \  po0 [label=\"PO0\" shape=triangle];\n\
-    \  n4 -> po0;\n\
-    \  po1 [label=\"PO1\" shape=triangle];\n\
-    \  n7 -> po1;\n\
-     }\n"
-  in
-  check Alcotest.string "dot golden" expected
-    (Orap_netlist.Dot.of_netlist ~graph_name:"fa" nl)
-
-(* every node and every fanin edge of the source netlist must appear in the
-   dot text, whatever the circuit *)
-let test_dot_covers_structure () =
-  let nl = random_netlist ~inputs:5 ~outputs:3 ~gates:25 11 in
-  let dot = Orap_netlist.Dot.of_netlist nl in
-  for i = 0 to N.num_nodes nl - 1 do
-    check Alcotest.bool "node present" true
-      (contains dot (Printf.sprintf "n%d [label=" i));
-    Array.iter
-      (fun f ->
-        check Alcotest.bool "edge present" true
-          (contains dot (Printf.sprintf "n%d -> n%d;" f i)))
-      (N.fanins nl i)
-  done
-
 let test_verilog_deterministic () =
   let nl = random_netlist ~inputs:6 ~outputs:4 ~gates:30 7 in
   check Alcotest.bool "stable output" true
@@ -214,6 +167,12 @@ let test_cli_rejects_bad_sizes () =
       ("lock --ctrl-inputs 0 " ^ path, "below the minimum 1");
       ("lock --technique random --key-size 100 " ^ path, "Random_ll.lock: circuit too small");
       ("lock --key-size 64 " ^ path, "Weighted.lock: circuit too small");
+      ("lock --technique sarlock --key-size 100 " ^ path,
+       "sarlock(k=2) builds a 2-bit key on this circuit, not 100");
+      ("lock --technique antisat --key-size 5 " ^ path,
+       "antisat(n=2) builds a 4-bit key on this circuit, not 5");
+      ("lock --technique antisat --key-size 1 " ^ path,
+       "antisat(n=1) builds a 2-bit key on this circuit, not 1");
       ("attack --attack foo", "invalid value 'foo'");
       ("attack --oracle foo", "invalid value 'foo'");
       ("attack --noise abc", "invalid value 'abc'");
@@ -260,8 +219,6 @@ let suite =
     [
       tc "verilog structure" `Quick test_verilog_structure;
       tc "verilog golden" `Quick test_verilog_golden;
-      tc "dot golden" `Quick test_dot_golden;
-      tc "dot covers structure" `Quick test_dot_covers_structure;
       tc "verilog deterministic" `Quick test_verilog_deterministic;
       tc "compaction preserves coverage" `Quick test_compaction_preserves_coverage;
       tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
