@@ -59,12 +59,12 @@ let () =
     (fun (num_seeds, fr) ->
       let free_runs = List.init num_seeds (fun _ -> fr) in
       let lfsr = Lfsr.create ~size () in
-      let exprs = Symbolic.of_schedule lfsr ~num_seeds ~free_runs in
+      let exprs = Symbolic.of_schedule lfsr ~free_runs in
       (* a shift register = no feedback taps *)
       let plain =
         Lfsr.create ~taps:(Array.make size false) ~size ()
       in
-      let exprs_plain = Symbolic.of_schedule plain ~num_seeds ~free_runs in
+      let exprs_plain = Symbolic.of_schedule plain ~free_runs in
       E.Report.add_row t2
         [ E.Report.d num_seeds; E.Report.d fr;
           E.Report.f1 (Symbolic.mean_terms exprs);

@@ -1,42 +1,28 @@
 (** Cycle-accurate behavioural model of a fabricated OraP-protected chip,
     exposing exactly the attacker/tester interface: primary I/O pins,
-    functional clock, [scan_enable] and the scan ports.  Trojan hooks model
-    the Section-III scenarios. *)
+    functional clock, [scan_enable] and the scan ports.  Trojans model the
+    Section-III scenarios. *)
 
-(** Foundry-inserted deviations (all-false = honest chip). *)
-type trojan = {
-  suppress_cell_reset : int -> bool;  (** scenario (a), per LFSR cell *)
-  exclude_lfsr_from_scan : bool;  (** scenario (b) *)
-  shadow_register : bool;  (** scenario (c) *)
-  xor_tree_key : bool;  (** scenario (d) *)
-  freeze_ffs_during_unlock : bool;  (** scenario (e) *)
-}
+(** Foundry-inserted deviations, one per Section-III scenario. *)
+type trojan =
+  | Suppress_cell_resets  (** (a) no pulse generator clears its cell *)
+  | Exclude_lfsr_from_scan
+      (** (b) key cells bypassed in the chains, reset suppressed at the stem *)
+  | Shadow_register  (** (c) a shadow copy of the key drives the key gates *)
+  | Xor_tree_key  (** (d) seed registers + XOR trees recompute the key *)
+  | Freeze_state_ffs  (** (e) state FFs hold their values while unlocking *)
 
-val no_trojan : trojan
+type t
 
-type t = {
-  design : Orap.t;
-  trojan : trojan;
-  lfsr : Orap_lfsr.Lfsr.t;
-  pulse_gens : Orap_dft.Pulse_gen.t array;
-  mutable ffs : bool array;
-  mutable scan_enable : bool;
-  mutable unlocked : bool;
-  mutable shadow : bool array option;
-}
-
+(** Fabricate a chip, honest unless a [trojan] is given. *)
 val create : ?trojan:trojan -> Orap.t -> t
 
 (** {1 Observation} *)
 
-val scan_enable : t -> bool
+val design : t -> Orap.t
 val key_register : t -> bool array
 val ff_state : t -> bool array
 val is_unlocked : t -> bool
-
-(** The key value the combinational logic actually sees (Trojans (c)/(d)
-    substitute their stolen copy). *)
-val effective_key : t -> bool array
 
 (** {1 Pins and clocking} *)
 
@@ -44,33 +30,31 @@ val effective_key : t -> bool array
     fires and clears its LFSR cell unless a Trojan suppresses it. *)
 val set_scan_enable : t -> bool -> unit
 
-(** Combinational outputs at the pins for the current state. *)
-val comb_outputs : t -> ext_inputs:bool array -> bool array
-
 (** One functional clock cycle (functional mode only): returns the external
     outputs and updates the state flip-flops. *)
-val functional_cycle : ?freeze_override:bool -> t -> ext_inputs:bool array -> bool array
+val functional_cycle : t -> ext_inputs:bool array -> bool array
 
 (** Run the on-chip unlock controller: pulse [scan_enable] to clear the key
-    register, then feed the secret schedule. *)
+    register, then clock the secret schedule ({!Orap.unlock_cycle} per
+    cycle; the FFs follow under the effective key, or hold under
+    Trojan (e)). *)
 val unlock : t -> unit
 
 (** {1 Scan operations (scan mode only)} *)
 
-(** Cells of the chain as this chip exposes them (Trojan (b) hides the key
-    cells). *)
-val chain_cells : t -> Orap_dft.Scan.cell array
-
+(** One shift along the chip's chain ({!Orap_dft.Scan.shift}). *)
 val scan_shift : t -> scan_in:bool -> bool
-val scan_in_out : t -> bool array -> bool array
+
+(** Enter scan mode and shift [state] (and [key], default all-zero, where
+    the chain reaches the key cells) into the chain; stays in scan mode. *)
+val scan_load : ?key:bool array -> t -> state:bool array -> unit
 
 (** Capture cycle: the state FFs load their functional inputs; the key
     register holds. *)
 val capture : t -> ext_inputs:bool array -> bool array
 
-(** Full test access: load a state (and optionally the key register — its
-    cells are scannable), capture under [ext_inputs], unload.  Returns
-    (external outputs at capture, captured FF vector). *)
+(** Full test access: {!scan_load}, capture under [ext_inputs], unload.
+    Returns (external outputs at capture, captured FF vector). *)
 val scan_test :
   ?key:bool array ->
   t ->
@@ -78,5 +62,6 @@ val scan_test :
   ext_inputs:bool array ->
   bool array * bool array
 
-(** Shift the raw chain out without capturing (scenario (a)'s key theft). *)
+(** Shift the raw chain out without capturing and leave scan mode
+    (scenario (a)'s key theft). *)
 val scan_dump : t -> (Orap_dft.Scan.cell * bool) array

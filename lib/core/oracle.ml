@@ -80,7 +80,7 @@ let functional (locked : Locked.t) : t =
     shift, so the responses are those of the LOCKED circuit — unless a
     Trojan interferes. *)
 let scan_chip (chip : Chip.t) : t =
-  let d = chip.Chip.design in
+  let d = Chip.design chip in
   let n_ext = Orap.num_ext_inputs d in
   let n_ffs = Orap.num_ffs d in
   let q inputs =

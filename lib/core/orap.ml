@@ -27,7 +27,6 @@ module Locked = Orap_locking.Locked
 module Lfsr = Orap_lfsr.Lfsr
 module Keyseq = Orap_lfsr.Keyseq
 module Symbolic = Orap_lfsr.Symbolic
-module Bitset = Orap_lfsr.Bitset
 module Scan = Orap_dft.Scan
 module Prng = Orap_sim.Prng
 
@@ -35,41 +34,36 @@ type kind = Basic | Modified
 
 type config = {
   kind : kind;
-  taps_stride : int;  (** polynomial: a new tap every [taps_stride] cells *)
-  num_seeds : int;  (** seeds of the basic key sequence *)
-  max_free_run : int;
   chain_style : Scan.style;
   num_ffs : int;  (** state flip-flops of the sequential wrapper *)
-  phase_a_cycles : int;  (** modified scheme: response-mixing cycles *)
   seed : int;
 }
 
 let default_config ?(kind = Basic) ~num_ffs () =
-  {
-    kind;
-    taps_stride = 8;
-    num_seeds = 4;
-    max_free_run = 5;
-    chain_style = Scan.Interleaved;
-    num_ffs;
-    phase_a_cycles = 12;
-    seed = 2020;
-  }
+  { kind; chain_style = Scan.Interleaved; num_ffs; seed = 2020 }
 
-(** The modified scheme's unlock schedule. *)
-type modified_schedule = {
-  phase_a : bool array list;  (** per cycle: bits for the memory points *)
-  phase_b : bool array list;  (** finalisation injections (solved) *)
+(* The polynomial places a new tap every [taps_stride] cells; the basic key
+   sequence has [num_seeds] seeds, each followed by up to [max_free_run]
+   free-run cycles; the modified scheme mixes responses for
+   [phase_a_cycles] cycles. *)
+let taps_stride = 8
+let num_seeds = 4
+let max_free_run = 5
+let phase_a_cycles = 12
+
+(** One clock of the unlock schedule. *)
+type cycle = {
+  memory : bool array option;
+      (** bits for the memory points; [None] = a free-run cycle *)
+  feedback : bool;  (** the circuit FFs drive the response points *)
 }
-
-type schedule = Basic_schedule of Keyseq.t | Modified_schedule of modified_schedule
 
 type t = {
   locked : Locked.t;
   config : config;
   lfsr : Lfsr.t;  (** structural template (taps, reseed points) *)
   chain : Scan.t;
-  schedule : schedule;
+  schedule : cycle list;
   memory_points : int array;  (** reseed points fed from tamper-proof memory *)
   response_points : int array;  (** reseed points fed by circuit FFs (modified) *)
   response_sources : int array;  (** FF index feeding each response point *)
@@ -95,27 +89,30 @@ let split_outputs t (outs : bool array) =
   let nff = t.config.num_ffs in
   (Array.sub outs 0 (no - nff), Array.sub outs (no - nff) nff)
 
-(* --- designer-side unlock-dynamics simulation for the modified scheme --- *)
-
-(* one closed-loop unlock cycle: inject memory bits + FF responses, step the
-   LFSR, clock the circuit FFs *)
-let closed_loop_cycle t ~lfsr ~(ffs : bool array) ~(memory_bits : bool array)
-    ~response_active =
-  let width = Lfsr.num_reseed_points lfsr in
-  let inj = Array.make width false in
-  Array.iteri (fun k p -> inj.(p) <- memory_bits.(k)) t.memory_points;
-  if response_active then
+(** One unlock clock: XOR the cycle's memory bits (and, on a feedback cycle,
+    the FF responses) in at the reseeding points, step [lfsr], and return
+    the FFs' next state under the new register contents — or under [key],
+    a Trojan's stolen copy.  The controller holds the primary inputs at
+    zero. *)
+let unlock_cycle t lfsr ?key ~(ffs : bool array) cycle =
+  let inj = Array.make (Lfsr.num_reseed_points lfsr) false in
+  Option.iter
+    (fun bits -> Array.iteri (fun k p -> inj.(p) <- bits.(k)) t.memory_points)
+    cycle.memory;
+  if cycle.feedback then
     Array.iteri
       (fun k p -> inj.(p) <- ffs.(t.response_sources.(k)))
       t.response_points;
   Lfsr.step ~injection:inj lfsr;
-  (* the circuit clocks with the evolving (wrong) key; primary inputs are
-     held at zero by the unlock controller *)
-  let key = Lfsr.state lfsr in
+  let key = match key with Some k -> k | None -> Lfsr.state lfsr in
   let ext = Array.make (num_ext_inputs t) false in
-  let outs = comb_eval t ~key ~ext ~ffs in
-  let _, next_ffs = split_outputs t outs in
-  next_ffs
+  snd (split_outputs t (comb_eval t ~key ~ext ~ffs))
+
+(** The key register as the tamper-proof memory drives it: reseeding only
+    at the memory points. *)
+let memory_lfsr t =
+  Lfsr.create ~taps:(Lfsr.taps_of t.lfsr) ~reseed_points:t.memory_points
+    ~size:(Lfsr.size t.lfsr) ()
 
 (* Injection positions are indices into the reseed-point array; memory and
    response points partition it even/odd (interleaved, per the paper). *)
@@ -151,7 +148,7 @@ let protect ?(config : config option) (locked : Locked.t) : t =
     raise (Construction_failure "more FFs than circuit outputs");
   let lfsr =
     Lfsr.create
-      ~taps:(Lfsr.default_taps ~size:n ~stride:cfg.taps_stride)
+      ~taps:(Lfsr.default_taps ~size:n ~stride:taps_stride)
       ~reseed_points:(Lfsr.all_reseed_points n)
       ~size:n ()
   in
@@ -170,7 +167,7 @@ let protect ?(config : config option) (locked : Locked.t) : t =
       config = cfg;
       lfsr;
       chain;
-      schedule = Basic_schedule { Keyseq.entries = [] };
+      schedule = [];
       memory_points;
       response_points;
       response_sources;
@@ -180,63 +177,55 @@ let protect ?(config : config option) (locked : Locked.t) : t =
   let schedule =
     match cfg.kind with
     | Basic ->
-      Basic_schedule
-        (Keyseq.solve_for_key ~max_free_run:cfg.max_free_run ~seed:cfg.seed
-           ~num_seeds:cfg.num_seeds lfsr ~target_key:target)
+      let ks =
+        Keyseq.solve_for_key ~max_free_run ~seed:cfg.seed ~num_seeds lfsr
+          ~target_key:target
+      in
+      List.concat_map
+        (fun e ->
+          { memory = Some e.Keyseq.seed; feedback = false }
+          :: List.init e.Keyseq.free_run (fun _ ->
+                 { memory = None; feedback = false }))
+        (Keyseq.entries ks)
     | Modified ->
       (* phase A: random memory bits, closed loop *)
       let mw = Array.length memory_points in
       let phase_a =
-        List.init cfg.phase_a_cycles (fun _ -> Prng.bool_array rng mw)
+        List.init phase_a_cycles (fun _ ->
+            { memory = Some (Prng.bool_array rng mw); feedback = true })
       in
       let sim_lfsr = Lfsr.create ~taps:(Lfsr.taps_of lfsr) ~size:n () in
-      Lfsr.reset sim_lfsr;
-      let ffs = ref (Array.make cfg.num_ffs false) in
-      List.iter
-        (fun bits ->
-          ffs :=
-            closed_loop_cycle partial ~lfsr:sim_lfsr ~ffs:!ffs
-              ~memory_bits:bits ~response_active:true)
-        phase_a;
-      let sigma = Lfsr.state sim_lfsr in
-      (* phase B: symbolic over the memory-point injections only *)
+      ignore
+        (List.fold_left
+           (fun ffs c -> unlock_cycle partial sim_lfsr ~ffs c)
+           (Array.make cfg.num_ffs false) phase_a);
+      (* phase B: the register after phase A, free-running, plus a linear
+         function of the memory-point injections only *)
       let phase_b_cycles = (2 * ((n + mw - 1) / mw)) + 4 in
-      let num_vars = phase_b_cycles * mw in
-      let mem_lfsr =
-        Lfsr.create ~taps:(Lfsr.taps_of lfsr) ~reseed_points:memory_points
-          ~size:n ()
+      let exprs, num_vars =
+        Symbolic.unroll (memory_lfsr partial)
+          (List.init phase_b_cycles (fun _ -> true))
       in
-      let sym = Symbolic.create mem_lfsr ~num_vars in
-      for c = 0 to phase_b_cycles - 1 do
-        let inj =
-          Array.init mw (fun k -> Bitset.singleton num_vars ((c * mw) + k))
-        in
-        Symbolic.step ~injection:inj mem_lfsr sym
-      done;
-      (* constant part: evolve sigma with zero injections *)
-      Lfsr.set_state mem_lfsr sigma;
-      Lfsr.free_run mem_lfsr phase_b_cycles;
-      let const_part = Lfsr.state mem_lfsr in
+      Lfsr.free_run sim_lfsr phase_b_cycles;
+      let const_part = Lfsr.state sim_lfsr in
       let rhs = Array.mapi (fun i k -> k <> const_part.(i)) target in
-      (match Symbolic.solve (Symbolic.cells sym) ~num_vars rhs with
+      (match Symbolic.solve exprs ~num_vars rhs with
       | None ->
         raise
           (Construction_failure
              "modified schedule: finalisation system is rank-deficient")
       | Some sol ->
-        let phase_b =
-          List.init phase_b_cycles (fun c ->
-              Array.init mw (fun k -> sol.((c * mw) + k)))
-        in
-        Modified_schedule { phase_a; phase_b })
+        phase_a
+        @ List.init phase_b_cycles (fun c ->
+              {
+                memory = Some (Array.init mw (fun k -> sol.((c * mw) + k)));
+                feedback = false;
+              }))
   in
   { partial with schedule }
 
 (** Number of unlock clock cycles. *)
-let unlock_cycles t =
-  match t.schedule with
-  | Basic_schedule ks -> Keyseq.unlock_cycles ks
-  | Modified_schedule m -> List.length m.phase_a + List.length m.phase_b
+let unlock_cycles t = List.length t.schedule
 
 (** OraP's own hardware, in the paper's gate units (inverters free):
     one pulse-generator NAND per LFSR cell, one XOR per reseeding point and

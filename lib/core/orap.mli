@@ -8,32 +8,29 @@ type kind = Basic | Modified
 
 type config = {
   kind : kind;
-  taps_stride : int;
-  num_seeds : int;
-  max_free_run : int;
   chain_style : Orap_dft.Scan.style;
   num_ffs : int;
-  phase_a_cycles : int;
   seed : int;
 }
 
+(** Interleaved chain, seed 2020.  The polynomial taps every 8 cells; the
+    basic key sequence has 4 seeds, each followed by 0–5 free-run cycles;
+    the modified scheme mixes responses for 12 cycles. *)
 val default_config : ?kind:kind -> num_ffs:int -> unit -> config
 
-type modified_schedule = {
-  phase_a : bool array list;
-  phase_b : bool array list;
+(** One clock of the unlock schedule. *)
+type cycle = {
+  memory : bool array option;
+      (** bits for the memory points; [None] = a free-run cycle *)
+  feedback : bool;  (** the circuit FFs drive the response points *)
 }
-
-type schedule =
-  | Basic_schedule of Orap_lfsr.Keyseq.t
-  | Modified_schedule of modified_schedule
 
 type t = {
   locked : Orap_locking.Locked.t;
   config : config;
   lfsr : Orap_lfsr.Lfsr.t;
   chain : Orap_dft.Scan.t;
-  schedule : schedule;
+  schedule : cycle list;
   memory_points : int array;
   response_points : int array;
   response_sources : int array;
@@ -50,6 +47,23 @@ val num_ffs : t -> int
 val num_ext_inputs : t -> int
 val num_ext_outputs : t -> int
 val unlock_cycles : t -> int
+
+(** One unlock clock: XOR the cycle's memory bits (and, on a feedback
+    cycle, the FF responses [ffs]) in at the reseeding points, step the
+    register, and return the FFs' next state under the new register
+    contents — or under [key], a Trojan's stolen copy.  Primary inputs are
+    held at zero. *)
+val unlock_cycle :
+  t ->
+  Orap_lfsr.Lfsr.t ->
+  ?key:bool array ->
+  ffs:bool array ->
+  cycle ->
+  bool array
+
+(** The key register as the tamper-proof memory drives it: reseeding only
+    at the memory points. *)
+val memory_lfsr : t -> Orap_lfsr.Lfsr.t
 
 (** Combinational evaluation of the locked core at a given key. *)
 val comb_eval : t -> key:bool array -> ext:bool array -> ffs:bool array -> bool array

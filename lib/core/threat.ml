@@ -11,11 +11,9 @@
     is on top of the payload and excluded, as in the paper. *)
 
 module Scan = Orap_dft.Scan
-module Lfsr = Orap_lfsr.Lfsr
 module Symbolic = Orap_lfsr.Symbolic
-module Keyseq = Orap_lfsr.Keyseq
 
-type scenario =
+type scenario = Chip.trojan =
   | Suppress_cell_resets  (** (a) NAND3 swap in every pulse generator *)
   | Exclude_lfsr_from_scan  (** (b) stem suppression + bypass MUXes *)
   | Shadow_register  (** (c) shadow copy of the key register *)
@@ -59,52 +57,17 @@ let payload (design : Orap.t) = function
     let n = float_of_int (Orap.key_size design) in
     (scan_ff_cost +. mux2_cost) *. n
   | Xor_tree_key ->
-    let n = Orap.key_size design in
+    (* symbolic over every memory injection of the schedule; in the
+       modified scheme the response-driven contributions make the real
+       payload even larger, so this is a lower bound *)
     let exprs, seed_bits =
-      match design.Orap.schedule with
-      | Orap.Basic_schedule ks ->
-        let free_runs =
-          List.map (fun e -> e.Keyseq.free_run) (Keyseq.entries ks)
-        in
-        ( Symbolic.of_schedule design.Orap.lfsr
-            ~num_seeds:(Keyseq.num_seeds ks) ~free_runs,
-          Keyseq.total_seed_bits ks )
-      | Orap.Modified_schedule m ->
-        (* symbolic over every memory injection of both phases; the
-           response-driven contributions make the real payload even larger,
-           so this is a lower bound *)
-        let mw = Array.length design.Orap.memory_points in
-        let cycles = List.length m.Orap.phase_a + List.length m.Orap.phase_b in
-        let num_vars = cycles * mw in
-        let mem_lfsr =
-          Lfsr.create
-            ~taps:(Lfsr.taps_of design.Orap.lfsr)
-            ~reseed_points:design.Orap.memory_points ~size:n ()
-        in
-        let sym = Symbolic.create mem_lfsr ~num_vars in
-        for c = 0 to cycles - 1 do
-          let inj =
-            Array.init mw (fun k ->
-                Orap_lfsr.Bitset.singleton num_vars ((c * mw) + k))
-          in
-          Symbolic.step ~injection:inj mem_lfsr sym
-        done;
-        (Symbolic.cells sym, num_vars)
+      Symbolic.unroll (Orap.memory_lfsr design)
+        (List.map (fun c -> c.Orap.memory <> None) design.Orap.schedule)
     in
     (xor2_cost *. float_of_int (Symbolic.xor_tree_gates exprs))
     +. (scan_ff_cost *. float_of_int seed_bits)
-    +. (mux2_cost *. float_of_int n)
+    +. (mux2_cost *. float_of_int (Orap.key_size design))
   | Freeze_state_ffs -> freeze_gate_cost
-
-let trojan_of_scenario = function
-  | Suppress_cell_resets ->
-    { Chip.no_trojan with Chip.suppress_cell_reset = (fun _ -> true) }
-  | Exclude_lfsr_from_scan ->
-    { Chip.no_trojan with Chip.exclude_lfsr_from_scan = true }
-  | Shadow_register -> { Chip.no_trojan with Chip.shadow_register = true }
-  | Xor_tree_key -> { Chip.no_trojan with Chip.xor_tree_key = true }
-  | Freeze_state_ffs ->
-    { Chip.no_trojan with Chip.freeze_ffs_during_unlock = true }
 
 (** Outcome of running a scenario's attack procedure end to end. *)
 type outcome = {
@@ -165,17 +128,7 @@ let freeze_attack_succeeds design chip =
     let state = Orap_sim.Prng.bool_array rng nff in
     let ext = Orap_sim.Prng.bool_array rng next in
     (* attacker: load state via scan (key register resets, harmlessly) *)
-    Chip.set_scan_enable chip true;
-    let cells = Chip.chain_cells chip in
-    let n = Array.length cells in
-    let image =
-      Array.map
-        (fun c -> match c with Scan.Key _ -> false | Scan.State j -> state.(j))
-        cells
-    in
-    for i = n - 1 downto 0 do
-      ignore (Chip.scan_shift chip ~scan_in:image.(i))
-    done;
+    Chip.scan_load chip ~state;
     Chip.set_scan_enable chip false;
     (* Trojan freezes the FFs while the controller unlocks *)
     Chip.unlock chip;
@@ -191,9 +144,8 @@ let freeze_attack_succeeds design chip =
   !ok
 
 (** Execute a scenario end to end against a freshly fabricated chip. *)
-let run ?(detection_threshold = default_detection_threshold)
-    (design : Orap.t) (scenario : scenario) : outcome =
-  let chip = Chip.create ~trojan:(trojan_of_scenario scenario) design in
+let run (design : Orap.t) (scenario : scenario) : outcome =
+  let chip = Chip.create ~trojan:scenario design in
   let oracle_obtained =
     match scenario with
     | Suppress_cell_resets ->
@@ -212,7 +164,7 @@ let run ?(detection_threshold = default_detection_threshold)
     scenario;
     oracle_obtained;
     payload_nand2 = p;
-    detectable = p >= detection_threshold;
+    detectable = p >= default_detection_threshold;
   }
 
 (** The paper's verdict: a scenario is defeated when it either fails to

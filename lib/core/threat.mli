@@ -2,7 +2,7 @@
     OraP, each with its functional deviation and its payload cost in
     NAND2-equivalents (the Trojan trigger is excluded, as in the paper). *)
 
-type scenario =
+type scenario = Chip.trojan =
   | Suppress_cell_resets  (** (a) NAND3 swap in every pulse generator *)
   | Exclude_lfsr_from_scan  (** (b) stem suppression + bypass MUXes *)
   | Shadow_register  (** (c) shadow copy of the key register *)
@@ -17,9 +17,6 @@ val scenario_label : scenario -> string
     design's actual schedule. *)
 val payload : Orap.t -> scenario -> float
 
-(** The chip-level deviation implementing a scenario. *)
-val trojan_of_scenario : scenario -> Chip.trojan
-
 type outcome = {
   scenario : scenario;
   oracle_obtained : bool;
@@ -27,14 +24,13 @@ type outcome = {
   detectable : bool;
 }
 
-(** Side-channel Trojan-detection threshold (NAND2-equivalents) used when
-    [run] is not given one explicitly. *)
+(** Side-channel Trojan-detection threshold (NAND2-equivalents). *)
 val default_detection_threshold : float
 
 (** Execute a scenario end to end against a freshly fabricated chip:
     fabricate with the Trojan, activate (buy from the open market), attack
     through the scan interface, and report. *)
-val run : ?detection_threshold:float -> Orap.t -> scenario -> outcome
+val run : Orap.t -> scenario -> outcome
 
 (** A scenario is defeated when it fails to obtain the oracle or its
     payload is detectable. *)

@@ -1,21 +1,12 @@
 (** Behavioural model of the per-cell pulse generator of Fig. 2: an
     inverter-chain edge detector whose output is constantly 1 except for a
     short 0-pulse when [scan_enable] makes a 0-to-1 transition.  The pulse
-    asynchronously clears the attached key-register flip-flop. *)
+    asynchronously clears the attached key-register flip-flop; behaviourally
+    it is treated as wide enough to do so. *)
 
-type t = {
-  inverter_chain : int;  (** chain length; sets the (modelled) pulse width *)
-  mutable prev_scan_enable : bool;
-}
+type t = { mutable prev_scan_enable : bool }
 
-let create ?(inverter_chain = 3) () =
-  if inverter_chain < 1 || inverter_chain mod 2 = 0 then
-    invalid_arg "Pulse_gen.create: odd chain length required";
-  { inverter_chain; prev_scan_enable = false }
-
-(** Pulse width in inverter delays (for reporting; behaviourally the pulse
-    is treated as wide enough to clear the flip-flop). *)
-let pulse_width t = t.inverter_chain
+let create () = { prev_scan_enable = false }
 
 (** Feed the current [scan_enable] level; returns [true] when the generator
     emits its reset pulse (a rising edge was seen). *)

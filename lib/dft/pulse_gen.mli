@@ -5,11 +5,7 @@
 
 type t
 
-(** [create ?inverter_chain ()] — chain length must be odd (default 3). *)
-val create : ?inverter_chain:int -> unit -> t
-
-(** Modelled pulse width, in inverter delays. *)
-val pulse_width : t -> int
+val create : unit -> t
 
 (** Feed the current [scan_enable] level; [true] = the reset pulse fires. *)
 val observe : t -> scan_enable:bool -> bool

@@ -43,6 +43,11 @@ let build ?(style = Interleaved) ~num_key ~num_state () : t =
   in
   { order = Array.of_list order }
 
+(** The chain with its key cells bypassed (scenario (b)'s Trojan). *)
+let without_keys t =
+  let is_state = function State _ -> true | Key _ -> false in
+  { order = Array.of_seq (Seq.filter is_state (Array.to_seq t.order)) }
+
 (** One shift cycle over concrete cell contents.  [read]/[write] access the
     underlying registers; returns the scan-out bit (the last cell's previous
     content). *)

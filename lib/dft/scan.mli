@@ -15,6 +15,9 @@ val build : ?style:style -> num_key:int -> num_state:int -> unit -> t
 val order : t -> cell array
 val length : t -> int
 
+(** The chain with its key cells bypassed (scenario (b)'s Trojan). *)
+val without_keys : t -> t
+
 (** One shift cycle over concrete cell contents; returns the scan-out bit. *)
 val shift :
   t ->

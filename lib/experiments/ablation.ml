@@ -98,7 +98,7 @@ let key_register_structure ?(size = 96) ?(num_seeds = 6) ?(free_run = 8) () :
   let schedule taps =
     let lfsr = Lfsr.create ?taps ~size () in
     let free_runs = List.init num_seeds (fun _ -> free_run) in
-    Symbolic.of_schedule lfsr ~num_seeds ~free_runs
+    Symbolic.of_schedule lfsr ~free_runs
   in
   let row register exprs =
     {

@@ -133,11 +133,7 @@ let fig3 (fx : fixture) : fig3_result =
   let honest_unlock_correct =
     Chip.key_register honest = fx.locked.Locked.correct_key
   in
-  let frozen =
-    Chip.create
-      ~trojan:{ Chip.no_trojan with Chip.freeze_ffs_during_unlock = true }
-      fx.modified
-  in
+  let frozen = Chip.create ~trojan:Chip.Freeze_state_ffs fx.modified in
   (* put a nonzero state into the FFs first, as the attack would *)
   Chip.set_scan_enable frozen true;
   for i = 0 to Orap.num_ffs fx.modified - 1 do
@@ -149,11 +145,7 @@ let fig3 (fx : fixture) : fig3_result =
     Chip.key_register frozen <> fx.locked.Locked.correct_key
   in
   (* basic scheme is insensitive to the same freeze *)
-  let basic_frozen =
-    Chip.create
-      ~trojan:{ Chip.no_trojan with Chip.freeze_ffs_during_unlock = true }
-      fx.basic
-  in
+  let basic_frozen = Chip.create ~trojan:Chip.Freeze_state_ffs fx.basic in
   Chip.unlock basic_frozen;
   let basic_still_correct =
     Chip.key_register basic_frozen = fx.locked.Locked.correct_key

@@ -10,13 +10,6 @@ type entry = { seed : bool array; free_run : int }
 type t = { entries : entry list }
 
 let entries t = t.entries
-let num_seeds t = List.length t.entries
-let total_seed_bits t =
-  List.fold_left (fun acc e -> acc + Array.length e.seed) 0 t.entries
-
-(** Total clock cycles of the unlock process. *)
-let unlock_cycles t =
-  List.fold_left (fun acc e -> acc + 1 + e.free_run) 0 t.entries
 
 (** Feed the sequence into [lfsr] (which is reset first) and return the
     final register state — the circuit key. *)
@@ -55,7 +48,7 @@ let solve_for_key ?(max_free_run = 7) ~seed ~num_seeds (lfsr : Lfsr.t)
   (* final_state = M * seed_bits (linear): build the system symbolically and
      solve the whole seed-bit vector by Gaussian elimination *)
   let exprs =
-    Symbolic.of_schedule lfsr ~num_seeds
+    Symbolic.of_schedule lfsr
       ~free_runs:(List.map (fun e -> e.free_run) base.entries)
   in
   let width = Lfsr.num_reseed_points lfsr in

@@ -5,11 +5,6 @@ type entry = { seed : bool array; free_run : int }
 type t = { entries : entry list }
 
 val entries : t -> entry list
-val num_seeds : t -> int
-val total_seed_bits : t -> int
-
-(** Clock cycles consumed by the unlock process. *)
-val unlock_cycles : t -> int
 
 (** Reset the LFSR, feed the sequence, return the final state (the key). *)
 val apply : Lfsr.t -> t -> bool array

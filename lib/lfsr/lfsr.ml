@@ -45,6 +45,9 @@ let set_state t s =
   if Array.length s <> t.size then invalid_arg "Lfsr.set_state";
   t.state <- Array.copy s
 
+let cell t i = t.state.(i)
+let set_cell t i v = t.state.(i) <- v
+
 (** Clear all cells — the pulse generators' reset action. *)
 let reset t = Array.fill t.state 0 t.size false
 

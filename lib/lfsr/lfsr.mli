@@ -21,6 +21,11 @@ val size : t -> int
 val state : t -> bool array
 val set_state : t -> bool array -> unit
 
+(** One cell, read or written in place (scan access, pulse-generator
+    clears). *)
+val cell : t -> int -> bool
+val set_cell : t -> int -> bool -> unit
+
 (** Clear all cells — the pulse generators' reset action. *)
 val reset : t -> unit
 

@@ -7,57 +7,48 @@
     dictates the XOR-tree payload such a Trojan must embed, which is the
     countermeasure's security argument. *)
 
-type t = {
-  lfsr_size : int;
-  num_vars : int;
-  mutable cells : Bitset.t array;
-}
-
-let create (lfsr : Lfsr.t) ~num_vars =
-  {
-    lfsr_size = Lfsr.size lfsr;
-    num_vars;
-    cells = Array.init (Lfsr.size lfsr) (fun _ -> Bitset.create num_vars);
-  }
-
-let cells t = t.cells
-
-(** One symbolic clock edge mirroring {!Lfsr.step}.  [injection] gives the
-    expression XORed in at each reseeding point. *)
-let step ?injection (lfsr : Lfsr.t) (t : t) =
-  let n = t.lfsr_size in
-  let fb = t.cells.(n - 1) in
-  let next = Array.init n (fun _ -> Bitset.create t.num_vars) in
-  Bitset.xor_into ~into:next.(0) fb;
-  for i = 1 to n - 1 do
-    Bitset.xor_into ~into:next.(i) t.cells.(i - 1);
-    if (Lfsr.taps_of lfsr).(i) then Bitset.xor_into ~into:next.(i) fb
-  done;
-  (match injection with
+(* One symbolic clock edge mirroring {!Lfsr.step}: [fresh] is the first of
+   the variables injected at the reseeding points ([None]: a free run).  A
+   fresh variable appears in no cell yet, so injecting it is setting it. *)
+let step (lfsr : Lfsr.t) cells fresh =
+  let n = Array.length cells in
+  let taps = Lfsr.taps_of lfsr in
+  let fb = cells.(n - 1) in
+  let next =
+    Array.init n (fun i ->
+        if i = 0 then Bitset.copy fb
+        else if taps.(i) then Bitset.xor cells.(i - 1) fb
+        else Bitset.copy cells.(i - 1))
+  in
+  (match fresh with
   | None -> ()
-  | Some inj ->
+  | Some v0 ->
     Array.iteri
-      (fun k p -> Bitset.xor_into ~into:next.(p) inj.(k))
+      (fun k p -> Bitset.set next.(p) (v0 + k))
       (Lfsr.reseed_points_of lfsr));
-  t.cells <- next
+  next
 
-(** Final-state expressions after feeding [num_seeds] seeds with the given
-    free-run gaps.  Variable [s * width + k] is bit [k] of seed [s]. *)
-let of_schedule (lfsr : Lfsr.t) ~num_seeds ~free_runs : Bitset.t array =
+(** Clock a cleared register once per element of [injects]; a [true] cycle
+    injects the next [width] variables.  Returns the final-state expressions
+    and the variable count. *)
+let unroll (lfsr : Lfsr.t) (injects : bool list) : Bitset.t array * int =
   let width = Lfsr.num_reseed_points lfsr in
-  let num_vars = num_seeds * width in
-  let t = create lfsr ~num_vars in
-  List.iteri
-    (fun s fr ->
-      let inj =
-        Array.init width (fun k -> Bitset.singleton num_vars ((s * width) + k))
-      in
-      step ~injection:inj lfsr t;
-      for _ = 1 to fr do
-        step lfsr t
-      done)
-    free_runs;
-  t.cells
+  let num_vars = width * List.length (List.filter Fun.id injects) in
+  let cells = Array.init (Lfsr.size lfsr) (fun _ -> Bitset.create num_vars) in
+  let cells, _ =
+    List.fold_left
+      (fun (cells, v) inject ->
+        if inject then (step lfsr cells (Some v), v + width)
+        else (step lfsr cells None, v))
+      (cells, 0) injects
+  in
+  (cells, num_vars)
+
+(** One seed per element of [free_runs], each followed by that many
+    free-run cycles. *)
+let of_schedule (lfsr : Lfsr.t) ~free_runs : Bitset.t array =
+  let cycles fr = true :: List.init fr (fun _ -> false) in
+  fst (unroll lfsr (List.concat_map cycles free_runs))
 
 (** XOR-gate count of the combinational trees realising the expressions —
     the payload of attack scenario (d). *)

@@ -1,18 +1,17 @@
 (** Symbolic (GF(2)) simulation of the key-register LFSR: every cell holds
-    a linear expression over the seed-bit variables — the computation behind
-    attack scenario (d) and the designer-side schedule solving. *)
+    a linear expression over the injected-bit variables — the computation
+    behind attack scenario (d) and the designer-side schedule solving. *)
 
-type t
+(** [unroll lfsr injects] clocks a cleared register once per element of
+    [injects]; a [true] cycle XORs fresh variables in at every reseeding
+    point, a [false] cycle free-runs.  Variable [v * width + k] is bit [k]
+    of the [v]-th injecting cycle.  Returns the final-state expressions and
+    the number of variables. *)
+val unroll : Lfsr.t -> bool list -> Bitset.t array * int
 
-val create : Lfsr.t -> num_vars:int -> t
-val cells : t -> Bitset.t array
-
-(** One symbolic clock edge mirroring {!Lfsr.step}. *)
-val step : ?injection:Bitset.t array -> Lfsr.t -> t -> unit
-
-(** Final-state expressions after [num_seeds] seeds with the given free-run
-    gaps; variable [s * width + k] is bit [k] of seed [s]. *)
-val of_schedule : Lfsr.t -> num_seeds:int -> free_runs:int list -> Bitset.t array
+(** Final-state expressions after one seed per element of [free_runs], each
+    followed by that many free-run cycles. *)
+val of_schedule : Lfsr.t -> free_runs:int list -> Bitset.t array
 
 (** XOR-gate count of trees realising the expressions (scenario (d)'s
     payload). *)

@@ -195,6 +195,122 @@ let test_interleaving_raises_bypass_cost () =
   let grouped = Threat.payload (mk Scan.Key_first) Threat.Exclude_lfsr_from_scan in
   check Alcotest.bool "guideline works" true (inter > grouped)
 
+(* --- the OraP hardware model pinned --- *)
+
+let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+let md5 s = Digest.to_hex (Digest.string s)
+
+let schedule_digest design =
+  md5
+    (String.concat ";"
+       (List.map
+          (fun c ->
+            (match c.Orap.memory with None -> "-" | Some b -> bits b)
+            ^ if c.Orap.feedback then "+" else "")
+          design.Orap.schedule))
+
+(* key register and FFs after unlock, 12 scan-oracle answers, the raw dump,
+   one keyed scan test and, under a Trojan, its scenario's outcome *)
+let chip_text design trojan =
+  let chip = Chip.create ?trojan design in
+  Chip.unlock chip;
+  let buf = Buffer.create 4096 in
+  let add s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '|'
+  in
+  add (bits (Chip.key_register chip));
+  add (bits (Chip.ff_state chip));
+  let oracle = Oracle.scan_chip chip in
+  let rng = Prng.create 41 in
+  let width = Orap.num_ext_inputs design + Orap.num_ffs design in
+  for _ = 1 to 12 do
+    add (bits (Oracle.query oracle (Prng.bool_array rng width)))
+  done;
+  Array.iter
+    (fun (cell, b) ->
+      add
+        ((match cell with
+         | Scan.Key i -> "k" ^ string_of_int i
+         | Scan.State j -> "s" ^ string_of_int j)
+        ^ if b then "1" else "0"))
+    (Chip.scan_dump chip);
+  let key = Prng.bool_array rng (Orap.key_size design) in
+  let state = Prng.bool_array rng (Orap.num_ffs design) in
+  let ext = Prng.bool_array rng (Orap.num_ext_inputs design) in
+  let outs, captured = Chip.scan_test ~key chip ~state ~ext_inputs:ext in
+  add (bits outs);
+  add (bits captured);
+  add (bits (Chip.key_register chip));
+  Option.iter
+    (fun sc ->
+      let o = Threat.run design sc in
+      add
+        (Printf.sprintf "%b %h" o.Threat.oracle_obtained o.Threat.payload_nand2))
+    trojan;
+  Buffer.contents buf
+
+let chips_digest design =
+  md5
+    (String.concat "#"
+       (List.map (chip_text design)
+          (None :: List.map Option.some Threat.all_scenarios)))
+
+(* (fixture/scheme/chain, schedule MD5, chips MD5), recorded before the
+   schedule became one cycle list and the Trojans one variant *)
+let pinned =
+  [
+    ("f1/basic/key_first", "f2833c9802ffd9c004a854e04c351b2d", "ab99d5ec92f7f469c57d4c824a8a21ef");
+    ("f1/basic/interleaved", "f2833c9802ffd9c004a854e04c351b2d", "d09bdbb4bb89cb7c4ab90354402e7b00");
+    ("f1/basic/key_last", "f2833c9802ffd9c004a854e04c351b2d", "2f653b1c25ab8e51bae84c6201546352");
+    ("f1/modified/key_first", "ef4dff704600b090b8d0de80cc2e1329", "dc843c05be76f37bf54c4ee433cf0eb0");
+    ("f1/modified/interleaved", "ef4dff704600b090b8d0de80cc2e1329", "2c8c015124b6ce68e0aff547ab0239e7");
+    ("f1/modified/key_last", "ef4dff704600b090b8d0de80cc2e1329", "2de184a66ae483991f3569a55b729f72");
+    ("f2/basic/key_first", "49807d4dab571ba6576acdbd5e20b941", "ed1ac61e0771efad1c968ba6afb56028");
+    ("f2/basic/interleaved", "49807d4dab571ba6576acdbd5e20b941", "a0d5790739c021c2a349ed9ffa4bd335");
+    ("f2/basic/key_last", "49807d4dab571ba6576acdbd5e20b941", "1bfc59e1f6101c4a5bb69013481a4adb");
+    ("f2/modified/key_first", "af4f2e9415f2fa0d2f65ebe281284b86", "6e42cb382f78004c13214e51b9396d02");
+    ("f2/modified/interleaved", "af4f2e9415f2fa0d2f65ebe281284b86", "da887a483e1f4630d5e04c3fbdfab87f");
+    ("f2/modified/key_last", "af4f2e9415f2fa0d2f65ebe281284b86", "fed6feb5d3864d5a491410bdc04ac826");
+  ]
+
+let test_hardware_model_pinned () =
+  let fixtures =
+    [
+      ("f1", random_netlist ~inputs:40 ~outputs:30 ~gates:320 77, 24, 3, 14, 5);
+      ("f2", random_netlist ~inputs:24 ~outputs:18 ~gates:200 13, 20, 2, 9, 2020);
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (name, nl, key_size, ctrl_inputs, num_ffs, seed) ->
+        let lk = Weighted.lock nl ~key_size ~ctrl_inputs in
+        List.concat_map
+          (fun (kname, kind) ->
+            List.map
+              (fun (sname, chain_style) ->
+                let d =
+                  Orap.protect
+                    ~config:
+                      { (Orap.default_config ~kind ~num_ffs ()) with
+                        Orap.chain_style; seed }
+                    lk
+                in
+                ( String.concat "/" [ name; kname; sname ],
+                  schedule_digest d,
+                  chips_digest d ))
+              [ ("key_first", Scan.Key_first); ("interleaved", Scan.Interleaved);
+                ("key_last", Scan.Key_last) ])
+          [ ("basic", Orap.Basic); ("modified", Orap.Modified) ])
+      fixtures
+  in
+  List.iter2
+    (fun (label, sched, chips) (label', sched', chips') ->
+      check Alcotest.string "design" label label';
+      check Alcotest.string (label ^ " schedule") sched sched';
+      check Alcotest.string (label ^ " chips") chips chips')
+    pinned got
+
 let suite =
   ( "core",
     [
@@ -215,4 +331,5 @@ let suite =
       tc "scenario (e): basic vs modified" `Quick test_scenario_e_basic_vs_modified;
       tc "honest chip leaks nothing" `Quick test_honest_chip_has_no_trojan_effects;
       tc "interleaving guideline" `Quick test_interleaving_raises_bypass_cost;
+      tc "hardware model pinned" `Quick test_hardware_model_pinned;
     ] )

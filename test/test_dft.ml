@@ -10,13 +10,8 @@ let test_pulse_rising_edge_only () =
   check Alcotest.bool "falling silent" false (Pulse_gen.observe g ~scan_enable:false);
   check Alcotest.bool "second rising fires" true (Pulse_gen.observe g ~scan_enable:true)
 
-let test_pulse_width_and_cost () =
-  let g = Pulse_gen.create ~inverter_chain:5 () in
-  check Alcotest.int "width" 5 (Pulse_gen.pulse_width g);
-  check Alcotest.int "gate cost" 1 Pulse_gen.gate_cost;
-  Alcotest.check_raises "even chain rejected"
-    (Invalid_argument "Pulse_gen.create: odd chain length required") (fun () ->
-      ignore (Pulse_gen.create ~inverter_chain:4 ()))
+let test_pulse_gen_cost () =
+  check Alcotest.int "gate cost" 1 Pulse_gen.gate_cost
 
 let count_cells chain =
   Array.fold_left
@@ -86,7 +81,7 @@ let suite =
   ( "dft",
     [
       tc "pulse generator edge detection" `Quick test_pulse_rising_edge_only;
-      tc "pulse width and cost" `Quick test_pulse_width_and_cost;
+      tc "pulse generator cost" `Quick test_pulse_gen_cost;
       tc "chain styles cover all cells" `Quick test_chain_styles_complete;
       tc "key-first ordering" `Quick test_key_first_ordering;
       tc "interleaving spreads keys" `Quick test_interleaving_spreads;

@@ -176,7 +176,7 @@ let test_oracle_width_error () =
   let chip = chip_fixture () in
   Chip.unlock chip;
   let o = Oracle.scan_chip chip in
-  let d = chip.Chip.design in
+  let d = Chip.design chip in
   let w = Orap.num_ext_inputs d + Orap.num_ffs d in
   Alcotest.check_raises "wrong width"
     (Invalid_argument
@@ -190,7 +190,7 @@ let test_scan_oracle_deterministic () =
   Chip.unlock chip;
   let o = Oracle.scan_chip chip in
   let rng = Prng.create 6 in
-  let d = chip.Chip.design in
+  let d = Chip.design chip in
   let width = Orap.num_ext_inputs d + Orap.num_ffs d in
   for _ = 1 to 8 do
     let x = Prng.bool_array rng width in

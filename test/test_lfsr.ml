@@ -133,7 +133,7 @@ let prop_symbolic_matches_concrete =
       let free_runs =
         List.map (fun e -> e.Keyseq.free_run) (Keyseq.entries ks)
       in
-      let exprs = Symbolic.of_schedule l ~num_seeds ~free_runs in
+      let exprs = Symbolic.of_schedule l ~free_runs in
       let width = Lfsr.num_reseed_points l in
       let assignment = Array.make (num_seeds * width) false in
       List.iteri
@@ -144,12 +144,34 @@ let prop_symbolic_matches_concrete =
         (fun expr bit -> Bitset.eval expr assignment = bit)
         exprs key)
 
-let test_unlock_cycles () =
-  let l = Lfsr.create ~size:16 () in
-  let ks = Keyseq.random ~max_free_run:0 ~seed:4 ~num_seeds:5 l in
-  check Alcotest.int "cycles, no free runs" 5 (Keyseq.unlock_cycles ks);
-  check Alcotest.int "seeds" 5 (Keyseq.num_seeds ks);
-  check Alcotest.int "seed bits" (5 * 16) (Keyseq.total_seed_bits ks)
+let prop_unroll_matches_concrete =
+  Prop.to_alcotest ~count:25
+    ~name:"symbolic unroll matches concrete on a reseed subset"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
+      let rng = Prng.create seed in
+      let size = 8 + Prng.int rng 40 in
+      let reseed_points =
+        Array.of_list
+          (List.filter (fun _ -> Prng.bool rng) (List.init size Fun.id))
+      in
+      let l = Lfsr.create ~reseed_points ~size () in
+      let injects = List.init (Prng.int rng 20) (fun _ -> Prng.bool rng) in
+      let exprs, num_vars = Symbolic.unroll l injects in
+      let assignment = Prng.bool_array rng num_vars in
+      let width = Array.length reseed_points in
+      ignore
+        (List.fold_left
+           (fun v inject ->
+             if inject then begin
+               Lfsr.step ~injection:(Array.sub assignment v width) l;
+               v + width
+             end
+             else (Lfsr.step l; v))
+           0 injects);
+      Array.for_all2
+        (fun expr bit -> Bitset.eval expr assignment = bit)
+        exprs (Lfsr.state l))
 
 let prop_linear_solver =
   Prop.to_alcotest ~count:30 ~name:"Symbolic.solve solves random consistent systems"
@@ -202,7 +224,7 @@ let suite =
       tc "xor gate accounting" `Quick test_xor_gate_count;
       prop_solve_for_key;
       prop_symbolic_matches_concrete;
-      tc "key sequence sizes" `Quick test_unlock_cycles;
+      prop_unroll_matches_concrete;
       prop_linear_solver;
       tc "inconsistent system rejected" `Quick test_solver_detects_inconsistency;
       tc "xor tree accounting" `Quick test_xor_tree_gates;
