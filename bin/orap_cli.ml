@@ -23,33 +23,47 @@ let obs_opts : (string option * string option) Term.t =
       value & opt (some string) None
       & info [ "trace" ] ~docs ~docv:"FILE"
           ~doc:
-            "Write a span/event trace to $(docv): Chrome trace_event JSON \
-             array when $(docv) ends in .json (loadable directly in \
-             about://tracing or Perfetto), JSONL event stream otherwise \
-             (validate with $(b,orap tracecheck)).")
+            "Write a span trace to $(docv): a JSONL event stream \
+             (validate with $(b,orap tracecheck)), converted on exit to a \
+             Chrome trace_event JSON array when $(docv) ends in .json \
+             (loadable directly in about://tracing or Perfetto).")
   in
   let metrics =
     Arg.(
       value & opt (some string) None
       & info [ "metrics" ] ~docs ~docv:"FILE"
           ~doc:
-            "Write a JSON snapshot of all counters, gauges and latency \
-             histograms to $(docv) on exit.")
+            "Write a JSON snapshot of all counters and latency histograms \
+             to $(docv) on exit.")
   in
   Term.(const (fun t m -> (t, m)) $ trace $ metrics)
 
-(* run [f] under the requested trace sink / metrics snapshot *)
+(* run [f] under the requested trace sink / metrics snapshot; a .json
+   trace is streamed to a temporary JSONL file beside it and wrapped into
+   the Chrome array on exit (a killed run leaves that stream behind, for
+   [tracecheck --to-chrome]) *)
 let with_obs (trace, metrics) f =
-  (match trace with
-  | None -> ()
-  | Some path ->
-    Telemetry.install
-      (if Filename.check_suffix path ".json" then Telemetry.chrome path
-       else Telemetry.jsonl path));
+  let chrome, stream =
+    match trace with
+    | Some dst when Filename.check_suffix dst ".json" ->
+      (* fail on an unwritable destination before the run, not after it *)
+      close_out (open_out dst);
+      let temp_dir = Filename.dirname dst and prefix = Filename.basename dst in
+      (Some dst, Some (Filename.temp_file ~temp_dir prefix ".jsonl"))
+    | _ -> (None, trace)
+  in
+  Option.iter (fun path -> Telemetry.install (Telemetry.jsonl path)) stream;
   Fun.protect
     ~finally:(fun () ->
       Telemetry.shutdown ();
-      match metrics with None -> () | Some path -> Metrics.write_json path)
+      (match (chrome, stream) with
+      | Some dst, Some src ->
+        (match Trace.to_chrome ~src ~dst with
+        | Ok _ -> ()
+        | Error e -> Format.eprintf "orap: %s: %a@." dst Trace.pp_error e);
+        Sys.remove src
+      | _ -> ());
+      Option.iter Metrics.write_json metrics)
     f
 
 (* --- shared runner option group (grid subcommands) --- *)

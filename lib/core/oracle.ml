@@ -20,34 +20,20 @@ type t = {
 
 (* Per-query latency lands in one shared histogram; the trace gets one
    "oracle.query" span per call (also on failure, so refusals are visible
-   in the timeline).  The disabled-telemetry path adds only the counter
-   bump and a histogram observe. *)
+   in the timeline).  One wall-clock reading on each side of the span
+   times the call, traced or not. *)
 let query t inputs =
   t.queries <- t.queries + 1;
   Metrics.incr (Metrics.counter "oracle.queries");
   let lat = Metrics.histogram "oracle.query_latency_s" in
-  if Telemetry.enabled () then begin
-    let t0_us = Telemetry.now_us () in
-    let record () = Metrics.observe lat ((Telemetry.now_us () -. t0_us) *. 1e-6) in
-    Telemetry.span "oracle.query" (fun () ->
-        match t.query inputs with
-        | y ->
-          record ();
-          y
-        | exception e ->
-          record ();
-          raise e)
-  end
-  else begin
-    let t0 = Unix.gettimeofday () in
-    match t.query inputs with
-    | y ->
-      Metrics.observe lat (Unix.gettimeofday () -. t0);
-      y
-    | exception e ->
-      Metrics.observe lat (Unix.gettimeofday () -. t0);
-      raise e
-  end
+  let t0 = Unix.gettimeofday () in
+  match Telemetry.span "oracle.query" (fun () -> t.query inputs) with
+  | y ->
+    Metrics.observe lat (Unix.gettimeofday () -. t0);
+    y
+  | exception e ->
+    Metrics.observe lat (Unix.gettimeofday () -. t0);
+    raise e
 
 let num_queries t = t.queries
 

@@ -76,22 +76,6 @@ let outcome_tag ~genuine = function
   | Budget.Exhausted Budget.Inconsistent -> "inconsistent"
   | Budget.Oracle_refused _ -> "refused"
 
-let summarize_tags tags =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun tag ->
-      match Hashtbl.find_opt tbl tag with
-      | Some n -> Hashtbl.replace tbl tag (n + 1)
-      | None ->
-        Hashtbl.add tbl tag 1;
-        order := tag :: !order)
-    tags;
-  String.concat ", "
-    (List.rev_map
-       (fun tag -> Printf.sprintf "%d %s" (Hashtbl.find tbl tag) tag)
-       !order)
-
 (* key-bit Hamming distance, percent *)
 let key_hd_pct correct key =
   let diff = ref 0 in
@@ -172,7 +156,7 @@ let run_cell (params : params) fx budget ~seed (c : cell) : row =
       | l -> Some (List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)));
     mean_queries = float_of_int !queries /. n;
     mean_elapsed_s = !elapsed /. n;
-    outcomes = summarize_tags (List.rev !tags);
+    outcomes = Orap_runner.Progress.tally (List.rev !tags);
   }
 
 (* the first outcome tag of the aggregated cell, for the progress tally *)

@@ -2,116 +2,37 @@
 
 type entry = { key : string; id : string; data : string }
 
-(* --- JSON string escaping (the subset we emit) --- *)
-
-let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Telemetry = Orap_telemetry.Telemetry
+module Trace = Orap_telemetry.Trace
 
 let format_line ~key ~id ~data =
-  Printf.sprintf "{\"key\":\"%s\",\"id\":\"%s\",\"data\":\"%s\"}" (escape key)
-    (escape id) (escape data)
+  let e = Telemetry.escape in
+  Printf.sprintf "{\"key\":\"%s\",\"id\":\"%s\",\"data\":\"%s\"}" (e key) (e id)
+    (e data)
 
-(* --- strict line parser for exactly the object shape we emit --- *)
-
-exception Bad
-
-let parse_line (line : string) : entry option =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise Bad in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then raise Bad else advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then raise Bad;
-          let hex = String.sub line !pos 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c when c < 0x100 -> c
-            | Some _ | None -> raise Bad
-          in
-          Buffer.add_char b (Char.chr code);
-          pos := !pos + 4
-        | _ -> raise Bad);
-        go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  try
-    expect '{';
-    let fields = ref [] in
-    let rec members () =
-      let k = parse_string () in
-      expect ':';
-      let v = parse_string () in
-      fields := (k, v) :: !fields;
-      match peek () with
-      | ',' -> advance (); members ()
-      | '}' -> advance ()
-      | _ -> raise Bad
-    in
-    members ();
-    if !pos <> n then raise Bad;
-    let get k = List.assoc_opt k !fields in
+let parse_line line =
+  match Trace.parse_json_line line with
+  | Error _ -> None
+  | Ok fields -> (
+    let get k = List.assoc_opt k fields in
     match (get "key", get "id", get "data") with
-    | Some key, Some id, Some data -> Some { key; id; data }
-    | _ -> None
-  with Bad | Invalid_argument _ -> None
+    | Some (Trace.Jstring key), Some (Trace.Jstring id), Some (Trace.Jstring data) ->
+      Some { key; id; data }
+    | _ -> None)
 
-(* --- file I/O --- *)
-
+(* every line of the file; a missing file has none *)
 let fold_lines path f acc =
   if not (Sys.file_exists path) then acc
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let acc = ref acc in
-        (try
-           while true do
-             acc := f !acc (input_line ic)
-           done
-         with End_of_file -> ());
-        !acc)
-  end
+  else
+    Result.get_ok
+      (Trace.fold_file path (fun acc ~line_no:_ ~line -> Ok (f acc line)) acc)
 
 let load path =
   List.rev
     (fold_lines path
        (fun acc line ->
          (* skip blank and corrupt (e.g. crash-truncated) lines *)
-         if String.trim line = "" then acc
-         else match parse_line line with Some e -> e :: acc | None -> acc)
+         match parse_line line with Some e -> e :: acc | None -> acc)
        [])
 
 let scan path =

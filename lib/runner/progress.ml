@@ -13,8 +13,7 @@ type t = {
   mutable computed : int;
   mutable cached : int;
   mutable last_emit : float;
-  tally : (string, int) Hashtbl.t;
-  mutable tag_order : string list;  (** first-seen order, reversed *)
+  mutable tags : string list;  (** one per computed cell, newest first *)
 }
 
 (* seconds between status lines *)
@@ -33,9 +32,17 @@ let create ?(out = stderr) ?(enabled = true)
     computed = 0;
     cached = 0;
     last_emit = 0.0;
-    tally = Hashtbl.create 8;
-    tag_order = [];
+    tags = [];
   }
+
+let tally tags =
+  let rec counts acc = function
+    | [] -> List.rev acc
+    | tag :: rest ->
+      let same, others = List.partition (String.equal tag) rest in
+      counts (Printf.sprintf "%d %s" (1 + List.length same) tag :: acc) others
+  in
+  String.concat ", " (counts [] tags)
 
 let completed t = t.computed + t.cached
 
@@ -76,17 +83,7 @@ let line_unlocked t =
   let cached =
     if t.cached > 0 then Printf.sprintf "  (%d cached)" t.cached else ""
   in
-  let tags =
-    match t.tag_order with
-    | [] -> ""
-    | order ->
-      "  "
-      ^ String.concat ", "
-          (List.rev_map
-             (fun tag ->
-               Printf.sprintf "%d %s" (Hashtbl.find t.tally tag) tag)
-             order)
-  in
+  let tags = match t.tags with [] -> "" | tags -> "  " ^ tally (List.rev tags) in
   Printf.sprintf "[runner] %d/%d cells  %.1f cells/s  ETA %s%s%s"
     (completed t) t.total rate eta cached tags
 
@@ -104,11 +101,7 @@ let tick t ~tag =
          it from the first tick so replay time still stays excluded *)
       if t.compute_started = None then t.compute_started <- Some t.started;
       t.computed <- t.computed + 1;
-      (match Hashtbl.find_opt t.tally tag with
-      | Some n -> Hashtbl.replace t.tally tag (n + 1)
-      | None ->
-        Hashtbl.add t.tally tag 1;
-        t.tag_order <- tag :: t.tag_order);
+      t.tags <- tag :: t.tags;
       if t.enabled then begin
         let now = t.now () in
         if now -. t.last_emit >= interval_s then begin

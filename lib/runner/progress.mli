@@ -50,3 +50,8 @@ val completed : t -> int
 
 (** Emit a final status line (even when under the interval). *)
 val finish : t -> unit
+
+(** Each tag's count, in first-seen order: [["exact"; "timeout"; "exact"]]
+    gives ["2 exact, 1 timeout"]; [[]] gives [""].  The status line's
+    tally. *)
+val tally : string list -> string

@@ -2,8 +2,6 @@
 
 type counter = { c_name : string; cell : int Atomic.t }
 
-type gauge = { g_name : string; mutable g : float; g_mutex : Mutex.t }
-
 (* Log-scaled buckets: observation [v] lands in the bucket whose inclusive
    upper bound is the smallest 2^(i - offset) >= v.  With 64 buckets and
    offset 32 the instrument spans 2^-32 s (~0.2 ns) to 2^31 s in one
@@ -35,7 +33,7 @@ let bucket_upper i = Float.ldexp 1.0 (i - bucket_offset)
 
 (* --- registry --- *)
 
-type instrument = C of counter | G of gauge | H of histogram
+type instrument = C of counter | H of histogram
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 32
 
@@ -68,14 +66,6 @@ let counter name =
     (function C c -> Some c | _ -> None)
     "counter"
 
-let gauge name =
-  intern name
-    (fun () ->
-      let g = { g_name = name; g = 0.0; g_mutex = Mutex.create () } in
-      (G g, g))
-    (function G g -> Some g | _ -> None)
-    "gauge"
-
 let histogram name =
   intern name
     (fun () ->
@@ -100,13 +90,6 @@ let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 
 let value c = Atomic.get c.cell
-
-let set g v =
-  Mutex.lock g.g_mutex;
-  g.g <- v;
-  Mutex.unlock g.g_mutex
-
-let gauge_value g = g.g
 
 let observe h v =
   let b = bucket_of v in
@@ -138,8 +121,7 @@ let mean h =
   let s = histogram_snapshot h in
   if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
 
-let quantile h q =
-  let s = histogram_snapshot h in
+let snapshot_quantile s q =
   if s.count = 0 then 0.0
   else begin
     let rank =
@@ -152,6 +134,8 @@ let quantile h q =
     walk 0 s.buckets
   end
 
+let quantile h q = snapshot_quantile (histogram_snapshot h) q
+
 (* --- snapshot --- *)
 
 let reset () = locked (fun () -> Hashtbl.reset registry)
@@ -160,40 +144,26 @@ let json_float f =
   if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
 
 let snapshot_json () =
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
+  let counters = ref [] and histograms = ref [] in
   locked (fun () ->
       Hashtbl.iter
         (fun name -> function
           | C c -> counters := (name, value c) :: !counters
-          | G g -> gauges := (name, g.g) :: !gauges
           | H h -> histograms := (name, histogram_snapshot h) :: !histograms)
         registry);
   let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   let b = Buffer.create 512 in
-  let key k = "\"" ^ k ^ "\":" in
+  let key k = "\"" ^ Telemetry.escape k ^ "\":" in
   Buffer.add_string b "{\"counters\":{";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b (key name ^ string_of_int v))
     (sorted !counters);
-  Buffer.add_string b "},\"gauges\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (key name ^ json_float v))
-    (sorted !gauges);
   Buffer.add_string b "},\"histograms\":{";
   List.iteri
     (fun i (name, (s : histogram_snapshot)) ->
       if i > 0 then Buffer.add_char b ',';
-      let h =
-        match
-          locked (fun () -> Hashtbl.find_opt registry name)
-        with
-        | Some (H h) -> h
-        | _ -> assert false
-      in
       Buffer.add_string b (key name);
       Buffer.add_string b
         (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"max\":%s,\"mean\":%s,"
@@ -201,8 +171,8 @@ let snapshot_json () =
            (json_float (if s.count = 0 then 0.0 else s.sum /. float_of_int s.count)));
       Buffer.add_string b
         (Printf.sprintf "\"p50\":%s,\"p99\":%s,\"buckets\":["
-           (json_float (quantile h 0.5))
-           (json_float (quantile h 0.99)));
+           (json_float (snapshot_quantile s 0.5))
+           (json_float (snapshot_quantile s 0.99)));
       List.iteri
         (fun j (ub, n) ->
           if j > 0 then Buffer.add_char b ',';

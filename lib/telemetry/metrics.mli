@@ -1,34 +1,27 @@
 (** Typed metrics over a process-wide, thread-safe registry.
 
-    Three instrument kinds:
+    Two instrument kinds:
     - {b counters}: monotonically increasing integers ([Atomic]-backed, so
       workers on different [Domain]s increment without locking);
-    - {b gauges}: last-write-wins floats;
     - {b histograms}: power-of-two log-scaled buckets, built for latencies
       spanning nanoseconds to minutes in one instrument.
 
     Instruments are interned by name: [counter "x"] returns the same cell
     everywhere, so instrumentation sites need no shared setup.  The whole
-    registry snapshots to JSON for the [--metrics FILE] flag and the
-    [BENCH_*.json] summary blocks. *)
+    registry snapshots to JSON for the [--metrics FILE] flag. *)
 
 type counter
-type gauge
 type histogram
 
 (** Get or create the named instrument.  A name registered as one kind
     raises [Invalid_argument] when requested as another. *)
 val counter : string -> counter
 
-val gauge : string -> gauge
 val histogram : string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Record one observation (histograms are unit-agnostic; by convention
     latency instruments carry a [_s] suffix and take seconds). *)
@@ -59,7 +52,7 @@ val quantile : histogram -> float -> float
 val reset : unit -> unit
 
 (** The whole registry as a JSON object:
-    [{"counters":{...},"gauges":{...},"histograms":{name:{"count":..,"sum":..,
+    [{"counters":{...},"histograms":{name:{"count":..,"sum":..,
     "max":..,"mean":..,"p50":..,"p99":..,"buckets":[[le,n],...]},...}}].
     Keys are sorted, so equal registries render byte-identically. *)
 val snapshot_json : unit -> string

@@ -2,7 +2,7 @@
 
 type value = Int of int | Float of float | String of string | Bool of bool
 
-type phase = Complete | Instant | Counter
+type phase = Complete
 
 type event = {
   phase : phase;
@@ -58,16 +58,12 @@ let value_to_json = function
   | String s -> "\"" ^ escape s ^ "\""
   | Bool b -> if b then "true" else "false"
 
-let phase_letter = function Complete -> "X" | Instant -> "i" | Counter -> "C"
-
 let event_to_json (e : event) : string =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "{\"ph\":\"%s\",\"name\":\"%s\",\"ts\":%.3f"
-       (phase_letter e.phase) (escape e.name) e.ts_us);
-  if e.phase = Complete then
-    Buffer.add_string b (Printf.sprintf ",\"dur\":%.3f" e.dur_us);
-  Buffer.add_string b (Printf.sprintf ",\"pid\":1,\"tid\":%d" e.tid);
+    (Printf.sprintf
+       "{\"ph\":\"X\",\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
+       (escape e.name) e.ts_us e.dur_us e.tid);
   (match e.args with
   | [] -> ()
   | args ->
@@ -120,27 +116,6 @@ let jsonl path =
   in
   { emit; close }
 
-let chrome path =
-  let oc = open_out path in
-  let mutex = Mutex.create () in
-  let first = ref true in
-  output_char oc '[';
-  let emit e =
-    let line = event_to_json e in
-    Mutex.lock mutex;
-    if !first then first := false else output_string oc ",\n";
-    output_string oc line;
-    Mutex.unlock mutex
-  in
-  let close () =
-    Mutex.lock mutex;
-    output_string oc "]\n";
-    flush oc;
-    close_out_noerr oc;
-    Mutex.unlock mutex
-  in
-  { emit; close }
-
 (* --- global installation ---
 
    A plain ref, written only from the orchestrating domain (before workers
@@ -167,27 +142,6 @@ let with_sink sink f =
   Fun.protect ~finally:shutdown f
 
 (* --- emission --- *)
-
-let emit e = match !current with None -> () | Some s -> s.emit e
-
-let complete ?(args = []) ~name ~ts_us ~dur_us () =
-  emit { phase = Complete; name; ts_us; dur_us; tid = tid (); args }
-
-let instant ?(args = []) name =
-  if enabled () then
-    emit { phase = Instant; name; ts_us = now_us (); dur_us = 0.0; tid = tid (); args }
-
-let counter_sample name v =
-  if enabled () then
-    emit
-      {
-        phase = Counter;
-        name;
-        ts_us = now_us ();
-        dur_us = 0.0;
-        tid = tid ();
-        args = [ ("value", Float v) ];
-      }
 
 let span ?(args = []) ?exit_args name f =
   match !current with

@@ -20,14 +20,12 @@ type value = Int of int | Float of float | String of string | Bool of bool
 
 type phase =
   | Complete  (** a span: [ts_us] start + [dur_us] duration (Chrome "X") *)
-  | Instant  (** a point event (Chrome "i") *)
-  | Counter  (** a sampled counter track (Chrome "C") *)
 
 type event = {
   phase : phase;
   name : string;
   ts_us : float;  (** microseconds since the trace epoch *)
-  dur_us : float;  (** [Complete] only; 0 otherwise *)
+  dur_us : float;
   tid : int;  (** emitting domain id *)
   args : (string * value) list;
 }
@@ -50,11 +48,6 @@ val memory : unit -> sink * (unit -> event list)
     wraps such a file into a directly loadable Chrome trace. *)
 val jsonl : string -> sink
 
-(** Chrome trace_event JSON array ([\[event, event, ...\]]) written
-    incrementally; loadable as-is in [about://tracing] or Perfetto once the
-    sink is closed (and by Perfetto even when truncated). *)
-val chrome : string -> sink
-
 (** {1 Global installation} *)
 
 (** Install [sink] as the process-wide event destination.  Installing over
@@ -75,9 +68,6 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 
 (** {1 Emission} *)
 
-(** Microseconds since the trace epoch (non-decreasing). *)
-val now_us : unit -> float
-
 (** [span ?args ?exit_args name f] times [f] and emits one [Complete]
     event.  [exit_args] derives additional args from the result (e.g.
     solver-statistics deltas).  When disabled this is exactly [f ()].  If
@@ -90,18 +80,13 @@ val span :
   (unit -> 'a) ->
   'a
 
-(** Emit a [Complete] event from an explicit start time (callers that
-    already timed the region). *)
-val complete :
-  ?args:(string * value) list -> name:string -> ts_us:float -> dur_us:float -> unit -> unit
-
-val instant : ?args:(string * value) list -> string -> unit
-
-(** Emit a Chrome counter sample (its own track in the viewer). *)
-val counter_sample : string -> float -> unit
-
 (** {1 Rendering} *)
 
 (** The event as a single-line Chrome trace_event JSON object — the JSONL
     sink's line format. *)
 val event_to_json : event -> string
+
+(** The body of a JSON string literal for [s]: quote, backslash and every
+    control character escaped, other bytes as they are.  {!Trace}'s parser
+    reads it back. *)
+val escape : string -> string

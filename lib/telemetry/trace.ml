@@ -5,9 +5,9 @@ type error = { line_no : int; line : string; reason : string }
 let pp_error ppf e =
   Format.fprintf ppf "line %d: %s (%S)" e.line_no e.reason e.line
 
-(* Recursive-descent parser for the exact object shape event_to_json
-   emits: one flat object whose values are strings, numbers, booleans,
-   null, or (for "args" only) one nested object of scalars. *)
+(* Recursive-descent parser for one flat object whose values are
+   strings, numbers, booleans, null, or one nested object of scalars:
+   the shape event_to_json and the runner's journal emit. *)
 
 exception Bad of string
 
@@ -18,7 +18,7 @@ type json =
   | Jnull
   | Jobject of (string * json) list
 
-let parse_json_line (line : string) : (string * json) list =
+let parse_object_exn (line : string) : (string * json) list =
   let n = String.length line in
   let pos = ref 0 in
   let peek () = if !pos < n then line.[!pos] else raise (Bad "truncated") in
@@ -147,14 +147,10 @@ let event_of_fields (fields : (string * json) list) : Telemetry.event =
     | Some v -> v
     | None -> raise (Bad (Printf.sprintf "missing key %S" k))
   in
-  let phase =
-    match require "ph" with
-    | Jstring "X" -> Telemetry.Complete
-    | Jstring "i" -> Telemetry.Instant
-    | Jstring "C" -> Telemetry.Counter
-    | Jstring s -> raise (Bad (Printf.sprintf "unknown phase %S" s))
-    | _ -> raise (Bad "\"ph\" must be a string")
-  in
+  (match require "ph" with
+  | Jstring "X" -> ()
+  | Jstring s -> raise (Bad (Printf.sprintf "unknown phase %S" s))
+  | _ -> raise (Bad "\"ph\" must be a string"));
   let name =
     match require "name" with
     | Jstring s -> s
@@ -166,14 +162,7 @@ let event_of_fields (fields : (string * json) list) : Telemetry.event =
     | _ -> raise (Bad (Printf.sprintf "%S must be a number" k))
   in
   let ts_us = number "ts" in
-  let dur_us =
-    match (phase, get "dur") with
-    | Telemetry.Complete, Some (Jnumber (f, _)) -> f
-    | Telemetry.Complete, Some _ -> raise (Bad "\"dur\" must be a number")
-    | Telemetry.Complete, None -> raise (Bad "span without \"dur\"")
-    | _, Some _ -> raise (Bad "\"dur\" on a non-span event")
-    | _, None -> 0.0
-  in
+  let dur_us = number "dur" in
   (match require "pid" with
   | Jnumber (1.0, false) -> ()
   | _ -> raise (Bad "\"pid\" must be 1"));
@@ -208,10 +197,15 @@ let event_of_fields (fields : (string * json) list) : Telemetry.event =
   in
   if ts_us < 0.0 then raise (Bad "negative timestamp");
   if dur_us < 0.0 then raise (Bad "negative duration");
-  { Telemetry.phase; name; ts_us; dur_us; tid; args }
+  { Telemetry.phase = Complete; name; ts_us; dur_us; tid; args }
+
+let parse_json_line line =
+  match parse_object_exn line with
+  | fields -> Ok fields
+  | exception Bad reason -> Error reason
 
 let parse_line line =
-  match event_of_fields (parse_json_line line) with
+  match event_of_fields (parse_object_exn line) with
   | e -> Ok e
   | exception Bad reason -> Error reason
 

@@ -15,10 +15,35 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
+(** A parsed JSON value.  Numbers keep whether they were written with a
+    fraction or an exponent, so [1] and [1.0] stay apart. *)
+type json =
+  | Jstring of string
+  | Jnumber of float * bool  (** value, had a fractional/exponent part *)
+  | Jbool of bool
+  | Jnull
+  | Jobject of (string * json) list
+
+(** Parse one line holding exactly one JSON object, with no whitespace,
+    no duplicate keys, and values that are scalars or (one level deep)
+    objects of scalars: the fields in file order.  Strings take the
+    escapes {!Telemetry.escape} writes ([\u] up to [00ff]) and no raw
+    control characters.  The runner's journal reads its lines with this
+    too. *)
+val parse_json_line : string -> ((string * json) list, string) result
+
 (** Parse one line.  [Error reason] if the line deviates from the emitted
-    format in any way (unknown key, missing field, trailing bytes, bad
-    escape, [dur] on a non-span, ...). *)
+    format in any way (unknown key or phase, missing field, trailing
+    bytes, bad escape, ...). *)
 val parse_line : string -> (Telemetry.event, string) result
+
+(** [fold_file path f acc] folds [f] over the lines of [path] in order
+    (1-based [line_no]) and stops at the first [Error]. *)
+val fold_file :
+  string ->
+  ('a -> line_no:int -> line:string -> ('a, 'e) result) ->
+  'a ->
+  ('a, 'e) result
 
 (** All events of a JSONL trace, in file order.  Blank lines are not
     tolerated: the sink never writes them. *)

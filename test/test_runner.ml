@@ -157,6 +157,29 @@ let test_journal_rejects_garbage () =
     check Alcotest.string "format/parse data" "d" e.Journal.data
   | None -> Alcotest.fail "own format must parse"
 
+(* a journal line as the format has always written it: any change to the
+   escaping or the field order breaks resuming an older journal *)
+let test_journal_pinned_line () =
+  let line =
+    {|{"key":"0123456789abcdef","id":"with\ttab \"quotes\" \\ and\nnewline","data":"\u0001control"}|}
+  in
+  let entry =
+    {
+      Journal.key = "0123456789abcdef";
+      id = "with\ttab \"quotes\" \\ and\nnewline";
+      data = "\x01control";
+    }
+  in
+  check Alcotest.string "format_line writes the pinned bytes" line
+    (Journal.format_line ~key:entry.Journal.key ~id:entry.Journal.id
+       ~data:entry.Journal.data);
+  let path = temp_path () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (line ^ "\n"));
+  (match Journal.load path with
+  | [ e ] -> check Alcotest.bool "load reads the same entry" true (e = entry)
+  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
+  Sys.remove path
+
 (* --- progress --- *)
 
 let test_progress_counters () =
@@ -170,7 +193,10 @@ let test_progress_counters () =
   check Alcotest.bool "line shows done/total" true (contains line "6/10");
   check Alcotest.bool "line shows cached" true (contains line "(3 cached)");
   check Alcotest.bool "line tallies outcomes" true (contains line "2 exact");
-  check Alcotest.bool "line keeps first-seen order" true (contains line "1 timeout")
+  check Alcotest.bool "line keeps first-seen order" true (contains line "1 timeout");
+  check Alcotest.string "tally counts in first-seen order" "2 exact, 1 timeout"
+    (Progress.tally [ "exact"; "timeout"; "exact" ]);
+  check Alcotest.string "empty tally" "" (Progress.tally [])
 
 let test_progress_rate_excludes_replay () =
   (* regression: on a resumed run the rate divided by time-since-create,
@@ -351,6 +377,7 @@ let suite =
       tc "journal missing file" `Quick test_journal_missing_file;
       tc "journal crash truncation" `Quick test_journal_crash_truncation;
       tc "journal rejects garbage" `Quick test_journal_rejects_garbage;
+      tc "journal reads a pinned line" `Quick test_journal_pinned_line;
       tc "progress counters" `Quick test_progress_counters;
       tc "progress rate excludes cache replay" `Quick
         test_progress_rate_excludes_replay;

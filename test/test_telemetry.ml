@@ -97,13 +97,13 @@ let test_jsonl_roundtrip () =
             ("sat", Telemetry.Bool true);
           ]
         (fun () -> ());
-      Telemetry.instant "checkpoint";
-      Telemetry.counter_sample "queries" 12.0);
+      Telemetry.span "checkpoint" (fun () -> ());
+      Telemetry.span "queries" ~args:[ ("value", Telemetry.Float 12.5) ] (fun () -> ()));
   (match Trace.validate_file path with
   | Ok n -> check Alcotest.int "all three lines validate" 3 n
   | Error e -> Alcotest.failf "validate: %a" Trace.pp_error e);
   (match Trace.read_file path with
-  | Ok [ span; inst; ctr ] ->
+  | Ok [ span; checkpoint; queries ] ->
     check Alcotest.string "span name" "solver.solve" span.Telemetry.name;
     check Alcotest.bool "escaped string survives the round trip" true
       (List.assoc_opt "note" span.Telemetry.args
@@ -116,10 +116,11 @@ let test_jsonl_roundtrip () =
       = Some (Telemetry.Float 0.25));
     check Alcotest.bool "bool arg" true
       (List.assoc_opt "sat" span.Telemetry.args = Some (Telemetry.Bool true));
-    check Alcotest.bool "instant phase" true
-      (inst.Telemetry.phase = Telemetry.Instant);
-    check Alcotest.bool "counter phase" true
-      (ctr.Telemetry.phase = Telemetry.Counter)
+    check Alcotest.string "second span" "checkpoint" checkpoint.Telemetry.name;
+    check Alcotest.bool "arg-less span has no args" true
+      (checkpoint.Telemetry.args = []);
+    check Alcotest.bool "third span's float arg" true
+      (queries.Telemetry.args = [ ("value", Telemetry.Float 12.5) ])
   | Ok evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
   | Error e -> Alcotest.failf "read: %a" Trace.pp_error e);
   Sys.remove path
@@ -156,8 +157,10 @@ let test_parser_rejects_deviations () =
   rejects "unknown key"
     {|{"ph":"X","name":"a","ts":1.0,"dur":2.0,"pid":1,"tid":0,"cat":"x"}|};
   rejects "span without dur" {|{"ph":"X","name":"a","ts":1.0,"pid":1,"tid":0}|};
-  rejects "dur on an instant"
+  rejects "instant phase is unknown"
     {|{"ph":"i","name":"a","ts":1.0,"dur":2.0,"pid":1,"tid":0}|};
+  rejects "counter phase is unknown"
+    {|{"ph":"C","name":"a","ts":1.0,"dur":2.0,"pid":1,"tid":0,"args":{"value":1.0}}|};
   rejects "unknown phase" {|{"ph":"B","name":"a","ts":1.0,"pid":1,"tid":0}|};
   rejects "wrong pid"
     {|{"ph":"X","name":"a","ts":1.0,"dur":2.0,"pid":2,"tid":0}|};
@@ -179,8 +182,8 @@ let test_to_chrome_wraps_array () =
   let src = tmp_file ".jsonl" in
   let dst = tmp_file ".json" in
   Telemetry.with_sink (Telemetry.jsonl src) (fun () ->
-      Telemetry.instant "a";
-      Telemetry.instant "b");
+      Telemetry.span "a" (fun () -> ());
+      Telemetry.span "b" (fun () -> ()));
   (match Trace.to_chrome ~src ~dst with
   | Ok n -> check Alcotest.int "two events converted" 2 n
   | Error e -> Alcotest.failf "to_chrome: %a" Trace.pp_error e);
@@ -208,7 +211,7 @@ let test_counters_and_interning () =
   check Alcotest.int "interned by name" 5
     (Metrics.value (Metrics.counter "t.hits"));
   check Alcotest.bool "kind clash raises" true
-    (match Metrics.gauge "t.hits" with
+    (match Metrics.histogram "t.hits" with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Metrics.reset ();
@@ -260,11 +263,11 @@ let test_histogram_buckets_and_quantiles () =
 let test_snapshot_json_shape () =
   Metrics.reset ();
   check Alcotest.string "empty registry"
-    {|{"counters":{},"gauges":{},"histograms":{}}|}
+    {|{"counters":{},"histograms":{}}|}
     (Metrics.snapshot_json ());
   Metrics.add (Metrics.counter "b.n") 2;
   Metrics.add (Metrics.counter "a.n") 1;
-  Metrics.set (Metrics.gauge "g.x") 1.5;
+  Metrics.incr (Metrics.counter "c.\"quoted\"");
   Metrics.observe (Metrics.histogram "h.lat_s") 0.25;
   let s = Metrics.snapshot_json () in
   check Alcotest.string "snapshot is deterministic" s (Metrics.snapshot_json ());
@@ -276,10 +279,10 @@ let test_snapshot_json_shape () =
     [
       {|"a.n":1|};
       {|"b.n":2|};
-      {|"g.x":1.5|};
+      {|"c.\"quoted\"":1|};
       {|"count":1|};
-      {|"p50":|};
-      {|"p99":|};
+      (* 0.25 lands in the bucket whose upper bound is 0.5 *)
+      {|"p50":0.5,"p99":0.5|};
       {|"buckets":[[|};
     ];
   let path = tmp_file ".json" in

@@ -214,6 +214,45 @@ let test_cli_lock_default_key_fits () =
   check Alcotest.bool "a key under 64 bits" true (keys >= 1 && keys < 64);
   List.iter Sys.remove [ path; out ]
 
+(* a .json trace is the JSONL stream wrapped as the Chrome array: "[",
+   the event lines joined by ",\n", then "]\n"; every event line passes
+   the strict trace parser *)
+let test_cli_json_trace_framing () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let path = Filename.temp_file "orap" ".json" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s attack --attack sat --trace %s > /dev/null 2>&1"
+         (Filename.quote cli) (Filename.quote path))
+  in
+  check Alcotest.int "exit code" 0 code;
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length body in
+  check Alcotest.bool "framed by [ and ]\\n" true
+    (n > 3 && body.[0] = '[' && String.sub body (n - 2) 2 = "]\n");
+  (* event lines hold no raw newline, so every piece but the last ends in
+     the "," of a ",\n" separator *)
+  let pieces = String.split_on_char '\n' (String.sub body 1 (n - 3)) in
+  let last = List.length pieces - 1 in
+  let lines =
+    List.mapi
+      (fun i piece ->
+        let len = String.length piece in
+        if i = last then piece
+        else if len > 0 && piece.[len - 1] = ',' then String.sub piece 0 (len - 1)
+        else Alcotest.failf "line %d does not end in \",\": %S" (i + 1) piece)
+      pieces
+  in
+  List.iter
+    (fun line ->
+      match Orap_telemetry.Trace.parse_line line with
+      | Ok _ -> ()
+      | Error reason -> Alcotest.failf "%s: %S" reason line)
+    lines;
+  check Alcotest.bool "the attack's run span is there" true
+    (List.exists (fun l -> contains l {|"name":"sat_attack.run"|}) lines);
+  Sys.remove path
+
 let suite =
   ( "tools",
     [
@@ -224,4 +263,5 @@ let suite =
       tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
       tc "CLI rejects sizes it cannot build" `Quick test_cli_rejects_bad_sizes;
       tc "CLI lock fits its default key" `Quick test_cli_lock_default_key_fits;
+      tc "CLI .json trace is the framed JSONL stream" `Quick test_cli_json_trace_framing;
     ] )
