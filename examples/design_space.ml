@@ -57,14 +57,15 @@ let () =
   let size = 64 in
   List.iter
     (fun (num_seeds, fr) ->
-      let free_runs = List.init num_seeds (fun _ -> fr) in
-      let lfsr = Lfsr.create ~size () in
-      let exprs = Symbolic.of_schedule lfsr ~free_runs in
+      (* each seed is followed by [fr] free-run cycles *)
+      let seed = true :: List.init fr (fun _ -> false) in
+      let injects = List.concat (List.init num_seeds (fun _ -> seed)) in
+      let exprs, _ = Symbolic.unroll (Lfsr.create ~size ()) injects in
       (* a shift register = no feedback taps *)
       let plain =
         Lfsr.create ~taps:(Array.make size false) ~size ()
       in
-      let exprs_plain = Symbolic.of_schedule plain ~free_runs in
+      let exprs_plain, _ = Symbolic.unroll plain injects in
       E.Report.add_row t2
         [ E.Report.d num_seeds; E.Report.d fr;
           E.Report.f1 (Symbolic.mean_terms exprs);

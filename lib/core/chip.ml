@@ -123,32 +123,33 @@ let unlock t =
 
 (* --- scan operations --- *)
 
+let read_cell t = function
+  | Scan.Key i -> Lfsr.cell t.lfsr i
+  | Scan.State j -> t.ffs.(j)
+
+let write_cell t cell v =
+  match cell with
+  | Scan.Key i -> Lfsr.set_cell t.lfsr i v
+  | Scan.State j -> t.ffs.(j) <- v
+
 (** One scan shift along the chip's chain; requires scan mode. *)
 let scan_shift t ~scan_in : bool =
   if not t.scan_enable then invalid_arg "Chip.scan_shift: not in scan mode";
-  Scan.shift t.chain
-    ~read:(function
-      | Scan.Key i -> Lfsr.cell t.lfsr i
-      | Scan.State j -> t.ffs.(j))
-    ~write:(fun cell v ->
-      match cell with
-      | Scan.Key i -> Lfsr.set_cell t.lfsr i v
-      | Scan.State j -> t.ffs.(j) <- v)
-    ~scan_in
+  Scan.shift t.chain ~read:(read_cell t) ~write:(write_cell t) ~scan_in
 
 (** Enter scan mode and shift a full image in: [state] into the state FFs
-    and [key] (default all-zero) into the key cells the chain reaches. *)
+    and [key] (default all-zero) into the key cells the chain reaches.
+    A full-length shift leaves every chain cell holding its own bit, so
+    each cell is written directly. *)
 let scan_load ?key t ~(state : bool array) =
   set_scan_enable t true;
-  let cells = Scan.order t.chain in
-  let bit = function
-    | Scan.Key i -> (match key with Some k -> k.(i) | None -> false)
-    | Scan.State j -> state.(j)
-  in
-  (* shift in reversed so that cell i receives its own bit *)
-  for i = Array.length cells - 1 downto 0 do
-    ignore (scan_shift t ~scan_in:(bit cells.(i)))
-  done
+  Array.iter
+    (fun cell ->
+      write_cell t cell
+        (match cell with
+        | Scan.Key i -> (match key with Some k -> k.(i) | None -> false)
+        | Scan.State j -> state.(j)))
+    (Scan.order t.chain)
 
 (** Capture cycle in scan mode: the state FFs load their functional inputs
     (computed under the currently effective key); the key register holds. *)
@@ -157,14 +158,16 @@ let capture t ~(ext_inputs : bool array) : bool array =
   clock_ffs t ~ext_inputs
 
 (** Scan the raw chain out (no capture), shifting zeros in, and leave scan
-    mode: what scenario (a) uses to steal the key register contents. *)
+    mode: what scenario (a) uses to steal the key register contents.  A
+    full-length shift reads every chain cell and leaves it zero. *)
 let scan_dump t : (Scan.cell * bool) array =
   set_scan_enable t true;
-  let cells = Scan.order t.chain in
-  let n = Array.length cells in
-  let bits = Array.init n (fun _ -> scan_shift t ~scan_in:false) in
+  let image =
+    Array.map (fun cell -> (cell, read_cell t cell)) (Scan.order t.chain)
+  in
+  Array.iter (fun (cell, _) -> write_cell t cell false) image;
   set_scan_enable t false;
-  Array.init n (fun i -> (cells.(i), bits.(n - 1 - i)))
+  image
 
 (** Full scan-based test access: load a state (and optionally the key
     register — its cells are in the chains, which is what gives the

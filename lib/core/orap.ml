@@ -9,7 +9,8 @@
     Two variants are built:
     - {b Basic} (Fig. 1): every reseeding point is driven from the
       tamper-proof memory; the circuit key is the LFSR state after the
-      whole key sequence has been fed.
+      whole key sequence (seeds separated by free-run cycles, solved at
+      design time like phase B below) has been fed.
     - {b Modified} (Fig. 3): the odd reseeding points are driven by chosen
       circuit flip-flops, so the (wrong) responses the locked circuit
       produces *during* unlocking become necessary inputs of the key
@@ -25,7 +26,6 @@
 module N = Orap_netlist.Netlist
 module Locked = Orap_locking.Locked
 module Lfsr = Orap_lfsr.Lfsr
-module Keyseq = Orap_lfsr.Keyseq
 module Symbolic = Orap_lfsr.Symbolic
 module Scan = Orap_dft.Scan
 module Prng = Orap_sim.Prng
@@ -146,6 +146,8 @@ let protect ?(config : config option) (locked : Locked.t) : t =
     raise (Construction_failure "more FFs than circuit inputs");
   if cfg.num_ffs > N.num_outputs locked.Locked.netlist then
     raise (Construction_failure "more FFs than circuit outputs");
+  if cfg.kind = Modified && cfg.num_ffs < 1 then
+    raise (Construction_failure "the modified scheme needs a state FF");
   let lfsr =
     Lfsr.create
       ~taps:(Lfsr.default_taps ~size:n ~stride:taps_stride)
@@ -173,56 +175,56 @@ let protect ?(config : config option) (locked : Locked.t) : t =
       response_sources;
     }
   in
-  let target = locked.Locked.correct_key in
-  let schedule =
+  let mw = Array.length memory_points in
+  (* a scheme is a closed-loop phase A plus an inject pattern for the
+     finalisation: [true] injects memory bits, [false] free-runs *)
+  let phase_a, pattern =
     match cfg.kind with
     | Basic ->
-      let ks =
-        Keyseq.solve_for_key ~max_free_run ~seed:cfg.seed ~num_seeds lfsr
-          ~target_key:target
-      in
-      List.concat_map
-        (fun e ->
-          { memory = Some e.Keyseq.seed; feedback = false }
-          :: List.init e.Keyseq.free_run (fun _ ->
-                 { memory = None; feedback = false }))
-        (Keyseq.entries ks)
+      (* each seed draws its free-run length, then [mw] bits that the solve
+         overwrites: the unused draw keeps the PRNG stream, and so every
+         recorded schedule, unchanged *)
+      ( [],
+        List.concat
+          (List.init num_seeds (fun _ ->
+               let free_run = Prng.int rng (max_free_run + 1) in
+               ignore (Prng.bool_array rng mw);
+               true :: List.init free_run (fun _ -> false))) )
     | Modified ->
-      (* phase A: random memory bits, closed loop *)
-      let mw = Array.length memory_points in
-      let phase_a =
-        List.init phase_a_cycles (fun _ ->
-            { memory = Some (Prng.bool_array rng mw); feedback = true })
-      in
-      let sim_lfsr = Lfsr.create ~taps:(Lfsr.taps_of lfsr) ~size:n () in
-      ignore
-        (List.fold_left
-           (fun ffs c -> unlock_cycle partial sim_lfsr ~ffs c)
-           (Array.make cfg.num_ffs false) phase_a);
-      (* phase B: the register after phase A, free-running, plus a linear
-         function of the memory-point injections only *)
-      let phase_b_cycles = (2 * ((n + mw - 1) / mw)) + 4 in
-      let exprs, num_vars =
-        Symbolic.unroll (memory_lfsr partial)
-          (List.init phase_b_cycles (fun _ -> true))
-      in
-      Lfsr.free_run sim_lfsr phase_b_cycles;
-      let const_part = Lfsr.state sim_lfsr in
-      let rhs = Array.mapi (fun i k -> k <> const_part.(i)) target in
-      (match Symbolic.solve exprs ~num_vars rhs with
-      | None ->
-        raise
-          (Construction_failure
-             "modified schedule: finalisation system is rank-deficient")
-      | Some sol ->
-        phase_a
-        @ List.init phase_b_cycles (fun c ->
-              {
-                memory = Some (Array.init mw (fun k -> sol.((c * mw) + k)));
-                feedback = false;
-              }))
+      ( List.init phase_a_cycles (fun _ ->
+            { memory = Some (Prng.bool_array rng mw); feedback = true }),
+        List.init ((2 * ((n + mw - 1) / mw)) + 4) (fun _ -> true) )
   in
-  { partial with schedule }
+  let sim_lfsr = Lfsr.create ~taps:(Lfsr.taps_of lfsr) ~size:n () in
+  ignore
+    (List.fold_left
+       (fun ffs c -> unlock_cycle partial sim_lfsr ~ffs c)
+       (Array.make cfg.num_ffs false) phase_a);
+  (* the final register is its free-running contents after phase A plus a
+     linear function of the pattern's memory injections *)
+  let exprs, num_vars = Symbolic.unroll (memory_lfsr partial) pattern in
+  Lfsr.free_run sim_lfsr (List.length pattern);
+  let free = Lfsr.state sim_lfsr in
+  let rhs = Array.mapi (fun i k -> k <> free.(i)) locked.Locked.correct_key in
+  let sol =
+    match Symbolic.solve exprs ~num_vars rhs with
+    | Some sol -> sol
+    | None ->
+      raise (Construction_failure "unlock schedule: system is rank-deficient")
+  in
+  let _, finalisation =
+    List.fold_left_map
+      (fun v inject ->
+        if inject then
+          ( v + 1,
+            {
+              memory = Some (Array.init mw (fun k -> sol.((v * mw) + k)));
+              feedback = false;
+            } )
+        else (v, { memory = None; feedback = false }))
+      0 pattern
+  in
+  { partial with schedule = phase_a @ finalisation }
 
 (** Number of unlock clock cycles. *)
 let unlock_cycles t = List.length t.schedule

@@ -13,12 +13,16 @@ type config = {
   seed : int;
 }
 
-(** Interleaved chain, seed 2020.  The polynomial taps every 8 cells; the
-    basic key sequence has 4 seeds, each followed by 0–5 free-run cycles;
-    the modified scheme mixes responses for 12 cycles. *)
+(** Interleaved chain, seed 2020.  The polynomial taps every 8 cells.  The
+    basic schedule has 4 seed cycles, each followed by 0–5 free-run
+    cycles; the modified one mixes responses for 12 cycles, then injects
+    for [2·⌈n/mw⌉+4] cycles ([mw] = memory points).  Both finalisations
+    are solved by one GF(2) elimination over {!Orap_lfsr.Symbolic.unroll}. *)
 val default_config : ?kind:kind -> num_ffs:int -> unit -> config
 
-(** One clock of the unlock schedule. *)
+(** One clock of the unlock schedule: the design's schedule is an optional
+    closed-loop phase A (modified only) followed by the solved
+    finalisation, whose free-run cycles have [memory = None]. *)
 type cycle = {
   memory : bool array option;
       (** bits for the memory points; [None] = a free-run cycle *)

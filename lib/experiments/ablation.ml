@@ -97,8 +97,9 @@ let key_register_structure ?(size = 96) ?(num_seeds = 6) ?(free_run = 8) () :
     a3_row list =
   let schedule taps =
     let lfsr = Lfsr.create ?taps ~size () in
-    let free_runs = List.init num_seeds (fun _ -> free_run) in
-    Symbolic.of_schedule lfsr ~free_runs
+    let seed = true :: List.init free_run (fun _ -> false) in
+    let injects = List.concat (List.init num_seeds (fun _ -> seed)) in
+    fst (Symbolic.unroll lfsr injects)
   in
   let row register exprs =
     {

@@ -48,9 +48,6 @@ let set_state t s =
 let cell t i = t.state.(i)
 let set_cell t i v = t.state.(i) <- v
 
-(** Clear all cells — the pulse generators' reset action. *)
-let reset t = Array.fill t.state 0 t.size false
-
 let num_reseed_points t = Array.length t.reseed_points
 let taps_of t = t.taps
 let reseed_points_of t = t.reseed_points
@@ -81,9 +78,3 @@ let free_run t cycles =
   for _ = 1 to cycles do
     step t
   done
-
-(** XOR-gate count of the hardware: reseeding XORs plus polynomial-tap XORs
-    (used by the Table-I overhead accounting). *)
-let xor_gate_count t =
-  Array.length t.reseed_points
-  + Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.taps

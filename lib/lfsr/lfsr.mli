@@ -26,9 +26,6 @@ val set_state : t -> bool array -> unit
 val cell : t -> int -> bool
 val set_cell : t -> int -> bool -> unit
 
-(** Clear all cells — the pulse generators' reset action. *)
-val reset : t -> unit
-
 val num_reseed_points : t -> int
 val taps_of : t -> bool array
 val reseed_points_of : t -> int array
@@ -38,6 +35,3 @@ val reseed_points_of : t -> int array
 val step : ?injection:bool array -> t -> unit
 
 val free_run : t -> int -> unit
-
-(** XOR-gate count (reseeding plus tap XORs) for overhead accounting. *)
-val xor_gate_count : t -> int

@@ -44,12 +44,6 @@ let unroll (lfsr : Lfsr.t) (injects : bool list) : Bitset.t array * int =
   in
   (cells, num_vars)
 
-(** One seed per element of [free_runs], each followed by that many
-    free-run cycles. *)
-let of_schedule (lfsr : Lfsr.t) ~free_runs : Bitset.t array =
-  let cycles fr = true :: List.init fr (fun _ -> false) in
-  fst (unroll lfsr (List.concat_map cycles free_runs))
-
 (** XOR-gate count of the combinational trees realising the expressions —
     the payload of attack scenario (d). *)
 let xor_tree_gates (exprs : Bitset.t array) : int =

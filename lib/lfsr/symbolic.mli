@@ -9,10 +9,6 @@
     the number of variables. *)
 val unroll : Lfsr.t -> bool list -> Bitset.t array * int
 
-(** Final-state expressions after one seed per element of [free_runs], each
-    followed by that many free-run cycles. *)
-val of_schedule : Lfsr.t -> free_runs:int list -> Bitset.t array
-
 (** XOR-gate count of trees realising the expressions (scenario (d)'s
     payload). *)
 val xor_tree_gates : Bitset.t array -> int

@@ -1,6 +1,6 @@
 (** See metrics.mli. *)
 
-type counter = { c_name : string; cell : int Atomic.t }
+type counter = int Atomic.t
 
 (* Log-scaled buckets: observation [v] lands in the bucket whose inclusive
    upper bound is the smallest 2^(i - offset) >= v.  With 64 buckets and
@@ -11,7 +11,6 @@ let num_buckets = 64
 let bucket_offset = 32
 
 type histogram = {
-  h_name : string;
   buckets : int array;
   mutable h_count : int;
   mutable h_sum : float;
@@ -61,7 +60,7 @@ let intern name make cast kind =
 let counter name =
   intern name
     (fun () ->
-      let c = { c_name = name; cell = Atomic.make 0 } in
+      let c = Atomic.make 0 in
       (C c, c))
     (function C c -> Some c | _ -> None)
     "counter"
@@ -71,7 +70,6 @@ let histogram name =
     (fun () ->
       let h =
         {
-          h_name = name;
           buckets = Array.make num_buckets 0;
           h_count = 0;
           h_sum = 0.0;
@@ -85,11 +83,11 @@ let histogram name =
 
 (* --- operations --- *)
 
-let incr c = Atomic.incr c.cell
+let incr = Atomic.incr
 
-let add c n = ignore (Atomic.fetch_and_add c.cell n)
+let add c n = ignore (Atomic.fetch_and_add c n)
 
-let value c = Atomic.get c.cell
+let value = Atomic.get
 
 let observe h v =
   let b = bucket_of v in

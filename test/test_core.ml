@@ -2,12 +2,15 @@ open Util
 module N = Orap_netlist.Netlist
 module Locked = Orap_locking.Locked
 module Weighted = Orap_locking.Weighted
+module Random_ll = Orap_locking.Random_ll
 module Orap = Orap_core.Orap
 module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Threat = Orap_core.Threat
 module Scan = Orap_dft.Scan
 module Prng = Orap_sim.Prng
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
 
 let fixture kind =
   let nl = random_netlist ~inputs:40 ~outputs:30 ~gates:320 77 in
@@ -115,7 +118,32 @@ let test_hardware_accounting () =
   check Alcotest.int "reseed xors" 24 h.Orap.reseed_xors;
   check Alcotest.int "tap xors" 2 h.Orap.tap_xors;
   check Alcotest.int "gate total" 50 (Orap.hardware_gate_count h);
-  check Alcotest.int "and-node units" (24 + (3 * 26)) (Orap.hardware_and_nodes h)
+  check Alcotest.int "and-node units" (24 + (3 * 26)) (Orap.hardware_and_nodes h);
+  (* a 32-bit key register: 32 reseeding XORs and 3 tap XORs *)
+  let nl = random_netlist ~inputs:40 ~outputs:30 ~gates:320 77 in
+  let h32 = Orap.hardware (Orap.protect (Random_ll.lock nl ~key_size:32)) in
+  check Alcotest.int "32-bit xors" 35 (h32.Orap.reseed_xors + h32.Orap.tap_xors)
+
+let prop_protect_reaches_key =
+  Prop.to_alcotest ~count:25 ~name:"unlock schedule reaches arbitrary keys"
+    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
+    (fun seed ->
+      let rng = Prng.create seed in
+      let key_size = 8 + Prng.int rng 89 in
+      let kind = if Prng.bool rng then Orap.Basic else Orap.Modified in
+      let num_ffs =
+        Prng.int rng 16 + if kind = Orap.Modified then 1 else 0
+      in
+      let nl = random_netlist ~inputs:24 ~outputs:16 ~gates:200 seed in
+      let lk = Random_ll.lock ~seed nl ~key_size in
+      let design =
+        Orap.protect
+          ~config:{ (Orap.default_config ~kind ~num_ffs ()) with Orap.seed }
+          lk
+      in
+      let chip = Chip.create design in
+      Chip.unlock chip;
+      Chip.key_register chip = lk.Locked.correct_key)
 
 let test_unlock_cycles_positive () =
   let _, basic = fixture Orap.Basic in
@@ -323,6 +351,7 @@ let suite =
       tc "functional oracle contrast" `Quick test_unprotected_scan_access_would_leak;
       tc "hardware accounting" `Quick test_hardware_accounting;
       tc "unlock cycle counts" `Quick test_unlock_cycles_positive;
+      prop_protect_reaches_key;
       tc "chain covers all cells" `Quick test_chain_contains_all_cells;
       tc "scenario (a)" `Quick test_scenario_a_steals_key_but_detectable;
       tc "scenario (b)" `Quick test_scenario_b;

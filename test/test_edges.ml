@@ -202,11 +202,12 @@ let test_scan_oracle_deterministic () =
 let test_protect_validation () =
   let nl = random_netlist ~inputs:10 ~outputs:6 ~gates:80 5 in
   let lk = Orap_locking.Weighted.lock nl ~key_size:9 ~ctrl_inputs:3 in
-  match
-    Orap.protect ~config:(Orap.default_config ~kind:Orap.Basic ~num_ffs:99 ()) lk
-  with
-  | exception Orap.Construction_failure _ -> ()
-  | _ -> Alcotest.fail "expected Construction_failure"
+  List.iter
+    (fun (kind, num_ffs) ->
+      match Orap.protect ~config:(Orap.default_config ~kind ~num_ffs ()) lk with
+      | exception Orap.Construction_failure _ -> ()
+      | _ -> Alcotest.fail "expected Construction_failure")
+    [ (Orap.Basic, 99); (Orap.Modified, 0) ]
 
 let test_unlock_idempotent_key () =
   (* unlocking twice re-runs the controller; the second run starts from a

@@ -1,6 +1,5 @@
 open Util
 module Lfsr = Orap_lfsr.Lfsr
-module Keyseq = Orap_lfsr.Keyseq
 module Symbolic = Orap_lfsr.Symbolic
 module Bitset = Orap_lfsr.Bitset
 module Prng = Orap_sim.Prng
@@ -72,13 +71,6 @@ let test_feedback () =
   check Alcotest.bool "feedback into 0" true s'.(0);
   check Alcotest.bool "tap 7 toggled by feedback" true s'.(7)
 
-let test_reset () =
-  let l = Lfsr.create ~size:16 () in
-  Lfsr.set_state l (Array.make 16 true);
-  Lfsr.reset l;
-  check Alcotest.bool "cleared" true
-    (Array.for_all not (Lfsr.state l))
-
 let test_injection () =
   let l = Lfsr.create ~size:8 () in
   let inj = Array.make 8 false in
@@ -102,47 +94,6 @@ let test_nonzero_period () =
   ignore !repeated;
   check Alcotest.bool "never all-zero" true
     (Hashtbl.fold (fun s () acc -> acc && Array.exists (fun b -> b) s) states true)
-
-let test_xor_gate_count () =
-  let l = Lfsr.create ~size:32 () in
-  (* 32 reseed points + 3 taps *)
-  check Alcotest.int "xor count" 35 (Lfsr.xor_gate_count l)
-
-(* --- key sequences --- *)
-
-let prop_solve_for_key =
-  Prop.to_alcotest ~count:25 ~name:"solve_for_key reaches arbitrary targets"
-    ~gen:(Gen.pair (Gen.int_range 0 10_000) (Gen.int_range 8 96))
-    ~print:(fun (seed, size) -> Printf.sprintf "(%d, %d)" seed size)
-    (fun (seed, size) ->
-      let l = Lfsr.create ~size () in
-      let rng = Prng.create seed in
-      let target = Prng.bool_array rng size in
-      let ks = Keyseq.solve_for_key ~seed ~num_seeds:3 l ~target_key:target in
-      Keyseq.apply l ks = target)
-
-let prop_symbolic_matches_concrete =
-  Prop.to_alcotest ~count:25 ~name:"symbolic LFSR matches concrete simulation"
-    ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
-    (fun seed ->
-      let size = 24 in
-      let l = Lfsr.create ~size () in
-      let num_seeds = 3 in
-      let ks = Keyseq.random ~seed ~num_seeds l in
-      let key = Keyseq.apply l ks in
-      let free_runs =
-        List.map (fun e -> e.Keyseq.free_run) (Keyseq.entries ks)
-      in
-      let exprs = Symbolic.of_schedule l ~free_runs in
-      let width = Lfsr.num_reseed_points l in
-      let assignment = Array.make (num_seeds * width) false in
-      List.iteri
-        (fun s e ->
-          Array.iteri (fun k b -> assignment.((s * width) + k) <- b) e.Keyseq.seed)
-        (Keyseq.entries ks);
-      Array.for_all2
-        (fun expr bit -> Bitset.eval expr assignment = bit)
-        exprs key)
 
 let prop_unroll_matches_concrete =
   Prop.to_alcotest ~count:25
@@ -218,12 +169,8 @@ let suite =
       tc "default taps" `Quick test_default_taps;
       tc "shift semantics" `Quick test_step_shift_semantics;
       tc "feedback taps" `Quick test_feedback;
-      tc "reset clears" `Quick test_reset;
       tc "reseeding injection" `Quick test_injection;
       tc "free-run stays nonzero" `Quick test_nonzero_period;
-      tc "xor gate accounting" `Quick test_xor_gate_count;
-      prop_solve_for_key;
-      prop_symbolic_matches_concrete;
       prop_unroll_matches_concrete;
       prop_linear_solver;
       tc "inconsistent system rejected" `Quick test_solver_detects_inconsistency;
