@@ -144,6 +144,12 @@ let prop_linear_solver =
       | None -> false
       | Some sol -> Array.for_all2 (fun e t -> Bitset.eval e sol = t) exprs target)
 
+let test_xor_gate_count () =
+  let l = Lfsr.create ~size:32 () in
+  let taps = Array.fold_left (fun n b -> if b then n + 1 else n) 0 (Lfsr.taps_of l) in
+  (* 32 reseed points + 3 taps *)
+  check Alcotest.int "xor count" 35 (Lfsr.num_reseed_points l + taps)
+
 let test_solver_detects_inconsistency () =
   (* x0 = 0 and x0 = 1 *)
   let e = Bitset.singleton 4 0 in
@@ -171,6 +177,7 @@ let suite =
       tc "feedback taps" `Quick test_feedback;
       tc "reseeding injection" `Quick test_injection;
       tc "free-run stays nonzero" `Quick test_nonzero_period;
+      tc "xor gate accounting" `Quick test_xor_gate_count;
       prop_unroll_matches_concrete;
       prop_linear_solver;
       tc "inconsistent system rejected" `Quick test_solver_detects_inconsistency;
