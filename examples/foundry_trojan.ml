@@ -18,33 +18,32 @@ let () =
   E.Report.print (E.Trojan_table.report (E.Trojan_table.run fx));
 
   (* payload sweep: scenario payloads vs key-register size *)
-  let sweep =
-    E.Report.create ~title:"Trojan payload vs key size (NAND2-equivalents)"
-      ~header:[ "Key size"; "(a) resets"; "(b) bypass"; "(c) shadow"; "(d) XOR trees" ]
-      ~aligns:[ E.Report.R; E.Report.R; E.Report.R; E.Report.R; E.Report.R ]
+  let designs =
+    List.map
+      (fun key_size ->
+        let nl =
+          Benchgen.generate
+            { Benchgen.seed = 10; num_inputs = 64; num_outputs = 48;
+              num_gates = 8 * key_size }
+        in
+        let locked = Weighted.lock nl ~key_size ~ctrl_inputs:3 in
+        ( key_size,
+          Orap.protect
+            ~config:(Orap.default_config ~kind:Orap.Basic ~num_ffs:24 ())
+            locked ))
+      [ 32; 64; 128; 256 ]
   in
-  List.iter
-    (fun key_size ->
-      let nl =
-        Benchgen.generate
-          { Benchgen.seed = 10; num_inputs = 64; num_outputs = 48;
-            num_gates = 8 * key_size }
-      in
-      let locked = Weighted.lock nl ~key_size ~ctrl_inputs:3 in
-      let design =
-        Orap.protect
-          ~config:(Orap.default_config ~kind:Orap.Basic ~num_ffs:24 ())
-          locked
-      in
-      let p sc = Threat.payload design sc in
-      E.Report.add_row sweep
-        [ E.Report.d key_size;
-          E.Report.f1 (p Threat.Suppress_cell_resets);
-          E.Report.f1 (p Threat.Exclude_lfsr_from_scan);
-          E.Report.f1 (p Threat.Shadow_register);
-          E.Report.f1 (p Threat.Xor_tree_key) ])
-    [ 32; 64; 128; 256 ];
-  E.Report.print sweep;
+  let payload header sc =
+    E.Report.col header (fun (_, design) -> E.Report.f1 (Threat.payload design sc))
+  in
+  E.Report.print
+    (E.Report.table ~title:"Trojan payload vs key size (NAND2-equivalents)"
+       [ E.Report.col "Key size" (fun (key_size, _) -> E.Report.d key_size);
+         payload "(a) resets" Threat.Suppress_cell_resets;
+         payload "(b) bypass" Threat.Exclude_lfsr_from_scan;
+         payload "(c) shadow" Threat.Shadow_register;
+         payload "(d) XOR trees" Threat.Xor_tree_key ]
+       designs);
   Printf.printf
     "\nPaper reference: a 128-bit key register makes scenario (a) cost\n\
      roughly %.0f NAND2 gates; every payload above the side-channel\n\

@@ -28,46 +28,44 @@ let () =
       ("antisat", Orap_locking.Antisat.lock nl ~key_size:24);
     ]
   in
-  let table =
-    E.Report.create ~title:"Locking techniques vs SAT attack and corruption"
-      ~header:
-        [ "Technique"; "HD wrong key (%)"; "SAT (no OraP)"; "DIPs";
-          "SAT (with OraP)" ]
-      ~aligns:[ E.Report.L; E.Report.R; E.Report.L; E.Report.R; E.Report.L ]
+  let attacked =
+    List.map
+      (fun (name, locked) ->
+        let wrong = Array.map not locked.Locked.correct_key in
+        let hd = Locked.hamming_vs_original locked wrong in
+        let r =
+          Orap_attacks.Sat_attack.run ~max_iterations:80 locked
+            (Oracle.functional locked)
+        in
+        (* the same circuit behind an OraP chip *)
+        let design =
+          Orap.protect
+            ~config:(Orap.default_config ~kind:Orap.Basic ~num_ffs:12 ())
+            locked
+        in
+        let chip = Chip.create design in
+        Chip.unlock chip;
+        let r2 =
+          Orap_attacks.Sat_attack.run ~max_iterations:80 locked
+            (Oracle.scan_chip chip)
+        in
+        (name, locked, hd, r, r2))
+      techniques
   in
-  List.iter
-    (fun (name, locked) ->
-      let wrong = Array.map not locked.Locked.correct_key in
-      let hd = Locked.hamming_vs_original locked wrong in
-      let r =
-        Orap_attacks.Sat_attack.run ~max_iterations:80 locked
-          (Oracle.functional locked)
-      in
-      let unprotected =
-        Evaluate.to_string
-          (Evaluate.of_outcome locked r.Orap_attacks.Sat_attack.outcome)
-      in
-      (* the same circuit behind an OraP chip *)
-      let design =
-        Orap.protect
-          ~config:(Orap.default_config ~kind:Orap.Basic ~num_ffs:12 ())
-          locked
-      in
-      let chip = Chip.create design in
-      Chip.unlock chip;
-      let r2 =
-        Orap_attacks.Sat_attack.run ~max_iterations:80 locked
-          (Oracle.scan_chip chip)
-      in
-      let with_orap =
-        Evaluate.to_string
-          (Evaluate.of_outcome locked r2.Orap_attacks.Sat_attack.outcome)
-      in
-      E.Report.add_row table
-        [ name; E.Report.f1 hd; unprotected;
-          E.Report.d r.Orap_attacks.Sat_attack.iterations; with_orap ])
-    techniques;
-  E.Report.print table;
+  let verdict locked (r : Orap_attacks.Sat_attack.result) =
+    Evaluate.to_string (Evaluate.of_outcome locked r.outcome)
+  in
+  E.Report.print
+    (E.Report.table ~title:"Locking techniques vs SAT attack and corruption"
+       [ E.Report.col ~align:L "Technique" (fun (name, _, _, _, _) -> name);
+         E.Report.col "HD wrong key (%)" (fun (_, _, hd, _, _) -> E.Report.f1 hd);
+         E.Report.col ~align:L "SAT (no OraP)" (fun (_, locked, _, r, _) ->
+             verdict locked r);
+         E.Report.col "DIPs" (fun (_, _, _, r, _) ->
+             E.Report.d r.Orap_attacks.Sat_attack.iterations);
+         E.Report.col ~align:L "SAT (with OraP)" (fun (_, locked, _, _, r2) ->
+             verdict locked r2) ]
+       attacked);
   print_endline
     "\nNote the tradeoff OraP removes: SARLock/Anti-SAT survive the SAT\n\
      attack longest but corrupt almost nothing (a pirated chip remains\n\

@@ -27,25 +27,24 @@ let () =
     profile.Benchgen.name (N.gate_count nl)
     (N.gate_count locked.Locked.netlist)
     (Locked.key_size locked);
-  let table =
-    E.Report.create ~title:"ATPG: original vs protected, backtrack-limit sweep"
-      ~header:
-        [ "Backtrack limit"; "Orig FC (%)"; "Orig Red+Abrt"; "Prot FC (%)";
-          "Prot Red+Abrt" ]
-      ~aligns:[ E.Report.R; E.Report.R; E.Report.R; E.Report.R; E.Report.R ]
+  let sweep =
+    List.map
+      (fun limit ->
+        ( limit,
+          Atpg.run ~backtrack_limit:limit nl,
+          Atpg.run ~backtrack_limit:limit locked.Locked.netlist ))
+      [ 8; 32; 128 ]
   in
-  List.iter
-    (fun limit ->
-      let ro = Atpg.run ~backtrack_limit:limit nl in
-      let rp = Atpg.run ~backtrack_limit:limit locked.Locked.netlist in
-      E.Report.add_row table
-        [ E.Report.d limit;
-          E.Report.f2 (Atpg.coverage ro);
-          E.Report.d (Atpg.redundant_plus_aborted ro);
-          E.Report.f2 (Atpg.coverage rp);
-          E.Report.d (Atpg.redundant_plus_aborted rp) ])
-    [ 8; 32; 128 ];
-  E.Report.print table;
+  E.Report.print
+    (E.Report.table ~title:"ATPG: original vs protected, backtrack-limit sweep"
+       [ E.Report.col "Backtrack limit" (fun (limit, _, _) -> E.Report.d limit);
+         E.Report.col "Orig FC (%)" (fun (_, ro, _) -> E.Report.f2 (Atpg.coverage ro));
+         E.Report.col "Orig Red+Abrt" (fun (_, ro, _) ->
+             E.Report.d (Atpg.redundant_plus_aborted ro));
+         E.Report.col "Prot FC (%)" (fun (_, _, rp) -> E.Report.f2 (Atpg.coverage rp));
+         E.Report.col "Prot Red+Abrt" (fun (_, _, rp) ->
+             E.Report.d (Atpg.redundant_plus_aborted rp)) ]
+       sweep);
   print_endline
     "\nThe protected circuit dominates at every effort level: scannable key\n\
      inputs give the ATPG extra controllability exactly where the key gates\n\

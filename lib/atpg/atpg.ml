@@ -98,19 +98,3 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
     },
     Podem.stats engine,
     fsim.Fsim.propagations )
-
-(** Reverse-order test compaction: re-fault-simulate the deterministic
-    patterns latest-first and keep only those that detect a not-yet-covered
-    fault.  Late ATPG patterns tend to cover many earlier faults, so the
-    kept set is usually much smaller with identical coverage. *)
-let compact_patterns (nl : N.t) (patterns : bool array list) : bool array list
-    =
-  let faults = Fault.collapsed_list nl in
-  let remaining = Array.make (Array.length faults) true in
-  let fsim = Fsim.create nl in
-  let kept =
-    List.filter
-      (fun pattern -> Fsim.simulate_pattern fsim pattern faults remaining > 0)
-      (List.rev patterns)
-  in
-  List.rev kept

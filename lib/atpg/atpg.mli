@@ -24,8 +24,3 @@ val run :
   ?backtrack_limit:int ->
   Orap_netlist.Netlist.t ->
   report
-
-(** Reverse-order test compaction: keep only patterns that detect a fault
-    not covered by a later pattern; coverage is preserved. *)
-val compact_patterns :
-  Orap_netlist.Netlist.t -> bool array list -> bool array list

@@ -63,7 +63,6 @@ let eval_gate (kind : Orap_netlist.Gate.kind) (ops : t array) : t =
 (** Is the value a fault effect? *)
 let is_d = function D | Db -> true | F | T | X -> false
 let is_x = function X -> true | F | T | D | Db -> false
-let is_binary = function F | T -> true | D | Db | X -> false
 
 (** Apply a stuck-at fault at its site to the locally computed value. *)
 let faulted (v : t) ~stuck : t =

@@ -20,7 +20,6 @@ val eval_gate : Orap_netlist.Gate.kind -> t array -> t
 
 val is_d : t -> bool
 val is_x : t -> bool
-val is_binary : t -> bool
 
 (** Apply a stuck-at fault at its site to the locally computed value. *)
 val faulted : t -> stuck:bool -> t

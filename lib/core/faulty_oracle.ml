@@ -15,6 +15,8 @@ module Prng = Orap_sim.Prng
 
 exception Refused of string
 
+(* A wrapper calls its inner oracle's [query] function, not {!Oracle.query}:
+   only the oracle the attacker holds is metered, once per attacker query. *)
 let wrap (inner : Oracle.t) ~tag q : Oracle.t =
   { Oracle.query = q; queries = 0; description = tag ^ " over " ^ inner.Oracle.description }
 
@@ -22,7 +24,7 @@ let bit_flip ?(seed = 2020) ~p (inner : Oracle.t) : Oracle.t =
   if p < 0.0 || p > 1.0 then invalid_arg "Faulty_oracle.bit_flip: p not in [0,1]";
   let rng = Prng.create seed in
   let q inputs =
-    let y = Oracle.query inner inputs in
+    let y = inner.Oracle.query inputs in
     if p > 0.0 && Array.length y > 0 && Prng.float rng < p then begin
       let y = Array.copy y in
       let j = Prng.int rng (Array.length y) in
@@ -39,7 +41,7 @@ let stuck_at ~cells (inner : Oracle.t) : Oracle.t =
       if i < 0 then invalid_arg "Faulty_oracle.stuck_at: negative cell index")
     cells;
   let q inputs =
-    let y = Array.copy (Oracle.query inner inputs) in
+    let y = Array.copy (inner.Oracle.query inputs) in
     List.iter
       (fun (i, v) ->
         if i >= Array.length y then
@@ -59,8 +61,8 @@ let intermittent ?(seed = 2021) ~rate ~(locked : Oracle.t) (inner : Oracle.t) :
     invalid_arg "Faulty_oracle.intermittent: rate not in [0,1]";
   let rng = Prng.create seed in
   let q inputs =
-    if Prng.float rng < rate then Oracle.query locked inputs
-    else Oracle.query inner inputs
+    if Prng.float rng < rate then locked.Oracle.query inputs
+    else inner.Oracle.query inputs
   in
   wrap inner ~tag:(Printf.sprintf "intermittent-lockdown(rate=%.2f)" rate) q
 
@@ -74,7 +76,7 @@ let query_budget ~limit (inner : Oracle.t) : Oracle.t =
            (Printf.sprintf "query budget of %d exhausted (%s)" limit
               inner.Oracle.description));
     incr used;
-    Oracle.query inner inputs
+    inner.Oracle.query inputs
   in
   wrap inner ~tag:(Printf.sprintf "query-budget(%d)" limit) q
 
@@ -82,7 +84,7 @@ let retry ?(votes = 3) (inner : Oracle.t) : Oracle.t =
   if votes < 1 || votes mod 2 = 0 then
     invalid_arg "Faulty_oracle.retry: votes must be positive and odd";
   let q inputs =
-    let first = Oracle.query inner inputs in
+    let first = inner.Oracle.query inputs in
     if votes = 1 then first
     else begin
       let ones = Array.make (Array.length first) 0 in
@@ -91,7 +93,7 @@ let retry ?(votes = 3) (inner : Oracle.t) : Oracle.t =
       in
       tally first;
       for _ = 2 to votes do
-        tally (Oracle.query inner inputs)
+        tally (inner.Oracle.query inputs)
       done;
       Array.map (fun c -> 2 * c > votes) ones
     end

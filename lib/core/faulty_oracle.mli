@@ -11,7 +11,12 @@
     - rate-limited access to a rented or fielded chip is {!query_budget}.
 
     All randomness comes from a seeded {!Orap_sim.Prng}: a faulty oracle
-    replays bit-identically for a given seed. *)
+    replays bit-identically for a given seed.
+
+    A wrapper calls its inner oracle's [query] function directly, so only
+    the oracle the attacker holds is metered: one {!Oracle.query} of the
+    outermost layer counts one query, one ["oracle.query"] span and one
+    latency sample, whatever sits under it. *)
 
 (** Raised by {!query_budget}-wrapped oracles once the budget is spent.
     Attacks converting this into a structured outcome is the point: no
@@ -39,5 +44,6 @@ val query_budget : limit:int -> Oracle.t -> Oracle.t
 (** [retry ~votes inner]: every query is answered by the per-bit majority
     of [votes] independent queries to [inner] — the repair combinator
     attacks opt into against {!bit_flip} noise.  [votes] must be odd;
-    each vote consumes underlying queries (and budget). *)
+    each vote is one query to [inner], so under a {!query_budget} every
+    vote spends budget, while the retry oracle meters one query. *)
 val retry : ?votes:int -> Oracle.t -> Oracle.t

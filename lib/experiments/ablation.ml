@@ -1,14 +1,17 @@
-(** Ablations of the design choices DESIGN.md calls out:
+(** Ablations of the design choices DESIGN.md calls out, printed by
+    [orap ablation]:
 
     - A1: key-gate site selection — fault-impact ranking (with and without
       near-critical-path avoidance) vs. random sites: output corruption and
       delay overhead;
-    - A2: control-gate width — corruption vs. key-gate count (also exercised
-      by [examples/design_space.exe]);
     - A3: LFSR vs. plain shift register as key register — scenario-(d)
       XOR-tree payload (the paper's reason for the LFSR);
     - A4: basic vs. modified scheme — unlock latency and scenario-(e)
-      verdict. *)
+      verdict.
+
+    A2 (control-gate width: corruption vs. key-gate count) lives in
+    [examples/design_space.exe], which also sweeps A3 over key-sequence
+    lengths. *)
 
 module N = Orap_netlist.Netlist
 module Benchgen = Orap_benchgen.Benchgen
@@ -37,18 +40,11 @@ let site_selection ?(seed = 6) ?(num_gates = 1200) ?(key_size = 30) () :
       { Benchgen.seed; num_inputs = 64; num_outputs = 48; num_gates }
   in
   let mo = Abc.evaluate nl in
-  let measure policy params_avoid random_sites =
+  let measure policy avoid_critical random_sites =
     let locked =
       if random_sites then Orap_locking.Random_ll.lock ~seed nl ~key_size
       else
-        Weighted.lock
-          ~params:
-            {
-              (Weighted.default_params ~key_size ~ctrl_inputs:3) with
-              Weighted.avoid_critical = params_avoid;
-              seed;
-            }
-          nl ~key_size ~ctrl_inputs:3
+        Weighted.lock ~seed ~avoid_critical nl ~key_size ~ctrl_inputs:3
     in
     let rng = Prng.create (seed + 1) in
     let hd_sum = ref 0.0 in
@@ -59,16 +55,8 @@ let site_selection ?(seed = 6) ?(num_gates = 1200) ?(key_size = 30) () :
              (Prng.bool_array rng (Locked.key_size locked))
     done;
     let mp = Abc.evaluate locked.Locked.netlist in
-    {
-      policy;
-      hd_pct = !hd_sum /. 3.0;
-      delay_overhead_pct =
-        (if mo.Abc.levels = 0 then 0.0
-         else
-           100.0
-           *. float_of_int (max 0 (mp.Abc.levels - mo.Abc.levels))
-           /. float_of_int mo.Abc.levels);
-    }
+    let o = Abc.overhead ~original:mo ~protected_:mp ~extra_ands:0 in
+    { policy; hd_pct = !hd_sum /. 3.0; delay_overhead_pct = o.Abc.delay_pct }
   in
   [
     measure "fault-impact, slack-aware" true false;
@@ -77,17 +65,11 @@ let site_selection ?(seed = 6) ?(num_gates = 1200) ?(key_size = 30) () :
   ]
 
 let a1_report rows =
-  let t =
-    Report.create ~title:"A1: key-gate site selection"
-      ~header:[ "Policy"; "HD random key (%)"; "Delay overhead (%)" ]
-      ~aligns:[ Report.L; Report.R; Report.R ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ r.policy; Report.f1 r.hd_pct; Report.f1 r.delay_overhead_pct ])
-    rows;
-  t
+  Report.table ~title:"A1: key-gate site selection"
+    [ Report.col ~align:L "Policy" (fun r -> r.policy);
+      Report.col "HD random key (%)" (fun r -> Report.f1 r.hd_pct);
+      Report.col "Delay overhead (%)" (fun r -> Report.f1 r.delay_overhead_pct) ]
+    rows
 
 (* A3: key-register structure vs scenario-(d) payload *)
 
@@ -114,17 +96,11 @@ let key_register_structure ?(size = 96) ?(num_seeds = 6) ?(free_run = 8) () :
   ]
 
 let a3_report rows =
-  let t =
-    Report.create ~title:"A3: key-register structure vs XOR-tree Trojan payload"
-      ~header:[ "Register"; "Mean terms/cell"; "XOR-tree gates" ]
-      ~aligns:[ Report.L; Report.R; Report.R ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ r.register; Report.f1 r.mean_terms; Report.d r.xor_gates ])
-    rows;
-  t
+  Report.table ~title:"A3: key-register structure vs XOR-tree Trojan payload"
+    [ Report.col ~align:L "Register" (fun r -> r.register);
+      Report.col "Mean terms/cell" (fun r -> Report.f1 r.mean_terms);
+      Report.col "XOR-tree gates" (fun r -> Report.d r.xor_gates) ]
+    rows
 
 (* A4: basic vs modified *)
 
@@ -149,14 +125,9 @@ let scheme_comparison (fx : Security.fixture) : a4_row list =
   ]
 
 let a4_report rows =
-  let t =
-    Report.create ~title:"A4: basic vs modified OraP"
-      ~header:[ "Scheme"; "Unlock cycles"; "Scenario (e) defeated" ]
-      ~aligns:[ Report.L; Report.R; Report.L ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ r.scheme; Report.d r.unlock_cycles; Report.b r.freeze_defeated ])
-    rows;
-  t
+  Report.table ~title:"A4: basic vs modified OraP"
+    [ Report.col ~align:L "Scheme" (fun r -> r.scheme);
+      Report.col "Unlock cycles" (fun r -> Report.d r.unlock_cycles);
+      Report.col ~align:L "Scenario (e) defeated" (fun r ->
+          Report.b r.freeze_defeated) ]
+    rows

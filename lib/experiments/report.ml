@@ -1,65 +1,50 @@
-(** Plain-text table rendering for the experiment harnesses. *)
+(** Plain-text table rendering for the experiment harnesses.
+
+    A table is declared as a list of columns, each with its header, its
+    alignment and the function that renders one row's cell, so a header
+    and its cells cannot fall out of step. *)
 
 type align = L | R
 
-(* rows are stored newest-first so [add_row] is O(1); [render] reverses
-   once.  [count] mirrors the list length so [num_rows] is O(1) too. *)
+type 'row column = { header : string; align : align; cell : 'row -> string }
+
+let col ?(align = R) header cell = { header; align; cell }
+
+(* rows keep the order they are given in: callers replaying journaled
+   results pass them in grid order *)
 type t = {
   title : string;
-  header : string list;
   aligns : align list;
-  mutable rev_rows : string list list;
-  mutable count : int;
+  header : string list;
+  rows : string list list;
 }
 
-let create ~title ~header ~aligns =
-  if List.length header <> List.length aligns then invalid_arg "Report.create";
-  { title; header; aligns; rev_rows = []; count = 0 }
-
-(* rows render in insertion (FIFO) order: callers replaying journaled
-   results must add rows in grid order, not completion order *)
-let add_row t row =
-  if List.length row <> List.length t.header then invalid_arg "Report.add_row";
-  t.rev_rows <- row :: t.rev_rows;
-  t.count <- t.count + 1
-
-let num_rows t = t.count
+let table ~title columns rows =
+  {
+    title;
+    aligns = List.map (fun (c : _ column) -> c.align) columns;
+    header = List.map (fun (c : _ column) -> c.header) columns;
+    rows = List.map (fun r -> List.map (fun c -> c.cell r) columns) rows;
+  }
 
 let render t : string =
-  let rows = List.rev t.rev_rows in
-  let cols = List.length t.header in
-  let widths = Array.make cols 0 in
-  let measure row =
-    List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) row
+  let widths =
+    List.fold_left
+      (List.map2 (fun w cell -> max w (String.length cell)))
+      (List.map String.length t.header) t.rows
   in
-  measure t.header;
-  List.iter measure rows;
-  let pad align width s =
-    let d = width - String.length s in
-    match align with
-    | L -> s ^ String.make d ' '
-    | R -> String.make d ' ' ^ s
+  let pad (align, w) s =
+    let d = String.make (w - String.length s) ' ' in
+    match align with L -> s ^ d | R -> d ^ s
   in
-  let line row =
-    let cells =
-      List.mapi
-        (fun i cell -> pad (List.nth t.aligns i) widths.(i) cell)
-        row
-    in
-    "| " ^ String.concat " | " cells ^ " |"
-  in
+  let formats = List.combine t.aligns widths in
+  let line row = "| " ^ String.concat " | " (List.map2 pad formats row) ^ " |\n" in
   let sep =
-    "|"
-    ^ String.concat "|"
-        (Array.to_list (Array.map (fun w -> String.make (w + 2) '-') widths))
-    ^ "|"
+    "|" ^ String.concat "|" (List.map (fun w -> String.make (w + 2) '-') widths)
+    ^ "|\n"
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("== " ^ t.title ^ " ==\n");
-  Buffer.add_string buf (line t.header ^ "\n");
-  Buffer.add_string buf (sep ^ "\n");
-  List.iter (fun r -> Buffer.add_string buf (line r ^ "\n")) rows;
-  Buffer.contents buf
+  String.concat ""
+    (("== " ^ t.title ^ " ==\n") :: line t.header :: sep :: List.map line t.rows)
 
 let print t = print_string (render t)
 

@@ -84,8 +84,9 @@ let key_hd_pct correct key =
 
 (** The fault stack over a fresh base oracle, innermost first: chip ->
     measurement noise (seeded by [seed]) -> access rate limit -> optional
-    majority-vote repair (each vote is a metered physical query, so retries
-    burn budget — that is the tradeoff).  [noise = 0.], [query_budget = 0]
+    majority-vote repair (each vote is one physical query against the
+    budget, so retries burn budget — that is the tradeoff; the attacker's
+    query is metered once).  [noise = 0.], [query_budget = 0]
     and [votes = 1] leave their layer out. *)
 let oracle fx kind ~noise ~query_budget ~votes ~seed =
   let o = Security.oracle fx kind in
@@ -232,27 +233,17 @@ let run ?(params = default_params) ?(options = Runner.default_options) () :
     (grid params)
 
 let report (rows : row list) : Report.t =
-  let t =
-    Report.create
-      ~title:"Robustness: attacks vs. noisy / rate-limited oracles"
-      ~header:
-        [ "Attack"; "Noise"; "Q-budget"; "Recovered"; "Proved"; "Key HD (%)";
-          "Queries"; "Time (s)"; "Outcomes" ]
-      ~aligns:
-        [ Report.L; Report.R; Report.R; Report.R; Report.R; Report.R;
-          Report.R; Report.R; Report.L ]
-  in
-  List.iter
-    (fun (r : row) ->
-      Report.add_row t
-        [ r.attack;
-          Printf.sprintf "%.2f" r.noise;
-          (if r.query_budget = 0 then "inf" else string_of_int r.query_budget);
-          Printf.sprintf "%d/%d" r.equivalent r.trials;
-          Report.d r.exact_proofs;
-          (match r.mean_key_hd_pct with None -> "-" | Some h -> Report.f1 h);
-          Report.f1 r.mean_queries;
-          Report.f2 r.mean_elapsed_s;
-          r.outcomes ])
-    rows;
-  t
+  Report.table ~title:"Robustness: attacks vs. noisy / rate-limited oracles"
+    [ Report.col ~align:L "Attack" (fun (r : row) -> r.attack);
+      Report.col "Noise" (fun (r : row) -> Report.f2 r.noise);
+      Report.col "Q-budget" (fun (r : row) ->
+          if r.query_budget = 0 then "inf" else Report.d r.query_budget);
+      Report.col "Recovered" (fun r ->
+          Printf.sprintf "%d/%d" r.equivalent r.trials);
+      Report.col "Proved" (fun r -> Report.d r.exact_proofs);
+      Report.col "Key HD (%)" (fun r ->
+          match r.mean_key_hd_pct with None -> "-" | Some h -> Report.f1 h);
+      Report.col "Queries" (fun r -> Report.f1 r.mean_queries);
+      Report.col "Time (s)" (fun r -> Report.f2 r.mean_elapsed_s);
+      Report.col ~align:L "Outcomes" (fun r -> r.outcomes) ]
+    rows

@@ -180,18 +180,13 @@ let attack_matrix ?(max_iterations = 128) (fx : fixture) : attack_row list =
     [ (Functional, "unprotected"); (Orap_scan, "OraP scan") ]
 
 let attack_report rows : Report.t =
-  let t =
-    Report.create ~title:"Oracle-based attacks vs. oracle protection (S1/S3)"
-      ~header:[ "Attack"; "Oracle"; "Outcome"; "Iters"; "Queries" ]
-      ~aligns:[ Report.L; Report.L; Report.L; Report.R; Report.R ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ r.attack; r.oracle_kind; Evaluate.to_string r.verdict;
-          Report.d r.iterations; Report.d r.queries ])
-    rows;
-  t
+  Report.table ~title:"Oracle-based attacks vs. oracle protection (S1/S3)"
+    [ Report.col ~align:L "Attack" (fun r -> r.attack);
+      Report.col ~align:L "Oracle" (fun r -> r.oracle_kind);
+      Report.col ~align:L "Outcome" (fun r -> Evaluate.to_string r.verdict);
+      Report.col "Iters" (fun r -> Report.d r.iterations);
+      Report.col "Queries" (fun r -> Report.d r.queries) ]
+    rows
 
 (* --- S3: hill-climbing on manufacturing-test responses --- *)
 

@@ -82,18 +82,9 @@ let run_profile ?seed (p : params) (profile : Benchgen.profile) : row =
   (* area / delay through the resynthesis pipeline *)
   let mo = Abc.evaluate ~effort:p.synth_effort nl in
   let mp = Abc.evaluate ~effort:p.synth_effort locked.Locked.netlist in
-  let orap_ands = Orap.hardware_and_nodes (Orap.hardware design) in
-  let area_pct =
-    100.0
-    *. float_of_int (mp.Abc.ands + orap_ands - mo.Abc.ands)
-    /. float_of_int mo.Abc.ands
-  in
-  let delay_pct =
-    if mo.Abc.levels = 0 then 0.0
-    else
-      100.0
-      *. float_of_int (max 0 (mp.Abc.levels - mo.Abc.levels))
-      /. float_of_int mo.Abc.levels
+  let { Abc.area_pct; delay_pct } =
+    Abc.overhead ~original:mo ~protected_:mp
+      ~extra_ands:(Orap.hardware_and_nodes (Orap.hardware design))
   in
   {
     name = profile.Benchgen.name;
@@ -143,18 +134,13 @@ let run ?(params = default_params) ?(options = Runner.default_options)
     profiles
 
 let report (rows : row list) : Report.t =
-  let t =
-    Report.create ~title:"Table I: HD, area and delay overhead"
-      ~header:
-        [ "Circuit"; "# Gates"; "# Outputs"; "LFSR size"; "Ctrl inputs";
-          "HD (%)"; "Area ovhd (%)"; "Delay ovhd (%)" ]
-      ~aligns:[ Report.L; R; R; R; R; R; R; R ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ r.name; Report.d r.gates; Report.d r.outputs; Report.d r.lfsr_size;
-          Report.d r.ctrl_inputs; Report.f2 r.hd_pct; Report.f2 r.area_pct;
-          Report.f2 r.delay_pct ])
-    rows;
-  t
+  Report.table ~title:"Table I: HD, area and delay overhead"
+    [ Report.col ~align:L "Circuit" (fun r -> r.name);
+      Report.col "# Gates" (fun r -> Report.d r.gates);
+      Report.col "# Outputs" (fun r -> Report.d r.outputs);
+      Report.col "LFSR size" (fun r -> Report.d r.lfsr_size);
+      Report.col "Ctrl inputs" (fun r -> Report.d r.ctrl_inputs);
+      Report.col "HD (%)" (fun r -> Report.f2 r.hd_pct);
+      Report.col "Area ovhd (%)" (fun r -> Report.f2 r.area_pct);
+      Report.col "Delay ovhd (%)" (fun r -> Report.f2 r.delay_pct) ]
+    rows

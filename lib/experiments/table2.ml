@@ -94,20 +94,12 @@ let run ?(params = default_params) ?(options = Runner.default_options)
     profiles
 
 let report (rows : row list) : Report.t =
-  let t =
-    Report.create
-      ~title:"Table II: stuck-at fault coverage and redundant+aborted faults"
-      ~header:
-        [ "Circuit"; "Orig FC (%)"; "Orig #Red+Abrt"; "Prot FC (%)";
-          "Prot #Red+Abrt" ]
-      ~aligns:[ Report.L; R; R; R; R ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ r.name; Report.f2 r.original.fc_pct;
-          Report.d r.original.redundant_aborted;
-          Report.f2 r.protected_.fc_pct;
-          Report.d r.protected_.redundant_aborted ])
-    rows;
-  t
+  Report.table
+    ~title:"Table II: stuck-at fault coverage and redundant+aborted faults"
+    [ Report.col ~align:L "Circuit" (fun r -> r.name);
+      Report.col "Orig FC (%)" (fun r -> Report.f2 r.original.fc_pct);
+      Report.col "Orig #Red+Abrt" (fun r -> Report.d r.original.redundant_aborted);
+      Report.col "Prot FC (%)" (fun r -> Report.f2 r.protected_.fc_pct);
+      Report.col "Prot #Red+Abrt" (fun r ->
+          Report.d r.protected_.redundant_aborted) ]
+    rows

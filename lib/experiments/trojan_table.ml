@@ -62,23 +62,17 @@ let run ?(options = Runner.default_options) (fx : Security.fixture) : row list
     cells
 
 let report (rows : row list) : Report.t =
-  let t =
-    Report.create ~title:"Section III Trojan scenarios: payload and outcome"
-      ~header:
-        [ "Scenario"; "Scheme"; "Oracle obtained"; "Payload (NAND2-eq)";
-          "Side-channel detectable"; "Defeated" ]
-      ~aligns:[ Report.L; Report.L; Report.L; Report.R; Report.L; Report.L ]
-  in
-  List.iter
-    (fun r ->
-      Report.add_row t
-        [ Threat.scenario_label r.scenario; r.scheme;
-          Report.b r.outcome.Threat.oracle_obtained;
-          Report.f1 r.outcome.Threat.payload_nand2;
-          Report.b r.outcome.Threat.detectable;
-          Report.b (Threat.defeated r.outcome) ])
-    rows;
-  t
+  Report.table ~title:"Section III Trojan scenarios: payload and outcome"
+    [ Report.col ~align:L "Scenario" (fun r -> Threat.scenario_label r.scenario);
+      Report.col ~align:L "Scheme" (fun r -> r.scheme);
+      Report.col ~align:L "Oracle obtained" (fun r ->
+          Report.b r.outcome.Threat.oracle_obtained);
+      Report.col "Payload (NAND2-eq)" (fun r ->
+          Report.f1 r.outcome.Threat.payload_nand2);
+      Report.col ~align:L "Side-channel detectable" (fun r ->
+          Report.b r.outcome.Threat.detectable);
+      Report.col ~align:L "Defeated" (fun r -> Report.b (Threat.defeated r.outcome)) ]
+    rows
 
 (** The paper's 128-bit reference point for scenario (a): "roughly 64 NAND2
     gates". *)

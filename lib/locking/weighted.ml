@@ -13,16 +13,6 @@ module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 module Prng = Orap_sim.Prng
 
-type params = {
-  key_size : int;
-  ctrl_inputs : int;  (** control-gate width w; Table I uses 3 or 5 *)
-  avoid_critical : bool;
-  seed : int;
-}
-
-let default_params ~key_size ~ctrl_inputs =
-  { key_size; ctrl_inputs; avoid_critical = true; seed = 7 }
-
 (* partition 0..key_size-1 into groups of width w (last group may be short) *)
 let key_groups ~key_size ~ctrl_inputs =
   let rec go start acc =
@@ -37,19 +27,15 @@ let key_groups ~key_size ~ctrl_inputs =
 let num_key_gates ~key_size ~ctrl_inputs =
   List.length (key_groups ~key_size ~ctrl_inputs)
 
-let lock ?(params : params option) (nl : N.t) ~key_size ~ctrl_inputs :
-    Locked.t =
-  let p =
-    match params with
-    | Some p -> p
-    | None -> default_params ~key_size ~ctrl_inputs
-  in
-  let rng = Prng.create p.seed in
-  let correct_key = Prng.bool_array rng p.key_size in
-  let groups = key_groups ~key_size:p.key_size ~ctrl_inputs:p.ctrl_inputs in
+(* [ctrl_inputs] is the control-gate width w; Table I uses 3 or 5 *)
+let lock ?(seed = 7) ?(avoid_critical = true) (nl : N.t) ~key_size
+    ~ctrl_inputs : Locked.t =
+  let rng = Prng.create seed in
+  let correct_key = Prng.bool_array rng key_size in
+  let groups = key_groups ~key_size ~ctrl_inputs in
   let sites =
-    Fault_impact.top_sites ~seed:(p.seed + 1) ~avoid_critical:p.avoid_critical
-      nl ~count:(List.length groups)
+    Fault_impact.top_sites ~seed:(seed + 1) ~avoid_critical nl
+      ~count:(List.length groups)
   in
   if Array.length sites < List.length groups then
     invalid_arg "Weighted.lock: circuit too small for this key size";
@@ -80,5 +66,5 @@ let lock ?(params : params option) (nl : N.t) ~key_size ~ctrl_inputs :
       N.Builder.add_node b key_gate_kind [| img; ctrl |]
   in
   Locked.make
-    ~technique:(Printf.sprintf "weighted(k=%d,w=%d)" p.key_size p.ctrl_inputs)
+    ~technique:(Printf.sprintf "weighted(k=%d,w=%d)" key_size ctrl_inputs)
     ~correct_key ~splice nl

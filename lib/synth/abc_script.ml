@@ -33,14 +33,23 @@ let optimize ?(effort = 1) (nl : Orap_netlist.Netlist.t) : Aig.t =
 let evaluate ?effort (nl : Orap_netlist.Netlist.t) : metrics =
   metrics_of_aig (optimize ?effort nl)
 
-(** Overhead of [protected] over [original] in percent, after optimising
-    both with the same script — exactly how Table I is computed. *)
+(** Overhead of [protected_] over [original] in percent, both measured
+    with {!evaluate} — exactly how Table I is computed.  [extra_ands] is
+    hardware added beside the protected netlist (OraP's pulse generators
+    and XOR gates, in AND-node units); a protected circuit shallower than
+    the original has no delay overhead. *)
 type overhead = { area_pct : float; delay_pct : float }
 
-let overhead ?effort ~original ~protected_ () : overhead =
-  let mo = evaluate ?effort original in
-  let mp = evaluate ?effort protected_ in
-  let pct a b =
-    if a = 0 then 0. else 100. *. float_of_int (b - a) /. float_of_int a
-  in
-  { area_pct = pct mo.ands mp.ands; delay_pct = pct mo.levels mp.levels }
+let overhead ~original ~protected_ ~extra_ands : overhead =
+  {
+    area_pct =
+      100.0
+      *. float_of_int (protected_.ands + extra_ands - original.ands)
+      /. float_of_int original.ands;
+    delay_pct =
+      (if original.levels = 0 then 0.0
+       else
+         100.0
+         *. float_of_int (max 0 (protected_.levels - original.levels))
+         /. float_of_int original.levels);
+  }

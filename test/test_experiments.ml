@@ -149,8 +149,27 @@ let golden_attack_matrix =
     "Key sensitization\tOraP scan\tWRONG key (HD 26.5%)\t16\t16";
   ]
 
+(* The attack matrix as [orap security] prints it, recorded before every
+   table became one list of columns. *)
+let golden_attack_render =
+  {|== Oracle-based attacks vs. oracle protection (S1/S3) ==
+| Attack            | Oracle      | Outcome                      | Iters | Queries |
+|-------------------|-------------|------------------------------|-------|---------|
+| SAT attack        | unprotected | key recovered (exact, HD 0%) |     1 |       1 |
+| AppSAT            | unprotected | key recovered (exact, HD 0%) |     1 |       1 |
+| Double DIP        | unprotected | key recovered (exact, HD 0%) |     2 |       2 |
+| Hill climbing     | unprotected | key recovered (exact, HD 0%) |     7 |      48 |
+| Key sensitization | unprotected | WRONG key (HD 26.5%)         |    16 |      16 |
+| SAT attack        | OraP scan   | WRONG key (HD 18.4%)         |     1 |       1 |
+| AppSAT            | OraP scan   | WRONG key (HD 18.4%)         |     1 |       1 |
+| Double DIP        | OraP scan   | WRONG key (HD 18.4%)         |     2 |       2 |
+| Hill climbing     | OraP scan   | WRONG key (HD 18.4%)         |     6 |      48 |
+| Key sensitization | OraP scan   | WRONG key (HD 26.5%)         |    16 |      16 |
+|}
+
 let test_attack_matrix_golden () =
   let fx = E.Security.make_fixture ~num_gates:200 ~key_size:16 () in
+  let rows = E.Security.attack_matrix fx in
   let row r =
     String.concat "\t"
       [ r.E.Security.attack; r.E.Security.oracle_kind;
@@ -161,7 +180,9 @@ let test_attack_matrix_golden () =
   check
     Alcotest.(list string)
     "attack matrix rows" golden_attack_matrix
-    (List.map row (E.Security.attack_matrix fx));
+    (List.map row rows);
+  check Alcotest.string "rendered attack matrix" golden_attack_render
+    (E.Report.render (E.Security.attack_report rows));
   check Alcotest.string "S3 verdict" "WRONG key (HD 18.4%)"
     (Orap_attacks.Evaluate.to_string
        (E.Security.hill_climb_on_test_responses fx))
@@ -237,6 +258,24 @@ let golden_trojan_rows =
     "(e) freeze FFs during unlock\tmodified\tfalse\t0x1p+2\tfalse";
   ]
 
+(* The same ten rows as rendered by [Trojan_table.report], recorded before
+   every table became one list of columns. *)
+let golden_trojan_render =
+  {|== Section III Trojan scenarios: payload and outcome ==
+| Scenario                        | Scheme   | Oracle obtained | Payload (NAND2-eq) | Side-channel detectable | Defeated |
+|---------------------------------|----------|-----------------|--------------------|-------------------------|----------|
+| (a) suppress per-cell reset     | basic    | yes             |               12.0 | yes                     | yes      |
+| (b) exclude LFSR from scan      | basic    | yes             |               57.5 | yes                     | yes      |
+| (c) shadow key register         | basic    | yes             |              216.0 | yes                     | yes      |
+| (d) XOR-tree key reconstruction | basic    | yes             |             1170.0 | yes                     | yes      |
+| (e) freeze FFs during unlock    | basic    | yes             |                4.0 | no                      | no       |
+| (a) suppress per-cell reset     | modified | yes             |               12.0 | yes                     | yes      |
+| (b) exclude LFSR from scan      | modified | yes             |               57.5 | yes                     | yes      |
+| (c) shadow key register         | modified | yes             |              216.0 | yes                     | yes      |
+| (d) XOR-tree key reconstruction | modified | yes             |             2850.0 | yes                     | yes      |
+| (e) freeze FFs during unlock    | modified | no              |                4.0 | no                      | yes      |
+|}
+
 let test_trojan_table_verdicts () =
   let fx = E.Security.make_fixture ~num_gates:300 ~key_size:24 () in
   let rows = E.Trojan_table.run fx in
@@ -254,20 +293,22 @@ let test_trojan_table_verdicts () =
     Alcotest.(list string)
     "trojan rows" golden_trojan_rows
     (List.map E.Trojan_table.row_codec.Runner.encode rows);
+  check Alcotest.string "rendered trojan table" golden_trojan_render
+    (E.Report.render (E.Trojan_table.report rows));
   (* scenario label, oracle obtained, payload *)
   check_codec E.Trojan_table.row_codec golden_trojan_rows
     ~bad:[ (0, "(f) no such scenario"); (2, "x"); (3, "x") ]
 
+(* columns are padded to their widest cell, left- or right-aligned *)
 let test_report_rendering () =
   let t =
-    E.Report.create ~title:"t" ~header:[ "a"; "bb" ] ~aligns:[ E.Report.L; E.Report.R ]
+    E.Report.table ~title:"t"
+      [ E.Report.col ~align:L "a" fst; E.Report.col "bb" snd ]
+      [ ("xxx", "1"); ("y", "222") ]
   in
-  E.Report.add_row t [ "xxx"; "1" ];
-  let s = E.Report.render t in
-  check Alcotest.bool "contains title" true
-    (String.length s > 0 && String.sub s 0 4 = "== t");
-  Alcotest.check_raises "row width mismatch" (Invalid_argument "Report.add_row")
-    (fun () -> E.Report.add_row t [ "only-one" ])
+  check Alcotest.string "two-column render"
+    "== t ==\n| a   |  bb |\n|-----|-----|\n| xxx |   1 |\n| y   | 222 |\n"
+    (E.Report.render t)
 
 let suite =
   ( "experiments",

@@ -89,11 +89,7 @@ let small_locked rng =
   let lock nl =
     match scheme with
     | 0 -> Random_ll.lock ~seed nl ~key_size:3
-    | 1 ->
-      let params =
-        { (Weighted.default_params ~key_size:4 ~ctrl_inputs:2) with Weighted.seed }
-      in
-      Weighted.lock ~params nl ~key_size:4 ~ctrl_inputs:2
+    | 1 -> Weighted.lock ~seed nl ~key_size:4 ~ctrl_inputs:2
     | 2 -> Sarlock.lock ~seed nl ~key_size:3
     | _ -> Antisat.lock ~seed nl ~key_size:4
   in
@@ -185,11 +181,7 @@ let prop_add_io_keeps_agreeing_keys =
 let locked_rll_or_weighted =
   Gen.map
     (fun ((nl, weighted), seed) ->
-      if weighted then
-        let params =
-          { (Weighted.default_params ~key_size:6 ~ctrl_inputs:2) with Weighted.seed }
-        in
-        Weighted.lock ~params nl ~key_size:6 ~ctrl_inputs:2
+      if weighted then Weighted.lock ~seed nl ~key_size:6 ~ctrl_inputs:2
       else Random_ll.lock ~seed nl ~key_size:6)
     (with_seed (Gen.pair benchgen Gen.bool))
 

@@ -37,11 +37,7 @@ let prop_random_ll_correct_key =
 let prop_weighted_correct_key =
   Prop.to_alcotest ~count:20 ~name:"weighted: correct key is transparent"
     ~gen:(with_seed benchgen) (fun (nl, seed) ->
-      let params =
-        { (Weighted.default_params ~key_size:9 ~ctrl_inputs:3) with
-          Weighted.seed }
-      in
-      let lk = Weighted.lock ~params nl ~key_size:9 ~ctrl_inputs:3 in
+      let lk = Weighted.lock ~seed nl ~key_size:9 ~ctrl_inputs:3 in
       Equiv.check ~method_:`Sat nl (keyed lk lk.Locked.correct_key)
       = Equiv.Equivalent)
 

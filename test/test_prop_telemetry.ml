@@ -7,6 +7,7 @@
 module Locked = Orap_locking.Locked
 module Random_ll = Orap_locking.Random_ll
 module Oracle = Orap_core.Oracle
+module Faulty = Orap_core.Faulty_oracle
 module Key_recovery = Orap_attacks.Key_recovery
 module Attack = Orap_attacks.Attack
 module Budget = Orap_attacks.Budget
@@ -18,10 +19,13 @@ let benchgen = Gen.benchgen_netlist ~inputs:8 ~outputs:4 ~gates:40
 
 let with_seed g = Gen.pair g (Gen.int_range 0 0x3FFFFFFF)
 
-(* Run attack [a] with a memory sink capturing every event it emits. *)
-let traced (a : Key_recovery.t) (nl, seed) =
+let no_faults _ o = o
+
+(* Run attack [a] with a memory sink capturing every event it emits,
+   against the functional oracle under the fault layers [faults] adds. *)
+let traced ?(faults = no_faults) (a : Key_recovery.t) (nl, seed) =
   let lk = Random_ll.lock ~seed nl ~key_size:6 in
-  let oracle = Oracle.functional lk in
+  let oracle = faults lk (Oracle.functional lk) in
   let sink, events = Telemetry.memory () in
   let r =
     Telemetry.with_sink sink (fun () -> a.run ~budget:Budget.default lk oracle)
@@ -41,16 +45,30 @@ let int_arg key e =
   | Some (Telemetry.Int n) -> Some n
   | _ -> None
 
+(* Every fault layer over the functional oracle: an intermittent lockdown
+   answering from an all-zero key, noise, a query budget that some attacks
+   exhaust, and three-vote repair. *)
+let fault_stack lk o =
+  let zero_key = Oracle.with_key lk (Array.make (Locked.key_size lk) false) in
+  Faulty.intermittent ~rate:0.2 ~locked:zero_key o
+  |> Faulty.bit_flip ~p:0.1
+  |> Faulty.query_budget ~limit:60
+  |> Faulty.retry ~votes:3
+
 (* P: every attack's reported [queries] equals the number of "oracle.query"
-   spans in its trace — the report and the stream count the same thing *)
+   spans in its trace — the report and the stream count the same thing,
+   and a stack of fault wrappers meters each attacker query once *)
 let prop_queries_match_trace =
   Prop.to_alcotest ~count:12
     ~name:"reported queries = oracle.query span count"
     ~gen:(with_seed benchgen) (fun input ->
       List.for_all
         (fun a ->
-          let r, events = traced a input in
-          r.Attack.queries = List.length (spans "oracle.query" events))
+          List.for_all
+            (fun faults ->
+              let r, events = traced ~faults a input in
+              r.Attack.queries = List.length (spans "oracle.query" events))
+            [ no_faults; fault_stack ])
         Key_recovery.all)
 
 (* P: the per-solve conflict deltas attached to "solver.solve" spans sum to

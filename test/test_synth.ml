@@ -203,7 +203,8 @@ let test_refactor_compresses_redundancy () =
 
 let test_overhead_zero_for_identical () =
   let nl = random_netlist ~inputs:8 ~outputs:5 ~gates:60 91 in
-  let o = Abc.overhead ~original:nl ~protected_:nl () in
+  let m = Abc.evaluate nl in
+  let o = Abc.overhead ~original:m ~protected_:m ~extra_ands:0 in
   check (Alcotest.float 1e-9) "area" 0.0 o.Abc.area_pct;
   check (Alcotest.float 1e-9) "delay" 0.0 o.Abc.delay_pct
 

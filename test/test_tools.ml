@@ -1,11 +1,8 @@
-(** Verilog export, ATPG test compaction and the CLI's [.bench] readers. *)
+(** Verilog export and the CLI's [.bench] readers. *)
 
 open Util
 module N = Orap_netlist.Netlist
 module Verilog = Orap_netlist.Verilog
-module Atpg = Orap_atpg.Atpg
-module Fault = Orap_faultsim.Fault
-module Fsim = Orap_faultsim.Fsim
 
 let test_verilog_structure () =
   let nl = random_netlist ~inputs:6 ~outputs:4 ~gates:30 7 in
@@ -63,27 +60,6 @@ let test_verilog_deterministic () =
   let nl = random_netlist ~inputs:6 ~outputs:4 ~gates:30 7 in
   check Alcotest.bool "stable output" true
     (Verilog.of_netlist nl = Verilog.of_netlist nl)
-
-let test_compaction_preserves_coverage () =
-  let nl = random_netlist ~inputs:14 ~outputs:10 ~gates:160 9 in
-  (* force deterministic phase to generate many patterns *)
-  let r = Atpg.run ~random_words:1 ~backtrack_limit:128 nl in
-  let original = r.Atpg.patterns in
-  let compacted = Atpg.compact_patterns nl original in
-  check Alcotest.bool "not longer" true
-    (List.length compacted <= List.length original);
-  (* coverage of the compacted set equals the original set's *)
-  let covered patterns =
-    let faults = Fault.collapsed_list nl in
-    let remaining = Array.make (Array.length faults) true in
-    let fsim = Fsim.create nl in
-    List.iter
-      (fun p -> ignore (Fsim.simulate_pattern fsim p faults remaining))
-      patterns;
-    Array.fold_left (fun acc r -> if r then acc else acc + 1) 0 remaining
-  in
-  check Alcotest.int "same deterministic coverage" (covered original)
-    (covered compacted)
 
 (* a CLI's stderr with runs of spaces and newlines collapsed: cmdliner
    wraps long messages *)
@@ -259,7 +235,6 @@ let suite =
       tc "verilog structure" `Quick test_verilog_structure;
       tc "verilog golden" `Quick test_verilog_golden;
       tc "verilog deterministic" `Quick test_verilog_deterministic;
-      tc "compaction preserves coverage" `Quick test_compaction_preserves_coverage;
       tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
       tc "CLI rejects sizes it cannot build" `Quick test_cli_rejects_bad_sizes;
       tc "CLI lock fits its default key" `Quick test_cli_lock_default_key_fits;
