@@ -6,15 +6,16 @@
     equivalent to the correct one *provided the oracle answered correctly*,
     which is exactly the property OraP removes.
 
-    The driver owns the budget clock, the oracle-query delta, the result
-    record and the [<name>.run] / [<name>.iteration] spans; an attack is a
-    miter shape plus two hooks. *)
+    {!measure} is the harness of every key-recovery attack: it opens the
+    [<name>.run] span and builds the result record, so hill climbing and
+    key sensitization report exactly as the DIP loop does.  The DIP loop
+    adds the [<name>.iteration] spans; a SAT-family attack is a miter
+    shape plus two hooks. *)
 
 module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
 module Prng = Orap_sim.Prng
 module Lit = Orap_sat.Lit
-module Solver = Orap_sat.Solver
 module Telemetry = Orap_telemetry.Telemetry
 
 (** The result of every key-recovery attack (see {!Key_recovery}). *)
@@ -25,14 +26,19 @@ type result = {
           climbing, sensitised key bits for key sensitization *)
   queries : int;  (** oracle queries made by THIS run (delta, not lifetime) *)
   conflicts : int;
-      (** solver conflicts spent by this run (0 for hill climbing; summed
-          over the per-bit solvers for key sensitization) *)
+      (** solver conflicts spent by this run's budgeted solves, on any
+          solver (0 for hill climbing) *)
   elapsed_s : float;  (** on the run's budget clock *)
 }
 
-(** Run [f] inside the attack's [<name>.run] span, whose exit args restate
-    the result. *)
-let span name f =
+(** One run of the attack [name]: [body] runs inside the [<name>.run] span
+    and returns the outcome and the iteration count; the queries are
+    [oracle]'s delta over the run (0 without an oracle), the conflicts and
+    the elapsed time are [clock]'s.  The span's exit args restate the
+    result. *)
+let measure ~name ~clock ?oracle body =
+  let queries () = Option.fold ~none:0 ~some:Oracle.num_queries oracle in
+  let queries0 = queries () in
   Telemetry.span (name ^ ".run")
     ~exit_args:(fun r ->
       [
@@ -41,7 +47,10 @@ let span name f =
         ("conflicts", Telemetry.Int r.conflicts);
         ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
       ])
-    f
+  @@ fun () ->
+  let outcome, iterations = body () in
+  { outcome; iterations; queries = queries () - queries0;
+    conflicts = Budget.conflicts clock; elapsed_s = Budget.elapsed_s clock }
 
 (** What a hook sees of a run in progress. *)
 type ctx = { clock : Budget.clock; miter : Miter.t }
@@ -103,12 +112,6 @@ let run ~name ~budget ?max_iterations ?(before_dip = fun _ _ -> Continue)
   let clock = Budget.start budget in
   let m = build () in
   let ctx = { clock; miter = m } in
-  let queries0 = Oracle.num_queries oracle in
-  let finish outcome iters =
-    { outcome; iterations = iters; queries = Oracle.num_queries oracle - queries0;
-      conflicts = Solver.num_conflicts m.Miter.solver;
-      elapsed_s = Budget.elapsed_s clock }
-  in
   (* one DIP iteration: miter solve, oracle query, IO constraint *)
   let dip_step () =
     match Budget.solve clock ~assumptions:[| m.Miter.activate |] m.Miter.solver with
@@ -128,17 +131,17 @@ let run ~name ~budget ?max_iterations ?(before_dip = fun _ _ -> Continue)
   let iteration = name ^ ".iteration" in
   let rec loop iters =
     match Budget.check_iteration clock iters with
-    | Some r -> finish (Budget.Exhausted r) iters
+    | Some r -> (Budget.Exhausted r, iters)
     | None -> (
       match before_dip ctx iters with
-      | Stop outcome -> finish outcome iters
+      | Stop outcome -> (outcome, iters)
       | Continue -> (
         match
           Telemetry.span iteration
             ~args:[ ("iter", Telemetry.Int iters) ]
             dip_step
         with
-        | Stop outcome -> finish outcome iters
+        | Stop outcome -> (outcome, iters)
         | Continue -> loop (iters + 1)))
   in
-  span name (fun () -> loop 0)
+  measure ~name ~clock ~oracle (fun () -> loop 0)

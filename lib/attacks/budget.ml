@@ -82,6 +82,7 @@ type clock = {
 let start budget = { budget; started = Unix.gettimeofday (); conflicts = 0 }
 
 let elapsed_s c = Unix.gettimeofday () -. c.started
+let conflicts c = c.conflicts
 
 let out_of_time c =
   match c.budget.wall_clock_s with
@@ -137,21 +138,9 @@ let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
   let decisions0 = Solver.num_decisions s in
   let propagations0 = Solver.num_propagations s in
   Metrics.incr (Metrics.counter "solver.solves");
-  (* feed the per-solve statistic deltas to the [solver.*] counters *)
-  let record () =
-    let dc = Solver.num_conflicts s - conflicts0 in
-    let dd = Solver.num_decisions s - decisions0 in
-    let dp = Solver.num_propagations s - propagations0 in
-    c.conflicts <- c.conflicts + dc;
-    Metrics.add (Metrics.counter "solver.conflicts") dc;
-    Metrics.add (Metrics.counter "solver.decisions") dd;
-    Metrics.add (Metrics.counter "solver.propagations") dp;
-    (dc, dd, dp)
-  in
-  if Telemetry.enabled () then
+  let r =
     Telemetry.span "solver.solve"
       ~exit_args:(fun r ->
-        let dc, dd, dp = record () in
         [
           ( "result",
             Telemetry.String
@@ -159,19 +148,26 @@ let solve c ?(assumptions = [||]) (s : Solver.t) : (answer, reason) result =
               | Ok Sat -> "sat"
               | Ok Unsat -> "unsat"
               | Error reason -> reason_to_string reason) );
-          ("conflicts", Telemetry.Int dc);
-          ("decisions", Telemetry.Int dd);
-          ("propagations", Telemetry.Int dp);
+          ("conflicts", Telemetry.Int (Solver.num_conflicts s - conflicts0));
+          ("decisions", Telemetry.Int (Solver.num_decisions s - decisions0));
+          ( "propagations",
+            Telemetry.Int (Solver.num_propagations s - propagations0) );
           ("vars", Telemetry.Int (Solver.num_vars s));
           ("clauses", Telemetry.Int (Solver.num_clauses s));
           ("learnts", Telemetry.Int (Solver.num_learnts s));
         ])
       go
-  else begin
-    let r = go () in
-    ignore (record ());
-    r
-  end
+  in
+  (* feed the per-solve statistic deltas to the clock and the [solver.*]
+     counters *)
+  let dc = Solver.num_conflicts s - conflicts0 in
+  c.conflicts <- c.conflicts + dc;
+  Metrics.add (Metrics.counter "solver.conflicts") dc;
+  Metrics.add (Metrics.counter "solver.decisions")
+    (Solver.num_decisions s - decisions0);
+  Metrics.add (Metrics.counter "solver.propagations")
+    (Solver.num_propagations s - propagations0);
+  r
 
 (** Oracle query that converts {!Faulty_oracle.Refused} into its message. *)
 let query (oracle : Oracle.t) inputs : (bool array, string) result =

@@ -48,6 +48,9 @@ type clock
 val start : t -> clock
 val elapsed_s : clock -> float
 
+(** Conflicts spent so far by the clock's {!solve}s, on any solver. *)
+val conflicts : clock -> int
+
 (** [None] when iteration [i] may proceed, [Some reason] when the
     iteration cap or the deadline stops it. *)
 val check_iteration : clock -> int -> reason option

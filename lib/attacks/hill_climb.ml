@@ -51,12 +51,13 @@ let climb clock (locked : Locked.t) pairs ~seed ~restarts ~flips =
   done;
   (!best_key, !best_cost)
 
-(* Climb on the pairs [collect] returns, inside the [hill_climb.run] span.
-   The outcome is always best-effort (sample-based, no proof). *)
-let attack ~budget ~seed ~restarts (locked : Locked.t) ~queries collect :
+(* Climb on the pairs [collect] returns, measured as one [hill_climb] run
+   whose queries are [oracle]'s.  The outcome is always best-effort
+   (sample-based, no proof). *)
+let attack ~budget ~seed ~restarts (locked : Locked.t) ?oracle collect :
     Attack.result =
-  Attack.span "hill_climb" @@ fun () ->
   let clock = Budget.start budget in
+  Attack.measure ~name:"hill_climb" ~clock ?oracle @@ fun () ->
   let flips = ref 0 in
   let outcome =
     match Budget.check_iteration clock 0 with
@@ -77,16 +78,12 @@ let attack ~budget ~seed ~restarts (locked : Locked.t) ~queries collect :
               if bits = 0 then 1.0
               else float_of_int mismatches /. float_of_int bits )))
   in
-  { Attack.outcome; iterations = !flips; queries = queries (); conflicts = 0;
-    elapsed_s = Budget.elapsed_s clock }
+  (outcome, !flips)
 
 (** Attack from [sample] live oracle queries on random patterns. *)
 let run ?(budget = Budget.default) ?(seed = 51) ?(sample = 48) ?(restarts = 3)
     (locked : Locked.t) (oracle : Oracle.t) : Attack.result =
-  let queries0 = Oracle.num_queries oracle in
-  attack ~budget ~seed:(seed + 1) ~restarts locked
-    ~queries:(fun () -> Oracle.num_queries oracle - queries0)
-    (fun () ->
+  attack ~budget ~seed:(seed + 1) ~restarts locked ~oracle (fun () ->
       Attack.sample oracle ~inputs:locked.Locked.num_regular_inputs
         (Prng.create seed) sample)
 
@@ -94,6 +91,4 @@ let run ?(budget = Budget.default) ?(seed = 51) ?(sample = 48) ?(restarts = 3)
     OraP these are locked-circuit responses. *)
 let run_on_responses ?(seed = 51) ?(restarts = 3) (locked : Locked.t)
     (pairs : (bool array * bool array) list) : Attack.result =
-  attack ~budget:Budget.default ~seed ~restarts locked
-    ~queries:(fun () -> 0)
-    (fun () -> Ok pairs)
+  attack ~budget:Budget.default ~seed ~restarts locked (fun () -> Ok pairs)

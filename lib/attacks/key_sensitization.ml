@@ -16,8 +16,7 @@ module Prng = Orap_sim.Prng
 
 (* find (x, k_rest) such that flipping key bit j flips some output; the
    sensitisation heuristic then assumes k_rest does not interfere.  The
-   search is one budgeted solve on [clock]; also returns the conflicts it
-   spent. *)
+   search is one budgeted solve on [clock]. *)
 let sensitize clock (locked : Locked.t) j =
   let solver = Solver.create () in
   let nl = locked.Locked.netlist in
@@ -38,29 +37,24 @@ let sensitize clock (locked : Locked.t) j =
   let o0 = Tseitin.outputs nl (Tseitin.encode solver nl ~input:(input kj0)) in
   let o1 = Tseitin.outputs nl (Tseitin.encode solver nl ~input:(input kj1)) in
   Tseitin.clause solver (Array.to_list (Array.map2 (Tseitin.xor solver) o0 o1));
-  let found =
-    match Budget.solve clock solver with
-    | Error r -> Error r
-    | Ok Budget.Unsat -> Ok None
-    | Ok Budget.Sat ->
-      let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
-      let k_rest = Array.map (fun v -> Solver.model_value solver v) k_vars in
-      Ok (Some (x, k_rest))
-  in
-  (found, Solver.num_conflicts solver)
+  match Budget.solve clock solver with
+  | Error r -> Error r
+  | Ok Budget.Unsat -> Ok None
+  | Ok Budget.Sat ->
+    let x = Array.map (fun v -> Solver.model_value solver v) x_vars in
+    let k_rest = Array.map (fun v -> Solver.model_value solver v) k_vars in
+    Ok (Some (x, k_rest))
 
 (** [iterations] counts the sensitised bits: those for which a sensitising
     pattern existed.  The budget's conflict cap spans all per-bit solves. *)
 let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
     (oracle : Oracle.t) : Attack.result =
-  Attack.span "key_sensitization" @@ fun () ->
   let clock = Budget.start budget in
-  let queries0 = Oracle.num_queries oracle in
+  Attack.measure ~name:"key_sensitization" ~clock ~oracle @@ fun () ->
   let ksz = Locked.key_size locked in
   let rng = Prng.create seed in
   let key = Array.init ksz (fun _ -> Prng.bool rng) in
   let sensitized = ref 0 in
-  let conflicts = ref 0 in
   (* read key bit [j] and the ones after it *)
   let rec read j =
     if j = ksz then
@@ -71,9 +65,7 @@ let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
       match Budget.check_iteration clock j with
       | Some r -> Budget.Exhausted r
       | None -> (
-        let found, c = sensitize clock locked j in
-        conflicts := !conflicts + c;
-        match found with
+        match sensitize clock locked j with
         | Error r -> Budget.Exhausted r
         | Ok None -> read (j + 1)
         | Ok (Some (x, k_rest)) -> (
@@ -93,6 +85,4 @@ let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
             read (j + 1)))
   in
   let outcome = read 0 in
-  { Attack.outcome; iterations = !sensitized;
-    queries = Oracle.num_queries oracle - queries0; conflicts = !conflicts;
-    elapsed_s = Budget.elapsed_s clock }
+  (outcome, !sensitized)

@@ -72,13 +72,9 @@ type t = {
 let key_size t = Locked.key_size t.locked
 let num_ffs t = t.config.num_ffs
 
-(** Split [n] external inputs/outputs: a locked circuit with [num_ffs] state
-    flip-flops exposes [inputs - num_ffs] external PIs (the FF outputs are
-    the trailing pseudo-inputs) and [outputs - num_ffs] external POs (the FF
-    next-state functions are the trailing pseudo-outputs). *)
+(** A locked circuit with [num_ffs] state flip-flops exposes [inputs -
+    num_ffs] external PIs (the FF outputs are the trailing pseudo-inputs). *)
 let num_ext_inputs t = t.locked.Locked.num_regular_inputs - t.config.num_ffs
-let num_ext_outputs t =
-  N.num_outputs t.locked.Locked.netlist - t.config.num_ffs
 
 (* full combinational evaluation: ext inputs ++ ff values ++ key *)
 let comb_eval t ~key ~ext ~ffs =

@@ -49,7 +49,6 @@ val protect : ?config:config -> Orap_locking.Locked.t -> t
 val key_size : t -> int
 val num_ffs : t -> int
 val num_ext_inputs : t -> int
-val num_ext_outputs : t -> int
 val unlock_cycles : t -> int
 
 (** One unlock clock: XOR the cycle's memory bits (and, on a feedback

@@ -124,11 +124,10 @@ let run_cell (params : params) fx budget ~seed (c : cell) : row =
       oracle fx params.oracle ~noise:c.noise ~query_budget:c.query_budget
         ~votes:params.retry_votes ~seed:(seed + trial)
     in
-    let t0 = Unix.gettimeofday () in
-    let { Orap_attacks.Attack.outcome; queries = q; _ } =
+    let { Orap_attacks.Attack.outcome; queries = q; elapsed_s; _ } =
       c.attack.run ~budget ~validate:params.validate_queries locked oracle
     in
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
+    elapsed := !elapsed +. elapsed_s;
     queries := !queries + q;
     let genuine =
       match Budget.recovered outcome with

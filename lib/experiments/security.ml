@@ -20,6 +20,7 @@ module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Pulse_gen = Orap_dft.Pulse_gen
 module Prng = Orap_sim.Prng
+module Attack = Orap_attacks.Attack
 module Budget = Orap_attacks.Budget
 module Hill_climb = Orap_attacks.Hill_climb
 module Key_recovery = Orap_attacks.Key_recovery
@@ -195,12 +196,9 @@ let attack_report rows : Report.t =
     climb must not recover the key from them. *)
 let hill_climb_on_test_responses (fx : fixture) : Evaluate.verdict =
   let scan = oracle fx Orap_scan in
-  let rng = Prng.create 77 in
   let width = Orap.num_ext_inputs fx.basic + Orap.num_ffs fx.basic in
   let pairs =
-    List.init 48 (fun _ ->
-        let x = Prng.bool_array rng width in
-        (x, Oracle.query scan x))
+    Result.get_ok (Attack.sample scan ~inputs:width (Prng.create 77) 48)
   in
   let r = Hill_climb.run_on_responses fx.locked pairs in
   Evaluate.of_outcome fx.locked r.outcome

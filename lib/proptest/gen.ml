@@ -170,11 +170,6 @@ let benchgen_netlist ~inputs ~outputs ~gates rng =
       num_gates = gates;
     }
 
-let profile_netlist ?(factor = 100) profile rng =
-  let p = Benchgen.scale ~factor profile in
-  benchgen_netlist ~inputs:p.Benchgen.inputs ~outputs:p.Benchgen.outputs
-    ~gates:p.Benchgen.gates rng
-
 (* --- mutation --- *)
 
 let dual = function

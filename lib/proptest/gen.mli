@@ -62,10 +62,6 @@ val netlist : ?params:netlist_params -> unit -> Orap_netlist.Netlist.t t
 val benchgen_netlist :
   inputs:int -> outputs:int -> gates:int -> Orap_netlist.Netlist.t t
 
-(** A scaled-down Table-I profile circuit (see {!Orap_benchgen.Benchgen.scale}). *)
-val profile_netlist :
-  ?factor:int -> Orap_benchgen.Benchgen.profile -> Orap_netlist.Netlist.t t
-
 (** {1 Mutation}
 
     [mutant nl] applies one random local semantic mutation to a logic node

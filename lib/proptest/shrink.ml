@@ -159,10 +159,8 @@ let shrink ?(max_checks = 4000) (fails : N.t -> bool) (nl : N.t) : N.t =
   done;
   !best_nl
 
-let to_bench = Bench_format.print
-
 let report nl =
   Printf.sprintf
     "%d inputs, %d outputs, %d gates (%d nodes incl. inverters)\n%s"
     (N.num_inputs nl) (N.num_outputs nl) (N.gate_count nl) (N.node_count nl)
-    (to_bench nl)
+    (Bench_format.print nl)

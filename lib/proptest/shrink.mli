@@ -15,8 +15,6 @@ val shrink :
   Orap_netlist.Netlist.t ->
   Orap_netlist.Netlist.t
 
-(** The counterexample as [.bench] text ({!Orap_netlist.Bench_format.print}). *)
-val to_bench : Orap_netlist.Netlist.t -> string
-
-(** One-line size summary plus the [.bench] text. *)
+(** One-line size summary plus the [.bench] text
+    ({!Orap_netlist.Bench_format.print}). *)
 val report : Orap_netlist.Netlist.t -> string

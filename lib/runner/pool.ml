@@ -1,7 +1,5 @@
 (** See pool.mli. *)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 (* Worker domains outlive the [map] call that spawned them and wait, parked,
    for the next call's work: a process that runs many grids spawns its
    domains once, not once per grid.  Under OCaml 5.1 every domain that
@@ -74,7 +72,7 @@ let () =
 let map ?(jobs = 0) ?on_result (f : int -> 'a -> 'b) (items : 'a array) :
     ('b, exn) result array =
   let n = Array.length items in
-  let jobs = if jobs <= 0 then default_jobs () else jobs in
+  let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
   let jobs = max 1 (min jobs n) in
   let results : ('b, exn) result option array = Array.make n None in
   let next = Atomic.make 0 in

@@ -12,12 +12,9 @@
     and later calls reuse them instead of spawning new domains.  They are
     stopped and joined at exit. *)
 
-(** [Domain.recommended_domain_count ()]. *)
-val default_jobs : unit -> int
-
 (** [map ~jobs ?on_result f items] applies [f index item] to every item and
     returns the results in item order.  [jobs <= 0] selects
-    [default_jobs ()]; a call never uses more domains than items.
+    [Domain.recommended_domain_count ()]; a call never uses more domains than items.
 
     [on_result] runs in the worker domain as soon as an item finishes — the
     hook for journal appends and progress ticks; it must be thread-safe.  An

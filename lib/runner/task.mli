@@ -10,11 +10,9 @@
       bit-identical regardless of worker count or scheduling order: no cell
       ever draws from another cell's random stream. *)
 
-(** FNV-1a, 64-bit, over the bytes of a string.  Stable across OCaml
-    versions and architectures (unlike [Hashtbl.hash]). *)
-val hash64 : string -> int64
-
-(** [hash64] as 16 lowercase hex digits. *)
+(** FNV-1a, 64-bit, over the bytes of a string, as 16 lowercase hex
+    digits.  Stable across OCaml versions and architectures (unlike
+    [Hashtbl.hash]). *)
 val hash_hex : string -> string
 
 (** Journal key of a cell: hash of the root seed and the cell id. *)

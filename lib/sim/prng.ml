@@ -49,4 +49,3 @@ let float t =
   Int64.to_float v /. 9007199254740992.0
 
 let bool_array t n = Array.init n (fun _ -> bool t)
-let word_array t n = Array.init n (fun _ -> next64 t)

@@ -17,4 +17,3 @@ val int : t -> int -> int
 val float : t -> float
 
 val bool_array : t -> int -> bool array
-val word_array : t -> int -> int64 array

@@ -6,7 +6,6 @@ type t
 
 val false_lit : int
 val true_lit : int
-val lit_of_node : ?compl:bool -> int -> int
 val node_of_lit : int -> int
 val is_compl : int -> bool
 val compl_lit : int -> int
@@ -32,12 +31,8 @@ val num_live_ands : t -> int
 (** {1 Construction (hashed, with trivial-case simplification)} *)
 
 val and_lit : t -> int -> int -> int
-val or_lit : t -> int -> int -> int
-val xor_lit : t -> int -> int -> int
-val mux_lit : t -> sel:int -> a:int -> b:int -> int
 val and_list : t -> int list -> int
 val or_list : t -> int list -> int
-val xor_list : t -> int list -> int
 
 (** {1 Analyses} *)
 

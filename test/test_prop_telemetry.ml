@@ -71,22 +71,26 @@ let prop_queries_match_trace =
             [ no_faults; fault_stack ])
         Key_recovery.all)
 
-(* P: the per-solve conflict deltas attached to "solver.solve" spans sum to
-   the attack's reported [conflicts], which in turn is the fresh solver's
-   lifetime total — no solve escapes instrumentation, none is counted
-   twice *)
+(* P: for every attack, the per-solve conflict deltas attached to
+   "solver.solve" spans sum to the reported [conflicts], which the budget
+   clock tallies over every solver the run builds — no solve escapes
+   instrumentation, none is counted twice.  Hill climbing solves nothing
+   and reports 0; every other attack solves at least once *)
 let prop_conflict_deltas_sum =
   Prop.to_alcotest ~count:12
     ~name:"solver.solve conflict deltas sum to reported conflicts"
     ~gen:(with_seed benchgen) (fun input ->
-      let r, events = traced_attack input in
-      let solves = spans "solver.solve" events in
-      solves <> []
-      && List.for_all (fun e -> int_arg "conflicts" e <> None) solves
-      && List.fold_left
-           (fun acc e -> acc + Option.get (int_arg "conflicts" e))
-           0 solves
-         = r.Attack.conflicts)
+      List.for_all
+        (fun (a : Key_recovery.t) ->
+          let r, events = traced a input in
+          let solves = spans "solver.solve" events in
+          (solves <> []) = (a.slug <> "hill")
+          && List.for_all (fun e -> int_arg "conflicts" e <> None) solves
+          && List.fold_left
+               (fun acc e -> acc + Option.get (int_arg "conflicts" e))
+               0 solves
+             = r.Attack.conflicts)
+        Key_recovery.all)
 
 let run_spans events =
   List.filter
