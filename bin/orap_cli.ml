@@ -66,13 +66,43 @@ let with_obs (trace, metrics) f =
       Option.iter Metrics.write_json metrics)
     f
 
+(* a subcommand run under [--trace]/[--metrics]; [term] yields the run as
+   a thunk.  A fixture the library cannot lock is a usage error. *)
+let traced name ~doc term =
+  let run obs f =
+    match with_obs obs f with
+    | () -> `Ok ()
+    | exception E.Security.Cannot_lock msg -> `Error (true, msg)
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(ret (const run $ obs_opts $ term))
+
+(* the one number converter: a value [read] cannot parse, or one that
+   fails [ok], is a usage error ("V is [what]"), not a failure deep inside *)
+let bounded read ~expected pp ~what ok =
+  let parse v =
+    match read v with
+    | Some x when ok x -> Ok x
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is %s" v what))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" v expected))
+  in
+  Arg.conv (parse, pp)
+
+let bounded_int = bounded int_of_string_opt ~expected:"an integer" Format.pp_print_int
+let bounded_float = bounded float_of_string_opt ~expected:"a number" (fun ppf -> Format.fprintf ppf "%g")
+
+let int_at_least lo =
+  bounded_int ~what:(Printf.sprintf "below the minimum %d" lo) (fun n -> n >= lo)
+
+let probability = bounded_float ~what:"not a probability in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
+let seconds = bounded_float ~what:"not a non-negative number of seconds" (fun t -> t >= 0.0)
+
 (* --- shared runner option group (grid subcommands) --- *)
 
 let runner_opts : Runner.options Term.t =
   let docs = "PARALLEL EXECUTION" in
   let jobs =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0) 0
       & info [ "j"; "jobs" ] ~docs
           ~doc:"Worker domains for the experiment grid (0 = all cores).")
   in
@@ -102,20 +132,6 @@ let runner_opts : Runner.options Term.t =
     { Runner.default_options with Runner.jobs; journal; resume; progress }
   in
   Term.(const mk $ jobs $ journal $ resume $ progress)
-
-(* an int option that fails [ok] is a usage error, not a failure deep
-   inside; [what] completes "N is ..." *)
-let checked_int ~what ok =
-  let parse v =
-    match int_of_string_opt v with
-    | Some n when ok n -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%d is %s" n what))
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" v))
-  in
-  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
-
-let int_at_least lo =
-  checked_int ~what:(Printf.sprintf "below the minimum %d" lo) (fun n -> n >= lo)
 
 (* fixture sizes the locking and generation steps accept *)
 let fixture_gates default =
@@ -244,8 +260,7 @@ let lock_cmd =
 (* --- atpg --- *)
 
 let atpg_cmd =
-  let run nl words limit obs =
-    with_obs obs @@ fun () ->
+  let run nl words limit () =
     let r = Orap_atpg.Atpg.run ~random_words:words ~backtrack_limit:limit nl in
     Printf.printf
       "faults: %d\ndetected: %d (%.2f%%)\nredundant: %d\naborted: %d\nrandom-phase detections: %d\ndeterministic patterns: %d\n"
@@ -260,9 +275,8 @@ let atpg_cmd =
   let limit =
     Arg.(value & opt (int_at_least 0) 64 & info [ "backtrack-limit" ] ~doc:"PODEM backtrack limit")
   in
-  Cmd.v
-    (Cmd.info "atpg" ~doc:"Stuck-at ATPG (random phase + PODEM)")
-    Term.(const run $ bench_arg $ words $ limit $ obs_opts)
+  traced "atpg" ~doc:"Stuck-at ATPG (random phase + PODEM)"
+    Term.(const run $ bench_arg $ words $ limit)
 
 (* --- attack --- *)
 
@@ -284,26 +298,6 @@ let oracle_arg ~doc =
     & opt (enum (List.map (fun k -> (E.Security.oracle_slug k, k)) kinds)) E.Security.Functional
     & info [ "oracle" ] ~doc)
 
-(* a bit-flip probability *)
-let probability =
-  let parse v =
-    match float_of_string_opt v with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a probability in [0, 1]" v))
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number" v))
-  in
-  Arg.conv ~docv:"P" (parse, fun ppf p -> Format.fprintf ppf "%g" p)
-
-(* a time budget in seconds *)
-let seconds =
-  let parse v =
-    match float_of_string_opt v with
-    | Some t when t >= 0.0 -> Ok t
-    | Some _ -> Error (`Msg (Printf.sprintf "%s is not a non-negative number of seconds" v))
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number" v))
-  in
-  Arg.conv ~docv:"S" (parse, fun ppf t -> Format.fprintf ppf "%g" t)
-
 let max_conflicts_arg =
   Arg.(
     value & opt (int_at_least 0) 0
@@ -312,16 +306,13 @@ let max_conflicts_arg =
 let votes_arg =
   Arg.(
     value
-    & opt (checked_int ~what:"not an odd count of at least 1" (fun n -> n >= 1 && n land 1 = 1)) 1
+    & opt (bounded_int ~what:"not an odd count of at least 1" (fun n -> n >= 1 && n land 1 = 1)) 1
     & info [ "votes" ] ~doc:"majority-vote retries per query (odd; 1 = off)")
 
 let attack_cmd =
   let run (attack : Key_recovery.t) oracle seed gates key_size noise qbudget
-      votes wall_clock max_conflicts validate obs =
-    with_obs obs @@ fun () ->
-    let fx =
-      E.Security.make_fixture ~seed ~num_gates:gates ~key_size ()
-    in
+      votes wall_clock max_conflicts validate () =
+    let fx = E.Security.make_fixture ~seed ~num_gates:gates ~key_size () in
     let budget =
       Budget.make
         ?wall_clock_s:(if wall_clock > 0.0 then Some wall_clock else None)
@@ -358,17 +349,15 @@ let attack_cmd =
   let qbudget = Arg.(value & opt (int_at_least 0) 0 & info [ "query-budget" ] ~doc:"oracle refuses after N queries (0 = unlimited)") in
   let wall_clock = Arg.(value & opt seconds 0.0 & info [ "wall-clock" ] ~doc:"attack deadline in seconds (0 = none)") in
   let validate = Arg.(value & opt (int_at_least 0) 32 & info [ "validate" ] ~doc:"post-proof audit queries for SAT's exact claims (0 = trust the proof)") in
-  Cmd.v
-    (Cmd.info "attack" ~doc:"Run an oracle-based attack on a locked fixture")
+  traced "attack" ~doc:"Run an oracle-based attack on a locked fixture"
     Term.(const run $ attack $ oracle $ seed $ gates $ key_size $ noise
-          $ qbudget $ votes_arg $ wall_clock $ max_conflicts_arg $ validate $ obs_opts)
+          $ qbudget $ votes_arg $ wall_clock $ max_conflicts_arg $ validate)
 
 (* --- robustness --- *)
 
 let robustness_cmd =
   let run seed gates key_size oracle noise_levels query_budgets trials attacks
-      iters wall_clock max_conflicts votes options obs =
-    with_obs obs @@ fun () ->
+      iters wall_clock max_conflicts votes options () =
     let params =
       {
         E.Robustness.seed;
@@ -418,46 +407,40 @@ let robustness_cmd =
   let attacks = Arg.(value & opt attacks_conv Key_recovery.all & info [ "attacks" ] ~doc:("all or comma-separated " ^ Key_recovery.slugs)) in
   let iters = Arg.(value & opt (int_at_least 0) 256 & info [ "max-iterations" ] ~doc:"DIP/loop iteration cap") in
   let wall_clock = Arg.(value & opt seconds 10.0 & info [ "wall-clock" ] ~doc:"per-attack deadline, seconds") in
-  Cmd.v
-    (Cmd.info "robustness"
-       ~doc:"Sweep noise level x query budget x attack against an imperfect oracle")
+  traced "robustness"
+    ~doc:"Sweep noise level x query budget x attack against an imperfect oracle"
     Term.(const run $ seed $ gates $ key_size $ oracle $ noise $ qbudgets
           $ trials $ attacks $ iters $ wall_clock $ max_conflicts_arg $ votes_arg
-          $ runner_opts $ obs_opts)
+          $ runner_opts)
 
 (* --- experiment tables --- *)
 
-let scale_arg =
-  Arg.(value & opt int 0 & info [ "scale" ]
-         ~doc:"profile scale divisor; 0 = experiment default, 1 = paper scale")
+(* Table I or II: [table scale options] runs the grid at [--scale] and
+   returns its report *)
+let table_cmd name ~doc table =
+  let scale =
+    Arg.(value & opt (int_at_least 0) 0 & info [ "scale" ]
+           ~doc:"profile scale divisor; 0 = experiment default, 1 = paper scale")
+  in
+  let run scale options () = E.Report.print (table scale options) in
+  traced name ~doc Term.(const run $ scale $ runner_opts)
 
 let table1_cmd =
-  let run scale options obs =
-    with_obs obs @@ fun () ->
-    let params =
-      if scale = 0 then E.Table1.quick_params
-      else { E.Table1.default_params with E.Table1.scale }
-    in
-    E.Report.print (E.Table1.report (E.Table1.run ~params ~options ()))
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I (HD, area, delay overhead)")
-    Term.(const run $ scale_arg $ runner_opts $ obs_opts)
+  table_cmd "table1" ~doc:"Reproduce Table I (HD, area, delay overhead)" (fun scale options ->
+      let params =
+        if scale = 0 then E.Table1.quick_params else { E.Table1.default_params with scale }
+      in
+      E.Table1.report (E.Table1.run ~params ~options ()))
 
 let table2_cmd =
-  let run scale options obs =
-    with_obs obs @@ fun () ->
-    let params =
-      if scale = 0 then E.Table2.quick_params
-      else { E.Table2.default_params with E.Table2.scale }
-    in
-    E.Report.print (E.Table2.report (E.Table2.run ~params ~options ()))
-  in
-  Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table II (fault coverage)")
-    Term.(const run $ scale_arg $ runner_opts $ obs_opts)
+  table_cmd "table2" ~doc:"Reproduce Table II (fault coverage)" (fun scale options ->
+      let params =
+        if scale = 0 then E.Table2.quick_params else { E.Table2.default_params with scale }
+      in
+      E.Table2.report (E.Table2.run ~params ~options ()))
 
 let security_cmd =
-  let run obs =
-    with_obs obs @@ fun () ->
+  let run () =
     let fx = E.Security.make_fixture () in
     let f1 = E.Security.fig1 fx in
     Printf.printf
@@ -477,32 +460,27 @@ let security_cmd =
     Printf.printf "S3 hill-climb on locked test responses: %s\n"
       (Orap_attacks.Evaluate.to_string (E.Security.hill_climb_on_test_responses fx))
   in
-  Cmd.v (Cmd.info "security" ~doc:"Figs. 1-3 behaviour and the attack matrix")
-    Term.(const run $ obs_opts)
+  traced "security" ~doc:"Figs. 1-3 behaviour and the attack matrix" (Term.const run)
 
 let trojans_cmd =
-  let run options obs =
-    with_obs obs @@ fun () ->
+  let run options () =
     let fx = E.Security.make_fixture () in
     E.Report.print (E.Trojan_table.report (E.Trojan_table.run ~options fx))
   in
-  Cmd.v (Cmd.info "trojans" ~doc:"Section III Trojan scenarios (payload/outcome)")
-    Term.(const run $ runner_opts $ obs_opts)
+  traced "trojans" ~doc:"Section III Trojan scenarios (payload/outcome)"
+    Term.(const run $ runner_opts)
 
 let ablation_cmd =
-  let run obs =
-    with_obs obs @@ fun () ->
+  let run () =
     let fx = E.Security.make_fixture () in
     E.Report.print (E.Ablation.a1_report (E.Ablation.site_selection ()));
     E.Report.print (E.Ablation.a3_report (E.Ablation.key_register_structure ()));
     E.Report.print (E.Ablation.a4_report (E.Ablation.scheme_comparison fx))
   in
-  Cmd.v (Cmd.info "ablation" ~doc:"Design-choice ablation tables")
-    Term.(const run $ obs_opts)
+  traced "ablation" ~doc:"Design-choice ablation tables" (Term.const run)
 
 let scanflow_cmd =
-  let run obs =
-    with_obs obs @@ fun () ->
+  let run () =
     let fx = E.Security.make_fixture () in
     let r = E.Scan_flow.run fx.E.Security.basic in
     Printf.printf
@@ -510,10 +488,8 @@ let scanflow_cmd =
       r.E.Scan_flow.patterns_applied r.E.Scan_flow.responses_match_prediction
       r.E.Scan_flow.key_register_never_secret r.E.Scan_flow.atpg_coverage_pct
   in
-  Cmd.v
-    (Cmd.info "scanflow"
-       ~doc:"Apply ATPG patterns through the protected chip's scan chains")
-    Term.(const run $ obs_opts)
+  traced "scanflow" ~doc:"Apply ATPG patterns through the protected chip's scan chains"
+    (Term.const run)
 
 let tracecheck_cmd =
   let run input to_chrome =

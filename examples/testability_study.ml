@@ -8,20 +8,15 @@
 
 module N = Orap_netlist.Netlist
 module Benchgen = Orap_benchgen.Benchgen
-module Weighted = Orap_locking.Weighted
 module Locked = Orap_locking.Locked
 module Atpg = Orap_atpg.Atpg
 module E = Orap_experiments
 
 let () =
-  let profile =
+  let profile, nl, locked =
     match Benchgen.find_profile "b20" with
-    | Some p -> Benchgen.scale ~factor:12 p
+    | Some p -> E.Table1.circuit ~scale:12 p
     | None -> assert false
-  in
-  let nl = Benchgen.of_profile profile in
-  let locked =
-    Weighted.lock nl ~key_size:profile.Benchgen.lfsr_size ~ctrl_inputs:3
   in
   Printf.printf "circuit %s: %d gates original, %d protected (key %d)\n\n"
     profile.Benchgen.name (N.gate_count nl)

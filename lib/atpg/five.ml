@@ -20,8 +20,6 @@ let of_pair g f =
 
 let of_bool b = if b then T else F
 
-let to_string = function F -> "0" | T -> "1" | D -> "D" | Db -> "D'" | X -> "X"
-
 (* ternary gate primitives *)
 let tand a b = if a = 0 || b = 0 then 0 else if a = 1 && b = 1 then 1 else 2
 let tor a b = if a = 1 || b = 1 then 1 else if a = 0 && b = 0 then 0 else 2

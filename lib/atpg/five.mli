@@ -9,7 +9,6 @@ val good : t -> int
 val faulty : t -> int
 val of_pair : int -> int -> t
 val of_bool : bool -> t
-val to_string : t -> string
 
 val v_and : t -> t -> t
 val v_or : t -> t -> t

@@ -16,11 +16,12 @@ type result = Attack.result = {
 }
 
 let run ?(budget = Budget.default) ?max_iterations ?(probe_every = 8)
-    ?(probe_size = 32) ?(error_threshold = 0.01) ?(seed = 4242)
-    (locked : Locked.t) (oracle : Oracle.t) : result =
+    ?(error_threshold = 0.01) ?(seed = 4242) (locked : Locked.t)
+    (oracle : Oracle.t) : result =
   let rng = Orap_sim.Prng.create seed in
   (* every [probe_every] DIPs, probe the current constraint-consistent key
      on random queries *)
+  let probe_size = 32 in
   let probe (ctx : Attack.ctx) iters =
     if iters = 0 || iters mod probe_every <> 0 then Attack.Continue
     else

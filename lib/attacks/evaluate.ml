@@ -11,12 +11,11 @@ type verdict = {
 
 let no_key = { recovered = false; exact = false; equivalent = false; hd_vs_original = 100.0 }
 
-let of_key ?(words = 32) (locked : Locked.t) (key : bool array option) :
-    verdict =
+let of_key (locked : Locked.t) (key : bool array option) : verdict =
   match key with
   | None -> no_key
   | Some key ->
-    let hd = Locked.hamming_vs_original ~words locked key in
+    let hd = Locked.hamming_vs_original ~words:32 locked key in
     {
       recovered = true;
       exact = key = locked.Locked.correct_key;
@@ -25,9 +24,8 @@ let of_key ?(words = 32) (locked : Locked.t) (key : bool array option) :
     }
 
 (** Evaluate a structured attack outcome's recovered key (if any). *)
-let of_outcome ?words (locked : Locked.t) (o : bool array Budget.outcome) :
-    verdict =
-  of_key ?words locked (Budget.recovered o)
+let of_outcome (locked : Locked.t) (o : bool array Budget.outcome) : verdict =
+  of_key locked (Budget.recovered o)
 
 let to_string v =
   if not v.recovered then "no key recovered"

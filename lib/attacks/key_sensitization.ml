@@ -47,12 +47,12 @@ let sensitize clock (locked : Locked.t) j =
 
 (** [iterations] counts the sensitised bits: those for which a sensitising
     pattern existed.  The budget's conflict cap spans all per-bit solves. *)
-let run ?(budget = Budget.default) ?(seed = 61) (locked : Locked.t)
-    (oracle : Oracle.t) : Attack.result =
+let run ?(budget = Budget.default) (locked : Locked.t) (oracle : Oracle.t) :
+    Attack.result =
   let clock = Budget.start budget in
   Attack.measure ~name:"key_sensitization" ~clock ~oracle @@ fun () ->
   let ksz = Locked.key_size locked in
-  let rng = Prng.create seed in
+  let rng = Prng.create 61 in
   let key = Array.init ksz (fun _ -> Prng.bool rng) in
   let sensitized = ref 0 in
   (* read key bit [j] and the ones after it *)

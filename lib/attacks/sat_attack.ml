@@ -46,9 +46,8 @@ let audit ~validate ~seed (locked : Locked.t) oracle key =
     mid-probe surfaces as [Oracle_refused].  Validation queries are real
     oracle queries and burn query budget. *)
 let run ?(budget = Budget.default) ?max_iterations ?(validate = 0)
-    ?(validation_seed = 11213) (locked : Locked.t) (oracle : Oracle.t) :
-    result =
+    (locked : Locked.t) (oracle : Oracle.t) : result =
   Attack.run ~name:"sat_attack" ~budget ?max_iterations
-    ~on_proof:(audit ~validate ~seed:validation_seed locked oracle)
+    ~on_proof:(audit ~validate ~seed:11213 locked oracle)
     ~build:(fun () -> miter locked)
     oracle

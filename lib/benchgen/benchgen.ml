@@ -146,10 +146,10 @@ let table1_profiles =
 let find_profile name =
   List.find_opt (fun p -> p.name = name) table1_profiles
 
-let of_profile ?(seed_offset = 0) (p : profile) : N.t =
+let of_profile (p : profile) : N.t =
   generate
     {
-      seed = Hashtbl.hash p.name + seed_offset;
+      seed = Hashtbl.hash p.name;
       num_inputs = p.inputs;
       num_outputs = p.outputs;
       num_gates = p.gates;
@@ -157,7 +157,7 @@ let of_profile ?(seed_offset = 0) (p : profile) : N.t =
 
 (** Scaled-down profile for quick runs: divides gates/IO by [factor],
     keeping at least a workable minimum. *)
-let scale ?(factor = 10) (p : profile) : profile =
+let scale ~factor (p : profile) : profile =
   {
     p with
     name = Printf.sprintf "%s/%d" p.name factor;

@@ -25,8 +25,8 @@ type profile = {
 val table1_profiles : profile list
 
 val find_profile : string -> profile option
-val of_profile : ?seed_offset:int -> profile -> Orap_netlist.Netlist.t
+val of_profile : profile -> Orap_netlist.Netlist.t
 
 (** Scaled-down profile for quick runs (gates and I/O divided by [factor],
     key size by at most 4). *)
-val scale : ?factor:int -> profile -> profile
+val scale : factor:int -> profile -> profile

@@ -33,8 +33,8 @@ type a1_row = {
   delay_overhead_pct : float;
 }
 
-let site_selection ?(seed = 6) ?(num_gates = 1200) ?(key_size = 30) () :
-    a1_row list =
+let site_selection ?(num_gates = 1200) ?(key_size = 30) () : a1_row list =
+  let seed = 6 in
   let nl =
     Benchgen.generate
       { Benchgen.seed; num_inputs = 64; num_outputs = 48; num_gates }

@@ -25,11 +25,10 @@ type result = {
   atpg_coverage_pct : float;
 }
 
-let run ?(random_words = 16) ?(backtrack_limit = 64) (design : Orap.t) : result
-    =
+let run (design : Orap.t) : result =
   let locked = design.Orap.locked in
   let nl = locked.Locked.netlist in
-  let report = Atpg.run ~random_words ~backtrack_limit nl in
+  let report = Atpg.run ~random_words:16 ~backtrack_limit:64 nl in
   let chip = Chip.create design in
   let n_ext = Orap.num_ext_inputs design in
   let n_ffs = Orap.num_ffs design in

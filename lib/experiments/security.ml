@@ -33,12 +33,18 @@ type fixture = {
   modified : Orap.t;
 }
 
-let make_fixture ?(seed = 12) ?(num_inputs = 48) ?(num_outputs = 36)
-    ?(num_gates = 500) ?(key_size = 32) () : fixture =
-  let nl =
-    Benchgen.generate { Benchgen.seed; num_inputs; num_outputs; num_gates }
+(** Raised by {!make_fixture} with the lock's message when the circuit
+    cannot hold the key. *)
+exception Cannot_lock of string
+
+(* a 48-input, 36-output circuit under weighted locking (control width 3) *)
+let make_fixture ?(seed = 12) ?(num_gates = 500) ?(key_size = 32) () : fixture =
+  let num_outputs = 36 in
+  let nl = Benchgen.generate { Benchgen.seed; num_inputs = 48; num_outputs; num_gates } in
+  let locked =
+    try Weighted.lock nl ~key_size ~ctrl_inputs:3
+    with Invalid_argument msg -> raise (Cannot_lock msg)
   in
-  let locked = Weighted.lock nl ~key_size ~ctrl_inputs:3 in
   let num_ffs = num_outputs / 2 in
   let mk kind =
     Orap.protect
@@ -167,8 +173,8 @@ type attack_row = {
   queries : int;
 }
 
-let attack_matrix ?(max_iterations = 128) (fx : fixture) : attack_row list =
-  let budget = Budget.make ~max_iterations () in
+let attack_matrix (fx : fixture) : attack_row list =
+  let budget = Budget.make ~max_iterations:128 () in
   List.concat_map
     (fun (kind, oracle_kind) ->
       List.map

@@ -44,19 +44,26 @@ let default_params =
 let quick_params =
   { scale = 16; hd_words = 64; hd_keys = 3; synth_effort = 1; seed = 2020 }
 
-(* [seed] is the cell's derived seed ({!Orap_runner.Task.derive_seed} of
-   the grid root seed and this cell's id): every profile draws from its own
-   stream, so rows are bit-identical under any worker count *)
-let run_profile ?seed (p : params) (profile : Benchgen.profile) : row =
-  let seed = match seed with Some s -> s | None -> p.seed in
+(** A table cell's circuit, as Tables I and II both build it: the profile
+    divided by [scale] (unless 1), its synthetic netlist, and that netlist
+    under weighted locking with the profile's LFSR size as key size and
+    its control-gate width. *)
+let circuit ~scale (profile : Benchgen.profile) =
   let profile =
-    if p.scale = 1 then profile else Benchgen.scale ~factor:p.scale profile
+    if scale = 1 then profile else Benchgen.scale ~factor:scale profile
   in
   let nl = Benchgen.of_profile profile in
   let locked =
     Weighted.lock nl ~key_size:profile.Benchgen.lfsr_size
       ~ctrl_inputs:profile.Benchgen.ctrl_inputs
   in
+  (profile, nl, locked)
+
+(* [seed] is the cell's derived seed ({!Orap_runner.Task.derive_seed} of
+   the grid root seed and this cell's id): every profile draws from its own
+   stream, so rows are bit-identical under any worker count *)
+let run_profile ~seed (p : params) (profile : Benchgen.profile) : row =
+  let profile, nl, locked = circuit ~scale:p.scale profile in
   let design =
     Orap.protect
       ~config:

@@ -7,7 +7,6 @@
 
 module N = Orap_netlist.Netlist
 module Benchgen = Orap_benchgen.Benchgen
-module Weighted = Orap_locking.Weighted
 module Locked = Orap_locking.Locked
 module Atpg = Orap_atpg.Atpg
 module Runner = Orap_runner.Runner
@@ -41,16 +40,8 @@ let run_side ~seed (p : params) (nl : N.t) : side =
   }
 
 (* [seed] as in {!Table1.run_profile}: the cell's derived seed *)
-let run_profile ?seed (p : params) (profile : Benchgen.profile) : row =
-  let seed = match seed with Some s -> s | None -> p.seed in
-  let profile =
-    if p.scale = 1 then profile else Benchgen.scale ~factor:p.scale profile
-  in
-  let nl = Benchgen.of_profile profile in
-  let locked =
-    Weighted.lock nl ~key_size:profile.Benchgen.lfsr_size
-      ~ctrl_inputs:profile.Benchgen.ctrl_inputs
-  in
+let run_profile ~seed (p : params) (profile : Benchgen.profile) : row =
+  let profile, nl, locked = Table1.circuit ~scale:p.scale profile in
   {
     name = profile.Benchgen.name;
     original = run_side ~seed p nl;

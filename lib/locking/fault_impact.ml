@@ -9,17 +9,17 @@ module Prng = Orap_sim.Prng
 module Sim = Orap_sim.Sim
 module Fsim = Orap_faultsim.Fsim
 
-(** Impact scores for all internal (non-input) nodes, estimated over
-    [words] random 64-pattern words; unscored nodes get 0.  The good words
+(** Impact scores for all internal (non-input) nodes, estimated over two
+    random 64-pattern words; unscored nodes get 0.  The good words
     are simulated into the fault simulator's store, and each candidate's
     stem is forced to its inverted good word there
     ({!Fsim.invert_impact}). *)
-let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
-    int array =
+let scores ?(seed = 17) (nl : N.t) : int array =
   let n = N.num_nodes nl in
   let fanouts = N.fanouts nl in
   let rng = Prng.create seed in
-  (* candidate sample: all logic nodes, or a random subset on big circuits *)
+  (* candidate sample: all logic nodes, or a random subset of about 4000 on
+     big circuits *)
   let logic_nodes =
     List.init n (fun i -> i)
     |> List.filter (fun i ->
@@ -29,15 +29,14 @@ let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
   in
   let candidates =
     let total = List.length logic_nodes in
-    if total <= max_candidates then logic_nodes
-    else
-      List.filter (fun _ -> Prng.int rng total < max_candidates) logic_nodes
+    if total <= 4000 then logic_nodes
+    else List.filter (fun _ -> Prng.int rng total < 4000) logic_nodes
   in
   let score = Array.make n 0 in
   let ni = N.num_inputs nl in
   let input_buf = Array.make ni 0L in
   let fsim = Fsim.create nl in
-  for _ = 1 to words do
+  for _ = 1 to 2 do
     for i = 0 to ni - 1 do
       input_buf.(i) <- Prng.next64 rng
     done;
@@ -52,9 +51,9 @@ let scores ?(seed = 17) ?(words = 2) ?(max_candidates = 4000) (nl : N.t) :
     near-critical timing paths (what yields the paper's 0% delay
     overheads): nodes with slack below [min_slack] are used only when the
     off-critical supply runs out. *)
-let top_sites ?seed ?words ?max_candidates ?(avoid_critical = true)
-    ?(min_slack = 3) (nl : N.t) ~count : int array =
-  let score = scores ?seed ?words ?max_candidates nl in
+let top_sites ?seed ?(avoid_critical = true) ?(min_slack = 3) (nl : N.t) ~count :
+    int array =
+  let score = scores ?seed nl in
   let slack = if avoid_critical then N.slacks nl else [||] in
   let is_critical i = avoid_critical && slack.(i) < min_slack in
   let ranked =

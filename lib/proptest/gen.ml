@@ -7,7 +7,6 @@ module Benchgen = Orap_benchgen.Benchgen
 
 type 'a t = Prng.t -> 'a
 
-let return x _ = x
 let map f g rng = f (g rng)
 let bind g f rng = f (g rng) rng
 let pair a b rng =
@@ -15,19 +14,11 @@ let pair a b rng =
   let y = b rng in
   (x, y)
 
-let triple a b c rng =
-  let x = a rng in
-  let y = b rng in
-  let z = c rng in
-  (x, y, z)
-
 let bool rng = Prng.bool rng
 
 let int_range lo hi rng =
   if lo > hi then invalid_arg "Gen.int_range";
   lo + Prng.int rng (hi - lo + 1)
-
-let bool_array n rng = Prng.bool_array rng n
 
 let oneof arr rng =
   if Array.length arr = 0 then invalid_arg "Gen.oneof";

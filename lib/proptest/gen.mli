@@ -9,18 +9,14 @@ type 'a t = Orap_sim.Prng.t -> 'a
 
 (** {1 Value combinators} *)
 
-val return : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val pair : 'a t -> 'b t -> ('a * 'b) t
-val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
 val bool : bool t
 
 (** Uniform over [\[lo, hi\]] inclusive; raises if [lo > hi]. *)
 val int_range : int -> int -> int t
-
-val bool_array : int -> bool array t
 
 (** Uniform pick from a non-empty array. *)
 val oneof : 'a array -> 'a t

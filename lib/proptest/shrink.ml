@@ -124,7 +124,10 @@ let metric nl =
   done;
   (10 * N.node_count nl) + !edges + (5 * N.num_outputs nl)
 
-let shrink ?(max_checks = 4000) (fails : N.t -> bool) (nl : N.t) : N.t =
+(* candidate checks before the shrink gives up *)
+let max_checks = 4000
+
+let shrink (fails : N.t -> bool) (nl : N.t) : N.t =
   let still_fails candidate_nl = try fails candidate_nl with _ -> false in
   let checks = ref 0 in
   let best_nl = ref nl in

@@ -10,7 +10,6 @@
     well-typed throughout. *)
 
 val shrink :
-  ?max_checks:int ->
   (Orap_netlist.Netlist.t -> bool) ->
   Orap_netlist.Netlist.t ->
   Orap_netlist.Netlist.t

@@ -10,9 +10,6 @@ let var (l : t) = l lsr 1
 let is_neg (l : t) = l land 1 = 1
 let negate (l : t) = l lxor 1
 
-let to_string (l : t) =
-  if is_neg l then "-" ^ string_of_int (var l + 1) else string_of_int (var l + 1)
-
 (** DIMACS integer: 1-based, negative for negated literals. *)
 let to_dimacs (l : t) = if is_neg l then -(var l + 1) else var l + 1
 let of_dimacs i =

@@ -34,8 +34,9 @@ type event = {
 
 type sink
 
-(** Counts events, emits nothing — the no-op sink used by the overhead
-    benchmark to price the instrumentation itself. *)
+(** Counts events, emits nothing: kept for a per-event cost benchmark,
+    which prices the instrumentation itself with it.  Nothing calls it
+    yet. *)
 val null : unit -> sink
 
 (** In-memory sink; the second component returns the events captured so

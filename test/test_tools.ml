@@ -109,9 +109,10 @@ let test_cli_rejects_bad_bench () =
   List.iter (fun (path, _) -> if Sys.file_exists path then Sys.remove path) cases;
   Sys.remove err
 
-(* sizes the generator or a lock cannot take, and attack or robustness
-   settings outside their range, are usage errors (exit 124) that say why,
-   not uncaught exceptions (exit 125), a keyless lock or a [-nan] table *)
+(* sizes the generator, a lock or a fixture cannot take, and attack,
+   robustness or grid settings outside their range, are usage errors (exit
+   124) that say why, not uncaught exceptions (exit 125), a keyless lock, a
+   [-nan] table or a table of negatively scaled rows *)
 let test_cli_rejects_bad_sizes () =
   let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
   let path = Filename.temp_file "orap" ".bench" in
@@ -169,6 +170,10 @@ let test_cli_rejects_bad_sizes () =
       ("robustness --max-iterations=-1", "-1 is below the minimum 0");
       ("robustness --wall-clock=-1", "-1 is not a non-negative number of seconds");
       ("robustness --max-conflicts=-2", "-2 is below the minimum 0");
+      ("table2 --scale=-500", "-500 is below the minimum 0");
+      ("table1 --jobs=-3", "-3 is below the minimum 0");
+      ("attack --gates 20 --key-size 64", "Weighted.lock: circuit too small");
+      ("robustness --gates 3 --trials 1", "Weighted.lock: circuit too small");
     ];
   List.iter Sys.remove [ path; out; err ]
 
