@@ -14,13 +14,39 @@ module Telemetry = Orap_telemetry.Telemetry
 module Metrics = Orap_telemetry.Metrics
 module Trace = Orap_telemetry.Trace
 
+(* an output file, opened for append while the command line is parsed: a
+   path the CLI cannot write is a usage error naming the path and the
+   system's reason, found before any work.  The check leaves an existing
+   file as it was and removes a file it created, so a run that fails later
+   leaves no empty output behind *)
+let output_file =
+  let parse path =
+    let existed = Sys.file_exists path in
+    match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+    | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Ok path
+    | exception Sys_error msg -> Error (`Msg msg)
+  in
+  Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
+
+(* the [-o] file of generate, lock and export; its default is checked too *)
+let output_arg default =
+  let check path =
+    match Arg.conv_parser output_file path with
+    | Ok path -> `Ok path
+    | Error (`Msg msg) -> `Error (true, msg)
+  in
+  Term.(ret (const check $ Arg.(value & opt string default & info [ "o"; "output" ] ~doc:"output file")))
+
 (* --- shared observability option group --- *)
 
 let obs_opts : (string option * string option) Term.t =
   let docs = "OBSERVABILITY" in
   let trace =
     Arg.(
-      value & opt (some string) None
+      value & opt (some output_file) None
       & info [ "trace" ] ~docs ~docv:"FILE"
           ~doc:
             "Write a span trace to $(docv): a JSONL event stream \
@@ -30,7 +56,7 @@ let obs_opts : (string option * string option) Term.t =
   in
   let metrics =
     Arg.(
-      value & opt (some string) None
+      value & opt (some output_file) None
       & info [ "metrics" ] ~docs ~docv:"FILE"
           ~doc:
             "Write a JSON snapshot of all counters and latency histograms \
@@ -46,8 +72,6 @@ let with_obs (trace, metrics) f =
   let chrome, stream =
     match trace with
     | Some dst when Filename.check_suffix dst ".json" ->
-      (* fail on an unwritable destination before the run, not after it *)
-      close_out (open_out dst);
       let temp_dir = Filename.dirname dst and prefix = Filename.basename dst in
       (Some dst, Some (Filename.temp_file ~temp_dir prefix ".jsonl"))
     | _ -> (None, trace)
@@ -108,7 +132,7 @@ let runner_opts : Runner.options Term.t =
   in
   let journal =
     Arg.(
-      value & opt (some string) None
+      value & opt (some output_file) None
       & info [ "journal" ] ~docs ~docv:"FILE"
           ~doc:
             "Append completed grid cells to $(docv) (JSONL) so an \
@@ -129,9 +153,10 @@ let runner_opts : Runner.options Term.t =
           ~doc:"Periodic done/total, cells/sec and ETA lines on stderr.")
   in
   let mk jobs journal resume progress =
-    { Runner.default_options with Runner.jobs; journal; resume; progress }
+    if resume && journal = None then `Error (true, "--resume needs --journal")
+    else `Ok { Runner.default_options with Runner.jobs; journal; resume; progress }
   in
-  Term.(const mk $ jobs $ journal $ resume $ progress)
+  Term.(ret (const mk $ jobs $ journal $ resume $ progress))
 
 (* fixture sizes the locking and generation steps accept *)
 let fixture_gates default =
@@ -178,10 +203,9 @@ let generate_cmd =
   let gates =
     Arg.(value & opt (int_at_least 1) 1000 & info [ "gates" ] ~doc:"target gate count")
   in
-  let out = Arg.(value & opt string "out.bench" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic benchmark circuit (.bench)")
-    Term.(const run $ seed $ inputs $ outputs $ gates $ out)
+    Term.(const run $ seed $ inputs $ outputs $ gates $ output_arg "out.bench")
 
 (* --- lock --- *)
 
@@ -252,10 +276,9 @@ let lock_cmd =
   let ctrl =
     Arg.(value & opt (int_at_least 1) 3 & info [ "ctrl-inputs" ] ~doc:"control gate width")
   in
-  let out = Arg.(value & opt string "locked.bench" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v
     (Cmd.info "lock" ~doc:"Lock a circuit with a combinational locking technique")
-    Term.(ret (const run $ bench_arg $ technique $ key_size $ ctrl $ out))
+    Term.(ret (const run $ bench_arg $ technique $ key_size $ ctrl $ output_arg "locked.bench"))
 
 (* --- atpg --- *)
 
@@ -512,7 +535,7 @@ let tracecheck_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE") in
   let to_chrome =
     Arg.(
-      value & opt (some string) None
+      value & opt (some output_file) None
       & info [ "to-chrome" ] ~docv:"OUT"
           ~doc:
             "Also convert the JSONL stream to a Chrome trace_event JSON \
@@ -531,9 +554,8 @@ let export_cmd =
     Printf.printf "wrote %s (structural Verilog, %d gates)\n" out
       (N.gate_count nl)
   in
-  let out = Arg.(value & opt string "out.v" & info [ "o"; "output" ] ~doc:"output file") in
   Cmd.v (Cmd.info "export" ~doc:"Convert a .bench netlist to structural Verilog")
-    Term.(const run $ bench_arg $ out)
+    Term.(const run $ bench_arg $ output_arg "out.v")
 
 let main =
   Cmd.group

@@ -43,8 +43,6 @@ let recovered = function
   | Approximate (x, _) -> Some x
   | Exhausted _ | Oracle_refused _ -> None
 
-let succeeded o = match o with Exact _ | Approximate _ -> true | _ -> false
-
 let outcome_to_string = function
   | Exact _ -> "exact"
   | Approximate (_, err) ->

@@ -27,7 +27,6 @@ type 'a outcome =
 (** The recovered artefact, if any. *)
 val recovered : 'a outcome -> 'a option
 
-val succeeded : 'a outcome -> bool
 val outcome_to_string : 'a outcome -> string
 
 type t = {

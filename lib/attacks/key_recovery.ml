@@ -32,9 +32,3 @@ let all =
 
 (** ["sat|appsat|ddip|hill|sens"], for help texts. *)
 let slugs = String.concat "|" (List.map (fun a -> a.slug) all)
-
-(** The attack named [slug]; [Failure] for an unknown one. *)
-let of_slug slug =
-  match List.find_opt (fun a -> a.slug = slug) all with
-  | Some a -> a
-  | None -> failwith ("unknown attack " ^ slug)

@@ -32,7 +32,6 @@ type t = {
   pulse_gens : Pulse_gen.t array;
   mutable ffs : bool array;
   mutable scan_enable : bool;
-  mutable unlocked : bool;  (** unlock sequence has completed *)
   mutable shadow : bool array option;  (** scenario (c)/(d) stolen key *)
 }
 
@@ -53,14 +52,12 @@ let create ?trojan (design : Orap.t) : t =
     pulse_gens = Array.init n (fun _ -> Pulse_gen.create ());
     ffs = Array.make (Orap.num_ffs design) false;
     scan_enable = false;
-    unlocked = false;
     shadow = None;
   }
 
 let design t = t.design
 let key_register t = Lfsr.state t.lfsr
 let ff_state t = Array.copy t.ffs
-let is_unlocked t = t.unlocked
 
 (** The key value the combinational logic actually sees: only Trojans
     (c)/(d) ever hold a stolen copy. *)
@@ -113,7 +110,6 @@ let unlock t =
       in
       if t.trojan <> Some Freeze_state_ffs then t.ffs <- next)
     t.design.Orap.schedule;
-  t.unlocked <- true;
   (* Trojans (c)/(d) steal the key the moment it is formed *)
   match t.trojan with
   | Some (Shadow_register | Xor_tree_key) ->
@@ -131,11 +127,6 @@ let write_cell t cell v =
   match cell with
   | Scan.Key i -> Lfsr.set_cell t.lfsr i v
   | Scan.State j -> t.ffs.(j) <- v
-
-(** One scan shift along the chip's chain; requires scan mode. *)
-let scan_shift t ~scan_in : bool =
-  if not t.scan_enable then invalid_arg "Chip.scan_shift: not in scan mode";
-  Scan.shift t.chain ~read:(read_cell t) ~write:(write_cell t) ~scan_in
 
 (** Enter scan mode and shift a full image in: [state] into the state FFs
     and [key] (default all-zero) into the key cells the chain reaches.

@@ -22,7 +22,6 @@ val create : ?trojan:trojan -> Orap.t -> t
 val design : t -> Orap.t
 val key_register : t -> bool array
 val ff_state : t -> bool array
-val is_unlocked : t -> bool
 
 (** {1 Pins and clocking} *)
 
@@ -41,9 +40,6 @@ val functional_cycle : t -> ext_inputs:bool array -> bool array
 val unlock : t -> unit
 
 (** {1 Scan operations (scan mode only)} *)
-
-(** One shift along the chip's chain ({!Orap_dft.Scan.shift}). *)
-val scan_shift : t -> scan_in:bool -> bool
 
 (** Enter scan mode and shift [state] (and [key], default all-zero, where
     the chain reaches the key cells) into the chain; stays in scan mode. *)

@@ -1,12 +1,10 @@
 (** Fault-injection middleware over {!Oracle.t}.
 
     The paper's threat model is about oracles that are less than ideal: OraP
-    itself makes every scan session answer with locked responses, and the
-    Section-III Trojan scenarios (a)–(e) describe oracles that are only
-    partially or intermittently compromised.  Real chip access is also
-    noisy, rate-limited and slow.  Each wrapper below takes an oracle and
-    returns an oracle, so any stack of faults composes and every attack in
-    [lib/attacks] runs against it unchanged.
+    itself makes every scan session answer with locked responses, and real
+    chip access is also noisy, rate-limited and slow.  Each wrapper below
+    takes an oracle and returns an oracle, so any stack of faults composes
+    and every attack in [lib/attacks] runs against it unchanged.
 
     All randomness is drawn from a seeded {!Orap_sim.Prng}, so a faulty
     oracle replays bit-identically for a given seed. *)
@@ -34,37 +32,6 @@ let bit_flip ?(seed = 2020) ~p (inner : Oracle.t) : Oracle.t =
     else y
   in
   wrap inner ~tag:(Printf.sprintf "bit-flip(p=%.3f)" p) q
-
-let stuck_at ~cells (inner : Oracle.t) : Oracle.t =
-  List.iter
-    (fun (i, _) ->
-      if i < 0 then invalid_arg "Faulty_oracle.stuck_at: negative cell index")
-    cells;
-  let q inputs =
-    let y = Array.copy (inner.Oracle.query inputs) in
-    List.iter
-      (fun (i, v) ->
-        if i >= Array.length y then
-          invalid_arg
-            (Printf.sprintf
-               "Faulty_oracle.stuck_at: cell %d out of range (response width %d)"
-               i (Array.length y));
-        y.(i) <- v)
-      cells;
-    y
-  in
-  wrap inner ~tag:(Printf.sprintf "stuck-at(%d cells)" (List.length cells)) q
-
-let intermittent ?(seed = 2021) ~rate ~(locked : Oracle.t) (inner : Oracle.t) :
-    Oracle.t =
-  if rate < 0.0 || rate > 1.0 then
-    invalid_arg "Faulty_oracle.intermittent: rate not in [0,1]";
-  let rng = Prng.create seed in
-  let q inputs =
-    if Prng.float rng < rate then locked.Oracle.query inputs
-    else inner.Oracle.query inputs
-  in
-  wrap inner ~tag:(Printf.sprintf "intermittent-lockdown(rate=%.2f)" rate) q
 
 let query_budget ~limit (inner : Oracle.t) : Oracle.t =
   if limit < 0 then invalid_arg "Faulty_oracle.query_budget: negative limit";

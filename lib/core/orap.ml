@@ -241,8 +241,6 @@ let hardware t =
         (Lfsr.taps_of t.lfsr);
   }
 
-let hardware_gate_count h = h.pulse_gen_gates + h.reseed_xors + h.tap_xors
-
 (** The same hardware expressed in AIG AND-node units (XOR = 3 ANDs), for
     combining with the synthesis metrics of Table I. *)
 let hardware_and_nodes h = h.pulse_gen_gates + (3 * (h.reseed_xors + h.tap_xors))

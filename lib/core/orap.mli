@@ -79,7 +79,6 @@ val split_outputs : t -> bool array -> bool array * bool array
 type hardware = { pulse_gen_gates : int; reseed_xors : int; tap_xors : int }
 
 val hardware : t -> hardware
-val hardware_gate_count : hardware -> int
 
 (** The same hardware in AIG AND-node units (XOR = 3 ANDs). *)
 val hardware_and_nodes : hardware -> int

@@ -48,19 +48,6 @@ let without_keys t =
   let is_state = function State _ -> true | Key _ -> false in
   { order = Array.of_seq (Seq.filter is_state (Array.to_seq t.order)) }
 
-(** One shift cycle over concrete cell contents.  [read]/[write] access the
-    underlying registers; returns the scan-out bit (the last cell's previous
-    content). *)
-let shift t ~(read : cell -> bool) ~(write : cell -> bool -> unit)
-    ~(scan_in : bool) : bool =
-  let n = Array.length t.order in
-  let out = read t.order.(n - 1) in
-  for i = n - 1 downto 1 do
-    write t.order.(i) (read t.order.(i - 1))
-  done;
-  write t.order.(0) scan_in;
-  out
-
 (** Positions of the key cells in the chain (for threat analysis: how many
     bypass multiplexers scenario (b) needs). *)
 let key_positions t =

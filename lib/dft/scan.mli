@@ -18,14 +18,6 @@ val length : t -> int
 (** The chain with its key cells bypassed (scenario (b)'s Trojan). *)
 val without_keys : t -> t
 
-(** One shift cycle over concrete cell contents; returns the scan-out bit. *)
-val shift :
-  t ->
-  read:(cell -> bool) ->
-  write:(cell -> bool -> unit) ->
-  scan_in:bool ->
-  bool
-
 (** Chain positions of the key cells. *)
 val key_positions : t -> int list
 

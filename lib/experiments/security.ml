@@ -142,10 +142,8 @@ let fig3 (fx : fixture) : fig3_result =
   in
   let frozen = Chip.create ~trojan:Chip.Freeze_state_ffs fx.modified in
   (* put a nonzero state into the FFs first, as the attack would *)
-  Chip.set_scan_enable frozen true;
-  for i = 0 to Orap.num_ffs fx.modified - 1 do
-    ignore (Chip.scan_shift frozen ~scan_in:(i land 1 = 0))
-  done;
+  Chip.scan_load frozen
+    ~state:(Array.init (Orap.num_ffs fx.modified) (fun i -> i land 1 = 0));
   Chip.set_scan_enable frozen false;
   Chip.unlock frozen;
   let frozen_ffs_break_unlock =

@@ -65,11 +65,6 @@ let distance ?seed ~words t key =
 let hamming_vs_original ?seed ?(words = 64) t key =
   100.0 *. distance ?seed ~words t key
 
-(** Is the locked circuit (under [key]) equal to the original on [words]
-    random 64-pattern words?  A cheap functional-equivalence proxy. *)
-let equivalent_under_key ?seed ?(words = 64) t key =
-  distance ?seed ~words t key = 0.0
-
 (** Simulate the locked circuit on regular inputs + key. *)
 let eval t ~key ~(inputs : bool array) : bool array =
   if Array.length inputs <> t.num_regular_inputs then invalid_arg "Locked.eval";

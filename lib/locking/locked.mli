@@ -35,8 +35,5 @@ val make :
     vs. the original, over shared random patterns. *)
 val hamming_vs_original : ?seed:int -> ?words:int -> t -> bool array -> float
 
-(** Random-simulation equivalence proxy (zero Hamming distance). *)
-val equivalent_under_key : ?seed:int -> ?words:int -> t -> bool array -> bool
-
 (** Evaluate on regular inputs plus a key. *)
 val eval : t -> key:bool array -> inputs:bool array -> bool array

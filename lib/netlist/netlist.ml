@@ -176,18 +176,6 @@ let node_count t =
     t.kinds;
   !c
 
-(** Set of node ids in the transitive fanin cone of [roots] (inclusive). *)
-let fanin_cone t roots =
-  let seen = Array.make (num_nodes t) false in
-  let rec visit i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      Array.iter visit t.fanins.(i)
-    end
-  in
-  List.iter visit roots;
-  seen
-
 (** Timing slack of every node: how many extra levels the node's path could
     absorb without increasing the circuit depth.  Dangling nodes get
     [max_int]. *)
@@ -217,11 +205,6 @@ let slacks t =
   done;
   Array.init n (fun i ->
       if req.(i) = max_int then max_int else req.(i) - lev.(i))
-
-(** Nodes lying on at least one maximum-length (critical) path. *)
-let critical_nodes t =
-  let s = slacks t in
-  Array.map (fun x -> x = 0) s
 
 (** Structural sanity check; raises [Invalid] on malformed netlists. *)
 let validate t =

@@ -63,14 +63,8 @@ val gate_count : t -> int
 (** All logic nodes including inverters and buffers. *)
 val node_count : t -> int
 
-(** Transitive-fanin membership of the given roots (inclusive). *)
-val fanin_cone : t -> int list -> bool array
-
 (** Timing slack per node ([max_int] for dangling nodes). *)
 val slacks : t -> int array
-
-(** Nodes on at least one maximum-length path. *)
-val critical_nodes : t -> bool array
 
 (** Structural sanity check; raises [Invalid] on malformed netlists. *)
 val validate : t -> unit

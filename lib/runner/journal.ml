@@ -20,27 +20,17 @@ let parse_line line =
       Some { key; id; data }
     | _ -> None)
 
-(* every line of the file; a missing file has none *)
-let fold_lines path f acc =
-  if not (Sys.file_exists path) then acc
-  else
-    Result.get_ok
-      (Trace.fold_file path (fun acc ~line_no:_ ~line -> Ok (f acc line)) acc)
-
+(* a missing file is an empty journal *)
 let load path =
-  List.rev
-    (fold_lines path
-       (fun acc line ->
-         (* skip blank and corrupt (e.g. crash-truncated) lines *)
-         match parse_line line with Some e -> e :: acc | None -> acc)
-       [])
-
-let scan path =
-  fold_lines path
-    (fun (ok, bad) line ->
-      if String.trim line = "" then (ok, bad)
-      else match parse_line line with Some _ -> (ok + 1, bad) | None -> (ok, bad + 1))
-    (0, 0)
+  if not (Sys.file_exists path) then []
+  else
+    List.rev
+      (Result.get_ok
+         (Trace.fold_file path
+            (fun acc ~line_no:_ ~line ->
+              (* skip blank and corrupt (e.g. crash-truncated) lines *)
+              Ok (match parse_line line with Some e -> e :: acc | None -> acc))
+            []))
 
 type t = { oc : out_channel; mutex : Mutex.t }
 

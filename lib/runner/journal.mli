@@ -16,9 +16,6 @@ type entry = { key : string; id : string; data : string }
     should let the last one win). *)
 val load : string -> entry list
 
-(** [load] restricted to well-formedness: [(valid, corrupt)] line counts. *)
-val scan : string -> int * int
-
 type t
 
 (** Open for append, creating the file (and truncating nothing). *)

@@ -2,16 +2,12 @@
 
 type t = {
   total : int;
-  out : out_channel;
   enabled : bool;
   now : unit -> float;
   mutex : Mutex.t;
   started : float;
-  mutable compute_started : float option;
-      (** when real computation began — cache replay before this instant is
-          excluded from the throughput estimate *)
+  cached : int;
   mutable computed : int;
-  mutable cached : int;
   mutable last_emit : float;
   mutable tags : string list;  (** one per computed cell, newest first *)
 }
@@ -19,18 +15,15 @@ type t = {
 (* seconds between status lines *)
 let interval_s = 1.0
 
-let create ?(out = stderr) ?(enabled = true)
-    ?(now = Unix.gettimeofday) ~total () =
+let create ?(enabled = true) ?(now = Unix.gettimeofday) ~total ~cached () =
   {
     total;
-    out;
     enabled;
     now;
     mutex = Mutex.create ();
     started = now ();
-    compute_started = None;
+    cached;
     computed = 0;
-    cached = 0;
     last_emit = 0.0;
     tags = [];
   }
@@ -50,16 +43,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let start_compute t =
-  locked t (fun () ->
-      if t.compute_started = None then t.compute_started <- Some (t.now ()))
-
-(* computed cells per second of COMPUTE time: measuring from [started]
-   would fold journal-load/cache-replay time into the denominator and
-   understate the rate (so overstate the ETA) on resumed runs *)
+(* computed cells per second since [create], which comes after cache
+   replay *)
 let rate_unlocked t =
-  let base = match t.compute_started with Some s -> s | None -> t.started in
-  let elapsed = t.now () -. base in
+  let elapsed = t.now () -. t.started in
   if elapsed > 0.0 then float_of_int t.computed /. elapsed else 0.0
 
 let rate t = locked t (fun () -> rate_unlocked t)
@@ -90,16 +77,11 @@ let line_unlocked t =
 let line t = locked t (fun () -> line_unlocked t)
 
 let emit t =
-  output_string t.out (line_unlocked t ^ "\n");
-  flush t.out
-
-let add_cached t n = locked t (fun () -> t.cached <- t.cached + n)
+  prerr_string (line_unlocked t ^ "\n");
+  flush stderr
 
 let tick t ~tag =
   locked t (fun () ->
-      (* fallback for callers that never announce the compute phase: date
-         it from the first tick so replay time still stays excluded *)
-      if t.compute_started = None then t.compute_started <- Some t.started;
       t.computed <- t.computed + 1;
       t.tags <- tag :: t.tags;
       if t.enabled then begin

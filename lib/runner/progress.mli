@@ -6,29 +6,21 @@
 
 type t
 
-(** [create ~total ()] — status lines are at least a second apart;
+(** [create ~total ~cached ()] starts the clock for a grid of [total]
+    cells of which [cached] were served from the journal: they count as
+    done but not towards the throughput estimate.  The runner creates it
+    after cache replay, so replay time stays out of the rate and the ETA.
+    Status lines go to [stderr], at least a second apart;
     [enabled:false] (the default used under tests) keeps the counters but
-    never writes; output goes to [out] (default [stderr]); [now] injects a
-    clock for deterministic tests (default [Unix.gettimeofday]). *)
+    never writes; [now] injects a clock for deterministic tests (default
+    [Unix.gettimeofday]). *)
 val create :
-  ?out:out_channel ->
   ?enabled:bool ->
   ?now:(unit -> float) ->
   total:int ->
+  cached:int ->
   unit ->
   t
-
-(** Mark the start of real computation.  Time before this call — journal
-    loading, cache replay — is excluded from the throughput estimate, so
-    resumed runs don't report a diluted rate and an inflated ETA.  Called
-    by the runner after cache replay; idempotent.  If never called, the
-    first [tick] dates the compute phase from [create] (the pre-fix
-    behaviour). *)
-val start_compute : t -> unit
-
-(** Record [n] cells satisfied from the journal (they count as done but not
-    towards the throughput estimate). *)
-val add_cached : t -> int -> unit
 
 (** Record one freshly computed cell carrying an outcome tag. *)
 val tick : t -> tag:string -> unit

@@ -66,14 +66,16 @@ let map_grid ?(options = default_options) ?codec ?(tag = fun _ -> "done") ~id
          (fun cell -> Option.is_none results.(cell.Task.index))
          (Array.to_list cells))
   in
-  let progress = Progress.create ~enabled:options.progress ~total:n () in
   let cached = n - Array.length todo in
-  Progress.add_cached progress cached;
   Metrics.add (Metrics.counter "runner.cache_hits") cached;
   let journal =
     match options.journal with
     | Some path -> Some (Journal.open_append path)
     | None -> None
+  in
+  (* created after cache replay: the throughput estimate starts now *)
+  let progress =
+    Progress.create ~enabled:options.progress ~total:n ~cached ()
   in
   let on_result i v =
     (match (journal, codec) with
@@ -85,8 +87,6 @@ let map_grid ?(options = default_options) ?codec ?(tag = fun _ -> "done") ~id
     Metrics.incr (Metrics.counter "runner.cells_computed");
     Progress.tick progress ~tag:(tag v)
   in
-  (* cache replay ends here: the throughput estimate starts now *)
-  Progress.start_compute progress;
   let outcomes =
     Pool.map ~jobs:options.jobs ~on_result
       (fun _ cell ->

@@ -16,8 +16,6 @@ let test_bypass_beats_sarlock () =
   (* comparator spans all 18 inputs so the trap inputs are single patterns *)
   let lk = Orap_locking.Sarlock.lock base ~key_size:18 in
   let r = Bypass.run lk (Oracle.functional lk) in
-  check Alcotest.bool "did not give up" true
-    (Budget.succeeded r.Bypass.outcome);
   check Alcotest.bool "few patches" true (List.length r.Bypass.patches <= 2);
   match Budget.recovered r.Bypass.outcome with
   | None -> Alcotest.fail "expected a patched netlist"

@@ -60,22 +60,99 @@ let test_bypass_mux_count_guideline () =
   check Alcotest.int "fully interleaved needs one per key" 8
     (Scan.bypass_mux_count inter)
 
-let test_shift_moves_data () =
-  let c = Scan.build ~style:Scan.Key_first ~num_key:2 ~num_state:2 () in
-  let key = Array.make 2 false and state = Array.make 2 false in
-  let read = function Scan.Key i -> key.(i) | Scan.State j -> state.(j) in
-  let write cell v =
-    match cell with Scan.Key i -> key.(i) <- v | Scan.State j -> state.(j) <- v
-  in
-  (* shift in 1,0,0,0: after 4 shifts the 1 sits in the last cell *)
-  let out1 = Scan.shift c ~read ~write ~scan_in:true in
-  check Alcotest.bool "first out is old last" false out1;
-  ignore (Scan.shift c ~read ~write ~scan_in:false);
-  ignore (Scan.shift c ~read ~write ~scan_in:false);
-  ignore (Scan.shift c ~read ~write ~scan_in:false);
-  check Alcotest.bool "bit reached last state cell" true state.(1);
-  let out = Scan.shift c ~read ~write ~scan_in:false in
-  check Alcotest.bool "and leaves on the next shift" true out
+(* --- chip scan access against a shift-by-shift reference --- *)
+
+module Chip = Orap_core.Chip
+module Orap = Orap_core.Orap
+module Prng = Orap_sim.Prng
+module Prop = Orap_proptest.Prop
+module Gen = Orap_proptest.Gen
+
+(* The reference chain: one shift moves every cell one place towards
+   scan-out, takes [scan_in] into cell 0 and returns the bit that left the
+   last cell. *)
+let shift order ~read ~write ~scan_in =
+  let n = Array.length order in
+  let out = read order.(n - 1) in
+  for i = n - 1 downto 1 do
+    write order.(i) (read order.(i - 1))
+  done;
+  write order.(0) scan_in;
+  out
+
+let styles = [| Scan.Key_first; Scan.Interleaved; Scan.Key_last |]
+
+(* one protected design per chain style *)
+let designs =
+  lazy
+    (let nl = random_netlist ~inputs:12 ~outputs:10 ~gates:90 19 in
+     let lk = Orap_locking.Weighted.lock nl ~key_size:8 ~ctrl_inputs:3 in
+     Array.map
+       (fun chain_style ->
+         Orap.protect
+           ~config:{ (Orap.default_config ~num_ffs:6 ()) with Orap.chain_style }
+           lk)
+       styles)
+
+(* P: over every chain style, and over the chain scenario (b)'s Trojan
+   fabricates without key cells, [scan_load] then [scan_dump] leave what a
+   session of chain-length shifts in and chain-length shifts out leaves on
+   a model of the registers: the dump is the loaded image in chain order,
+   every chain cell ends at zero, and the chip's registers equal the
+   model's *)
+let prop_scan_access_matches_shifts =
+  Prop.to_alcotest ~count:60 ~name:"scan load/dump match a shift-by-shift session"
+    ~gen:(Gen.pair (Gen.int_range 0 (2 * Array.length styles - 1)) (Gen.int_range 0 0x3FFFFFFF))
+    ~print:(fun (case, seed) -> Printf.sprintf "case %d, seed %d" case seed)
+    (fun (case, seed) ->
+      let design = (Lazy.force designs).(case mod Array.length styles) in
+      let keyless = case >= Array.length styles in
+      let chip =
+        if keyless then Chip.create ~trojan:Chip.Exclude_lfsr_from_scan design
+        else Chip.create design
+      in
+      let rng = Prng.create seed in
+      if Prng.bool rng then Chip.unlock chip;
+      let key =
+        if Prng.bool rng then Some (Prng.bool_array rng (Orap.key_size design))
+        else None
+      in
+      let state = Prng.bool_array rng (Orap.num_ffs design) in
+      let order =
+        Scan.order
+          (if keyless then Scan.without_keys design.Orap.chain else design.Orap.chain)
+      in
+      (* the model registers start from the chip's contents *)
+      let model_key = Chip.key_register chip and model_ffs = Chip.ff_state chip in
+      let read = function Scan.Key i -> model_key.(i) | Scan.State j -> model_ffs.(j) in
+      let write cell v =
+        match cell with
+        | Scan.Key i -> model_key.(i) <- v
+        | Scan.State j -> model_ffs.(j) <- v
+      in
+      let image =
+        Array.map
+          (function
+            | Scan.Key i -> (match key with Some k -> k.(i) | None -> false)
+            | Scan.State j -> state.(j))
+          order
+      in
+      let n = Array.length order in
+      (* the bit for the last cell goes in first *)
+      for p = n - 1 downto 0 do
+        ignore (shift order ~read ~write ~scan_in:image.(p))
+      done;
+      (* the last cell comes out first *)
+      let out = Array.init n (fun _ -> shift order ~read ~write ~scan_in:false) in
+      let expected = Array.mapi (fun p cell -> (cell, out.(n - 1 - p))) order in
+      Chip.scan_load ?key chip ~state;
+      let dump = Chip.scan_dump chip in
+      let chip_key = Chip.key_register chip and chip_ffs = Chip.ff_state chip in
+      dump = expected
+      && Array.for_all
+           (function Scan.Key i -> not chip_key.(i) | Scan.State j -> not chip_ffs.(j))
+           order
+      && chip_key = model_key && chip_ffs = model_ffs)
 
 let suite =
   ( "dft",
@@ -86,5 +163,5 @@ let suite =
       tc "key-first ordering" `Quick test_key_first_ordering;
       tc "interleaving spreads keys" `Quick test_interleaving_spreads;
       tc "bypass MUX guideline" `Quick test_bypass_mux_count_guideline;
-      tc "shift semantics" `Quick test_shift_moves_data;
+      prop_scan_access_matches_shifts;
     ] )

@@ -161,9 +161,6 @@ let chip_fixture () =
 
 let test_chip_mode_errors () =
   let chip = chip_fixture () in
-  Alcotest.check_raises "shift outside scan mode"
-    (Invalid_argument "Chip.scan_shift: not in scan mode") (fun () ->
-      ignore (Chip.scan_shift chip ~scan_in:false));
   Alcotest.check_raises "capture outside scan mode"
     (Invalid_argument "Chip.capture: not in scan mode") (fun () ->
       ignore (Chip.capture chip ~ext_inputs:(Array.make 12 false)));

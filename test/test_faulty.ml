@@ -91,43 +91,6 @@ let test_retry_burns_budget () =
     | _ -> false
     | exception Faulty.Refused _ -> true)
 
-(* --- stuck-at and intermittent wrappers --- *)
-
-let test_stuck_at () =
-  let o = Faulty.stuck_at ~cells:[ (0, true); (3, false) ] (Oracle.functional lk) in
-  let rng = Prng.create 59 in
-  for _ = 1 to 50 do
-    let y = Oracle.query o (inputs_of rng) in
-    check Alcotest.bool "cell 0 stuck at 1" true y.(0);
-    check Alcotest.bool "cell 3 stuck at 0" false y.(3)
-  done
-
-let test_intermittent_lockdown () =
-  (* the "locked" side answers under a wrong key (the cleared register) *)
-  let wrong_key = Array.map not lk.Locked.correct_key in
-  let locked_o = Oracle.with_key lk wrong_key in
-  let rng = Prng.create 61 in
-  (* rate 1.0: every query answers from the locked circuit *)
-  let o = Faulty.intermittent ~seed:2 ~rate:1.0 ~locked:locked_o
-      (Oracle.functional lk) in
-  let reference = Oracle.with_key lk wrong_key in
-  let all_locked = ref true in
-  for _ = 1 to 50 do
-    let x = inputs_of rng in
-    if Oracle.query o x <> Oracle.query reference x then all_locked := false
-  done;
-  check Alcotest.bool "rate 1.0 always answers locked" true !all_locked;
-  (* rate 0.0: the wrapper never intervenes *)
-  let o0 = Faulty.intermittent ~seed:2 ~rate:0.0 ~locked:locked_o
-      (Oracle.functional lk) in
-  let unlocked = Oracle.functional lk in
-  let clean = ref true in
-  for _ = 1 to 50 do
-    let x = inputs_of rng in
-    if Oracle.query o0 x <> Oracle.query unlocked x then clean := false
-  done;
-  check Alcotest.bool "rate 0.0 never intervenes" true !clean
-
 (* --- query budget --- *)
 
 let test_query_budget_exhausts () =
@@ -140,6 +103,25 @@ let test_query_budget_exhausts () =
     (match Oracle.query o (inputs_of rng) with
     | _ -> false
     | exception Faulty.Refused _ -> true)
+
+(* --- settings the wrappers refuse --- *)
+
+let test_wrappers_reject_bad_settings () =
+  let o = Oracle.functional lk in
+  List.iter
+    (fun (what, msg, wrap) ->
+      Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+          ignore (wrap () : Oracle.t)))
+    [
+      ("noise p=1.5", "Faulty_oracle.bit_flip: p not in [0,1]",
+       fun () -> Faulty.bit_flip ~p:1.5 o);
+      ("noise p=-0.1", "Faulty_oracle.bit_flip: p not in [0,1]",
+       fun () -> Faulty.bit_flip ~p:(-0.1) o);
+      ("budget -1", "Faulty_oracle.query_budget: negative limit",
+       fun () -> Faulty.query_budget ~limit:(-1) o);
+      ("2 votes", "Faulty_oracle.retry: votes must be positive and odd",
+       fun () -> Faulty.retry ~votes:2 o);
+    ]
 
 (* --- width validation in the oracle constructors --- *)
 
@@ -247,9 +229,8 @@ let suite =
       tc "p=1 corrupts every response" `Quick test_noise_corrupts;
       tc "majority vote repairs noise" `Quick test_retry_recovers_under_noise;
       tc "votes consume query budget" `Quick test_retry_burns_budget;
-      tc "stuck-at scan cells" `Quick test_stuck_at;
-      tc "intermittent lockdown" `Quick test_intermittent_lockdown;
       tc "query budget exhausts" `Quick test_query_budget_exhausts;
+      tc "wrappers reject out-of-range settings" `Quick test_wrappers_reject_bad_settings;
       tc "oracle width validation" `Quick test_width_validation;
       tc "SAT attack reports refusal" `Quick test_sat_attack_oracle_refused;
       tc "SAT attack honours deadline" `Quick test_sat_attack_wall_clock_exhausts;

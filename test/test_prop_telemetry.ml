@@ -32,7 +32,8 @@ let traced ?(faults = no_faults) (a : Key_recovery.t) (nl, seed) =
   in
   (r, events ())
 
-let traced_attack = traced (Key_recovery.of_slug "sat")
+let traced_attack =
+  traced (List.find (fun a -> a.Key_recovery.slug = "sat") Key_recovery.all)
 
 let spans name events =
   List.filter
@@ -45,13 +46,10 @@ let int_arg key e =
   | Some (Telemetry.Int n) -> Some n
   | _ -> None
 
-(* Every fault layer over the functional oracle: an intermittent lockdown
-   answering from an all-zero key, noise, a query budget that some attacks
-   exhaust, and three-vote repair. *)
-let fault_stack lk o =
-  let zero_key = Oracle.with_key lk (Array.make (Locked.key_size lk) false) in
-  Faulty.intermittent ~rate:0.2 ~locked:zero_key o
-  |> Faulty.bit_flip ~p:0.1
+(* Every fault layer over the functional oracle: noise, a query budget
+   that some attacks exhaust, and three-vote repair. *)
+let fault_stack _ o =
+  Faulty.bit_flip ~p:0.1 o
   |> Faulty.query_budget ~limit:60
   |> Faulty.retry ~votes:3
 

@@ -132,8 +132,6 @@ let test_journal_crash_truncation () =
   Unix.close fd;
   let entries = Journal.load path in
   check Alcotest.int "valid prefix recovered" 4 (List.length entries);
-  let ok, bad = Journal.scan path in
-  check Alcotest.(pair int int) "scan counts the corrupt line" (4, 1) (ok, bad);
   (* appends after recovery coexist with the corrupt line *)
   let j = Journal.open_append path in
   Journal.append j ~key:"k5" ~id:"cell" ~data:"d";
@@ -183,8 +181,7 @@ let test_journal_pinned_line () =
 (* --- progress --- *)
 
 let test_progress_counters () =
-  let p = Progress.create ~enabled:false ~total:10 () in
-  Progress.add_cached p 3;
+  let p = Progress.create ~enabled:false ~total:10 ~cached:3 () in
   Progress.tick p ~tag:"exact";
   Progress.tick p ~tag:"timeout";
   Progress.tick p ~tag:"exact";
@@ -199,15 +196,14 @@ let test_progress_counters () =
   check Alcotest.string "empty tally" "" (Progress.tally [])
 
 let test_progress_rate_excludes_replay () =
-  (* regression: on a resumed run the rate divided by time-since-create,
-     which includes journal replay, so the ETA was inflated by however
-     long the replay took *)
-  let now = ref 100.0 in
-  let p = Progress.create ~enabled:false ~now:(fun () -> !now) ~total:100 () in
-  now := 150.0;
-  (* 50s spent replaying 80 cached cells *)
-  Progress.add_cached p 80;
-  Progress.start_compute p;
+  (* regression: on a resumed run the rate once counted journal replay
+     time, so the ETA was inflated by however long the replay took.  The
+     runner creates the progress once 80 cached cells are replayed; the
+     rate counts computed cells only, over the time since then *)
+  let now = ref 150.0 in
+  let p =
+    Progress.create ~enabled:false ~now:(fun () -> !now) ~total:100 ~cached:80 ()
+  in
   now := 160.0;
   (* 10s of compute produced 5 cells: 0.5 cells/s, 15 left -> ETA 30s *)
   for _ = 1 to 5 do
@@ -350,7 +346,10 @@ let test_robustness_grid_deterministic () =
       noise_levels = [ 0.0; 0.05 ];
       query_budgets = [ 0; 300 ];
       trials = 2;
-      attacks = List.map Orap_attacks.Key_recovery.of_slug [ "hill"; "sens" ];
+      attacks =
+        List.filter
+          (fun a -> List.mem a.Orap_attacks.Key_recovery.slug [ "hill"; "sens" ])
+          Orap_attacks.Key_recovery.all;
       max_iterations = 32;
       wall_clock_s = 120.0 (* generous: no timeout nondeterminism *);
     }

@@ -174,8 +174,55 @@ let test_cli_rejects_bad_sizes () =
       ("table1 --jobs=-3", "-3 is below the minimum 0");
       ("attack --gates 20 --key-size 64", "Weighted.lock: circuit too small");
       ("robustness --gates 3 --trials 1", "Weighted.lock: circuit too small");
+      ("trojans --resume", "--resume needs --journal");
     ];
   List.iter Sys.remove [ path; out; err ]
+
+(* every output path the CLI takes is opened while the command line is
+   parsed: one it cannot write is a usage error (exit 124) naming the path
+   and the system's reason, before any work, not an uncaught [Sys_error]
+   (exit 125) or a [--metrics] failure after the whole run *)
+let test_cli_rejects_unwritable_outputs () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let bench = Filename.temp_file "orap" ".bench" and trace = Filename.temp_file "orap" ".jsonl" in
+  Out_channel.with_open_text bench (fun oc ->
+      output_string oc "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n");
+  (* a path under a regular file: no system lets it be created *)
+  let not_dir = Filename.temp_file "orap" ".file" in
+  let err = Filename.temp_file "orap" ".err" in
+  List.iter
+    (fun (args, name) ->
+      let dst = Filename.concat not_dir name in
+      let args = args (Filename.quote dst) in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote cli) args
+             (Filename.quote err))
+      in
+      let stderr = read_squeezed err in
+      check Alcotest.int (args ^ ": exit code") 124 code;
+      if not (contains stderr (dst ^ ": Not a directory")) then
+        Alcotest.failf "%s: %S does not name the path and the reason" args stderr)
+    [
+      (( ^ ) "attack --trace ", "t.jsonl");
+      (( ^ ) "attack --trace ", "t.json");
+      (( ^ ) "attack --metrics ", "m.json");
+      (( ^ ) "trojans --journal ", "j.jsonl");
+      (( ^ ) "generate -o ", "g.bench");
+      ((fun dst -> "lock " ^ Filename.quote bench ^ " -o " ^ dst), "l.bench");
+      ((fun dst -> "export " ^ Filename.quote bench ^ " -o " ^ dst), "e.v");
+      ((fun dst -> "tracecheck " ^ Filename.quote trace ^ " --to-chrome " ^ dst), "c.json");
+    ];
+  (* the default [-o] is checked too: here the working directory is gone *)
+  let code =
+    Sys.command
+      (Printf.sprintf "d=$(mktemp -d) && cd \"$d\" && rmdir \"$d\" && %s generate 2> %s"
+         (Filename.quote cli) (Filename.quote err))
+  in
+  check Alcotest.int "generate into a removed directory: exit code" 124 code;
+  check Alcotest.bool "the message names the default output" true
+    (contains (read_squeezed err) "out.bench: No such file or directory");
+  List.iter Sys.remove [ bench; trace; not_dir; err ]
 
 (* without --key-size, lock fits the key to the circuit: 64 bits do not
    fit a 12-gate circuit, and the lock still succeeds with a smaller key *)
@@ -242,6 +289,7 @@ let suite =
       tc "verilog deterministic" `Quick test_verilog_deterministic;
       tc "CLI rejects a bad .bench" `Quick test_cli_rejects_bad_bench;
       tc "CLI rejects sizes it cannot build" `Quick test_cli_rejects_bad_sizes;
+      tc "CLI rejects output paths it cannot write" `Quick test_cli_rejects_unwritable_outputs;
       tc "CLI lock fits its default key" `Quick test_cli_lock_default_key_fits;
       tc "CLI .json trace is the framed JSONL stream" `Quick test_cli_json_trace_framing;
     ] )
