@@ -153,6 +153,12 @@ let runner_opts : Runner.options Term.t =
           ~doc:"Periodic done/total, cells/sec and ETA lines on stderr.")
   in
   let mk jobs journal resume progress =
+    let cores = Domain.recommended_domain_count () in
+    if jobs > cores then
+      Printf.eprintf
+        "orap: warning: --jobs %d exceeds the %d cores available; the extra \
+         worker domains only share them\n%!"
+        jobs cores;
     if resume && journal = None then `Error (true, "--resume needs --journal")
     else `Ok { Runner.default_options with Runner.jobs; journal; resume; progress }
   in
@@ -201,7 +207,14 @@ let generate_cmd =
     Arg.(value & opt (int_at_least 1) 32 & info [ "outputs" ] ~doc:"primary outputs")
   in
   let gates =
-    Arg.(value & opt (int_at_least 1) 1000 & info [ "gates" ] ~doc:"target gate count")
+    Arg.(
+      value & opt (int_at_least 1) 1000
+      & info [ "gates" ]
+          ~doc:
+            "Target gate count, met to within a gate or two.  The XOR gates \
+             that fold unread inputs down to one sink per output come on \
+             top, so at least $(b,--inputs) minus $(b,--outputs) gates are \
+             written: $(b,--gates) 1 writes 32 with the defaults.")
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic benchmark circuit (.bench)")

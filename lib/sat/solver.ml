@@ -17,14 +17,30 @@
     arena.(c + 2) .. arena.(c + n + 1) the literals, the two watched first
     v}
 
-    Watch lists and reasons hold references.  Clause activities sit in an
-    unboxed float array indexed like [learnts], and literal values in a
-    per-literal array that assignment writes for both polarities.  Conflict
-    analysis and clause reduction work in scratch vectors, so the search
-    loop allocates nothing.  [reduce_db] only marks clauses deleted; once
-    deleted words pass a quarter of the arena, [compact] slides the live
-    clauses down and remaps watches, reasons and [learnts], so memory
-    follows the live clauses, not the conflicts so far.
+    Watch lists hold one int per entry.  A clause of three or more literals
+    is watched by [c lsl 1]; a binary clause by
+    [c lsl 32 lor other lsl 1 lor 1], where [other] is its literal besides
+    the one watched, so propagation resolves it without reading the arena
+    (references below 2{^31}, literals below 2{^31}); [reduce_db] never
+    deletes a binary clause.  When a binary clause turns unit or
+    conflicting, propagation writes its arena literals as [other; false
+    literal], the order the long-clause path leaves and [analyze] reads.  Reasons hold references.  Clause
+    activities sit in an unboxed float array indexed like [learnts], and
+    literal values in a per-literal array that assignment writes for both
+    polarities.  Conflict analysis and clause reduction work in scratch
+    vectors, so the search loop allocates nothing.  [reduce_db] only marks
+    clauses deleted; once deleted words pass a quarter of the arena,
+    [compact] slides the live clauses down and remaps watches, reasons and
+    [learnts], so memory follows the live clauses, not the conflicts so
+    far.
+
+    {b Branching heap.}  A binary max-heap of variables on activity.
+    Sifting carries the moving variable in hand and shifts a hole over the
+    heap array, with the comparisons the swap-per-level version made, so
+    the heap ends in the same layout and ties among equal activities break
+    as before.  Every unassigned variable is in the heap, so once the trail
+    holds every variable the search answers [Sat] and empties the heap in
+    one pass instead of popping it variable by variable.
 
     {b Same search.}  The arena replaced boxed clause records without moving
     a single search step: the learnt clause lists the asserting literal and
@@ -32,9 +48,10 @@
     ranks learnts by activity with ties in [learnts] order, watch lists
     keep their push order (compaction drops only entries of deleted
     clauses, which propagation would skip), and [max_learnts] is seeded
-    from every clause ever allocated.  The test suite keeps the old solver
-    as a reference and checks verdicts, models and every counter against
-    it after every step. *)
+    from every clause ever allocated.  The binary watches, the hole sifting
+    and the heap emptying kept every step too.  The test suite keeps the
+    old solver as a reference and checks verdicts, models and every counter
+    against it after every step. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -124,40 +141,57 @@ let is_deleted a c = a.(c) land 1 <> 0
 
 (* ---- branching heap (max-heap on var activity) ---- *)
 
-let heap_lt s v w = s.activity.(v) > s.activity.(w)
-
-let rec percolate_up s i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    let v = Vec.get s.heap i and pv = Vec.get s.heap p in
-    if heap_lt s v pv then begin
-      Vec.set s.heap i pv;
-      Vec.set s.heap p v;
-      s.heap_pos.(pv) <- i;
-      s.heap_pos.(v) <- p;
-      percolate_up s p
+(* Both sifts hold the variable at [i] in hand and move a hole: a parent
+   moves down while the variable's activity is strictly greater, a child
+   moves up while its activity is strictly greater than the variable's and
+   than its left sibling's.  Indices stay below the heap's length. *)
+let percolate_up s i =
+  let heap = s.heap.Vec.data and pos = s.heap_pos and act = s.activity in
+  let v = Array.unsafe_get heap i in
+  let av = Array.unsafe_get act v in
+  let i = ref i and continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pv = Array.unsafe_get heap p in
+    if av > Array.unsafe_get act pv then begin
+      Array.unsafe_set heap !i pv;
+      Array.unsafe_set pos pv !i;
+      i := p
     end
-  end
+    else continue := false
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set pos v !i
 
-let rec percolate_down s i =
-  let n = Vec.length s.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && heap_lt s (Vec.get s.heap l) (Vec.get s.heap !best) then best := l;
-  if r < n && heap_lt s (Vec.get s.heap r) (Vec.get s.heap !best) then best := r;
-  if !best <> i then begin
-    let a = Vec.get s.heap i and b = Vec.get s.heap !best in
-    Vec.set s.heap i b;
-    Vec.set s.heap !best a;
-    s.heap_pos.(b) <- i;
-    s.heap_pos.(a) <- !best;
-    percolate_down s !best
-  end
+let percolate_down s i =
+  let heap = s.heap.Vec.data and n = Vec.length s.heap in
+  let pos = s.heap_pos and act = s.activity in
+  let v = Array.unsafe_get heap i in
+  let av = Array.unsafe_get act v in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let best = ref !i and best_act = ref av in
+    if l < n && Array.unsafe_get act (Array.unsafe_get heap l) > !best_act then begin
+      best := l;
+      best_act := Array.unsafe_get act (Array.unsafe_get heap l)
+    end;
+    if l + 1 < n && Array.unsafe_get act (Array.unsafe_get heap (l + 1)) > !best_act
+    then best := l + 1;
+    if !best = !i then continue := false
+    else begin
+      let b = Array.unsafe_get heap !best in
+      Array.unsafe_set heap !i b;
+      Array.unsafe_set pos b !i;
+      i := !best
+    end
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set pos v !i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
     Vec.push s.heap v;
-    s.heap_pos.(v) <- Vec.length s.heap - 1;
     percolate_up s (Vec.length s.heap - 1)
   end
 
@@ -167,10 +201,16 @@ let heap_pop s =
   s.heap_pos.(top) <- -1;
   if Vec.length s.heap > 0 then begin
     Vec.set s.heap 0 last;
-    s.heap_pos.(last) <- 0;
     percolate_down s 0
   end;
   top
+
+(* The state [heap_pop] reaches once it has popped every variable. *)
+let heap_clear s =
+  for i = 0 to Vec.length s.heap - 1 do
+    s.heap_pos.(Vec.get s.heap i) <- -1
+  done;
+  Vec.clear s.heap
 
 (* ---- variables ---- *)
 
@@ -198,6 +238,7 @@ let grow_arrays s n =
 
 let new_var s =
   let v = s.nvars in
+  if v >= 1 lsl 30 then failwith "Solver: more than 2^30 variables";
   grow_arrays s (v + 1);
   s.value.(Lit.pos v) <- 0;
   s.value.(Lit.neg v) <- 0;
@@ -269,6 +310,11 @@ let cancel_until s lvl =
 
 (* ---- clauses ---- *)
 
+(* Watch entries; see the header comment. *)
+let binary_watch c other = (c lsl 32) lor (other lsl 1) lor 1
+let watch_ref w = if w land 1 = 0 then w lsr 1 else w lsr 32
+let watch_other w = (w lsr 1) land 0x7FFF_FFFF
+
 (* Append the clause held in [s.lits] to the arena and watch its first two
    literals; returns its reference. *)
 let alloc_clause s learnt =
@@ -287,8 +333,16 @@ let alloc_clause s learnt =
   done;
   s.arena_len <- c + n + 2;
   s.allocated <- s.allocated + 1;
-  Vec.push s.watches.(Lit.negate a.(c + 2)) c;
-  Vec.push s.watches.(Lit.negate a.(c + 3)) c;
+  let l0 = a.(c + 2) and l1 = a.(c + 3) in
+  if n = 2 then begin
+    if c >= 1 lsl 31 then failwith "Solver: clause arena beyond 2^31 words";
+    Vec.push s.watches.(Lit.negate l0) (binary_watch c l1);
+    Vec.push s.watches.(Lit.negate l1) (binary_watch c l0)
+  end
+  else begin
+    Vec.push s.watches.(Lit.negate l0) (c lsl 1);
+    Vec.push s.watches.(Lit.negate l1) (c lsl 1)
+  end;
   if learnt then begin
     let i = Vec.length s.learnts in
     if i = Array.length s.cla_act then begin
@@ -302,6 +356,18 @@ let alloc_clause s learnt =
   else s.problem_clauses <- s.problem_clauses + 1;
   c
 
+(* Push the literals of the sorted, duplicate-free [lits] that are not
+   false onto [s.lits]; [false] if the clause holds a true literal or,
+   side by side, x = 2v and ~x = 2v + 1.  [prev] is the literal before. *)
+let rec intake s prev = function
+  | [] -> true
+  | l :: rest ->
+    if l = Lit.negate prev || value_lit s l > 0 then false
+    else begin
+      if value_lit s l = 0 then Vec.push s.lits l;
+      intake s l rest
+    end
+
 (** Add a problem clause.  Must be called at decision level 0 (the solver
     backtracks there between [solve] calls).  Returns [false] if the clause
     set became trivially unsatisfiable. *)
@@ -309,31 +375,24 @@ let add_clause s (lits : Lit.t list) =
   if s.ok then begin
     (* adding clauses invalidates any retained model: return to the root *)
     cancel_until s 0;
-    (* sort, dedup, drop clauses with x and ~x or with a true literal *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
-      || List.exists (fun l -> value_lit s l > 0) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> value_lit s l = 0) lits in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] -> enqueue s l (-1)
-      | _ ->
-        Vec.clear s.lits;
-        List.iter (Vec.push s.lits) lits;
-        ignore (alloc_clause s false)
-    end
+    Vec.clear s.lits;
+    if intake s min_int (List.sort_uniq Int.compare lits) then
+      match Vec.length s.lits with
+      | 0 -> s.ok <- false
+      | 1 -> enqueue s (Vec.get s.lits 0) (-1)
+      | _ -> ignore (alloc_clause s false)
   end;
   s.ok
 
 (* ---- propagation ---- *)
 
+(* Returns the conflicting clause's reference or -1.  Neither the arena, the
+   value array nor a watch list being scanned is reallocated while
+   propagating (a moved watch goes to the list of a literal that is not
+   false, never to [p]'s), and every index read unchecked is a literal, a
+   watch position below the list's length or a word of a live clause. *)
 let propagate s : int =
-  (* returns the conflicting clause's reference or -1; neither the arena nor
-     the value array is reallocated while propagating *)
-  let a = s.arena and value = s.value in
+  let a = s.arena and value = s.value and watches = s.watches in
   let conflict = ref (-1) in
   while !conflict < 0 && s.qhead < Vec.length s.trail do
     let p = Vec.get s.trail s.qhead in
@@ -342,57 +401,83 @@ let propagate s : int =
     (* clauses watching literal L are filed under key ~L, so the clauses
        whose watch was falsified by p (i.e. watching ~p) are in watches.(p) *)
     let false_lit = Lit.negate p in
-    let ws = s.watches.(p) in
-    let n = Vec.length ws in
+    let ws = Array.unsafe_get watches p in
+    let wd = ws.Vec.data and n = Vec.length ws in
     let keep = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let c = Vec.get ws !i in
+      let w = Array.unsafe_get wd !i in
       incr i;
-      let h = a.(c) in
-      if h land 1 <> 0 then () (* drop the watch of a deleted clause *)
-      else begin
-        let w0 = c + 2 in
-        if a.(w0) = false_lit then begin
-          a.(w0) <- a.(w0 + 1);
-          a.(w0 + 1) <- false_lit
-        end;
-        let first = a.(w0) in
-        if value.(first) > 0 then begin
-          (* clause satisfied; keep watching *)
-          Vec.set ws !keep c;
-          incr keep
-        end
-        else begin
-          (* look for a new literal to watch *)
-          let stop = w0 + (h lsr 2) in
-          let k = ref (w0 + 2) in
-          while !k < stop && value.(a.(!k)) < 0 do
-            incr k
-          done;
-          if !k < stop then begin
-            let q = a.(!k) in
-            a.(w0 + 1) <- q;
-            a.(!k) <- false_lit;
-            Vec.push s.watches.(Lit.negate q) c
-          end
-          else if value.(first) < 0 then begin
+      if w land 1 <> 0 then begin
+        (* binary clause: satisfied, unit or conflicting on [other] alone *)
+        Array.unsafe_set wd !keep w;
+        incr keep;
+        let other = watch_other w in
+        let v = Array.unsafe_get value other in
+        if v <= 0 then begin
+          let c = w lsr 32 in
+          Array.unsafe_set a (c + 2) other;
+          Array.unsafe_set a (c + 3) false_lit;
+          if v < 0 then begin
             (* conflict: keep remaining watches *)
             conflict := c;
-            Vec.set ws !keep c;
-            incr keep;
             while !i < n do
-              Vec.set ws !keep (Vec.get ws !i);
+              Array.unsafe_set wd !keep (Array.unsafe_get wd !i);
               incr keep;
               incr i
             done;
             s.qhead <- Vec.length s.trail
           end
+          else enqueue s other c
+        end
+      end
+      else begin
+        let c = w lsr 1 in
+        let h = Array.unsafe_get a c in
+        if h land 1 <> 0 then () (* drop the watch of a deleted clause *)
+        else begin
+          let w0 = c + 2 in
+          if Array.unsafe_get a w0 = false_lit then begin
+            Array.unsafe_set a w0 (Array.unsafe_get a (w0 + 1));
+            Array.unsafe_set a (w0 + 1) false_lit
+          end;
+          let first = Array.unsafe_get a w0 in
+          if Array.unsafe_get value first > 0 then begin
+            (* clause satisfied; keep watching *)
+            Array.unsafe_set wd !keep w;
+            incr keep
+          end
           else begin
-            (* unit *)
-            Vec.set ws !keep c;
-            incr keep;
-            enqueue s first c
+            (* look for a new literal to watch *)
+            let stop = w0 + (h lsr 2) in
+            let k = ref (w0 + 2) in
+            while !k < stop && Array.unsafe_get value (Array.unsafe_get a !k) < 0 do
+              incr k
+            done;
+            if !k < stop then begin
+              let q = Array.unsafe_get a !k in
+              Array.unsafe_set a (w0 + 1) q;
+              Array.unsafe_set a !k false_lit;
+              Vec.push (Array.unsafe_get watches (Lit.negate q)) w
+            end
+            else if Array.unsafe_get value first < 0 then begin
+              (* conflict: keep remaining watches *)
+              conflict := c;
+              Array.unsafe_set wd !keep w;
+              incr keep;
+              while !i < n do
+                Array.unsafe_set wd !keep (Array.unsafe_get wd !i);
+                incr keep;
+                incr i
+              done;
+              s.qhead <- Vec.length s.trail
+            end
+            else begin
+              (* unit *)
+              Array.unsafe_set wd !keep w;
+              incr keep;
+              enqueue s first c
+            end
           end
         end
       end
@@ -500,9 +585,12 @@ let compact s =
     let ws = s.watches.(l) in
     let keep = ref 0 in
     for i = 0 to Vec.length ws - 1 do
-      let c = Vec.get ws i in
+      let w = Vec.get ws i in
+      let c = watch_ref w in
       if not (is_deleted a c) then begin
-        Vec.set ws !keep a.(c + 1);
+        Vec.set ws !keep
+          (if w land 1 = 0 then a.(c + 1) lsl 1
+           else binary_watch a.(c + 1) (watch_other w));
         incr keep
       end
     done;
@@ -686,16 +774,18 @@ let search (type a) ~(sat : a) ~(unsat : a) ~(limit : (int * a) option)
                 end
               done;
               if not !decided then begin
-                (* pick a branching variable *)
+                (* pick a branching variable; with every variable assigned,
+                   popping would empty the heap *)
                 let rec pick () =
-                  if Vec.length s.heap = 0 then -1
-                  else
-                    let v = heap_pop s in
-                    if value_var s v = 0 then v else pick ()
+                  let v = heap_pop s in
+                  if value_var s v = 0 then v else pick ()
                 in
-                let v = pick () in
-                if v < 0 then raise (Answered sat) (* model read before next cancel *)
+                if Vec.length s.trail = s.nvars then begin
+                  heap_clear s;
+                  raise (Answered sat) (* model read before next cancel *)
+                end
                 else begin
+                  let v = pick () in
                   s.decisions <- s.decisions + 1;
                   new_decision_level s;
                   enqueue s (Lit.of_var ~negated:(not s.polarity.(v)) v) (-1)

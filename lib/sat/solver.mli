@@ -25,7 +25,8 @@ val create : unit -> t
 
 (** {1 Variables and clauses} *)
 
-(** Allocate a fresh variable (0-based index). *)
+(** Allocate a fresh variable (0-based index); [Failure] past 2{^30}
+    variables. *)
 val new_var : t -> int
 
 (** Allocate [n] fresh variables. *)

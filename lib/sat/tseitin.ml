@@ -21,10 +21,11 @@ let is_const (l : Lit.t) = l < 0
     [false_] is dropped, so a clause of [false_]s alone is the empty
     clause and makes the solver inconsistent. *)
 let clause solver lits =
-  if not (List.mem true_ lits) then
+  let has c = List.exists (fun (l : Lit.t) -> l = c) lits in
+  if not (has true_) then
     ignore
       (Solver.add_clause solver
-         (if List.mem false_ lits then List.filter (( <> ) false_) lits
+         (if has false_ then List.filter (fun (l : Lit.t) -> l <> false_) lits
           else lits))
 
 (* o <-> a xor b, for literals a and b *)

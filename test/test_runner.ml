@@ -304,6 +304,69 @@ let test_map_grid_resume_skips_journaled () =
   check Alcotest.(list int) "journal replay preserves grid order" first again;
   Sys.remove path
 
+(* [f ()]'s stderr, from the file descriptor up *)
+let capture_stderr f =
+  let path = temp_path () in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect f ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved);
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  text
+
+(* The progress line of a resumed [map_grid] counts the replayed cells as
+   cached and its rate over the time since the replay ended.  The decoder
+   sleeps, so the replay of 80 journaled cells takes at least 0.64 s, while
+   the 20 cells left take next to none: a progress that started its clock
+   before the replay would report at most 20 / 0.64 = 31 cells/s. *)
+let test_map_grid_progress_excludes_replay () =
+  let path = temp_path () in
+  Sys.remove path;
+  let options =
+    { Runner.default_options with Runner.jobs = 1; journal = Some path;
+      resume = true; root_seed = 9 }
+  in
+  let f ~seed:_ x = x in
+  ignore
+    (Runner.map_grid ~options ~codec:int_codec ~id:string_of_int ~f
+       (List.init 80 Fun.id));
+  let replay_s = ref 0.0 in
+  let slow_codec =
+    { int_codec with
+      Runner.decode =
+        (fun s ->
+          let t0 = Unix.gettimeofday () in
+          Unix.sleepf 0.008;
+          replay_s := !replay_s +. (Unix.gettimeofday () -. t0);
+          int_codec.Runner.decode s) }
+  in
+  let err =
+    capture_stderr (fun () ->
+        ignore
+          (Runner.map_grid
+             ~options:{ options with Runner.progress = true }
+             ~codec:slow_codec ~id:string_of_int ~f (List.init 100 Fun.id)))
+  in
+  Sys.remove path;
+  let last =
+    match List.rev (String.split_on_char '\n' (String.trim err)) with
+    | l :: _ -> l
+    | [] -> Alcotest.fail "no progress line"
+  in
+  if not (contains last "100/100 cells" && contains last "(80 cached)") then
+    Alcotest.failf "final line %S does not count the 80 replayed cells" last;
+  let rate = Scanf.sscanf last "[runner] %d/%d cells %f cells/s" (fun _ _ r -> r) in
+  let replay_rate = 20.0 /. !replay_s in
+  if rate < 2.0 *. replay_rate then
+    Alcotest.failf "rate %.1f cells/s is not above twice the %.1f cells/s of a clock \
+                    started before the %.2f s replay" rate replay_rate !replay_s
+
 let test_map_grid_journal_requires_codec () =
   Alcotest.check_raises "journal without codec"
     (Invalid_argument "Runner.map_grid: a journal requires a result codec")
@@ -385,6 +448,8 @@ let suite =
         test_map_grid_seeds_schedule_independent;
       tc "map_grid resume skips journaled cells" `Quick
         test_map_grid_resume_skips_journaled;
+      tc "map_grid progress rate excludes journal replay" `Quick
+        test_map_grid_progress_excludes_replay;
       tc "map_grid journal requires codec" `Quick
         test_map_grid_journal_requires_codec;
       tc "map_grid checkpoints before failing" `Quick

@@ -190,7 +190,22 @@ let test_pinned_search_counts () =
   let r =
     Orap_attacks.Sat_attack.run locked (Orap_core.Oracle.functional locked)
   in
-  check Alcotest.int "SAT attack conflicts" 260 r.Orap_attacks.Sat_attack.conflicts
+  check Alcotest.int "SAT attack conflicts" 260 r.Orap_attacks.Sat_attack.conflicts;
+  (* the 7-bit SARLock fixture of perfbench's DIP-loop workload: 2^7 - 1
+     DIPs, each a Sat answer over a miter that grows with every DIP *)
+  let nl =
+    Orap_benchgen.Benchgen.generate
+      { Orap_benchgen.Benchgen.seed = 5; num_inputs = 32; num_outputs = 24;
+        num_gates = 200 }
+  in
+  let lk = Orap_locking.Sarlock.lock nl ~key_size:7 in
+  let pin name (r : Orap_attacks.Attack.result) iterations conflicts =
+    check Alcotest.int (name ^ " iterations") iterations r.Orap_attacks.Attack.iterations;
+    check Alcotest.int (name ^ " conflicts") conflicts r.Orap_attacks.Attack.conflicts
+  in
+  let oracle () = Orap_core.Oracle.functional lk in
+  pin "SARLock SAT attack" (Orap_attacks.Sat_attack.run ~max_iterations:256 lk (oracle ())) 127 173;
+  pin "SARLock Double DIP" (Orap_attacks.Double_dip.run ~max_iterations:256 lk (oracle ())) 127 256
 
 let verdict = function
   | Solver.Sat -> "SAT" | Solver.Unsat -> "UNSAT" | Solver.Unknown -> "UNKNOWN"
@@ -212,6 +227,35 @@ let same_state s r =
        (fun v -> Solver.value_var s v = Ref.value_var r v)
        (List.init (Solver.num_vars s) Fun.id)
   && 3 * Solver.arena_words s <= 4 * Ref.live_words r
+
+(* [add_clause]'s intake against the reference, one edge case per step: the
+   verdict, the counters, the root assignment and the arena words. *)
+let test_add_clause_edges () =
+  let s = Solver.create () and r = Ref.create () in
+  ignore (Solver.new_vars s 6, Ref.new_vars r 6);
+  let p = Lit.pos and n = Lit.neg in
+  let add name c ~ok ~clauses ~words =
+    check Alcotest.bool (name ^ ": verdict") ok (Solver.add_clause s c);
+    check Alcotest.bool (name ^ ": reference verdict") ok (Ref.add_clause r c);
+    check Alcotest.bool (name ^ ": same state") true (same_state s r);
+    check Alcotest.int (name ^ ": problem clauses") clauses (Solver.num_clauses s);
+    check Alcotest.int (name ^ ": arena words") words (Solver.arena_words s)
+  in
+  add "duplicates" [ p 0; p 1; p 0; p 1; p 0 ] ~ok:true ~clauses:1 ~words:4;
+  add "complementary pair far apart" [ n 2; p 3; p 4; p 1; p 5; p 2 ] ~ok:true
+    ~clauses:1 ~words:4;
+  add "unit" [ n 5; n 5 ] ~ok:true ~clauses:1 ~words:4;
+  add "second unit" [ p 4 ] ~ok:true ~clauses:1 ~words:4;
+  add "root-true literal drops the clause" [ n 0; p 4; n 1 ] ~ok:true ~clauses:1
+    ~words:4;
+  add "root-false literals are filtered out" [ p 5; p 0; n 4; n 1 ] ~ok:true
+    ~clauses:2 ~words:8;
+  add "root-false literals leave a unit" [ p 5; p 3; n 4 ] ~ok:true ~clauses:2
+    ~words:8;
+  check Alcotest.int "the unit is asserted" 1 (Solver.value_var s 3);
+  add "all literals false" [ p 5; n 4; n 3 ] ~ok:false ~clauses:2 ~words:8;
+  add "ignored once inconsistent" [ p 0 ] ~ok:false ~clauses:2 ~words:8;
+  check result "inconsistent" Solver.Unsat (Solver.solve s)
 
 (* Drive a fresh solver and a fresh reference through the same steps and
    compare them after each: load [clauses] over [nvars] variables, then
@@ -273,6 +317,125 @@ let prop_matches_reference_php =
       let holes = 6 + Prng.int rng 2 in
       differential rng ~nvars:(holes * (holes + 1))
         (php_clauses ~holes ~pigeons:(holes + 1)))
+
+(* The Tseitin clauses of [nl] over fresh variables, [inputs.(i)] standing
+   for input [i], in the shapes [Tseitin.encode] gives literal fanins: per
+   AND-like gate a binary clause per fanin and one long clause, two binary
+   clauses per inverter or buffer, four ternary clauses per XOR step and
+   per multiplexer.  An XNOR is an XOR into the negated output, and a
+   constant gate a unit clause (where [Tseitin.encode] folds it).  It is
+   written against callbacks, so that the solver and its reference get the
+   same calls.  Returns the output literals. *)
+let gate_cnf ~fresh ~add nl inputs =
+  let neg = Lit.negate in
+  let xor2 o a b =
+    add [ neg o; a; b ]; add [ neg o; neg a; neg b ];
+    add [ o; a; neg b ]; add [ o; neg a; b ]
+  in
+  let lits = Array.make (N.num_nodes nl) 0 and input = ref 0 in
+  for i = 0 to N.num_nodes nl - 1 do
+    let xs = Array.map (fun f -> lits.(f)) (N.fanins nl i) in
+    lits.(i) <-
+      (match N.kind nl i with
+       | Gate.Input -> incr input; inputs.(!input - 1)
+       | k ->
+         let o = Lit.pos (fresh ()) in
+         (match k with
+          | Gate.Input -> assert false
+          | Gate.Const0 -> add [ neg o ]
+          | Gate.Const1 -> add [ o ]
+          | Gate.Buf -> add [ neg o; xs.(0) ]; add [ o; neg xs.(0) ]
+          | Gate.Not -> add [ neg o; neg xs.(0) ]; add [ o; xs.(0) ]
+          | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
+            let pol = if k = Gate.Or || k = Gate.Nor then neg else Fun.id in
+            let out = if k = Gate.Nand || k = Gate.Or then neg o else o in
+            Array.iter (fun x -> add [ neg out; pol x ]) xs;
+            add (out :: Array.to_list (Array.map (fun x -> neg (pol x)) xs))
+          | Gate.Xor | Gate.Xnor ->
+            let out = if k = Gate.Xnor then neg o else o in
+            let last = Array.length xs - 1 in
+            if last = 0 then (add [ neg out; xs.(0) ]; add [ out; neg xs.(0) ])
+            else begin
+              let acc = ref xs.(0) in
+              for j = 1 to last do
+                let t = if j = last then out else Lit.pos (fresh ()) in
+                xor2 t !acc xs.(j);
+                acc := t
+              done
+            end
+          | Gate.Mux ->
+            let sel = xs.(0) and a = xs.(1) and b = xs.(2) in
+            add [ neg o; sel; a ]; add [ o; sel; neg a ];
+            add [ neg o; neg sel; b ]; add [ o; neg sel; neg b ]);
+         o)
+  done;
+  Array.map (fun o -> lits.(o)) (N.outputs nl)
+
+(* A SAT attack's DIP loop, step for step on both solvers: the miter of two
+   copies of a SARLock-locked random netlist, then one DIP per [Sat]
+   answer (a model read, a return to the root, and two more copies pinned
+   to the DIP and the original's response by unit clauses), until the
+   miter is refuted.  Each DIP grows the variable set, and every copy
+   brings many binary clauses. *)
+let dip_loop_differential seed =
+  let rng = Prng.create seed in
+  let nl = Gen.netlist () rng in
+  let lk = Orap_locking.Sarlock.lock nl ~key_size:(2 + Prng.int rng 3) in
+  let net = lk.Orap_locking.Locked.netlist in
+  let nri = lk.Orap_locking.Locked.num_regular_inputs in
+  let s = Solver.create () and r = Ref.create () in
+  let ok = ref true in
+  let step a b = ok := !ok && a = b && same_state s r in
+  let fresh () =
+    let v = Solver.new_var s in
+    step v (Ref.new_var r);
+    v
+  in
+  let add c = if !ok then step (Solver.add_clause s c) (Ref.add_clause r c) in
+  let vars n = Array.init n (fun _ -> Lit.pos (fresh ())) in
+  let copy x key = gate_cnf ~fresh ~add net (Array.append x key) in
+  let x = vars nri in
+  let keys = List.init 2 (fun _ -> vars (N.num_inputs net - nri)) in
+  (match List.map (copy x) keys with
+   | [ o1; o2 ] ->
+     let d = vars (Array.length o1) in
+     Array.iteri
+       (fun j dj ->
+         add [ Lit.negate dj; o1.(j); o2.(j) ];
+         add [ Lit.negate dj; Lit.negate o1.(j); Lit.negate o2.(j) ])
+       d;
+     add (Array.to_list d)
+   | _ -> assert false);
+  let rec loop () =
+    let v = Solver.solve s in
+    step (verdict v) (ref_verdict (Ref.solve r));
+    if !ok && v = Solver.Sat then begin
+      let dip = Array.map (Solver.model_lit s) x in
+      step dip (Array.map (Ref.model_lit r) x);
+      Solver.backtrack_to_root s;
+      Ref.backtrack_to_root r;
+      step () ();
+      let y = Sim.eval_bools lk.Orap_locking.Locked.original dip in
+      let pin l b = add [ (if b then l else Lit.negate l) ] in
+      List.iter
+        (fun key ->
+          let xi = vars nri in
+          Array.iteri (fun i l -> pin l dip.(i)) xi;
+          Array.iteri (fun j o -> pin o y.(j)) (copy xi key))
+        keys;
+      loop ()
+    end
+  in
+  loop ();
+  !ok
+
+(* P: through a DIP loop's long runs of [Sat] answers, each followed by a
+   return to the root and new units and copies, the arena solver takes
+   exactly the reference solver's steps *)
+let prop_matches_reference_dip_loop =
+  Orap_proptest.Prop.to_alcotest ~count:12
+    ~name:"solver matches the reference through a DIP loop" ~gen:seed
+    ~print:string_of_int dip_loop_differential
 
 (* A long refutation deletes far more learnt clauses than it keeps; the
    arena must follow the live clauses, not the conflicts so far. *)
@@ -458,6 +621,8 @@ let suite =
       tc "pinned search counts" `Quick test_pinned_search_counts;
       prop_matches_reference_3sat;
       prop_matches_reference_php;
+      prop_matches_reference_dip_loop;
+      tc "add_clause edge cases" `Quick test_add_clause_edges;
       tc "arena compaction bounds memory" `Quick test_arena_compaction;
       tc "tseitin self-miter" `Quick test_tseitin_equivalence;
       prop_tseitin_matches_simulation;

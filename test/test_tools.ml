@@ -281,6 +281,48 @@ let test_cli_json_trace_framing () =
     (List.exists (fun l -> contains l {|"name":"sat_attack.run"|}) lines);
   Sys.remove path
 
+(* [--jobs] above the core count warns once on stderr and changes no byte
+   of the table but its timings.  The grid has two cells, so the pool's
+   clamp to the cell count starts no more domains than [--jobs 2] would. *)
+let test_cli_warns_on_excess_jobs () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let out = Filename.temp_file "orap" ".out" and err = Filename.temp_file "orap" ".err" in
+  let run jobs =
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "%s robustness --noise 0 --query-budget 0 --attacks sat,hill --trials 1 \
+            --gates 100 --key-size 8 --jobs %d > %s 2> %s"
+           (Filename.quote cli) jobs (Filename.quote out) (Filename.quote err))
+    in
+    check Alcotest.int (Printf.sprintf "--jobs %d: exit code" jobs) 0 code;
+    (* the table with its "Time (s)" cells blanked *)
+    let lines = In_channel.with_open_text out In_channel.input_lines in
+    let time_col =
+      List.find_map
+        (fun l ->
+          List.find_index (fun c -> String.trim c = "Time (s)") (String.split_on_char '|' l))
+        lines
+    in
+    let mask l =
+      match (time_col, String.split_on_char '|' l) with
+      | Some i, cells when List.length cells > i ->
+        String.concat "|" (List.mapi (fun j c -> if j = i then "" else c) cells)
+      | _ -> l
+    in
+    (List.map mask lines, In_channel.with_open_text err In_channel.input_lines)
+  in
+  let cores = Domain.recommended_domain_count () in
+  let table, warnings = run 1 in
+  check Alcotest.(list string) "--jobs 1: no warning" [] warnings;
+  let table', warnings' = run (cores + 1) in
+  check Alcotest.(list string) "same table" table table';
+  check Alcotest.int "one stderr line" 1 (List.length warnings');
+  let w = List.hd warnings' in
+  if not (contains w "warning" && contains w (Printf.sprintf "%d cores" cores)) then
+    Alcotest.failf "unexpected warning %S" w;
+  List.iter Sys.remove [ out; err ]
+
 let suite =
   ( "tools",
     [
@@ -292,4 +334,5 @@ let suite =
       tc "CLI rejects output paths it cannot write" `Quick test_cli_rejects_unwritable_outputs;
       tc "CLI lock fits its default key" `Quick test_cli_lock_default_key_fits;
       tc "CLI .json trace is the framed JSONL stream" `Quick test_cli_json_trace_framing;
+      tc "CLI warns when --jobs exceeds the cores" `Quick test_cli_warns_on_excess_jobs;
     ] )
