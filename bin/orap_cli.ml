@@ -362,12 +362,9 @@ let attack_cmd =
     in
     let verdict = Evaluate.of_outcome locked r.outcome in
     let shown =
-      match r.outcome with
-      | Budget.Exact _ when not verdict.Evaluate.equivalent ->
-        (* the miter proof is relative to the oracle's answers — a locked
-           (OraP) oracle yields a proof of the wrong function *)
+      if Evaluate.false_proof r.outcome verdict then
         "false proof (exact only vs. the oracle's answers)"
-      | o -> Budget.outcome_to_string o
+      else Budget.outcome_to_string r.outcome
     in
     Printf.printf "%s vs %s oracle: %s — %s (iters=%d, queries=%d)\n"
       attack.slug (E.Security.oracle_slug oracle) shown

@@ -87,6 +87,16 @@ let outputs_differ m i j = require_difference m m.outs.(i) m.outs.(j)
 let keys_differ m i j =
   require_difference m (Array.map Lit.pos m.keys.(i)) (Array.map Lit.pos m.keys.(j))
 
+(** Do keys [ka] and [kb] unlock the same function?  Proved on one
+    two-copy miter: with copy 0's key fixed to [ka] and copy 1's to [kb] by
+    assumptions, no input makes the outputs differ. *)
+let equivalent_keys (locked : Locked.t) ka kb =
+  let m = create locked ~copies:2 in
+  outputs_differ m 0 1;
+  let fix c key = Array.map2 (fun v b -> Lit.of_var ~negated:(not b) v) m.keys.(c) key in
+  let assumptions = Array.concat [ [| m.activate |]; fix 0 ka; fix 1 kb ] in
+  Solver.decide ~assumptions m.solver = `Unsat
+
 let check_width what ~expected got =
   if got <> expected then
     invalid_arg

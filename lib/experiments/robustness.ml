@@ -56,7 +56,7 @@ type row = {
   noise : float;
   query_budget : int;
   trials : int;
-  equivalent : int;  (** trials ending in a functionally correct key *)
+  equivalent : int;  (** trials ending in a key proved equivalent *)
   exact_proofs : int;  (** trials proving [Exact] a genuinely equivalent key *)
   mean_key_hd_pct : float option;  (** over trials that produced a key *)
   mean_queries : float;
@@ -64,11 +64,12 @@ type row = {
   outcomes : string;  (** aggregated outcome tags, e.g. "2 exact, 1 refused" *)
 }
 
-(* short tag for aggregation; [genuine] is the harness's ground-truth
-   equivalence check — an [Exact] whose key is functionally wrong is a
-   proof relative to a lying oracle, which only the harness can unmask *)
-let outcome_tag ~genuine = function
-  | Budget.Exact _ -> if genuine then "exact" else "false-proof"
+(* short tag for aggregation; [verdict] is the harness's ground truth,
+   which alone can unmask an [Exact] proved against a lying oracle *)
+let outcome_tag verdict outcome =
+  match outcome with
+  | Budget.Exact _ ->
+    if Evaluate.false_proof outcome verdict then "false-proof" else "exact"
   | Budget.Approximate _ -> "approx"
   | Budget.Exhausted (Budget.Iterations _) -> "iter-cap"
   | Budget.Exhausted (Budget.Wall_clock _) -> "timeout"
@@ -129,18 +130,15 @@ let run_cell (params : params) fx budget ~seed (c : cell) : row =
     in
     elapsed := !elapsed +. elapsed_s;
     queries := !queries + q;
-    let genuine =
-      match Budget.recovered outcome with
-      | None -> false
-      | Some key ->
-        hds := key_hd_pct locked.Locked.correct_key key :: !hds;
-        (Evaluate.of_key locked (Some key)).Evaluate.equivalent
-    in
-    if genuine then incr equivalent;
-    (match outcome with
-    | Budget.Exact _ when genuine -> incr exact_proofs
-    | _ -> ());
-    tags := outcome_tag ~genuine outcome :: !tags
+    Option.iter
+      (fun key -> hds := key_hd_pct locked.Locked.correct_key key :: !hds)
+      (Budget.recovered outcome);
+    let verdict = Evaluate.of_outcome locked outcome in
+    if verdict.Evaluate.equivalent then begin
+      incr equivalent;
+      match outcome with Budget.Exact _ -> incr exact_proofs | _ -> ()
+    end;
+    tags := outcome_tag verdict outcome :: !tags
   done;
   let n = float_of_int params.trials in
   {

@@ -13,8 +13,6 @@ module Telemetry = Orap_telemetry.Telemetry
 module Table2 = Orap_experiments.Table2
 module Benchgen = Orap_benchgen.Benchgen
 module Runner = Orap_runner.Runner
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* --- five-valued algebra --- *)
 

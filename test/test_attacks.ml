@@ -218,6 +218,26 @@ let test_evaluate_verdicts () =
   check Alcotest.bool "string form" true
     (String.length (Evaluate.to_string v) > 0)
 
+(* regression: a wrong SARLock key corrupts one input pattern in 2^14, so
+   the sampled HD reads 0 and only a proof can call the key wrong *)
+let test_evaluate_proves_sarlock_key_wrong () =
+  let nl = random_netlist ~inputs:24 ~outputs:16 ~gates:220 55 in
+  let lk = Orap_locking.Sarlock.lock nl ~key_size:14 in
+  let key = Array.copy lk.Locked.correct_key in
+  key.(3) <- not key.(3);
+  let v = Evaluate.of_key lk (Some key) in
+  check (Alcotest.float 0.0) "sampled HD" 0.0 v.Evaluate.hd_vs_original;
+  check Alcotest.bool "proved wrong" false v.Evaluate.equivalent
+
+(* an Anti-SAT key of the K1 = K2 class is not the secret but unlocks the
+   same function *)
+let test_evaluate_proves_antisat_class_key () =
+  let lk = Orap_locking.Antisat.lock base ~key_size:16 in
+  let half = Array.map not (Array.sub lk.Locked.correct_key 0 8) in
+  let v = Evaluate.of_key lk (Some (Array.append half half)) in
+  check Alcotest.bool "not exact" false v.Evaluate.exact;
+  check Alcotest.bool "proved equivalent" true v.Evaluate.equivalent
+
 (* a, b, c regular inputs and one key bit k:
      g1 = AND(a, b) and g2 = OR(g1, c) hold no key input, g3 = XOR(g2, k)
      does; outputs g3 and g2 *)
@@ -294,6 +314,8 @@ let suite =
       tc "every attack honours a spent wall clock" `Quick
         test_every_attack_honours_wall_clock;
       tc "verdict evaluation" `Quick test_evaluate_verdicts;
+      tc "sampled HD 0 SARLock key proved wrong" `Quick test_evaluate_proves_sarlock_key_wrong;
+      tc "Anti-SAT class key proved equivalent" `Quick test_evaluate_proves_antisat_class_key;
       tc "miter shares the key-free cone" `Quick
         test_miter_shares_key_free_cone;
       tc "add_io checks widths" `Quick test_add_io_checks_widths;

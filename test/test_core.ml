@@ -9,8 +9,6 @@ module Oracle = Orap_core.Oracle
 module Threat = Orap_core.Threat
 module Scan = Orap_dft.Scan
 module Prng = Orap_sim.Prng
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 let fixture kind =
   let nl = random_netlist ~inputs:40 ~outputs:30 ~gates:320 77 in

@@ -65,8 +65,6 @@ let test_bypass_mux_count_guideline () =
 module Chip = Orap_core.Chip
 module Orap = Orap_core.Orap
 module Prng = Orap_sim.Prng
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* The reference chain: one shift moves every cell one place towards
    scan-out, takes [scan_in] into cell 0 and returns the bit that left the

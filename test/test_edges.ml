@@ -16,8 +16,6 @@ module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Prng = Orap_sim.Prng
 module Hamming = Orap_sim.Hamming
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* --- Vec --- *)
 

@@ -5,8 +5,6 @@ module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* the forced-value reference simulation lives in Util.eval_with_fault *)
 

@@ -3,8 +3,6 @@ module Lfsr = Orap_lfsr.Lfsr
 module Symbolic = Orap_lfsr.Symbolic
 module Bitset = Orap_lfsr.Bitset
 module Prng = Orap_sim.Prng
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* --- bitset --- *)
 

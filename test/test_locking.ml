@@ -7,18 +7,13 @@ module Sarlock = Orap_locking.Sarlock
 module Antisat = Orap_locking.Antisat
 module Fault_impact = Orap_locking.Fault_impact
 module Prng = Orap_sim.Prng
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 let base = random_netlist ~inputs:24 ~outputs:16 ~gates:220 55
-
-(* zero output Hamming distance to the original on random patterns *)
-let equivalent lk key = Locked.hamming_vs_original lk key = 0.0
 
 let test_weighted_correct_key () =
   let lk = Weighted.lock base ~key_size:18 ~ctrl_inputs:3 in
   check Alcotest.bool "equivalent under correct key" true
-    (equivalent lk lk.Locked.correct_key)
+    (unlocks lk lk.Locked.correct_key)
 
 let test_weighted_wrong_key_corrupts () =
   let lk = Weighted.lock base ~key_size:18 ~ctrl_inputs:3 in
@@ -65,7 +60,7 @@ let test_weighted_too_small_circuit () =
 let test_random_ll () =
   let lk = Random_ll.lock base ~key_size:16 in
   check Alcotest.bool "equivalent under correct key" true
-    (equivalent lk lk.Locked.correct_key);
+    (unlocks lk lk.Locked.correct_key);
   let k = Array.copy lk.Locked.correct_key in
   k.(0) <- not k.(0);
   check Alcotest.bool "one wrong bit corrupts" true
@@ -74,7 +69,7 @@ let test_random_ll () =
 let test_sarlock_point_function () =
   let lk = Sarlock.lock base ~key_size:12 in
   check Alcotest.bool "equivalent under correct key" true
-    (equivalent lk lk.Locked.correct_key);
+    (unlocks lk lk.Locked.correct_key);
   (* a wrong key corrupts at most one input pattern: HD is tiny *)
   let wrong = Array.map not lk.Locked.correct_key in
   let hd = Locked.hamming_vs_original ~words:16 lk wrong in
@@ -89,18 +84,18 @@ let test_sarlock_point_function () =
 let test_antisat () =
   let lk = Antisat.lock base ~key_size:16 in
   check Alcotest.bool "equivalent under correct key" true
-    (equivalent lk lk.Locked.correct_key);
+    (unlocks lk lk.Locked.correct_key);
   (* any key with equal halves is also correct (the Anti-SAT key class) *)
   let n = Array.length lk.Locked.correct_key / 2 in
   let rng = Prng.create 5 in
   let half = Prng.bool_array rng n in
   check Alcotest.bool "equal halves unlock" true
-    (equivalent lk (Array.append half half));
+    (unlocks lk (Array.append half half));
   (* unequal halves corrupt *)
   let half2 = Array.copy half in
   half2.(0) <- not half2.(0);
   check Alcotest.bool "unequal halves corrupt" false
-    (equivalent lk (Array.append half half2))
+    (unlocks lk (Array.append half half2))
 
 let test_fault_impact_ranking () =
   let scores = Fault_impact.scores base in
@@ -135,7 +130,7 @@ let prop_weighted_equivalence =
     (fun seed ->
       let nl = random_netlist ~inputs:12 ~outputs:8 ~gates:100 seed in
       let lk = Weighted.lock nl ~key_size:9 ~ctrl_inputs:3 in
-      equivalent lk lk.Locked.correct_key)
+      unlocks lk lk.Locked.correct_key)
 
 let prop_random_wrong_keys_corrupt =
   Prop.to_alcotest ~count:15 ~name:"complement keys corrupt outputs"

@@ -2,8 +2,6 @@ open Util
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 module Bench_format = Orap_netlist.Bench_format
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* the tiny reference circuit lives in Util.full_adder *)
 let test_full_adder_truth () =

@@ -1,10 +1,11 @@
 (** Attack-layer properties: when an oracle-guided attack claims an exact
     key on an unlockable instance, that key must survive an independent
-    SAT-miter equivalence check against the original circuit — the
+    equivalence proof against the original circuit ([Equiv]) — the
     paper's own success criterion, applied to our implementations.  The
-    shared miter under those attacks is checked against exhaustive
-    simulation. *)
+    shared miter under those attacks, and its key-equivalence prover, are
+    checked against exhaustive simulation and [Equiv]. *)
 
+open Util
 module Locked = Orap_locking.Locked
 module Random_ll = Orap_locking.Random_ll
 module Weighted = Orap_locking.Weighted
@@ -23,22 +24,15 @@ module Appsat = Orap_attacks.Appsat
 module Double_dip = Orap_attacks.Double_dip
 module Solver = Orap_sat.Solver
 module Lit = Orap_sat.Lit
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Equiv = Orap_proptest.Equiv
 module Prng = Orap_sim.Prng
-
-let keyed (lk : Locked.t) key =
-  let positions = Locked.key_input_positions lk in
-  Equiv.with_fixed_inputs lk.Locked.netlist
-    (Array.to_list (Array.mapi (fun j pos -> (pos, key.(j))) positions))
 
 let benchgen = Gen.benchgen_netlist ~inputs:8 ~outputs:4 ~gates:40
 
 let with_seed g = Gen.pair g (Gen.int_range 0 0x3FFFFFFF)
 
 (* P: the SAT attack against a functional oracle on random locking always
-   terminates Exact, and the recovered key is miter-equivalent — even when
+   terminates Exact, and the recovered key is proved equivalent — even when
    it differs bitwise from the inserted key *)
 let prop_sat_attack_exact_key_is_equivalent =
   Prop.to_alcotest ~count:12
@@ -47,12 +41,11 @@ let prop_sat_attack_exact_key_is_equivalent =
       let lk = Random_ll.lock ~seed nl ~key_size:6 in
       let r = Sat_attack.run lk (Oracle.functional lk) in
       match r.Sat_attack.outcome with
-      | Budget.Exact key ->
-        Equiv.check ~method_:`Sat nl (keyed lk key) = Equiv.Equivalent
+      | Budget.Exact key -> unlocks lk key
       | _ -> false)
 
 (* P: Double DIP terminates on SARLock-locked circuits (the scheme it was
-   designed to defeat) with a miter-equivalent key *)
+   designed to defeat) with a key proved equivalent *)
 let prop_double_dip_defeats_sarlock =
   Prop.to_alcotest ~count:8
     ~name:"double dip key on sarlock passes the miter check"
@@ -60,8 +53,7 @@ let prop_double_dip_defeats_sarlock =
       let lk = Sarlock.lock ~seed nl ~key_size:4 in
       let r = Double_dip.run ~max_iterations:512 lk (Oracle.functional lk) in
       match r.Double_dip.outcome with
-      | Budget.Exact key | Budget.Approximate (key, _) ->
-        Equiv.check ~method_:`Sat nl (keyed lk key) = Equiv.Equivalent
+      | Budget.Exact key | Budget.Approximate (key, _) -> unlocks lk key
       | _ -> false)
 
 (* P: a claimed Exact proof is sound relative to the oracle — replaying
@@ -176,6 +168,54 @@ let prop_add_io_keeps_agreeing_keys =
          let ctx = { Attack.clock = Budget.start Budget.default; miter = m } in
          Attack.candidate ctx = Error Budget.Inconsistent))
 
+(* --- the key-equivalence prover against Equiv --- *)
+
+(* A Gen netlist locked by Random LL, weighted locking, SARLock or
+   Anti-SAT, and two keys to compare: random, or the first with one bit
+   flipped (SARLock then differs on a single pattern).  Anti-SAT's pair is
+   two unequal keys of its K1 = K2 class, which unlock the same function. *)
+let locked_key_pair rng =
+  let params = { Gen.default_params with Gen.inputs = (5, 14); gates = (20, 60) } in
+  let scheme = Gen.int_range 0 3 rng and seed = Gen.int_range 0 0x3FFFFFFF rng in
+  let lock nl =
+    match scheme with
+    | 0 -> Random_ll.lock ~seed nl ~key_size:6
+    | 1 -> Weighted.lock ~seed nl ~key_size:6 ~ctrl_inputs:2
+    | 2 -> Sarlock.lock ~seed nl ~key_size:5
+    | _ -> Antisat.lock ~seed nl ~key_size:6
+  in
+  let rec draw () =
+    match lock (Gen.netlist ~params () rng) with
+    | lk -> lk
+    | exception Invalid_argument _ -> draw ()
+  in
+  let lk = draw () in
+  let ksz = Locked.key_size lk in
+  let ka, kb =
+    if scheme = 3 then
+      let half () = Prng.bool_array rng (ksz / 2) in
+      let h1 = half () and h2 = half () in
+      (Array.append h1 h1, Array.append h2 h2)
+    else
+      let ka = Prng.bool_array rng ksz in
+      if Prng.bool rng then (ka, Prng.bool_array rng ksz)
+      else begin
+        let kb = Array.copy ka in
+        let j = Prng.int rng ksz in
+        kb.(j) <- not kb.(j);
+        (ka, kb)
+      end
+  in
+  (lk, ka, kb)
+
+(* P: [Miter.equivalent_keys] agrees with [Equiv] on the two keyed
+   netlists *)
+let prop_equivalent_keys_matches_equiv =
+  Prop.to_alcotest ~count:80 ~print:(fun (lk, _, _) -> print_locked lk)
+    ~name:"miter key-equivalence agrees with Equiv"
+    ~gen:locked_key_pair (fun (lk, ka, kb) ->
+      Miter.equivalent_keys lk ka kb = Equiv.equivalent (keyed lk ka) (keyed lk kb))
+
 (* --- AppSAT and Double DIP on Random LL and weighted locking --- *)
 
 let locked_rll_or_weighted =
@@ -190,7 +230,7 @@ let attacks =
     ("double dip", fun lk o -> (Double_dip.run lk o).Double_dip.outcome) ]
 
 (* P: against a functional oracle, AppSAT and Double DIP end Exact with a
-   miter-equivalent key *)
+   key proved equivalent *)
 let prop_appsat_ddip_exact_key_is_equivalent =
   Prop.to_alcotest ~count:10
     ~name:"appsat and double dip keys pass the miter check"
@@ -198,9 +238,7 @@ let prop_appsat_ddip_exact_key_is_equivalent =
       List.for_all
         (fun (_, attack) ->
           match attack lk (Oracle.functional lk) with
-          | Budget.Exact key ->
-            Equiv.check ~method_:`Sat lk.Locked.original (keyed lk key)
-            = Equiv.Equivalent
+          | Budget.Exact key -> unlocks lk key
           | _ -> false)
         attacks)
 
@@ -232,9 +270,7 @@ let prop_appsat_ddip_fail_behind_orap =
       || List.for_all
            (fun (_, attack) ->
              match Budget.recovered (attack lk (Oracle.scan_chip chip)) with
-             | Some key ->
-               Equiv.check ~method_:`Sat lk.Locked.original (keyed lk key)
-               <> Equiv.Equivalent
+             | Some key -> not (unlocks lk key)
              | None -> true)
            attacks)
 
@@ -263,6 +299,7 @@ let suite =
       prop_sat_attack_validation_is_clean;
       prop_miter_matches_simulation;
       prop_add_io_keeps_agreeing_keys;
+      prop_equivalent_keys_matches_equiv;
       prop_appsat_ddip_exact_key_is_equivalent;
       prop_appsat_ddip_fail_behind_orap;
       prop_approximate_error_is_a_fraction;

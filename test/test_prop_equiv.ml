@@ -5,8 +5,6 @@
     produces must actually distinguish the circuits. *)
 
 open Util
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Equiv = Orap_proptest.Equiv
 module Solver = Orap_sat.Solver
 module Lit = Orap_sat.Lit
@@ -23,8 +21,8 @@ let prop_sat_agrees_with_exhaustive =
   Prop.to_alcotest ~count:60 ~name:"sat miter verdict = exhaustive verdict"
     ~gen:mutant_pair_gen
     ~print:(fun (nl, m) ->
-      "original:\n" ^ Orap_proptest.Shrink.report nl ^ "mutant:\n"
-      ^ Orap_proptest.Shrink.report m)
+      "original:\n" ^ Shrink.report nl ^ "mutant:\n"
+      ^ Shrink.report m)
     (fun (nl, m) ->
       let s = Equiv.sat_equiv nl m in
       let e = Equiv.exhaustive_equiv nl m in

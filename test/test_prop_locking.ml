@@ -1,5 +1,5 @@
 (** Locking-layer properties.  Every scheme must be invisible under the
-    correct key (miter-UNSAT against the original) and the point-function
+    correct key (proved against the original by [Equiv]) and the point-function
     schemes must be provably corrupted under wrong keys; verdicts are
     cross-checked against random-pattern simulation so the SAT path and
     the simulation path audit each other. *)
@@ -10,16 +10,7 @@ module Random_ll = Orap_locking.Random_ll
 module Weighted = Orap_locking.Weighted
 module Sarlock = Orap_locking.Sarlock
 module Antisat = Orap_locking.Antisat
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Equiv = Orap_proptest.Equiv
-
-(* the locked netlist with its key inputs fixed to [key]: an ordinary
-   netlist over the regular inputs, directly comparable to the original *)
-let keyed (lk : Locked.t) key =
-  let positions = Locked.key_input_positions lk in
-  Equiv.with_fixed_inputs lk.Locked.netlist
-    (Array.to_list (Array.mapi (fun j pos -> (pos, key.(j))) positions))
 
 let benchgen = Gen.benchgen_netlist ~inputs:8 ~outputs:4 ~gates:50
 
@@ -30,16 +21,14 @@ let prop_random_ll_correct_key =
   Prop.to_alcotest ~count:25 ~name:"random_ll: correct key is transparent"
     ~gen:(with_seed benchgen) (fun (nl, seed) ->
       let lk = Random_ll.lock ~seed nl ~key_size:8 in
-      Equiv.check ~method_:`Sat nl (keyed lk lk.Locked.correct_key)
-      = Equiv.Equivalent)
+      unlocks lk lk.Locked.correct_key)
 
 (* P: weighted locking is transparent under the correct key *)
 let prop_weighted_correct_key =
   Prop.to_alcotest ~count:20 ~name:"weighted: correct key is transparent"
     ~gen:(with_seed benchgen) (fun (nl, seed) ->
       let lk = Weighted.lock ~seed nl ~key_size:9 ~ctrl_inputs:3 in
-      Equiv.check ~method_:`Sat nl (keyed lk lk.Locked.correct_key)
-      = Equiv.Equivalent)
+      unlocks lk lk.Locked.correct_key)
 
 (* P: SARLock is transparent under the correct key and provably corrupted
    under EVERY wrong key (its comparator flips an output exactly on the
@@ -59,7 +48,7 @@ let prop_sarlock_keys =
         wrong.(j) <- not wrong.(j)
       done;
       let wrong = if wrong = correct then (wrong.(0) <- not wrong.(0); wrong) else wrong in
-      Equiv.check ~method_:`Sat nl (keyed lk correct) = Equiv.Equivalent
+      unlocks lk correct
       && (match Equiv.sat_equiv nl (keyed lk wrong) with
          | Equiv.Inequivalent cex ->
            Equiv.counterexample_valid nl (keyed lk wrong) cex
@@ -78,7 +67,7 @@ let prop_antisat_keys =
       let wrong = Array.copy correct in
       let j = Prng.int rng (Array.length wrong) in
       wrong.(j) <- not wrong.(j);
-      Equiv.check ~method_:`Sat nl (keyed lk correct) = Equiv.Equivalent
+      unlocks lk correct
       && Equiv.sat_equiv nl (keyed lk wrong) <> Equiv.Equivalent)
 
 (* P: differential audit — on a random key guess, the SAT verdict, the

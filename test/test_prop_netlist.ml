@@ -2,13 +2,11 @@
 
     All equivalence claims are decided by [Orap_proptest.Equiv] (SAT miter
     or exhaustive simulation), and failures shrink to minimal [.bench]
-    counterexamples via [Orap_proptest.Shrink]. *)
+    counterexamples via [Shrink]. *)
 
 open Util
 module Bench_format = Orap_netlist.Bench_format
 module Verilog = Orap_netlist.Verilog
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Equiv = Orap_proptest.Equiv
 
 (* P: every generated DAG (full vocabulary: Mux, Buf/Not, constants) is

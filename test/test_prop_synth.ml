@@ -10,8 +10,6 @@ module Isop = Orap_synth.Isop
 module Balance = Orap_synth.Balance
 module Refactor = Orap_synth.Refactor
 module Abc = Orap_synth.Abc_script
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Equiv = Orap_proptest.Equiv
 
 (* P: netlist -> AIG -> netlist is the identity on function (miter) *)

@@ -11,8 +11,6 @@ module Faulty = Orap_core.Faulty_oracle
 module Key_recovery = Orap_attacks.Key_recovery
 module Attack = Orap_attacks.Attack
 module Budget = Orap_attacks.Budget
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Telemetry = Orap_telemetry.Telemetry
 
 let benchgen = Gen.benchgen_netlist ~inputs:8 ~outputs:4 ~gates:40

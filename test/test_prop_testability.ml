@@ -14,8 +14,6 @@ module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Podem = Orap_atpg.Podem
 module Scoap = Orap_atpg.Scoap
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* P: for random faults and random pattern words, the event-driven
    detector agrees lane-by-lane with full forced-value resimulation *)

@@ -6,8 +6,6 @@ module Dimacs = Orap_sat.Dimacs
 module N = Orap_netlist.Netlist
 module Prng = Orap_sim.Prng
 module Ref = Solver_ref
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 let result = Alcotest.testable
     (fun fmt r -> Format.pp_print_string fmt
@@ -294,12 +292,12 @@ let random_3sat rng nvars =
     (nvars * (400 + Prng.int rng 31) / 100)
     (fun _ -> List.init 3 (fun _ -> Lit.of_var ~negated:(Prng.bool rng) (Prng.int rng nvars)))
 
-let seed = Orap_proptest.Gen.int_range 0 1_000_000_000
+let seed = Gen.int_range 0 1_000_000_000
 
 (* P: on random 3-SAT near the threshold (40-80 variables), the arena
    solver takes exactly the reference solver's steps *)
 let prop_matches_reference_3sat =
-  Orap_proptest.Prop.to_alcotest ~count:30
+  Prop.to_alcotest ~count:30
     ~name:"solver matches the reference on random 3-SAT" ~gen:seed
     ~print:string_of_int (fun seed ->
       let rng = Prng.create seed in
@@ -310,7 +308,7 @@ let prop_matches_reference_3sat =
    restarts, clause reductions and compactions, the arena solver takes
    exactly the reference solver's steps *)
 let prop_matches_reference_php =
-  Orap_proptest.Prop.to_alcotest ~count:6
+  Prop.to_alcotest ~count:6
     ~name:"solver matches the reference on pigeonhole" ~gen:seed
     ~print:string_of_int (fun seed ->
       let rng = Prng.create seed in
@@ -433,7 +431,7 @@ let dip_loop_differential seed =
    return to the root and new units and copies, the arena solver takes
    exactly the reference solver's steps *)
 let prop_matches_reference_dip_loop =
-  Orap_proptest.Prop.to_alcotest ~count:12
+  Prop.to_alcotest ~count:12
     ~name:"solver matches the reference through a DIP loop" ~gen:seed
     ~print:string_of_int dip_loop_differential
 
@@ -505,8 +503,8 @@ let prop_tseitin_folds_constant_inputs =
     ~gen:(Gen.int_range 0 10_000) ~print:string_of_int
     (fun seed ->
       let rng = Prng.create seed in
-      let params = { Orap_proptest.Gen.default_params with inputs = (1, 7) } in
-      let nl = Orap_proptest.Gen.netlist ~params () rng in
+      let params = { Gen.default_params with inputs = (1, 7) } in
+      let nl = Gen.netlist ~params () rng in
       let ni = N.num_inputs nl in
       let fixed =
         Array.init ni (fun _ -> if Prng.bool rng then Some (Prng.bool rng) else None)

@@ -5,8 +5,6 @@ module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
 module Hamming = Orap_sim.Hamming
 module Equiv = Orap_proptest.Equiv
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 

@@ -8,8 +8,6 @@ module Refactor = Orap_synth.Refactor
 module Balance = Orap_synth.Balance
 module Abc = Orap_synth.Abc_script
 module Prng = Orap_sim.Prng
-module Prop = Orap_proptest.Prop
-module Gen = Orap_proptest.Gen
 
 (* --- truth tables --- *)
 

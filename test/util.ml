@@ -27,6 +27,18 @@ let equivalent_on_random ?(seed = 424) ?(n = 128) a b =
     !ok
   end
 
+(** The locked netlist with its key inputs fixed to [key]: an ordinary
+    netlist over the regular inputs, directly comparable to the original. *)
+let keyed (lk : Orap_locking.Locked.t) key =
+  let positions = Orap_locking.Locked.key_input_positions lk in
+  Orap_proptest.Equiv.with_fixed_inputs lk.Orap_locking.Locked.netlist
+    (Array.to_list (Array.mapi (fun j pos -> (pos, key.(j))) positions))
+
+(** Does [key] unlock [lk]?  Proved by [Equiv] against the original
+    netlist, independently of the attacks' own miter. *)
+let unlocks (lk : Orap_locking.Locked.t) key =
+  Orap_proptest.Equiv.equivalent lk.Orap_locking.Locked.original (keyed lk key)
+
 (** Naive substring test, for asserting on printed reports. *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
