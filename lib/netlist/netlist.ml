@@ -5,6 +5,184 @@
     added.  Every analysis over the netlist is therefore a single forward (or
     backward) array sweep. *)
 
+module Schedule = struct
+  type op =
+    | Const0
+    | Const1
+    | Buf
+    | Not
+    | And2
+    | Nand2
+    | Or2
+    | Nor2
+    | Xor2
+    | Xnor2
+    | Mux
+    | And_n
+    | Nand_n
+    | Or_n
+    | Nor_n
+    | Xor_n
+    | Xnor_n
+
+  type t = { ops : op array; ends : int array; code : int array; spill : int array }
+
+  let id_bits = 31
+  let[@inline] target w = w lsr id_bits
+  let[@inline] first w = w land ((1 lsl id_bits) - 1)
+
+  (* the classes in [op]'s order *)
+  let op_of_class =
+    [| Const0; Const1; Buf; Not; And2; Nand2; Or2; Nor2; Xor2; Xnor2; Mux;
+       And_n; Nand_n; Or_n; Nor_n; Xor_n; Xnor_n |]
+
+  (* [classes.(row k + min a 3)]: the class of a gate of kind [k] with [a]
+     fanins, 31 for an input; a 1-fanin AND, OR or XOR is a BUF and its
+     inverting twin a NOT.  [row]'s arms are constants, which compile to
+     arithmetic rather than a branch that gate order would make mispredict. *)
+  let row (k : Gate.kind) =
+    match k with
+    | Gate.Input -> 0 | Gate.Const0 -> 4 | Gate.Const1 -> 8 | Gate.Buf -> 12
+    | Gate.Not -> 16 | Gate.And -> 20 | Gate.Nand -> 24 | Gate.Or -> 28
+    | Gate.Nor -> 32 | Gate.Xor -> 36 | Gate.Xnor -> 40 | Gate.Mux -> 44
+
+  let classes =
+    [| 31; 31; 31; 31; 0; 0; 0; 0; 1; 1; 1; 1; 2; 2; 2; 2; 3; 3; 3; 3;
+       2; 2; 4; 11; 3; 3; 5; 12; 2; 2; 6; 13; 3; 3; 7; 14; 2; 2; 8; 15;
+       3; 3; 9; 16; 10; 10; 10; 10 |]
+
+  let mux = 10
+  let wide = 11
+
+  (* branch-free [min x 3] and [max x y] *)
+  let[@inline] min3 x = let d = x - 3 in 3 + (d land (d asr 62))
+  let[@inline] imax x y = let d = y - x in x + (d land lnot (d asr 62))
+
+  (* Two counting sorts, by level and then by class within each level,
+     put the gates in (level, class, id) order without comparing any two
+     of them.  A gate's strict level is one above its deepest fanin (inputs
+     and constants are at level 0), so every fanin precedes its reader.
+     Beside the schedule itself, the build allocates one int per node and
+     two per level. *)
+  let build kinds (fanins : int array array) =
+    let n = Array.length kinds in
+    if n > 1 lsl id_bits then
+      invalid_arg "Netlist.schedule: more than 2^31 nodes cannot be packed";
+    (* [key.(i)]: level lsl 5 lor class, class 31 marking an input; later,
+       gate [i]'s position in the schedule *)
+    let key = Array.make n 31 in
+    let depth = ref 0 and gates = ref 0 in
+    for i = 0 to n - 1 do
+      match kinds.(i) with
+      | Gate.Input -> ()
+      | k ->
+        let fan = fanins.(i) in
+        let a = Array.length fan in
+        let m = ref (-1) in
+        for j = 0 to a - 1 do
+          m := imax !m (key.(fan.(j)) lsr 5)
+        done;
+        let lev = !m + 1 in
+        key.(i) <- (lev lsl 5) lor classes.(row k + min3 a);
+        incr gates;
+        if lev > !depth then depth := lev
+    done;
+    let g = !gates and depth = !depth in
+    (* level [l] takes positions [per_level.(l)] .. [per_level.(l + 1)] - 1 *)
+    let per_level = Array.make (depth + 2) 0 in
+    Array.iter
+      (fun k -> if k land 31 < 31 then per_level.((k lsr 5) + 1) <- per_level.((k lsr 5) + 1) + 1)
+      key;
+    for l = 1 to depth + 1 do
+      per_level.(l) <- per_level.(l) + per_level.(l - 1)
+    done;
+    (* the gates by level, in id order, to the odd slots of [code] *)
+    let code = Array.make (2 * g) 0 in
+    let fill = Array.sub per_level 0 (depth + 1) in
+    for i = 0 to n - 1 do
+      let k = key.(i) in
+      if k land 31 < 31 then begin
+        let l = k lsr 5 in
+        code.((2 * fill.(l)) + 1) <- i;
+        fill.(l) <- fill.(l) + 1
+      end
+    done;
+    (* within each level by class: gate [i]'s position to [key.(i)], and
+       its class and the number of fanins it spills to its even slot *)
+    let per_class = Array.make 18 0 in
+    for l = 0 to depth do
+      let lo = per_level.(l) and hi = per_level.(l + 1) in
+      Array.fill per_class 0 18 0;
+      for q = lo to hi - 1 do
+        let c = key.(code.((2 * q) + 1)) land 31 in
+        per_class.(c + 1) <- per_class.(c + 1) + 1
+      done;
+      per_class.(0) <- lo;
+      for c = 1 to 17 do
+        per_class.(c) <- per_class.(c) + per_class.(c - 1)
+      done;
+      for q = lo to hi - 1 do
+        let i = code.((2 * q) + 1) in
+        let c = key.(i) land 31 in
+        let p = per_class.(c) in
+        per_class.(c) <- p + 1;
+        key.(i) <- p;
+        let spills = if c = mux then 2 else if c >= wide then Array.length fanins.(i) else 0 in
+        code.(2 * p) <- (spills lsl 5) lor c
+      done
+    done;
+    (* in schedule order: the runs, and each gate's offset in [spill] to
+       its odd slot *)
+    let runs = ref 0 and last = ref (-1) and spill_len = ref 0 in
+    for p = 0 to g - 1 do
+      let x = code.(2 * p) in
+      if x land 31 <> !last then begin incr runs; last := x land 31 end;
+      code.((2 * p) + 1) <- !spill_len;
+      spill_len := !spill_len + (x lsr 5)
+    done;
+    if !spill_len > 1 lsl id_bits then
+      invalid_arg "Netlist.schedule: more than 2^31 spilled fanins cannot be packed";
+    let ops = Array.make !runs Const0 and ends = Array.make !runs 0 in
+    let r = ref (-1) in
+    last := -1;
+    for p = 0 to g - 1 do
+      let c = code.(2 * p) land 31 in
+      if c <> !last then begin
+        incr r;
+        ops.(!r) <- op_of_class.(c);
+        last := c
+      end;
+      ends.(!r) <- p + 1
+    done;
+    let spill = Array.make !spill_len 0 in
+    for i = 0 to n - 1 do
+      match kinds.(i) with
+      | Gate.Input -> ()
+      | _ ->
+        let p = key.(i) and fan = fanins.(i) in
+        let c = code.(2 * p) land 31 and sp = code.((2 * p) + 1) and top = i lsl id_bits in
+        let a = Array.length fan in
+        if c = mux then begin
+          (* the select in the code, the data inputs spilled *)
+          code.(2 * p) <- top lor fan.(0);
+          code.((2 * p) + 1) <- sp;
+          spill.(sp) <- fan.(1);
+          spill.(sp + 1) <- fan.(2)
+        end
+        else if c >= wide then begin
+          (* a wide gate: its spilled fanins from the first operand to the second *)
+          Array.blit fan 0 spill sp a;
+          code.(2 * p) <- top lor sp;
+          code.((2 * p) + 1) <- sp + a
+        end
+        else begin
+          code.(2 * p) <- top lor (if a > 0 then fan.(0) else 0);
+          code.((2 * p) + 1) <- (if a > 1 then fan.(1) else 0)
+        end
+    done;
+    { ops; ends; code; spill }
+end
+
 type t = {
   kinds : Gate.kind array;
   fanins : int array array;
@@ -12,6 +190,7 @@ type t = {
   outputs : int array;  (** ids of nodes exposed as primary outputs *)
   names : (int, string) Hashtbl.t;
   ids : (string, int) Hashtbl.t;
+  schedule : Schedule.t option Atomic.t;  (** built by the first [schedule] call *)
 }
 
 let num_nodes t = Array.length t.kinds
@@ -28,6 +207,16 @@ let node_name t i =
   match name t i with Some s -> s | None -> Printf.sprintf "n%d" i
 
 let find t s = Hashtbl.find_opt t.ids s
+
+(* Two domains may both build it; they build the same schedule, and every
+   later call reads whichever was stored. *)
+let schedule t =
+  match Atomic.get t.schedule with
+  | Some sc -> sc
+  | None ->
+    let sc = Schedule.build t.kinds t.fanins in
+    if Atomic.compare_and_set t.schedule None (Some sc) then sc
+    else Option.get (Atomic.get t.schedule)
 
 exception Invalid of string
 
@@ -108,6 +297,7 @@ module Builder = struct
       outputs = Array.of_list (List.rev b.b_outputs);
       names = b.b_names;
       ids = b.b_ids;
+      schedule = Atomic.make None;
     }
 end
 

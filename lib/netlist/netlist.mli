@@ -8,6 +8,63 @@ type t
 
 exception Invalid of string
 
+(** {1 Evaluation schedule}
+
+    The order in which {!Orap_sim.Sim.eval} evaluates a netlist's gates:
+    every gate but the inputs, in strict-level order (a gate sits one level
+    above its deepest fanin, so every fanin precedes its reader; BUF and
+    NOT count as levels here, unlike in {!levels}), and within a level
+    grouped by operation class.  The evaluator then dispatches once per run
+    of one class, not once per gate: in id order the kinds of consecutive
+    gates look random, and that dispatch is what a sweep in id order pays
+    for.
+
+    Each netlist has one schedule, built in linear time by the first
+    {!schedule} call and kept with the netlist; later calls return it and
+    allocate nothing.  The fields are read-only. *)
+module Schedule : sig
+  (** An operation class.  [And2]..[Xnor2] take two fanins, [And_n]..
+      [Xnor_n] three or more; a one-fanin AND, OR or XOR is a [Buf], a
+      one-fanin NAND, NOR or XNOR a [Not]. *)
+  type op =
+    | Const0
+    | Const1
+    | Buf
+    | Not
+    | And2
+    | Nand2
+    | Or2
+    | Nor2
+    | Xor2
+    | Xnor2
+    | Mux
+    | And_n
+    | Nand_n
+    | Or_n
+    | Nor_n
+    | Xor_n
+    | Xnor_n
+
+  (** Run [r] holds the gates at schedule positions [ends.(r-1)] (0 for
+      the first run) up to [ends.(r)] - 1, all of class [ops.(r)].  Gate
+      [p] is packed in two ints: [code.(2p)] holds the gate's id, read
+      with {!target}, and its first operand, read with {!first};
+      [code.(2p+1)] holds the second.  The operands are the fanin ids of a
+      BUF, NOT or two-input gate (none for a constant); a MUX's select and
+      the index in [spill] of its data inputs [a; b]; a wide gate's fanins
+      as the range [spill.(first) .. spill.(second - 1)]. *)
+  type t = private { ops : op array; ends : int array; code : int array; spill : int array }
+
+  val target : int -> int
+  val first : int -> int
+end
+
+(** The netlist's schedule, built on the first call.  Safe to call from
+    several domains at once.  Raises [Invalid_argument] on a netlist of
+    more than 2{^31} nodes (or spilled fanins), whose ids (or spill
+    indices) the packing's 31 bits cannot hold. *)
+val schedule : t -> Schedule.t
+
 (** {1 Construction} *)
 
 module Builder : sig

@@ -2,9 +2,15 @@
     of [Random] so experiments are reproducible regardless of other library
     usage. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The state words s0..s3 at byte offsets 0, 8, 16 and 24, read and
+   written with the unboxed 64-bit primitives: mutable [int64] fields
+   would box every word stored. *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64, used to expand the seed *)
 let splitmix state =
@@ -16,22 +22,23 @@ let splitmix state =
 
 let create seed =
   let st = ref (Int64.of_int seed) in
-  let s0 = splitmix st in
-  let s1 = splitmix st in
-  let s2 = splitmix st in
-  let s3 = splitmix st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix st)
+  done;
+  t
 
 (** 64 fresh pseudorandom bits. *)
-let next64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next64 t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 16 (Int64.logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
 let bool t = Int64.logand (next64 t) 1L <> 0L

@@ -2,10 +2,11 @@
     written with the unboxed 64-bit primitives so that neither evaluation
     nor a gate's accumulator allocates.
 
-    A gate's kind is matched once; each arm writes its word straight into
-    the store, and the associative kinds fold their fanins in [fold_and],
-    [fold_or] or [fold_xor], whose accumulator stays unboxed.  No arm merges
-    a computed word with a boxed one, which is what would box it. *)
+    [eval] matches a run's class once and loops over its gates in a
+    [run_*] kernel; [eval_gate] matches one gate's kind, and the
+    associative kinds fold their fanins in [fold_and], [fold_or] or
+    [fold_xor].  Every accumulator stays unboxed: no arm merges a computed
+    word with a boxed one, which is what would box it. *)
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
@@ -147,6 +148,87 @@ let eval_gate nl s n fpos fw =
   check_store "Sim.eval_gate" nl s;
   if fpos < 0 then gate nl s n else gate_forced nl s n fpos fw
 
+(* The schedule's kernels, one per family of classes: each evaluates the
+   gates at schedule positions [lo] .. [hi] - 1 of one run, XORing the
+   result with [inv] (0 or all ones, a constant) where the class has an
+   inverting twin.  Every id and spill index in a schedule lies within its
+   netlist, whose store the caller checked. *)
+module Sc = N.Schedule
+
+let[@inline] head code p = Array.unsafe_get code (2 * p)
+let[@inline] second code p = Array.unsafe_get code ((2 * p) + 1)
+
+let run_const s code lo hi w =
+  for p = lo to hi - 1 do
+    put s (Sc.target (head code p)) w
+  done
+
+let run_buf s code lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    put s (Sc.target h) (Int64.logxor (get s (Sc.first h)) inv)
+  done
+
+let run_and2 s code lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    put s (Sc.target h)
+      (Int64.logxor (Int64.logand (get s (Sc.first h)) (get s (second code p))) inv)
+  done
+
+let run_or2 s code lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    put s (Sc.target h)
+      (Int64.logxor (Int64.logor (get s (Sc.first h)) (get s (second code p))) inv)
+  done
+
+let run_xor2 s code lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    put s (Sc.target h)
+      (Int64.logxor (Int64.logxor (get s (Sc.first h)) (get s (second code p))) inv)
+  done
+
+let run_mux s code spill lo hi =
+  for p = lo to hi - 1 do
+    let h = head code p and d = second code p in
+    put s (Sc.target h)
+      (mux (get s (Sc.first h))
+         (get s (Array.unsafe_get spill d))
+         (get s (Array.unsafe_get spill (d + 1))))
+  done
+
+let run_and_n s code spill lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    let acc = ref (-1L) in
+    for i = Sc.first h to second code p - 1 do
+      acc := Int64.logand !acc (get s (Array.unsafe_get spill i))
+    done;
+    put s (Sc.target h) (Int64.logxor !acc inv)
+  done
+
+let run_or_n s code spill lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    let acc = ref 0L in
+    for i = Sc.first h to second code p - 1 do
+      acc := Int64.logor !acc (get s (Array.unsafe_get spill i))
+    done;
+    put s (Sc.target h) (Int64.logxor !acc inv)
+  done
+
+let run_xor_n s code spill lo hi inv =
+  for p = lo to hi - 1 do
+    let h = head code p in
+    let acc = ref 0L in
+    for i = Sc.first h to second code p - 1 do
+      acc := Int64.logxor !acc (get s (Array.unsafe_get spill i))
+    done;
+    put s (Sc.target h) (Int64.logxor !acc inv)
+  done
+
 let eval nl s (inputs : int64 array) =
   check_store "Sim.eval" nl s;
   let ids = N.inputs nl in
@@ -155,8 +237,29 @@ let eval nl s (inputs : int64 array) =
   for pos = 0 to Array.length ids - 1 do
     unsafe_set64 s (ids.(pos) lsl 3) inputs.(pos)
   done;
-  for n = 0 to N.num_nodes nl - 1 do
-    gate nl s n
+  let { Sc.ops; ends; code; spill } = N.schedule nl in
+  let lo = ref 0 in
+  for r = 0 to Array.length ops - 1 do
+    let lo' = !lo and hi = Array.unsafe_get ends r in
+    (match Array.unsafe_get ops r with
+    | Sc.Const0 -> run_const s code lo' hi 0L
+    | Sc.Const1 -> run_const s code lo' hi (-1L)
+    | Sc.Buf -> run_buf s code lo' hi 0L
+    | Sc.Not -> run_buf s code lo' hi (-1L)
+    | Sc.And2 -> run_and2 s code lo' hi 0L
+    | Sc.Nand2 -> run_and2 s code lo' hi (-1L)
+    | Sc.Or2 -> run_or2 s code lo' hi 0L
+    | Sc.Nor2 -> run_or2 s code lo' hi (-1L)
+    | Sc.Xor2 -> run_xor2 s code lo' hi 0L
+    | Sc.Xnor2 -> run_xor2 s code lo' hi (-1L)
+    | Sc.Mux -> run_mux s code spill lo' hi
+    | Sc.And_n -> run_and_n s code spill lo' hi 0L
+    | Sc.Nand_n -> run_and_n s code spill lo' hi (-1L)
+    | Sc.Or_n -> run_or_n s code spill lo' hi 0L
+    | Sc.Nor_n -> run_or_n s code spill lo' hi (-1L)
+    | Sc.Xor_n -> run_xor_n s code spill lo' hi 0L
+    | Sc.Xnor_n -> run_xor_n s code spill lo' hi (-1L));
+    lo := hi
   done
 
 let eval_bools nl (assignment : bool array) : bool array =

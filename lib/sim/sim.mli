@@ -13,12 +13,19 @@
     - After {!eval_gate}, only node [n]'s word has changed; every other
       word is as it was.  Fault simulation writes faulty words in place
       this way and restores the good ones itself.
-    - {!eval}, {!eval_gate} and the word operations below allocate
-      nothing at all; {!eval_bools} allocates one store per call.
+    - {!eval_gate} and the word operations below allocate nothing at
+      all; nor does {!eval}, once the netlist's schedule exists: the first
+      {!eval} of a netlist builds it, later evals allocate nothing.
+      {!eval_bools} allocates one store per call.
 
-    Node ids are topological, so a single ascending sweep is a complete
-    evaluation.  Each gate is dispatched once on its kind, to a loop
-    specialised to that kind; a forced fanin (a branch fault) takes a
+    {!eval} runs the netlist's {!Orap_netlist.Netlist.schedule}: the gates
+    in level order, grouped by operation class within each level, so that
+    it dispatches once per run of one class and then loops over packed
+    operands.  The dispatch per gate that an id-order sweep pays
+    mispredicts, because kinds in id order look random.  The schedule
+    packs node ids in 31 bits: a netlist of more than 2{^31} nodes raises
+    [Invalid_argument].  {!eval_gate} dispatches one node on its kind, as
+    event-driven propagation needs; a forced fanin (a branch fault) takes a
     general path. *)
 
 type store
@@ -32,8 +39,9 @@ val words : int -> store
 
 (** [eval nl s inputs] writes [inputs.(i)] as the word of the [i]-th
     primary input (position in {!Orap_netlist.Netlist.inputs}) and then
-    evaluates every gate in id order.  Raises [Invalid_argument] unless
-    there is one word per primary input and [s] has a word per node. *)
+    evaluates every gate, each after its fanins, in schedule order.
+    Raises [Invalid_argument] unless there is one word per primary input
+    and [s] has a word per node. *)
 val eval : Orap_netlist.Netlist.t -> store -> int64 array -> unit
 
 (** [eval_gate nl s n fpos fw] re-evaluates node [n] from its fanins'

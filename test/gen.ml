@@ -161,6 +161,34 @@ let benchgen_netlist ~inputs ~outputs ~gates rng =
       num_gates = gates;
     }
 
+let wide_netlist rng =
+  let b = N.Builder.create () in
+  for _ = 1 to int_range 3 7 rng do
+    ignore (N.Builder.add_input b)
+  done;
+  let kinds =
+    Gate.[| And; Nand; Or; Nor; Xor; Xnor; Mux; Mux; Buf; Not; Const0; Const1 |]
+  in
+  for _ = 1 to int_range 10 50 rng do
+    let kind = oneof kinds rng in
+    let len = N.Builder.length b in
+    let arity =
+      match Gate.arity kind with
+      | `Exactly a -> a
+      | `At_least a -> int_range a 6 rng
+    in
+    let pick () =
+      if Prng.int rng 4 = 0 then Prng.int rng len else len - 1 - Prng.int rng (min len 4)
+    in
+    ignore (N.Builder.add_node b kind (Array.init arity (fun _ -> pick ())))
+  done;
+  let len = N.Builder.length b in
+  N.Builder.mark_output b (len - 1);
+  for _ = 1 to int_range 0 3 rng do
+    N.Builder.mark_output b (Prng.int rng len)
+  done;
+  N.Builder.finish b
+
 (* --- mutation --- *)
 
 let dual = function

@@ -58,6 +58,12 @@ val netlist : ?params:netlist_params -> unit -> Orap_netlist.Netlist.t t
 val benchgen_netlist :
   inputs:int -> outputs:int -> gates:int -> Orap_netlist.Netlist.t t
 
+(** A DAG whose associative gates take 1 to 6 fanins drawn with
+    repetition, mostly among the last few nodes (long single-fanout
+    chains, BUF/NOT chains among them), with MUXes and constants, and
+    outputs drawn from every node, so that some outputs also fan out. *)
+val wide_netlist : Orap_netlist.Netlist.t t
+
 (** {1 Mutation}
 
     [mutant nl] applies one random local semantic mutation to a logic node

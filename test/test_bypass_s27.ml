@@ -59,7 +59,7 @@ let test_bypass_vs_orap_is_useless () =
 
 (* --- s27 --- *)
 
-let s27 () = Bench_format.parse_file "../../../data/s27.bench"
+let s27 () = Bench_format.parse_file (data_file "s27.bench")
 
 let test_s27_parses () =
   let src = s27 () in

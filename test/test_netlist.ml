@@ -96,7 +96,7 @@ let test_bench_roundtrip () =
    .bench inputs by path + content hash, so parser/printer drift would
    silently invalidate every journaled cell *)
 let test_s27_golden_roundtrip () =
-  let path = "../../../data/s27.bench" in
+  let path = data_file "s27.bench" in
   let src = Bench_format.parse_file path in
   let nl = src.Bench_format.netlist in
   let printed = Bench_format.print nl in

@@ -155,42 +155,10 @@ let prop_region_drop_matches_reference =
   Prop.netlist_with_seed ~count:40 "region dropping matches per-fault injection"
     region_drop_matches_reference
 
-(* A DAG whose associative gates take 2 to 6 fanins drawn with
-   repetition, mostly among the last few nodes (long single-fanout
-   chains), with constants, and outputs drawn from every node, so that
-   some outputs also fan out *)
-let wide_netlist rng =
-  let b = N.Builder.create () in
-  for _ = 1 to Gen.int_range 3 7 rng do
-    ignore (N.Builder.add_input b)
-  done;
-  let kinds =
-    Gate.[| And; Nand; Or; Nor; Xor; Xnor; Mux; Mux; Buf; Not; Const0; Const1 |]
-  in
-  for _ = 1 to Gen.int_range 10 50 rng do
-    let kind = Gen.oneof kinds rng in
-    let len = N.Builder.length b in
-    let arity =
-      match Gate.arity kind with
-      | `Exactly a -> a
-      | `At_least a -> Gen.int_range a 6 rng
-    in
-    let pick () =
-      if Prng.int rng 4 = 0 then Prng.int rng len else len - 1 - Prng.int rng (min len 4)
-    in
-    ignore (N.Builder.add_node b kind (Array.init arity (fun _ -> pick ())))
-  done;
-  let len = N.Builder.length b in
-  N.Builder.mark_output b (len - 1);
-  for _ = 1 to Gen.int_range 0 3 rng do
-    N.Builder.mark_output b (Prng.int rng len)
-  done;
-  N.Builder.finish b
-
 (* P: on wide DAGs *)
 let prop_region_drop_wide =
   Prop.to_alcotest ~count:40 ~name:"wide-gate region dropping matches per-fault injection"
-    ~gen:(Gen.pair wide_netlist (Gen.int_range 0 0x3FFFFFFF))
+    ~gen:(Gen.pair Gen.wide_netlist (Gen.int_range 0 0x3FFFFFFF))
     ~print:(fun (nl, aux) -> Printf.sprintf "aux %d\n%s" aux (Bench_format.print nl))
     (fun (nl, aux) -> region_drop_matches_reference nl ~aux)
 

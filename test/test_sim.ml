@@ -46,6 +46,18 @@ let test_prng_bool_balance () =
   let ratio = float_of_int !ones /. float_of_int n in
   check Alcotest.bool "roughly balanced" true (ratio > 0.45 && ratio < 0.55)
 
+(* the first words of two seeds, as the xoshiro256** state in four
+   mutable fields produced them *)
+let test_prng_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      let rng = Prng.create seed in
+      List.iter (fun w -> check Alcotest.int64 (Printf.sprintf "seed %d" seed) w (Prng.next64 rng)) want)
+    [
+      (0, [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L; 7684712102626143532L ]);
+      (2020, [ 2536873039720582659L; 5187709462951299870L; -3240488887996178394L; 741655993792864395L ]);
+    ]
+
 let test_popcount () =
   check Alcotest.int "zero" 0 (Sim.popcount64 0L);
   check Alcotest.int "ones" 64 (Sim.popcount64 Int64.minus_one);
@@ -134,6 +146,95 @@ let test_kernels_allocate_nothing () =
       ("branch fault dropped", { Fault.site = Fault.Input (xor3, 1); stuck = true });
     ]
 
+(* --- the schedule against the id-order sweep of [Sim_ref] --- *)
+
+(* [Sim.eval] into [s] leaves every node's word as [Sim_ref] computes it *)
+let matches_reference nl s words =
+  Sim.eval nl s words;
+  let want = Sim_ref.eval nl words in
+  let ok = ref true in
+  Array.iteri (fun n w -> if not (Sim.word_is s n w) then ok := false) want;
+  !ok
+
+let random_words rng nl = Array.init (N.num_inputs nl) (fun _ -> Prng.next64 rng)
+
+(* three pattern words on one reused store *)
+let eval_matches_reference nl ~aux =
+  let rng = Prng.create aux and s = Sim.store nl in
+  List.for_all (fun () -> matches_reference nl s (random_words rng nl)) [ (); (); () ]
+
+let prop_eval_matches_reference =
+  Prop.netlist_with_seed ~count:60 "Sim.eval matches the id-order reference"
+    eval_matches_reference
+
+let prop_eval_matches_reference_wide =
+  Prop.to_alcotest ~count:60 ~name:"Sim.eval matches the id-order reference on wide gates"
+    ~gen:(Gen.pair Gen.wide_netlist (Gen.int_range 0 0x3FFFFFFF))
+    ~print:(fun (nl, aux) ->
+      Printf.sprintf "aux %d\n%s" aux (Orap_netlist.Bench_format.print nl))
+    (fun (nl, aux) -> eval_matches_reference nl ~aux)
+
+(* Every class of the schedule: constants, a MUX, each associative kind
+   with one, two and four fanins, a fanin read twice, and a NOT -> BUF ->
+   NOT -> BUF chain, where levels that do not count BUF and NOT would run
+   each BUF before the NOT it reads *)
+let every_class_netlist () =
+  let b = N.Builder.create () in
+  let x = Array.init 4 (fun _ -> N.Builder.add_input b) in
+  let gate k fan =
+    let n = N.Builder.add_node b k fan in
+    N.Builder.mark_output b n;
+    n
+  in
+  let c0 = gate Gate.Const0 [||] and c1 = gate Gate.Const1 [||] in
+  let m = gate Gate.Mux [| x.(0); c1; x.(2) |] in
+  List.iter
+    (fun k ->
+      List.iter (fun fan -> ignore (gate k fan))
+        [ [| m |]; [| x.(1); c0 |]; [| x.(0); x.(0) |]; [| x.(1); m; x.(3); x.(1) |] ])
+    Gate.[ And; Nand; Or; Nor; Xor; Xnor ];
+  let chain = ref x.(3) in
+  List.iter (fun k -> chain := gate k [| !chain |]) Gate.[ Not; Buf; Not; Buf ];
+  ignore (gate Gate.And [| !chain; x.(2) |]);
+  N.Builder.finish b
+
+let test_every_class () =
+  let nl = every_class_netlist () in
+  let s = Sim.store nl in
+  List.iter
+    (fun words -> check Alcotest.bool "every word as the reference" true (matches_reference nl s words))
+    [
+      [| 0xF0F0F0F0F0F0F0F0L; 0xCCCCCCCCCCCCCCCCL; 0xAAAAAAAAAAAAAAAAL; 0xFF00FF00FF00FF00L |];
+      [| 0L; -1L; 0L; -1L |];
+      [| -1L; 0L; -1L; 0L |];
+    ]
+
+(* a store made for the larger of two netlists serves both, in turn *)
+let test_store_shared_across_netlists () =
+  let small = random_netlist ~inputs:6 ~outputs:3 ~gates:40 31 in
+  let large = random_netlist ~inputs:12 ~outputs:6 ~gates:300 32 in
+  let s = Sim.store large and rng = Prng.create 33 in
+  List.iter
+    (fun nl ->
+      check Alcotest.bool "every word as the reference" true
+        (matches_reference nl s (random_words rng nl)))
+    [ small; large; small; large ]
+
+(* two domains evaluate one fresh netlist at once, so both may build its
+   schedule; each reads the reference words *)
+let test_two_domains_one_netlist () =
+  let nl = random_netlist ~inputs:16 ~outputs:8 ~gates:2000 34 in
+  let words = random_words (Prng.create 35) nl in
+  let run () =
+    let s = Sim.store nl in
+    Sim.eval nl s words;
+    Array.init (N.num_nodes nl) (Sim.word s)
+  in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let want = Sim_ref.eval nl words in
+  check Alcotest.bool "first domain" true (Domain.join d1 = want);
+  check Alcotest.bool "second domain" true (Domain.join d2 = want)
+
 (* --- Hamming --- *)
 
 let shared_config nl = (nl, [||])
@@ -216,9 +317,15 @@ let suite =
       tc "prng int range" `Quick test_prng_int_range;
       tc "prng float range" `Quick test_prng_float_range;
       tc "prng bool balance" `Quick test_prng_bool_balance;
+      tc "Prng stream pinned" `Quick test_prng_pinned;
       tc "popcount64" `Quick test_popcount;
       tc "word vs single-pattern agreement" `Quick test_word_vs_bool_agree;
       tc "word kernels allocate nothing" `Quick test_kernels_allocate_nothing;
+      prop_eval_matches_reference;
+      prop_eval_matches_reference_wide;
+      tc "Sim.eval runs every schedule class" `Quick test_every_class;
+      tc "one store across two netlists" `Quick test_store_shared_across_netlists;
+      tc "two domains evaluate one fresh netlist" `Quick test_two_domains_one_netlist;
       tc "hamming self = 0" `Quick test_hamming_self_zero;
       tc "hamming complement = 1" `Quick test_hamming_complement_one;
       tc "hamming symmetric" `Quick test_hamming_symmetric;

@@ -39,6 +39,11 @@ let keyed (lk : Orap_locking.Locked.t) key =
 let unlocks (lk : Orap_locking.Locked.t) key =
   Orap_proptest.Equiv.equivalent lk.Orap_locking.Locked.original (keyed lk key)
 
+(** A data file that [test/dune] copies beside the test executable, found
+    from the executable rather than from the working directory, so the
+    suite passes under [dune runtest] and [dune exec test/main.exe] alike. *)
+let data_file name = Filename.concat (Filename.dirname Sys.executable_name) name
+
 (** Naive substring test, for asserting on printed reports. *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
