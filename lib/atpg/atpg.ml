@@ -11,7 +11,10 @@
 
     Each call opens one [atpg.run] span whose exit args restate the report
     and PODEM's search effort, and count the root propagations fault
-    dropping ran ([drop_propagations], both phases). *)
+    dropping ran ([drop_propagations], both phases), the tests whose
+    filled-in pattern did not drop their own fault ([pessimistic_tests])
+    and the aborted faults that a later test dropped ([aborted_detected]),
+    which are counted in both [detected] and [aborted]. *)
 
 module N = Orap_netlist.Netlist
 module Fault = Orap_faultsim.Fault
@@ -35,7 +38,8 @@ let coverage r =
 let redundant_plus_aborted r = r.redundant + r.aborted
 
 (* one PODEM call per test, redundancy proof or abort *)
-let span_args ((r : report), (s : Podem.stats), drop_propagations) =
+let span_args
+    ((r : report), (s : Podem.stats), drop_propagations, pessimistic, aborted_detected) =
   let podem_calls = List.length r.patterns + r.redundant + r.aborted in
   Telemetry.
     [
@@ -48,11 +52,13 @@ let span_args ((r : report), (s : Podem.stats), drop_propagations) =
       ("backtracks", Int s.Podem.backtracks);
       ("implications", Int s.Podem.implications);
       ("drop_propagations", Int drop_propagations);
+      ("pessimistic_tests", Int pessimistic);
+      ("aborted_detected", Int aborted_detected);
     ]
 
 let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
     : report =
-  (fun (r, _, _) -> r) @@ Telemetry.span "atpg.run" ~exit_args:span_args @@ fun () ->
+  (fun (r, _, _, _, _) -> r) @@ Telemetry.span "atpg.run" ~exit_args:span_args @@ fun () ->
   let faults = Fault.collapsed_list nl in
   let total = Array.length faults in
   let remaining = Array.make total true in
@@ -63,6 +69,7 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
   let engine = Podem.create nl in
   let rng = Prng.create (seed + 1) in
   let redundant = ref 0 and aborted = ref 0 and det = ref stats.Fsim.detected in
+  let pessimistic = ref 0 and aborted_ids = ref [] in
   let patterns = ref [] in
   Array.iteri
     (fun i fault ->
@@ -82,10 +89,13 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
              disagrees (X-filled pessimism), count it detected anyway *)
           if remaining.(i) then begin
             remaining.(i) <- false;
-            incr det
+            incr det;
+            incr pessimistic
           end
         | Podem.Redundant -> incr redundant
-        | Podem.Aborted -> incr aborted
+        | Podem.Aborted ->
+          incr aborted;
+          aborted_ids := i :: !aborted_ids
       end)
     faults;
   ( {
@@ -97,4 +107,6 @@ let run ?(seed = 2020) ?(random_words = 8) ?(backtrack_limit = 64) (nl : N.t)
       patterns = List.rev !patterns;
     },
     Podem.stats engine,
-    fsim.Fsim.propagations )
+    fsim.Fsim.propagations,
+    !pessimistic,
+    List.length (List.filter (fun i -> not remaining.(i)) !aborted_ids) )

@@ -6,11 +6,21 @@
     backtrace is guided by SCOAP controllabilities.
 
     Node values are stored as one byte per node (the codes of [F], [T], [D],
-    [D'], [X] are 0..4) and gates are evaluated through 5×5 tables built
-    from {!Five}.  Only the fault node evaluates through the fault
-    ([eval_faulty]); every other node reads its fanins' values directly
-    ([eval_plain]).  Node ids are topological, so pending events are drained
-    in ascending id order from a bit per node ({!Orap_faultsim.Pending}).
+    [D'], [X] are 0..4).  [create] compiles the netlist once per engine.
+    Each node gets a table class, one byte, naming a pair of 5×5 tables
+    in [tables], built from {!Five} with any inversion folded into the
+    second: a fault-free node of up to three fanins [a], [b], [c] is
+    [second.(first.(a, b), c)], two lookups and no branch on its kind.  A
+    table ignores the operands its gate lacks: an input is a BUF of
+    itself, a constant ignores all three, and a 1-fanin AND/OR/XOR is a
+    BUF and its inverting twin a NOT.  A gate of four or more fanins folds
+    its fanins after the second through [first] from a spill array and
+    the last through [second]; a MUX reads one 125-entry table.  The
+    operand ids are packed two to an int, and the fanouts are one CSR pair
+    ([fo_start], [fo_list]).  Only the fault node evaluates through the
+    fault ([eval_faulty], by its kind).  Node ids are topological, so
+    [propagate] drains the pending events in ascending id order straight
+    from {!Orap_faultsim.Pending}'s bits.
 
     Every value change is recorded on a trail, and each decision keeps the
     trail length at the moment it was made.  Un-assigning a decided input
@@ -34,7 +44,9 @@
     The fold order of [d_nodes] (a [Hashtbl]) breaks ties between frontier
     gates at equal distance to an output, so the table's exact history of
     [replace]/[remove]/[reset] is part of Table II's output.  Only nodes of
-    R carry D/D', so R leaves that history as it was. *)
+    R carry D/D', so R leaves that history as it was; a value change
+    touches [d_nodes] and [d_outputs] only when its old or new value is
+    D/D', as few of them do. *)
 
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
@@ -50,13 +62,11 @@ type outcome =
 let five = [| Five.F; Five.T; Five.D; Five.Db; Five.X |]
 let c_f = 0
 let c_t = 1
-let c_d = 2
-let c_db = 3
 let c_x = 4
-let is_d c = c = c_d || c = c_db
+let[@inline] is_d c = c land 6 = 2
 
 let code v =
-  match v with Five.F -> c_f | Five.T -> c_t | Five.D -> c_d | Five.Db -> c_db | Five.X -> c_x
+  match v with Five.F -> 0 | Five.T -> 1 | Five.D -> 2 | Five.Db -> 3 | Five.X -> 4
 
 let table1 f = Bytes.init 5 (fun a -> Char.chr (code (f five.(a))))
 
@@ -71,9 +81,53 @@ let faulted_t = [| table1 (Five.faulted ~stuck:false); table1 (Five.faulted ~stu
 let[@inline] ap1 t a = Char.code (Bytes.unsafe_get t a)
 let[@inline] ap2 t a b = Char.code (Bytes.unsafe_get t ((a * 5) + b))
 
+(* Class [k] < [mux] owns bytes [50k, 50k + 50) of [tables]: [first] at
+   [50k] and [second] at [50k + 25].  Classes 0..3 are BUF, NOT, CONST0,
+   CONST1; then AND, NAND, OR, NOR, XOR, XNOR of two fanins (4..9) and of
+   three (10..15), whose [second] folds in the third.  [mux] owns the 125
+   bytes after them, and a gate of four or more fanins is [wide] + its
+   kind's position among the six, on the three-fanin tables. *)
+let mux = 16
+let wide = 17
+
+let tables =
+  let ops = Five.[| v_and; v_and; v_or; v_or; v_xor; v_xor |] in
+  let post k v = if k land 1 = 1 then Five.v_not v else v in
+  let first a _ = a and const v _ _ = v in
+  let pairs =
+    Array.concat
+      [ [| (first, fun t _ -> t); (first, fun t _ -> Five.v_not t);
+           (const Five.F, const Five.F); (const Five.T, const Five.T) |];
+        Array.init 6 (fun k -> (ops.(k), fun t _ -> post k t));
+        Array.init 6 (fun k -> (ops.(k), fun t c -> post k (ops.(k) t c))) ]
+  in
+  let t = Bytes.create ((50 * mux) + 125) in
+  Array.iteri
+    (fun k (f, s) ->
+      Bytes.blit (table2 f) 0 t (50 * k) 25;
+      Bytes.blit (table2 s) 0 t ((50 * k) + 25) 25)
+    pairs;
+  for i = 0 to 124 do
+    let sel = five.(i / 25) and a = five.(i / 5 mod 5) and b = five.(i mod 5) in
+    Bytes.set t ((50 * mux) + i)
+      (Char.chr (code Five.(v_or (v_and (v_not sel) a) (v_and sel b))))
+  done;
+  t
+
+let[@inline] lookup o x y = Char.code (Bytes.unsafe_get tables (o + (x * 5) + y))
+
 type engine = {
   nl : N.t;
-  fanouts : int array array;
+  (* the compiled netlist: per node its class, and its operands at
+     [ops.(2n)] = a lsl 31 lor b and [ops.(2n + 1)] = c, or for a [wide]
+     gate its spilled fanins [spill.(s .. e - 1)] as s lsl 31 lor e *)
+  cls : Bytes.t;
+  ops : int array;
+  spill : int array;
+  (* node [n]'s readers are [fo_list.(fo_start.(n) .. fo_start.(n + 1) - 1)],
+     in [N.fanouts] order *)
+  fo_start : int array;
+  fo_list : int array;
   scoap : Scoap.t;
   is_output : bool array;
   consts : int array;  (* Const0/Const1 nodes, implied up-front by [run] *)
@@ -84,6 +138,11 @@ type engine = {
   (* every value change since the start of the search, in order *)
   mutable trail : int array;
   mutable trail_len : int;
+  (* the decision stack of [run]: input, value, flipped yet, trail mark *)
+  st_pi : int array;
+  st_v : bool array;
+  st_flipped : bool array;
+  st_mark : int array;
   (* stamped scratch: D-frontier membership and memoised X-path results *)
   seen : int array;
   xpath : int array;  (* [2 * stamp] = no path, [2 * stamp + 1] = path *)
@@ -109,27 +168,108 @@ type engine = {
   mutable implications : int;
 }
 
+let id_bits = 31
+let id_mask = (1 lsl id_bits) - 1
+
+(* [kind]'s position among AND, NAND, OR, NOR, XOR, XNOR *)
+let assoc_pos (k : Gate.kind) =
+  match k with
+  | Gate.And -> 0 | Gate.Nand -> 1 | Gate.Or -> 2 | Gate.Nor -> 3 | Gate.Xor -> 4
+  | Gate.Xnor -> 5 | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not
+  | Gate.Mux -> invalid_arg "Podem.assoc_pos"
+
+(* the class and the operands of node [i]; the operands a table ignores
+   repeat one it reads *)
+let compile_node nl i =
+  let fan = N.fanins nl i in
+  let a = Array.length fan in
+  match N.kind nl i with
+  | Gate.Input -> (0, i, i, i)
+  | Gate.Const0 -> (2, i, i, i)
+  | Gate.Const1 -> (3, i, i, i)
+  | Gate.Buf -> (0, fan.(0), fan.(0), fan.(0))
+  | Gate.Not -> (1, fan.(0), fan.(0), fan.(0))
+  | Gate.Mux -> (mux, fan.(0), fan.(1), fan.(2))
+  | k ->
+    let p = assoc_pos k in
+    if a = 1 then (p land 1, fan.(0), fan.(0), fan.(0))
+    else if a = 2 then (4 + p, fan.(0), fan.(1), fan.(1))
+    else if a = 3 then (10 + p, fan.(0), fan.(1), fan.(2))
+    else (wide + p, fan.(0), fan.(1), -1)
+
 let create (nl : N.t) : engine =
   let n = N.num_nodes nl in
+  if n > 1 lsl id_bits then
+    invalid_arg "Podem.create: more than 2^31 nodes cannot be packed";
   let is_output = Array.make n false in
   Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
-  let consts =
-    List.filter
-      (fun i -> match N.kind nl i with Gate.Const0 | Gate.Const1 -> true | _ -> false)
-      (List.init n Fun.id)
-  in
+  (* fanout counts, then their prefix sums, then the readers in id order
+     with [fo_start.(f)] as [f]'s cursor, left at the start of [f + 1] *)
+  let fo_start = Array.make (n + 1) 0 in
+  let spilled = ref 0 and consts = ref 0 in
+  for i = 0 to n - 1 do
+    let fan = N.fanins nl i in
+    Array.iter (fun f -> fo_start.(f + 1) <- fo_start.(f + 1) + 1) fan;
+    if Array.length fan > 3 then spilled := !spilled + Array.length fan - 2;
+    match N.kind nl i with Gate.Const0 | Gate.Const1 -> incr consts | _ -> ()
+  done;
+  if !spilled > 1 lsl id_bits then
+    invalid_arg "Podem.create: more than 2^31 spilled fanins cannot be packed";
+  for i = 1 to n do
+    fo_start.(i) <- fo_start.(i) + fo_start.(i - 1)
+  done;
+  let fo_list = Array.make fo_start.(n) 0 in
+  let cls = Bytes.create n and ops = Array.make (2 * n) 0 in
+  let spill = Array.make !spilled 0 and sp = ref 0 in
+  let const_ids = Array.make !consts 0 in
+  consts := 0;
+  for i = 0 to n - 1 do
+    let fan = N.fanins nl i in
+    Array.iter
+      (fun f ->
+        fo_list.(fo_start.(f)) <- i;
+        fo_start.(f) <- fo_start.(f) + 1)
+      fan;
+    let k, a, b, c = compile_node nl i in
+    Bytes.set cls i (Char.chr k);
+    ops.(2 * i) <- (a lsl id_bits) lor b;
+    if k >= wide then begin
+      let m = Array.length fan - 2 in
+      Array.blit fan 2 spill !sp m;
+      ops.((2 * i) + 1) <- (!sp lsl id_bits) lor (!sp + m);
+      sp := !sp + m
+    end
+    else ops.((2 * i) + 1) <- c;
+    if k = 2 || k = 3 then begin
+      const_ids.(!consts) <- i;
+      incr consts
+    end
+  done;
+  for i = n downto 1 do
+    fo_start.(i) <- fo_start.(i - 1)
+  done;
+  fo_start.(0) <- 0;
+  let ni = N.num_inputs nl in
   {
     nl;
-    fanouts = N.fanouts nl;
+    cls;
+    ops;
+    spill;
+    fo_start;
+    fo_list;
     scoap = Scoap.compute nl;
     is_output;
-    consts = Array.of_list consts;
+    consts = const_ids;
     values = Bytes.make n (Char.chr c_x);
     d_nodes = Hashtbl.create 64;
     d_outputs = 0;
     pending = Pending.create n;
     trail = Array.make (max 16 n) 0;
     trail_len = 0;
+    st_pi = Array.make (ni + 1) 0;
+    st_v = Array.make (ni + 1) false;
+    st_flipped = Array.make (ni + 1) false;
+    st_mark = Array.make (ni + 1) 0;
     seen = Array.make n 0;
     xpath = Array.make n 0;
     stamp = 0;
@@ -149,37 +289,25 @@ let create (nl : N.t) : engine =
 
 let[@inline] get e n = Char.code (Bytes.unsafe_get e.values n)
 
-(* [fan]'s values folded through table [t] from its identity [init]: a
-   fault-free node *)
-let fold e fan t init =
-  if Array.length fan = 2 then
-    ap2 t (get e (Array.unsafe_get fan 0)) (get e (Array.unsafe_get fan 1))
-  else begin
-    let acc = ref init in
-    for pos = 0 to Array.length fan - 1 do
-      acc := ap2 t !acc (get e (Array.unsafe_get fan pos))
-    done;
-    !acc
-  end
-
 (* value of fault-free node [n] recomputed from current fanin values *)
 let eval_plain e n =
-  let fan = N.fanins e.nl n in
-  match N.kind e.nl n with
-  | Gate.Input -> get e n
-  | Gate.Const0 -> c_f
-  | Gate.Const1 -> c_t
-  | Gate.Buf -> get e fan.(0)
-  | Gate.Not -> ap1 not_t (get e fan.(0))
-  | Gate.And -> fold e fan and_t c_t
-  | Gate.Nand -> ap1 not_t (fold e fan and_t c_t)
-  | Gate.Or -> fold e fan or_t c_f
-  | Gate.Nor -> ap1 not_t (fold e fan or_t c_f)
-  | Gate.Xor -> fold e fan xor_t c_f
-  | Gate.Xnor -> ap1 not_t (fold e fan xor_t c_f)
-  | Gate.Mux ->
-    let sel = get e fan.(0) in
-    ap2 or_t (ap2 and_t (ap1 not_t sel) (get e fan.(1))) (ap2 and_t sel (get e fan.(2)))
+  let k = Char.code (Bytes.unsafe_get e.cls n) in
+  let ab = Array.unsafe_get e.ops (2 * n) and w = Array.unsafe_get e.ops ((2 * n) + 1) in
+  let a = get e (ab lsr id_bits) and b = get e (ab land id_mask) in
+  if k < mux then
+    let o = 50 * k in
+    lookup (o + 25) (lookup o a b) (get e w)
+  else if k = mux then lookup ((50 * mux) + (25 * a)) b (get e w)
+  else begin
+    (* a wide gate: the spilled fanins through [first], the last through
+       [second] *)
+    let o = 50 * (k - wide + 10) and s = w lsr id_bits and stop = (w land id_mask) - 1 in
+    let t = ref (lookup o a b) in
+    for j = s to stop - 1 do
+      t := lookup o !t (get e (Array.unsafe_get e.spill j))
+    done;
+    lookup (o + 25) !t (get e (Array.unsafe_get e.spill stop))
+  end
 
 (* fanin [pos] of the fault node, with the fault inserted when it is the
    faulty branch *)
@@ -222,14 +350,15 @@ let eval_faulty e n =
    node reads through the fault *)
 let[@inline] eval_node e n = if n = e.fault_node then eval_faulty e n else eval_plain e n
 
-let d_count e n c = if is_d c && e.is_output.(n) then 1 else 0
-
 let set_value e n v =
   let old = get e n in
-  if is_d old then Hashtbl.remove e.d_nodes n;
+  if is_d old || is_d v then begin
+    if is_d old then Hashtbl.remove e.d_nodes n;
+    if is_d v then Hashtbl.replace e.d_nodes n ();
+    if e.is_output.(n) then
+      e.d_outputs <- e.d_outputs + Bool.to_int (is_d v) - Bool.to_int (is_d old)
+  end;
   Bytes.unsafe_set e.values n (Char.unsafe_chr v);
-  if is_d v then Hashtbl.replace e.d_nodes n ();
-  e.d_outputs <- e.d_outputs + d_count e n v - d_count e n old;
   if e.trail_len = Array.length e.trail then begin
     let t = Array.make (2 * e.trail_len) 0 in
     Array.blit e.trail 0 t 0 e.trail_len;
@@ -244,9 +373,10 @@ let set_value e n v =
 let undo_to e mark =
   for i = e.trail_len - 1 downto mark do
     let n = e.trail.(i) in
-    let old = get e n in
-    if is_d old then Hashtbl.remove e.d_nodes n;
-    e.d_outputs <- e.d_outputs - d_count e n old;
+    if is_d (get e n) then begin
+      Hashtbl.remove e.d_nodes n;
+      if e.is_output.(n) then e.d_outputs <- e.d_outputs - 1
+    end;
     Bytes.unsafe_set e.values n (Char.unsafe_chr c_x)
   done;
   e.trail_len <- mark
@@ -254,9 +384,8 @@ let undo_to e mark =
 let[@inline] in_region e n = Array.unsafe_get e.region n = e.region_stamp
 
 let schedule_fanouts e n =
-  let fo = e.fanouts.(n) in
-  for i = 0 to Array.length fo - 1 do
-    let r = Array.unsafe_get fo i in
+  for k = e.fo_start.(n) to e.fo_start.(n + 1) - 1 do
+    let r = Array.unsafe_get e.fo_list k in
     if in_region e r then Pending.push e.pending r
   done
 
@@ -275,9 +404,9 @@ let mark_region e =
   add e.fault_node;
   let i = ref 0 in
   while !i < !len do
-    let fo = e.fanouts.(q.(!i)) in
-    for j = 0 to Array.length fo - 1 do
-      add (Array.unsafe_get fo j)
+    let m = q.(!i) in
+    for k = e.fo_start.(m) to e.fo_start.(m + 1) - 1 do
+      add (Array.unsafe_get e.fo_list k)
     done;
     incr i
   done;
@@ -290,18 +419,41 @@ let mark_region e =
     incr i
   done
 
-(* drain the pending events in id (= topological) order *)
-let rec propagate e =
-  let i = Pending.pop e.pending in
-  if i >= 0 then begin
-    e.implications <- e.implications + 1;
-    let v = eval_node e i in
-    if v <> get e i then begin
-      set_value e i v;
-      schedule_fanouts e i
-    end;
-    propagate e
-  end
+(* drain the pending events in id (= topological) order: a fanout's id
+   exceeds its reader's, so it lands at or after the word being drained,
+   and each word is read again after every event *)
+let propagate e =
+  let p = e.pending in
+  let bits = p.Pending.bits in
+  let w = ref p.Pending.lo and events = ref 0 in
+  while !w <= p.Pending.hi do
+    let x = Array.unsafe_get bits !w in
+    if x = 0 then incr w
+    else begin
+      let low = x land -x in
+      Array.unsafe_set bits !w (x lxor low);
+      let i =
+        (!w lsl 5)
+        lor Array.unsafe_get Pending.bit_index (((low * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+      in
+      incr events;
+      let v = eval_node e i in
+      if v <> get e i then begin
+        set_value e i v;
+        for k = Array.unsafe_get e.fo_start i to Array.unsafe_get e.fo_start (i + 1) - 1 do
+          let r = Array.unsafe_get e.fo_list k in
+          if in_region e r then begin
+            let wr = r lsr 5 in
+            Array.unsafe_set bits wr (Array.unsafe_get bits wr lor (1 lsl (r land 31)));
+            if wr > p.Pending.hi then p.Pending.hi <- wr
+          end
+        done
+      end
+    end
+  done;
+  p.Pending.lo <- max_int;
+  p.Pending.hi <- -1;
+  e.implications <- e.implications + !events
 
 (* forward event-driven implication after PI node [pi] changed *)
 let imply e pi =
@@ -333,9 +485,8 @@ let d_frontier e =
   e.frontier_len <- 0;
   Hashtbl.iter
     (fun n () ->
-      let fo = e.fanouts.(n) in
-      for i = 0 to Array.length fo - 1 do
-        let r = fo.(i) in
+      for k = e.fo_start.(n) to e.fo_start.(n + 1) - 1 do
+        let r = e.fo_list.(k) in
         if get e r = c_x && e.seen.(r) <> e.stamp then begin
           e.seen.(r) <- e.stamp;
           e.frontier.(e.frontier_len) <- r;
@@ -350,12 +501,11 @@ let rec x_path e n =
   if e.is_output.(n) then true
   else if e.xpath.(n) lsr 1 = e.stamp then e.xpath.(n) land 1 = 1
   else begin
-    let fo = e.fanouts.(n) in
-    let found = ref false and i = ref 0 in
-    while (not !found) && !i < Array.length fo do
-      let r = fo.(!i) in
+    let found = ref false and k = ref e.fo_start.(n) in
+    while (not !found) && !k < e.fo_start.(n + 1) do
+      let r = e.fo_list.(!k) in
       if get e r = c_x && x_path e r then found := true;
-      incr i
+      incr k
     done;
     e.xpath.(n) <- (2 * e.stamp) + Bool.to_int !found;
     !found
@@ -485,11 +635,7 @@ let run (e : engine) (fault : Fault.t) ~backtrack_limit : outcome =
   propagate e;
   e.trail_len <- 0;
   let ni = N.num_inputs e.nl in
-  (* the decision stack: input, value, flipped yet, trail mark *)
-  let st_pi = Array.make (ni + 1) 0 in
-  let st_v = Array.make (ni + 1) false in
-  let st_flipped = Array.make (ni + 1) false in
-  let st_mark = Array.make (ni + 1) 0 in
+  let st_pi = e.st_pi and st_v = e.st_v and st_flipped = e.st_flipped and st_mark = e.st_mark in
   let sp = ref 0 in
   let backtracks = ref 0 in
   let decisions = ref 0 in

@@ -300,20 +300,31 @@ let differential_faults nl rng =
   @ List.init (min 6 (Array.length other)) (fun _ ->
         other.(Prng.int rng (Array.length other)))
 
-(* P: the trail-undo engine finds the same outcome, and for a test the
-   same assignment, as the reference engine that re-implies on every
-   backtrack — including under backtrack limits small enough to abort *)
+(* the trail-undo engine finds the same outcome, and for a test the same
+   assignment, as the reference engine that re-implies on every backtrack
+   — including under backtrack limits small enough to abort *)
+let podem_matches_reference nl ~aux =
+  let rng = Prng.create aux in
+  let engine = Podem.create nl and reference = Podem_ref.create nl in
+  List.for_all
+    (fun fault ->
+      let backtrack_limit = Gen.oneof [| 0; 1; 2; 5; 64; 2000 |] rng in
+      Podem.run engine fault ~backtrack_limit
+      = Podem_ref.run reference fault ~backtrack_limit)
+    (differential_faults nl rng)
+
+(* P: on [Gen] netlists *)
 let prop_podem_matches_reference =
   Prop.netlist_with_seed ~count:40 "PODEM matches the reference engine"
-    (fun nl ~aux ->
-      let rng = Prng.create aux in
-      let engine = Podem.create nl and reference = Podem_ref.create nl in
-      List.for_all
-        (fun fault ->
-          let backtrack_limit = Gen.oneof [| 0; 1; 2; 5; 64; 2000 |] rng in
-          Podem.run engine fault ~backtrack_limit
-          = Podem_ref.run reference fault ~backtrack_limit)
-        (differential_faults nl rng))
+    podem_matches_reference
+
+(* P: on wide DAGs (1-6 fanins drawn with repetition, constants, MUX),
+   which reach every table class and the spill array *)
+let prop_podem_matches_reference_wide =
+  Prop.to_alcotest ~count:40 ~name:"PODEM on wide gates matches the reference"
+    ~gen:(Gen.pair Gen.wide_netlist (Gen.int_range 0 0x3FFFFFFF))
+    ~print:(fun (nl, aux) -> Printf.sprintf "aux %d\n%s" aux (Bench_format.print nl))
+    (fun (nl, aux) -> podem_matches_reference nl ~aux)
 
 (* nodes in the fanout cone of [n] or read by it: the region PODEM
    implies for a fault at [n] *)
@@ -397,6 +408,69 @@ let test_podem_wide_backtrack () =
   check Alcotest.bool "same test as the reference" true
     (Podem.run (Podem.create nl) fault ~backtrack_limit:64 = expected)
 
+(* Every table class of the compiled engine on 8 inputs: each
+   associative kind with one fanin (a BUF or NOT), two, three, four and
+   five fanins (the spill array), each layer reading the one before; BUF,
+   NOT and both constants; a MUX whose select is an input no objective
+   needs, so it can stay X; and fanins read twice by a wide AND, an XOR
+   and a MUX *)
+let table_class_netlist () =
+  let b = N.Builder.create () in
+  let x = Array.init 8 (fun _ -> N.Builder.add_input b) in
+  let g k fan = N.Builder.add_node b k fan in
+  let kinds = Gate.[| And; Nand; Or; Nor; Xor; Xnor |] in
+  let layer read = Array.mapi (fun j k -> g k (read j)) kinds in
+  let xm j = x.(j mod 8) in
+  let l1 = layer (fun j -> [| x.(j) |]) in
+  let l2 = layer (fun j -> [| l1.(j); xm (j + 6) |]) in
+  let l3 = layer (fun j -> [| l2.(j); l1.((j + 1) mod 6); xm (j + 3) |]) in
+  let l4 = layer (fun j -> [| l3.(j); l2.((j + 1) mod 6); xm (j + 2); xm (j + 5) |]) in
+  let l5 =
+    layer (fun j -> [| l4.(j); l3.((j + 2) mod 6); l1.(j); xm (j + 4); xm (j + 7) |])
+  in
+  let c0 = g Gate.Const0 [||] and c1 = g Gate.Const1 [||] in
+  let out k fan = N.Builder.mark_output b (g k fan) in
+  out Gate.And [| l5.(0); c1; l5.(0); x.(7) |];
+  out Gate.Or [| g Gate.Buf [| l5.(1) |]; c0; g Gate.Not [| l4.(4) |] |];
+  out Gate.Mux [| x.(6); l5.(2); l5.(3) |];
+  out Gate.Mux [| l3.(5); l5.(4); l5.(4) |];
+  out Gate.Xor [| l5.(5); l2.(2); l2.(2) |];
+  out Gate.Nor [| l4.(0); l4.(3); l3.(1); l2.(4); l1.(5) |];
+  N.Builder.finish b
+
+(* on the table-class netlist, every stem and branch fault of either
+   value: the same outcome as the reference at a complete and at a tiny
+   backtrack limit, and with the complete limit every test detecting its
+   fault and every redundancy proof holding over all 256 patterns *)
+let test_podem_table_classes () =
+  let nl = table_class_netlist () in
+  let engine = Podem.create nl and reference = Podem_ref.create nl in
+  let patterns = List.init 256 (fun p -> Array.init 8 (fun i -> (p lsr i) land 1 = 1)) in
+  let detects fault inp = eval_with_fault nl fault inp <> Sim.eval_bools nl inp in
+  let tests = ref 0 and redundant = ref 0 in
+  Array.iter
+    (fun fault ->
+      let name = Fault.to_string nl fault in
+      List.iter
+        (fun backtrack_limit ->
+          check Alcotest.bool (name ^ ": same outcome as the reference") true
+            (Podem.run engine fault ~backtrack_limit
+            = Podem_ref.run reference fault ~backtrack_limit))
+        [ 2000; 1 ];
+      match Podem.run engine fault ~backtrack_limit:2000 with
+      | Podem.Test assignment ->
+        incr tests;
+        let fill = Array.map (Option.value ~default:false) assignment in
+        check Alcotest.bool (name ^ ": the test detects it") true (detects fault fill)
+      | Podem.Redundant ->
+        incr redundant;
+        check Alcotest.bool (name ^ ": no pattern detects it") false
+          (List.exists (detects fault) patterns)
+      | Podem.Aborted -> Alcotest.failf "%s: aborted under a complete limit" name)
+    (all_faults nl);
+  check Alcotest.bool "tests and redundancy proofs both occur" true
+    (!tests > 0 && !redundant > 0)
+
 let suite =
   ( "prop_testability",
     [
@@ -408,6 +482,8 @@ let suite =
       prop_podem_vectors_detect;
       prop_podem_redundant_means_undetectable;
       prop_podem_matches_reference;
+      prop_podem_matches_reference_wide;
       prop_podem_region_matches_reference;
       tc "PODEM matches the reference after a wide undo" `Quick test_podem_wide_backtrack;
+      tc "PODEM matches the reference on every table class" `Quick test_podem_table_classes;
     ] )
