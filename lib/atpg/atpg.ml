@@ -44,6 +44,7 @@ let span_args
   Telemetry.
     [
       ("faults", Int r.total_faults);
+      ("detected", Int r.detected);
       ("random_detected", Int r.random_detected);
       ("podem_calls", Int podem_calls);
       ("redundant", Int r.redundant);

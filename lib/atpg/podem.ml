@@ -19,8 +19,8 @@
     operand ids are packed two to an int, and the fanouts are one CSR pair
     ([fo_start], [fo_list]).  Only the fault node evaluates through the
     fault ([eval_faulty], by its kind).  Node ids are topological, so
-    [propagate] drains the pending events in ascending id order straight
-    from {!Orap_faultsim.Pending}'s bits.
+    [propagate] drains the pending events in ascending id order through
+    {!Orap_faultsim.Pending}.
 
     Every value change is recorded on a trail, and each decision keeps the
     trail length at the moment it was made.  Un-assigning a decided input
@@ -82,11 +82,18 @@ let[@inline] ap1 t a = Char.code (Bytes.unsafe_get t a)
 let[@inline] ap2 t a b = Char.code (Bytes.unsafe_get t ((a * 5) + b))
 
 (* Class [k] < [mux] owns bytes [50k, 50k + 50) of [tables]: [first] at
-   [50k] and [second] at [50k + 25].  Classes 0..3 are BUF, NOT, CONST0,
-   CONST1; then AND, NAND, OR, NOR, XOR, XNOR of two fanins (4..9) and of
-   three (10..15), whose [second] folds in the third.  [mux] owns the 125
-   bytes after them, and a gate of four or more fanins is [wide] + its
-   kind's position among the six, on the three-fanin tables. *)
+   [50k] and [second] at [50k + 25].  The classes are [buf], [not_],
+   [const0], [const1]; then AND, NAND, OR, NOR, XOR, XNOR of two fanins
+   ([two] + the kind's position among the six) and of three ([three] +
+   the position), whose [second] folds in the third.  [mux] owns the 125
+   bytes after them, and a gate of four or more fanins is [wide] + the
+   position, on the three-fanin tables. *)
+let buf = 0
+let not_ = 1
+let const0 = 2
+let const1 = 3
+let two = 4
+let three = 10
 let mux = 16
 let wide = 17
 
@@ -184,17 +191,17 @@ let compile_node nl i =
   let fan = N.fanins nl i in
   let a = Array.length fan in
   match N.kind nl i with
-  | Gate.Input -> (0, i, i, i)
-  | Gate.Const0 -> (2, i, i, i)
-  | Gate.Const1 -> (3, i, i, i)
-  | Gate.Buf -> (0, fan.(0), fan.(0), fan.(0))
-  | Gate.Not -> (1, fan.(0), fan.(0), fan.(0))
+  | Gate.Input -> (buf, i, i, i)
+  | Gate.Const0 -> (const0, i, i, i)
+  | Gate.Const1 -> (const1, i, i, i)
+  | Gate.Buf -> (buf, fan.(0), fan.(0), fan.(0))
+  | Gate.Not -> (not_, fan.(0), fan.(0), fan.(0))
   | Gate.Mux -> (mux, fan.(0), fan.(1), fan.(2))
   | k ->
     let p = assoc_pos k in
-    if a = 1 then (p land 1, fan.(0), fan.(0), fan.(0))
-    else if a = 2 then (4 + p, fan.(0), fan.(1), fan.(1))
-    else if a = 3 then (10 + p, fan.(0), fan.(1), fan.(2))
+    if a = 1 then ((if p land 1 = 0 then buf else not_), fan.(0), fan.(0), fan.(0))
+    else if a = 2 then (two + p, fan.(0), fan.(1), fan.(1))
+    else if a = 3 then (three + p, fan.(0), fan.(1), fan.(2))
     else (wide + p, fan.(0), fan.(1), -1)
 
 let create (nl : N.t) : engine =
@@ -206,12 +213,11 @@ let create (nl : N.t) : engine =
   (* fanout counts, then their prefix sums, then the readers in id order
      with [fo_start.(f)] as [f]'s cursor, left at the start of [f + 1] *)
   let fo_start = Array.make (n + 1) 0 in
-  let spilled = ref 0 and consts = ref 0 in
+  let spilled = ref 0 in
   for i = 0 to n - 1 do
     let fan = N.fanins nl i in
     Array.iter (fun f -> fo_start.(f + 1) <- fo_start.(f + 1) + 1) fan;
-    if Array.length fan > 3 then spilled := !spilled + Array.length fan - 2;
-    match N.kind nl i with Gate.Const0 | Gate.Const1 -> incr consts | _ -> ()
+    if Array.length fan > 3 then spilled := !spilled + Array.length fan - 2
   done;
   if !spilled > 1 lsl id_bits then
     invalid_arg "Podem.create: more than 2^31 spilled fanins cannot be packed";
@@ -220,9 +226,7 @@ let create (nl : N.t) : engine =
   done;
   let fo_list = Array.make fo_start.(n) 0 in
   let cls = Bytes.create n and ops = Array.make (2 * n) 0 in
-  let spill = Array.make !spilled 0 and sp = ref 0 in
-  let const_ids = Array.make !consts 0 in
-  consts := 0;
+  let spill = Array.make !spilled 0 and sp = ref 0 and consts = ref [] in
   for i = 0 to n - 1 do
     let fan = N.fanins nl i in
     Array.iter
@@ -240,10 +244,7 @@ let create (nl : N.t) : engine =
       sp := !sp + m
     end
     else ops.((2 * i) + 1) <- c;
-    if k = 2 || k = 3 then begin
-      const_ids.(!consts) <- i;
-      incr consts
-    end
+    if k = const0 || k = const1 then consts := i :: !consts
   done;
   for i = n downto 1 do
     fo_start.(i) <- fo_start.(i - 1)
@@ -259,7 +260,7 @@ let create (nl : N.t) : engine =
     fo_list;
     scoap = Scoap.compute nl;
     is_output;
-    consts = const_ids;
+    consts = Array.of_list !consts;
     values = Bytes.make n (Char.chr c_x);
     d_nodes = Hashtbl.create 64;
     d_outputs = 0;
@@ -301,7 +302,7 @@ let eval_plain e n =
   else begin
     (* a wide gate: the spilled fanins through [first], the last through
        [second] *)
-    let o = 50 * (k - wide + 10) and s = w lsr id_bits and stop = (w land id_mask) - 1 in
+    let o = 50 * (k - wide + three) and s = w lsr id_bits and stop = (w land id_mask) - 1 in
     let t = ref (lookup o a b) in
     for j = s to stop - 1 do
       t := lookup o !t (get e (Array.unsafe_get e.spill j))
@@ -383,8 +384,8 @@ let undo_to e mark =
 
 let[@inline] in_region e n = Array.unsafe_get e.region n = e.region_stamp
 
-let schedule_fanouts e n =
-  for k = e.fo_start.(n) to e.fo_start.(n + 1) - 1 do
+let[@inline] schedule_fanouts e n =
+  for k = Array.unsafe_get e.fo_start n to Array.unsafe_get e.fo_start (n + 1) - 1 do
     let r = Array.unsafe_get e.fo_list k in
     if in_region e r then Pending.push e.pending r
   done
@@ -419,40 +420,20 @@ let mark_region e =
     incr i
   done
 
-(* drain the pending events in id (= topological) order: a fanout's id
-   exceeds its reader's, so it lands at or after the word being drained,
-   and each word is read again after every event *)
+(* drain the pending events in id (= topological) order *)
 let propagate e =
-  let p = e.pending in
-  let bits = p.Pending.bits in
-  let w = ref p.Pending.lo and events = ref 0 in
-  while !w <= p.Pending.hi do
-    let x = Array.unsafe_get bits !w in
-    if x = 0 then incr w
-    else begin
-      let low = x land -x in
-      Array.unsafe_set bits !w (x lxor low);
-      let i =
-        (!w lsl 5)
-        lor Array.unsafe_get Pending.bit_index (((low * 0x077CB531) land 0xFFFFFFFF) lsr 27)
-      in
-      incr events;
-      let v = eval_node e i in
-      if v <> get e i then begin
-        set_value e i v;
-        for k = Array.unsafe_get e.fo_start i to Array.unsafe_get e.fo_start (i + 1) - 1 do
-          let r = Array.unsafe_get e.fo_list k in
-          if in_region e r then begin
-            let wr = r lsr 5 in
-            Array.unsafe_set bits wr (Array.unsafe_get bits wr lor (1 lsl (r land 31)));
-            if wr > p.Pending.hi then p.Pending.hi <- wr
-          end
-        done
-      end
-    end
+  let p = e.pending and events = ref 0 in
+  let i = ref (Pending.pop p) in
+  while !i >= 0 do
+    let n = !i in
+    incr events;
+    let v = eval_node e n in
+    if v <> get e n then begin
+      set_value e n v;
+      schedule_fanouts e n
+    end;
+    i := Pending.pop p
   done;
-  p.Pending.lo <- max_int;
-  p.Pending.hi <- -1;
   e.implications <- e.implications + !events
 
 (* forward event-driven implication after PI node [pi] changed *)

@@ -24,7 +24,7 @@ let bit_index =
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
 (** The least pending id, cleared; -1 once nothing is pending. *)
-let pop t =
+let[@inline] pop t =
   let r = ref (-1) in
   while !r < 0 && t.lo <= t.hi do
     let w = Array.unsafe_get t.bits t.lo in

@@ -247,6 +247,7 @@ let test_atpg_span_restates_report () =
   | [ args ] ->
     let arg k = List.assoc k args in
     check Alcotest.int "faults" r.Atpg.total_faults (arg "faults");
+    check Alcotest.int "detected" r.Atpg.detected (arg "detected");
     check Alcotest.int "random_detected" r.Atpg.random_detected (arg "random_detected");
     check Alcotest.int "redundant" r.Atpg.redundant (arg "redundant");
     check Alcotest.int "aborted" r.Atpg.aborted (arg "aborted");
@@ -266,54 +267,39 @@ let test_atpg_span_restates_report () =
     check Alcotest.bool "regions share propagations" true (propagated < activated)
   | _ -> Alcotest.fail "expected exactly one atpg.run span"
 
-(* Table II's b19 cell at scale 96 and seed 2020: its rows and its two
-   [atpg.run] spans (original, then protected), found by their fault
-   counts *)
-let b19_96 =
-  lazy
-    (let b19 = List.filter (fun p -> p.Benchgen.name = "b19") Benchgen.table1_profiles in
-     atpg_spans (fun () ->
-         Table2.run
-           ~params:{ Table2.default_params with Table2.scale = 96 }
-           ~options:{ Runner.default_options with Runner.jobs = 1 }
-           ~profiles:b19 ()))
-
-let b19_96_side faults =
-  let spans = snd (Lazy.force b19_96) in
-  match List.find_opt (fun args -> List.assoc "faults" args = faults) spans with
-  | Some args -> fun k -> List.assoc k args
-  | None -> Alcotest.failf "no atpg.run span over %d faults" faults
-
-(* restricting implication to the fault's region and evaluating through
-   compiled gate tables must leave PODEM's search unchanged step for step:
-   the decision, backtrack and implication counts of the engine before
-   both (whose whole-circuit implication drained 5698930 and 4259257
-   events) *)
+(* Table II's b19 cell at scale 96 and seed 2020: restricting implication
+   to the fault's region and evaluating through compiled gate tables must
+   leave PODEM's search unchanged step for step (the decision, backtrack
+   and implication counts of the engine before both, whose whole-circuit
+   implication drained 5698930 and 4259257 events).  No test misses its
+   own fault, and the excess of Table II's counts over the fault total is
+   exactly the aborted faults that a later test dropped *)
 let test_podem_search_pinned () =
+  let b19 = List.filter (fun p -> p.Benchgen.name = "b19") Benchgen.table1_profiles in
+  let _, spans =
+    atpg_spans (fun () ->
+        Table2.run
+          ~params:{ Table2.default_params with Table2.scale = 96 }
+          ~options:{ Runner.default_options with Runner.jobs = 1 }
+          ~profiles:b19 ())
+  in
+  let side faults =
+    match List.find_opt (fun args -> List.assoc "faults" args = faults) spans with
+    | Some args -> fun k -> List.assoc k args
+    | None -> Alcotest.failf "no atpg.run span over %d faults" faults
+  in
+  (* original, then protected *)
   List.iter
     (fun (faults, decisions, backtracks, implications) ->
-      let arg = b19_96_side faults in
+      let arg = side faults in
       check Alcotest.int "decisions" decisions (arg "decisions");
       check Alcotest.int "backtracks" backtracks (arg "backtracks");
-      check Alcotest.int "implications" implications (arg "implications"))
-    [ (7956, 40549, 17659, 1567030); (8162, 43297, 16174, 1154054) ]
-
-(* no PODEM test misses its own fault, and the excess of Table II's
-   counts over the fault total is exactly the aborted faults that a later
-   test dropped *)
-let test_atpg_miscount_visible () =
-  let rows, _ = Lazy.force b19_96 in
-  List.iter
-    (fun (s : Table2.side) ->
-      let arg = b19_96_side s.Table2.total_faults in
-      let detected =
-        Float.to_int (Float.round (s.Table2.fc_pct *. float s.Table2.total_faults /. 100.))
-      in
+      check Alcotest.int "implications" implications (arg "implications");
       check Alcotest.int "pessimistic_tests" 0 (arg "pessimistic_tests");
-      check Alcotest.int "aborted_detected = detected + redundant + aborted - total"
-        (detected + arg "redundant" + arg "aborted" - s.Table2.total_faults)
+      check Alcotest.int "aborted_detected = detected + redundant + aborted - faults"
+        (arg "detected" + arg "redundant" + arg "aborted" - faults)
         (arg "aborted_detected"))
-    (List.concat_map (fun r -> Table2.[ r.original; r.protected_ ]) rows)
+    [ (7956, 40549, 17659, 1567030); (8162, 43297, 16174, 1154054) ]
 
 let suite =
   ( "atpg",
@@ -331,5 +317,4 @@ let suite =
       tc "ATPG coverage with no faults" `Quick test_atpg_no_faults;
       tc "atpg.run span restates the report" `Quick test_atpg_span_restates_report;
       tc "PODEM search pinned on b19/96" `Quick test_podem_search_pinned;
-      tc "Table II's miscount is visible on b19/96" `Quick test_atpg_miscount_visible;
     ] )
