@@ -16,8 +16,9 @@
     BUF and its inverting twin a NOT.  A gate of four or more fanins folds
     its fanins after the second through [first] from a spill array and
     the last through [second]; a MUX reads one 125-entry table.  The
-    operand ids are packed two to an int, and the fanouts are one CSR pair
-    ([fo_start], [fo_list]).  Only the fault node evaluates through the
+    operand ids are packed two to an int, and the readers are the
+    netlist's own index ({!Orap_netlist.Netlist.fanouts}), whose order
+    is the D-frontier's.  Only the fault node evaluates through the
     fault ([eval_faulty], by its kind).  Node ids are topological, so
     [propagate] drains the pending events in ascending id order through
     {!Orap_faultsim.Pending}.
@@ -131,12 +132,11 @@ type engine = {
   cls : Bytes.t;
   ops : int array;
   spill : int array;
-  (* node [n]'s readers are [fo_list.(fo_start.(n) .. fo_start.(n + 1) - 1)],
-     in [N.fanouts] order *)
-  fo_start : int array;
-  fo_list : int array;
-  scoap : Scoap.t;
+  (* [N.fanouts]'s arrays, held here so that hot loops load them directly *)
+  start : int array;
+  readers : int array;
   is_output : bool array;
+  scoap : Scoap.t;
   consts : int array;  (* Const0/Const1 nodes, implied up-front by [run] *)
   values : Bytes.t;  (* value code per node *)
   d_nodes : (int, unit) Hashtbl.t;  (* nodes currently carrying D/D' *)
@@ -208,32 +208,17 @@ let create (nl : N.t) : engine =
   let n = N.num_nodes nl in
   if n > 1 lsl id_bits then
     invalid_arg "Podem.create: more than 2^31 nodes cannot be packed";
-  let is_output = Array.make n false in
-  Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
-  (* fanout counts, then their prefix sums, then the readers in id order
-     with [fo_start.(f)] as [f]'s cursor, left at the start of [f + 1] *)
-  let fo_start = Array.make (n + 1) 0 in
   let spilled = ref 0 in
   for i = 0 to n - 1 do
-    let fan = N.fanins nl i in
-    Array.iter (fun f -> fo_start.(f + 1) <- fo_start.(f + 1) + 1) fan;
-    if Array.length fan > 3 then spilled := !spilled + Array.length fan - 2
+    let a = Array.length (N.fanins nl i) in
+    if a > 3 then spilled := !spilled + a - 2
   done;
   if !spilled > 1 lsl id_bits then
     invalid_arg "Podem.create: more than 2^31 spilled fanins cannot be packed";
-  for i = 1 to n do
-    fo_start.(i) <- fo_start.(i) + fo_start.(i - 1)
-  done;
-  let fo_list = Array.make fo_start.(n) 0 in
   let cls = Bytes.create n and ops = Array.make (2 * n) 0 in
   let spill = Array.make !spilled 0 and sp = ref 0 and consts = ref [] in
   for i = 0 to n - 1 do
     let fan = N.fanins nl i in
-    Array.iter
-      (fun f ->
-        fo_list.(fo_start.(f)) <- i;
-        fo_start.(f) <- fo_start.(f) + 1)
-      fan;
     let k, a, b, c = compile_node nl i in
     Bytes.set cls i (Char.chr k);
     ops.(2 * i) <- (a lsl id_bits) lor b;
@@ -246,20 +231,16 @@ let create (nl : N.t) : engine =
     else ops.((2 * i) + 1) <- c;
     if k = const0 || k = const1 then consts := i :: !consts
   done;
-  for i = n downto 1 do
-    fo_start.(i) <- fo_start.(i - 1)
-  done;
-  fo_start.(0) <- 0;
-  let ni = N.num_inputs nl in
+  let ni = N.num_inputs nl and fo = N.fanouts nl in
   {
     nl;
     cls;
     ops;
     spill;
-    fo_start;
-    fo_list;
+    start = fo.N.start;
+    readers = fo.N.readers;
+    is_output = fo.N.is_output;
     scoap = Scoap.compute nl;
-    is_output;
     consts = Array.of_list !consts;
     values = Bytes.make n (Char.chr c_x);
     d_nodes = Hashtbl.create 64;
@@ -385,8 +366,8 @@ let undo_to e mark =
 let[@inline] in_region e n = Array.unsafe_get e.region n = e.region_stamp
 
 let[@inline] schedule_fanouts e n =
-  for k = Array.unsafe_get e.fo_start n to Array.unsafe_get e.fo_start (n + 1) - 1 do
-    let r = Array.unsafe_get e.fo_list k in
+  for k = Array.unsafe_get e.start n to Array.unsafe_get e.start (n + 1) - 1 do
+    let r = Array.unsafe_get e.readers k in
     if in_region e r then Pending.push e.pending r
   done
 
@@ -406,8 +387,8 @@ let mark_region e =
   let i = ref 0 in
   while !i < !len do
     let m = q.(!i) in
-    for k = e.fo_start.(m) to e.fo_start.(m + 1) - 1 do
-      add (Array.unsafe_get e.fo_list k)
+    for k = e.start.(m) to e.start.(m + 1) - 1 do
+      add (Array.unsafe_get e.readers k)
     done;
     incr i
   done;
@@ -466,8 +447,8 @@ let d_frontier e =
   e.frontier_len <- 0;
   Hashtbl.iter
     (fun n () ->
-      for k = e.fo_start.(n) to e.fo_start.(n + 1) - 1 do
-        let r = e.fo_list.(k) in
+      for k = e.start.(n) to e.start.(n + 1) - 1 do
+        let r = e.readers.(k) in
         if get e r = c_x && e.seen.(r) <> e.stamp then begin
           e.seen.(r) <- e.stamp;
           e.frontier.(e.frontier_len) <- r;
@@ -482,9 +463,9 @@ let rec x_path e n =
   if e.is_output.(n) then true
   else if e.xpath.(n) lsr 1 = e.stamp then e.xpath.(n) land 1 = 1
   else begin
-    let found = ref false and k = ref e.fo_start.(n) in
-    while (not !found) && !k < e.fo_start.(n + 1) do
-      let r = e.fo_list.(!k) in
+    let found = ref false and k = ref e.start.(n) in
+    while (not !found) && !k < e.start.(n + 1) do
+      let r = e.readers.(!k) in
       if get e r = c_x && x_path e r then found := true;
       incr k
     done;

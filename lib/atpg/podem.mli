@@ -9,8 +9,9 @@ type outcome =
 
 type engine
 
-(** Build the per-circuit engine (fanouts, SCOAP measures, value arrays);
-    reusable across faults. *)
+(** Build the per-circuit engine (gate tables, SCOAP measures, value
+    arrays; the readers are {!Orap_netlist.Netlist.fanouts}); reusable
+    across faults. *)
 val create : Orap_netlist.Netlist.t -> engine
 
 (** Generate a test for [fault], prove it redundant, or abort after

@@ -51,7 +51,7 @@ let signal_probabilities ?(seed = 2024) ?(words = 64) (nl : N.t) : float array =
 
 let analyze ?(seed = 2024) ?(words = 64) ?(epsilon = 0.01) (nl : N.t) : report =
   let probs = signal_probabilities ~seed ~words nl in
-  let fanouts = N.fanouts nl in
+  let start = (N.fanouts nl).N.start in
   let findings = ref [] in
   let max_skew = ref 0.0 in
   for i = 0 to N.num_nodes nl - 1 do
@@ -64,13 +64,9 @@ let analyze ?(seed = 2024) ?(words = 64) ?(epsilon = 0.01) (nl : N.t) : report =
       if skew > !max_skew then max_skew := skew;
       (* skewed but not stuck: the Anti-SAT flip signal is ~never 1 but can
          be 1, so p in (0, eps] or [1-eps, 1) *)
-      if
-        Array.length fanouts.(i) > 0
-        && ((p > 0.0 && p <= epsilon) || (p < 1.0 && p >= 1.0 -. epsilon))
-      then
-        findings :=
-          { node = i; probability = p; fanout = Array.length fanouts.(i) }
-          :: !findings
+      let fanout = start.(i + 1) - start.(i) in
+      if fanout > 0 && ((p > 0.0 && p <= epsilon) || (p < 1.0 && p >= 1.0 -. epsilon)) then
+        findings := { node = i; probability = p; fanout } :: !findings
   done;
   let sorted =
     List.sort

@@ -25,20 +25,14 @@ let to_string (nl : N.t) f =
       (e.g. an AND input s-a-0 is equivalent to the AND output s-a-0);
     - inverter/buffer input faults folded into their output faults. *)
 let collapsed_list (nl : N.t) : t array =
-  let fanout_count = Array.make (N.num_nodes nl) 0 in
-  for i = 0 to N.num_nodes nl - 1 do
-    Array.iter
-      (fun f -> fanout_count.(f) <- fanout_count.(f) + 1)
-      (N.fanins nl i)
-  done;
-  Array.iter
-    (fun o -> fanout_count.(o) <- fanout_count.(o) + 1)
-    (N.outputs nl);
+  (* reader entries, plus one for an output *)
+  let fo = N.fanouts nl in
+  let fanout_count n = fo.N.start.(n + 1) - fo.N.start.(n) + Bool.to_int fo.N.is_output.(n) in
   let acc = ref [] in
   let add f = acc := f :: !acc in
   for n = 0 to N.num_nodes nl - 1 do
     (* stem faults on every node that drives something *)
-    if fanout_count.(n) > 0 then begin
+    if fanout_count n > 0 then begin
       add { site = Output n; stuck = false };
       add { site = Output n; stuck = true }
     end;
@@ -53,7 +47,7 @@ let collapsed_list (nl : N.t) : t array =
     in
     Array.iteri
       (fun pos f ->
-        if fanout_count.(f) > 1 then begin
+        if fanout_count f > 1 then begin
           if keep_branch false then add { site = Input (n, pos); stuck = false };
           if keep_branch true then add { site = Input (n, pos); stuck = true }
         end)

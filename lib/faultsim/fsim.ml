@@ -68,7 +68,9 @@ external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
 type t = {
   nl : N.t;
-  fanouts : int array array;
+  (* [N.fanouts]'s arrays, held here so that hot loops load them directly *)
+  start : int array;
+  readers : int array;
   is_output : bool array;
   input_words : int64 array;  (* scratch: one word per input *)
   store : Sim.store;  (* good words; faulty ones in place while propagating *)
@@ -86,13 +88,12 @@ type t = {
 }
 
 let create (nl : N.t) : t =
-  let n = N.num_nodes nl in
-  let is_output = Array.make n false in
-  Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
+  let n = N.num_nodes nl and fo = N.fanouts nl in
   {
     nl;
-    fanouts = N.fanouts nl;
-    is_output;
+    start = fo.N.start;
+    readers = fo.N.readers;
+    is_output = fo.N.is_output;
     input_words = Array.make (N.num_inputs nl) 0L;
     store = Sim.store nl;
     touched = Array.make n 0;
@@ -115,7 +116,7 @@ let build_regions t =
     let fan = N.fanins t.nl r in
     for pos = 0 to Array.length fan - 1 do
       let m = fan.(pos) in
-      if Array.length t.fanouts.(m) = 1 && not t.is_output.(m) then
+      if t.start.(m + 1) - t.start.(m) = 1 && not t.is_output.(m) then
         up.(m) <- (r lsl pos_bits) lor pos
     done
   done;
@@ -135,9 +136,8 @@ let[@inline] log t n =
   Sim.copy_word t.store n t.undo t.n_touched
 
 let schedule_fanouts t n =
-  let fo = t.fanouts.(n) in
-  for i = 0 to Array.length fo - 1 do
-    Pending.push t.pending fo.(i)
+  for k = t.start.(n) to t.start.(n + 1) - 1 do
+    Pending.push t.pending t.readers.(k)
   done
 
 (* the faulty word of [n] was just written over the good word logged for
@@ -154,7 +154,7 @@ let rec propagate t =
   let i = Pending.pop t.pending in
   if i >= 0 then begin
     log t i;
-    Sim.eval_gate t.nl t.store i (-1) 0L;
+    Sim.eval_gate t.nl t.store i;
     commit t i;
     propagate t
   end

@@ -16,7 +16,7 @@ module Fsim = Orap_faultsim.Fsim
     ({!Fsim.invert_impact}). *)
 let scores ?(seed = 17) (nl : N.t) : int array =
   let n = N.num_nodes nl in
-  let fanouts = N.fanouts nl in
+  let start = (N.fanouts nl).N.start in
   let rng = Prng.create seed in
   (* candidate sample: all logic nodes, or a random subset of about 4000 on
      big circuits *)
@@ -25,7 +25,7 @@ let scores ?(seed = 17) (nl : N.t) : int array =
     |> List.filter (fun i ->
            match N.kind nl i with
            | Gate.Input | Gate.Const0 | Gate.Const1 -> false
-           | _ -> Array.length fanouts.(i) > 0)
+           | _ -> start.(i + 1) > start.(i))
   in
   let candidates =
     let total = List.length logic_nodes in

@@ -191,7 +191,10 @@ type t = {
   names : (int, string) Hashtbl.t;
   ids : (string, int) Hashtbl.t;
   schedule : Schedule.t option Atomic.t;  (** built by the first [schedule] call *)
+  fanouts : fanouts option Atomic.t;  (** built by the first [fanouts] call *)
 }
+
+and fanouts = { start : int array; readers : int array; is_output : bool array }
 
 let num_nodes t = Array.length t.kinds
 let num_inputs t = Array.length t.inputs
@@ -208,15 +211,43 @@ let node_name t i =
 
 let find t s = Hashtbl.find_opt t.ids s
 
-(* Two domains may both build it; they build the same schedule, and every
-   later call reads whichever was stored. *)
-let schedule t =
-  match Atomic.get t.schedule with
-  | Some sc -> sc
+(* [build t], kept in [slot] by the first call.  Two domains may both
+   build it; they build the same value, and every later call reads
+   whichever was stored.  [build] is a top-level function, not a closure,
+   so a later call allocates nothing. *)
+let cached slot build t =
+  match Atomic.get slot with
+  | Some x -> x
   | None ->
-    let sc = Schedule.build t.kinds t.fanins in
-    if Atomic.compare_and_set t.schedule None (Some sc) then sc
-    else Option.get (Atomic.get t.schedule)
+    let x = build t in
+    if Atomic.compare_and_set slot None (Some x) then x else Option.get (Atomic.get slot)
+
+let build_schedule t = Schedule.build t.kinds t.fanins
+let schedule t = cached t.schedule build_schedule t
+
+(* reader counts, their prefix sums, then the readers in id order with
+   [fill.(f)] as [f]'s cursor *)
+let build_fanouts t =
+  let n = num_nodes t in
+  let start = Array.make (n + 1) 0 in
+  Array.iter (Array.iter (fun f -> start.(f + 1) <- start.(f + 1) + 1)) t.fanins;
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let readers = Array.make start.(n) 0 and fill = Array.sub start 0 n in
+  Array.iteri
+    (fun i fan ->
+      Array.iter
+        (fun f ->
+          readers.(fill.(f)) <- i;
+          fill.(f) <- fill.(f) + 1)
+        fan)
+    t.fanins;
+  let is_output = Array.make n false in
+  Array.iter (fun o -> is_output.(o) <- true) t.outputs;
+  { start; readers; is_output }
+
+let fanouts t = cached t.fanouts build_fanouts t
 
 exception Invalid of string
 
@@ -298,27 +329,9 @@ module Builder = struct
       names = b.b_names;
       ids = b.b_ids;
       schedule = Atomic.make None;
+      fanouts = Atomic.make None;
     }
 end
-
-(** Fanout adjacency: [fanouts t].(i) lists the node ids reading node [i].
-    Output markings are not included. *)
-let fanouts t =
-  let n = num_nodes t in
-  let counts = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Array.iter (fun f -> counts.(f) <- counts.(f) + 1) t.fanins.(i)
-  done;
-  let out = Array.init n (fun i -> Array.make counts.(i) 0) in
-  let fill = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Array.iter
-      (fun f ->
-        out.(f).(fill.(f)) <- i;
-        fill.(f) <- fill.(f) + 1)
-      t.fanins.(i)
-  done;
-  out
 
 (** Logic level of every node.  Inverters and buffers are transparent (level
     0 contribution), matching the convention of counting levels of "real"

@@ -65,6 +65,16 @@ end
     indices) the packing's 31 bits cannot hold. *)
 val schedule : t -> Schedule.t
 
+(** {1 Readers}
+
+    Node [i]'s readers are [readers.(start.(i)) .. readers.(start.(i+1) - 1)],
+    in ascending id order, a gate listed once per fanin position that
+    reads [i]; [is_output.(i)] holds iff [i] is a primary output.  Built by
+    the first {!fanouts} call and kept like the schedule. *)
+type fanouts = private { start : int array; readers : int array; is_output : bool array }
+
+val fanouts : t -> fanouts
+
 (** {1 Construction} *)
 
 module Builder : sig
@@ -104,9 +114,6 @@ val node_name : t -> int -> string
 val find : t -> string -> int option
 
 (** {1 Analyses} *)
-
-(** Fanout adjacency (output markings not included). *)
-val fanouts : t -> int array array
 
 (** Logic level per node; inverters and buffers are transparent. *)
 val levels : t -> int array

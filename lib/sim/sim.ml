@@ -88,36 +88,6 @@ let gate nl s n =
          (get s (Array.unsafe_get fan 1))
          (get s (Array.unsafe_get fan 2)))
 
-(* fanin [pos] of [fan], or [fw] when [pos] = [fpos]; selected by a mask
-   rather than a branch, so that the result stays unboxed *)
-let[@inline] operand s fan fpos fw pos =
-  let m = if pos = fpos then -1L else 0L in
-  Int64.logor (Int64.logand m fw) (Int64.logand (Int64.lognot m) (get s fan.(pos)))
-
-(* the general path, for a branch fault: fanin [fpos] reads [fw] *)
-let gate_forced nl s n fpos fw =
-  let fan = N.fanins nl n in
-  let k = N.kind nl n in
-  match k with
-  | Gate.Input | Gate.Const0 | Gate.Const1 -> gate nl s n
-  | Gate.Buf -> put s n (operand s fan fpos fw 0)
-  | Gate.Not -> put s n (Int64.lognot (operand s fan fpos fw 0))
-  | Gate.Mux ->
-    put s n
-      (mux (operand s fan fpos fw 0) (operand s fan fpos fw 1) (operand s fan fpos fw 2))
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
-    let acc = ref (operand s fan fpos fw 0) in
-    for pos = 1 to Array.length fan - 1 do
-      let o = operand s fan fpos fw pos in
-      acc :=
-        match k with
-        | Gate.And | Gate.Nand -> Int64.logand !acc o
-        | Gate.Or | Gate.Nor -> Int64.logor !acc o
-        | _ -> Int64.logxor !acc o
-    done;
-    put s n
-      (match k with Gate.Nand | Gate.Nor | Gate.Xnor -> Int64.lognot !acc | _ -> !acc)
-
 (* AND into word [j] of [m] the lanes where every fanin of [fan] but the
    one at [pos] reads 1 ([flip] = 0) or 0 ([flip] = all ones) *)
 let and_others s fan pos flip m j =
@@ -144,9 +114,9 @@ let sensitise nl s n pos m j =
     set64 m (j lsl 3) (Int64.logand (get64 m (j lsl 3)) pass)
   | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> ()
 
-let eval_gate nl s n fpos fw =
+let eval_gate nl s n =
   check_store "Sim.eval_gate" nl s;
-  if fpos < 0 then gate nl s n else gate_forced nl s n fpos fw
+  gate nl s n
 
 (* The schedule's kernels, one per family of classes: each evaluates the
    gates at schedule positions [lo] .. [hi] - 1 of one run, XORing the

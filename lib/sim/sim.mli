@@ -10,9 +10,10 @@
       with no more nodes).
     - After {!eval}, the word of every node is valid: inputs hold the words
       that were passed in, and every gate holds its value over them.
-    - After {!eval_gate}, only node [n]'s word has changed; every other
-      word is as it was.  Fault simulation writes faulty words in place
-      this way and restores the good ones itself.
+    - After {!eval_gate}, node [n] holds its gate over its fanins' words
+      as they stand, and no other word has changed.  Fault simulation
+      overwrites a word in place, re-evaluates the readers this way and
+      restores the good words itself.
     - {!eval_gate} and the word operations below allocate nothing at
       all; nor does {!eval}, once the netlist's schedule exists: the first
       {!eval} of a netlist builds it, later evals allocate nothing.
@@ -25,8 +26,7 @@
     mispredicts, because kinds in id order look random.  The schedule
     packs node ids in 31 bits: a netlist of more than 2{^31} nodes raises
     [Invalid_argument].  {!eval_gate} dispatches one node on its kind, as
-    event-driven propagation needs; a forced fanin (a branch fault) takes a
-    general path. *)
+    event-driven propagation needs. *)
 
 type store
 
@@ -44,12 +44,10 @@ val words : int -> store
     and [s] has a word per node. *)
 val eval : Orap_netlist.Netlist.t -> store -> int64 array -> unit
 
-(** [eval_gate nl s n fpos fw] re-evaluates node [n] from its fanins'
-    words in [s] and writes the result as [n]'s word.  The fanin at
-    position [fpos] reads [fw] instead of its word (a branch stuck-at
-    fault); [fpos] = -1 forces none.  An [Input] node keeps its word.
-    Raises [Invalid_argument] unless [s] has a word per node. *)
-val eval_gate : Orap_netlist.Netlist.t -> store -> int -> int -> int64 -> unit
+(** [eval_gate nl s n] re-evaluates node [n] from its fanins' words in
+    [s] and writes the result as [n]'s word.  An [Input] node keeps its
+    word.  Raises [Invalid_argument] unless [s] has a word per node. *)
+val eval_gate : Orap_netlist.Netlist.t -> store -> int -> unit
 
 (** The word of node [n]. *)
 val word : store -> int -> int64

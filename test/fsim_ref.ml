@@ -7,6 +7,7 @@
     exact engine. *)
 
 module N = Orap_netlist.Netlist
+module Gate = Orap_netlist.Gate
 module Sim = Orap_sim.Sim
 module Prng = Orap_sim.Prng
 module Fault = Orap_faultsim.Fault
@@ -30,7 +31,7 @@ let create (nl : N.t) : t =
   Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
   {
     nl;
-    fanouts = N.fanouts nl;
+    fanouts = Util.fanout_lists nl;
     is_output;
     input_words = Array.make (N.num_inputs nl) 0L;
     store = Sim.store nl;
@@ -56,16 +57,39 @@ let rec propagate t =
   let i = Pending.pop t.pending in
   if i >= 0 then begin
     log t i;
-    Sim.eval_gate t.nl t.store i (-1) 0L;
+    Sim.eval_gate t.nl t.store i;
     commit t i;
     propagate t
   end
+
+(* the word of gate [n] with fanin [pos] reading [w] (a branch fault) *)
+let forced_word t n pos w =
+  let fan = N.fanins t.nl n in
+  let op i = if i = pos then w else Sim.word t.store fan.(i) in
+  let fold f =
+    let acc = ref (op 0) in
+    for i = 1 to Array.length fan - 1 do
+      acc := f !acc (op i)
+    done;
+    !acc
+  in
+  match N.kind t.nl n with
+  | Gate.Input | Gate.Const0 | Gate.Const1 -> invalid_arg "Fsim_ref.forced_word: no fanin"
+  | Gate.Buf -> op 0
+  | Gate.Not -> Int64.lognot (op 0)
+  | Gate.And -> fold Int64.logand
+  | Gate.Nand -> Int64.lognot (fold Int64.logand)
+  | Gate.Or -> fold Int64.logor
+  | Gate.Nor -> Int64.lognot (fold Int64.logor)
+  | Gate.Xor -> fold Int64.logxor
+  | Gate.Xnor -> Int64.lognot (fold Int64.logxor)
+  | Gate.Mux -> Int64.logor (Int64.logand (Int64.lognot (op 0)) (op 1)) (Int64.logand (op 0) (op 2))
 
 (* stem fault ([pos] = -1): [n] reads [w]; branch fault: fanin [pos] of
    [n] reads [w] *)
 let inject t n pos w =
   log t n;
-  if pos < 0 then Sim.set_word t.store n w else Sim.eval_gate t.nl t.store n pos w;
+  Sim.set_word t.store n (if pos < 0 then w else forced_word t n pos w);
   commit t n;
   propagate t
 

@@ -88,7 +88,7 @@ let create (nl : N.t) : engine =
   Array.iteri (fun pos id -> input_pos.(id) <- pos) (N.inputs nl);
   {
     nl;
-    fanouts = N.fanouts nl;
+    fanouts = Util.fanout_lists nl;
     scoap = Scoap.compute nl;
     is_output;
     input_pos;

@@ -200,7 +200,7 @@ let atpg_spans f =
 let replay_drop_propagations nl (r : Atpg.report) =
   let faults = Fault.collapsed_list nl in
   let remaining = Array.make (Array.length faults) true in
-  let fanouts = N.fanouts nl in
+  let fanouts = fanout_lists nl in
   let is_output = Array.make (N.num_nodes nl) false in
   Array.iter (fun o -> is_output.(o) <- true) (N.outputs nl);
   let rec root n =

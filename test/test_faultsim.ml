@@ -1,6 +1,7 @@
 open Util
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
+module Bench_format = Orap_netlist.Bench_format
 module Fault = Orap_faultsim.Fault
 module Fsim = Orap_faultsim.Fsim
 module Sim = Orap_sim.Sim
@@ -51,6 +52,63 @@ let test_single_fanout_branches_collapsed () =
   let faults = Array.to_list (Fault.collapsed_list nl) in
   let branch = List.filter (fun f -> match f.Fault.site with Fault.Input _ -> true | Fault.Output _ -> false) faults in
   check Alcotest.int "no branch faults on single fanout" 0 (List.length branch)
+
+(* the collapsed list recounted per connection: a node's fanout is one per
+   fanin position reading it plus one per output marking; stem faults where
+   it is > 0, branch faults where the driver's is > 1 *)
+let collapsed_reference nl =
+  let n = N.num_nodes nl in
+  let count = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.iter (fun f -> count.(f) <- count.(f) + 1) (N.fanins nl i)
+  done;
+  Array.iter (fun o -> count.(o) <- count.(o) + 1) (N.outputs nl);
+  let keep_branch k stuck =
+    match (k : Gate.kind) with
+    | Gate.And | Gate.Nand -> stuck
+    | Gate.Or | Gate.Nor -> not stuck
+    | Gate.Xor | Gate.Xnor | Gate.Mux -> true
+    | Gate.Not | Gate.Buf | Gate.Input | Gate.Const0 | Gate.Const1 -> false
+  in
+  let acc = ref [] in
+  let add site stuck = acc := { Fault.site; stuck } :: !acc in
+  for i = 0 to n - 1 do
+    if count.(i) > 0 then begin
+      add (Fault.Output i) false;
+      add (Fault.Output i) true
+    end;
+    Array.iteri
+      (fun pos f ->
+        if count.(f) > 1 then
+          List.iter
+            (fun stuck -> if keep_branch (N.kind nl i) stuck then add (Fault.Input (i, pos)) stuck)
+            [ false; true ])
+      (N.fanins nl i)
+  done;
+  List.rev !acc
+
+(* a wide netlist with, on top, a gate [g] reading one node twice, [g]
+   marked as an output twice, and a dangling XOR reading [g] once *)
+let awkward_netlist =
+  Gen.map
+    (fun nl ->
+      let b = N.Builder.create () in
+      let map = N.copy_into b nl (Array.make (N.num_nodes nl) (-1)) in
+      let last = map.(N.num_nodes nl - 1) in
+      let g = N.Builder.add_node b Gate.And [| last; last |] in
+      ignore (N.Builder.add_node b Gate.Xor [| g; map.((N.inputs nl).(0)) |]);
+      Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
+      N.Builder.mark_output b g;
+      N.Builder.mark_output b g;
+      N.Builder.finish b)
+    Gen.wide_netlist
+
+(* P: the collapsed list, PODEM's fault order and so part of Table II, is
+   the per-connection recount's, order included *)
+let prop_collapsed_list_pinned =
+  Prop.to_alcotest ~count:60 ~name:"collapsed list matches a per-connection recount"
+    ~gen:awkward_netlist ~print:Bench_format.print
+    (fun nl -> Array.to_list (Fault.collapsed_list nl) = collapsed_reference nl)
 
 let prop_detect_word_matches_reference =
   Prop.to_alcotest ~count:40 ~name:"parallel fault sim agrees with reference"
@@ -149,6 +207,7 @@ let suite =
       tc "collapsed list structure" `Quick test_collapsed_list_structure;
       tc "gate-type collapsing rules" `Quick test_collapsing_rules;
       tc "single-fanout branch collapsing" `Quick test_single_fanout_branches_collapsed;
+      prop_collapsed_list_pinned;
       prop_detect_word_matches_reference;
       tc "random simulate with dropping" `Quick test_random_simulate_drops;
       tc "simulate_pattern accounting" `Quick test_simulate_pattern_consistency;

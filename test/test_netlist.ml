@@ -56,10 +56,15 @@ let test_duplicate_names_rejected () =
 let test_fanouts () =
   let nl = full_adder () in
   let fo = N.fanouts nl in
+  let readers i =
+    Array.to_list (Array.sub fo.N.readers fo.N.start.(i) (fo.N.start.(i + 1) - fo.N.start.(i)))
+  in
   (* node 0 = input a feeds s1 (3) and c1 (5) *)
-  check Alcotest.(list int) "fanouts of a" [ 3; 5 ] (Array.to_list fo.(0));
-  (* sum (4) feeds nothing *)
-  check Alcotest.int "sum fanout" 0 (Array.length fo.(4))
+  check Alcotest.(list int) "fanouts of a" [ 3; 5 ] (readers 0);
+  (* sum (4) feeds nothing and is an output; s1 (3) is not *)
+  check Alcotest.(list int) "sum fanout" [] (readers 4);
+  check Alcotest.bool "sum is an output" true fo.N.is_output.(4);
+  check Alcotest.bool "s1 is not" false fo.N.is_output.(3)
 
 let test_levels_and_slacks () =
   let nl = full_adder () in

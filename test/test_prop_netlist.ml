@@ -75,6 +75,26 @@ let prop_verilog_deterministic =
       v1 = v2 && contains v1 "module top(" && contains v1 "endmodule"
       && contains v1 (Printf.sprintf "assign po%d = " (N.num_outputs nl - 1)))
 
+(* P: the reader index is the transpose of the fanins ([Util.fanout_lists]:
+   ascending, a reader once per fanin position), [is_output] marks exactly
+   the outputs, and a second call returns the same index; over the full
+   vocabulary and over wide gates that read one node at several positions
+   and outputs that repeat *)
+let prop_fanouts_transpose =
+  let transpose nl =
+    let fo = N.fanouts nl and n = N.num_nodes nl in
+    let readers i = Array.sub fo.N.readers fo.N.start.(i) (fo.N.start.(i + 1) - fo.N.start.(i)) in
+    fo.N.start.(0) = 0
+    && fo.N.start.(n) = Array.length fo.N.readers
+    && Array.init n readers = fanout_lists nl
+    && fo.N.is_output = Array.init n (fun i -> Array.mem i (N.outputs nl))
+    && N.fanouts nl == fo
+  in
+  Prop.to_alcotest ~count:60 ~name:"reader index is the transpose of the fanins"
+    ~gen:(Gen.pair (Gen.netlist ()) Gen.wide_netlist)
+    ~print:(fun (a, b) -> Bench_format.print a ^ "\n" ^ Bench_format.print b)
+    (fun (a, b) -> transpose a && transpose b)
+
 let suite =
   ( "prop_netlist",
     [
@@ -84,4 +104,5 @@ let suite =
       prop_copy_into_equivalent;
       prop_word_sim_matches_reference;
       prop_verilog_deterministic;
+      prop_fanouts_transpose;
     ] )

@@ -329,7 +329,7 @@ let prop_podem_matches_reference_wide =
 (* nodes in the fanout cone of [n] or read by it: the region PODEM
    implies for a fault at [n] *)
 let region_size nl n =
-  let fanouts = N.fanouts nl in
+  let fanouts = fanout_lists nl in
   let cone next roots =
     let mark = Array.make (N.num_nodes nl) false in
     let rec walk m =

@@ -101,6 +101,16 @@ let netlists_structurally_equal a b =
   done;
   !ok
 
+(** Reference reader lists, the transpose of the fanins: [fanout_lists
+    nl].(i) holds the ids of the nodes that read node [i], ascending, a
+    reader once per fanin position that reads [i]. *)
+let fanout_lists nl =
+  let acc = Array.make (N.num_nodes nl) [] in
+  for i = N.num_nodes nl - 1 downto 0 do
+    Array.iter (fun f -> acc.(f) <- i :: acc.(f)) (N.fanins nl i)
+  done;
+  Array.map Array.of_list acc
+
 (** Reference single-pattern gate evaluation over [bool]s, written
     independently of the 64-lane word simulator. *)
 let eval_gate_bool kind (ops : bool array) =
