@@ -525,10 +525,20 @@ let scanflow_cmd =
     (Term.const run)
 
 let tracecheck_cmd =
-  let run input to_chrome =
+  let run input to_chrome summary =
     let finish = function
       | Ok n ->
         Printf.printf "%s: %d events, all lines valid\n" input n;
+        if summary then begin
+          (* the file is valid, so it reads back *)
+          let events = Result.get_ok (Trace.read_file input) in
+          Printf.printf "%-32s %8s %10s %10s\n" "span" "count" "total_s" "self_s";
+          List.iter
+            (fun (t : Trace.span_total) ->
+              Printf.printf "%-32s %8d %10.4f %10.4f\n" t.name t.count
+                (t.total_us /. 1e6) (t.self_us /. 1e6))
+            (Trace.summary events)
+        end;
         `Ok ()
       | Error e ->
         `Error (false, Format.asprintf "%s: %a" input Trace.pp_error e)
@@ -551,12 +561,21 @@ let tracecheck_cmd =
             "Also convert the JSONL stream to a Chrome trace_event JSON \
              array at $(docv).")
   in
+  let summary =
+    Arg.(
+      value & flag
+      & info [ "summary" ]
+          ~doc:
+            "Then print, per span name, the count, total and self time \
+             (the total less the time of the spans directly inside it), \
+             most self time first.")
+  in
   Cmd.v
     (Cmd.info "tracecheck"
        ~doc:
          "Strictly validate a JSONL trace written by --trace (every line \
           must parse as an emitted trace event)")
-    Term.(ret (const run $ input $ to_chrome))
+    Term.(ret (const run $ input $ to_chrome $ summary))
 
 let export_cmd =
   let run nl out =

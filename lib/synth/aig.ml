@@ -11,8 +11,16 @@ type t = {
   mutable num_nodes : int;  (* includes const node 0 and PIs *)
   num_pis : int;
   mutable outputs : int array;  (* output literals *)
-  strash : (int * int, int) Hashtbl.t;  (* (f0, f1) canonical -> node id *)
+  (* the strash: open addressing with linear probing over a power-of-two
+     table, key [(f0 lsl 31) lor f1] of the canonical pair [f0 < f1] (never
+     0, since [f0 >= 2]), 0 marking a free slot; [ids] holds the node id *)
+  mutable keys : int array;
+  mutable ids : int array;
+  mutable shift : int;  (* 63 - log2 (Array.length keys) *)
 }
+
+(* literals must fit in the 31 bits of a strash key *)
+let max_nodes = 1 lsl 30
 
 let false_lit = 0
 let true_lit = 1
@@ -22,6 +30,7 @@ let is_compl l = l land 1 = 1
 let compl_lit l = l lxor 1
 
 let create ~num_pis =
+  if num_pis < 0 || num_pis >= max_nodes then invalid_arg "Aig.create";
   let cap = max 16 (4 * (num_pis + 1)) in
   {
     fanin0 = Array.make cap 0;
@@ -29,7 +38,9 @@ let create ~num_pis =
     num_nodes = num_pis + 1;
     num_pis;
     outputs = [||];
-    strash = Hashtbl.create 1024;
+    keys = Array.make 1024 0;
+    ids = Array.make 1024 0;
+    shift = 63 - 10;
   }
 
 let num_pis t = t.num_pis
@@ -61,6 +72,31 @@ let ensure t =
     t.fanin1 <- f1
   end
 
+(* the slot holding [key], or the free slot where it belongs *)
+let slot t key =
+  let mask = Array.length t.keys - 1 in
+  let rec probe i =
+    let k = t.keys.(i) in
+    if k = key || k = 0 then i else probe ((i + 1) land mask)
+  in
+  probe ((key * 0x1E3779B97F4A7C15) lsr t.shift)
+
+(* doubles the strash table, reinserting every key *)
+let grow_strash t =
+  let keys = t.keys and ids = t.ids in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n 0;
+  t.ids <- Array.make n 0;
+  t.shift <- t.shift - 1;
+  Array.iteri
+    (fun i key ->
+      if key <> 0 then begin
+        let j = slot t key in
+        t.keys.(j) <- key;
+        t.ids.(j) <- ids.(i)
+      end)
+    keys
+
 (** Hashed AND constructor with constant/trivial simplification. *)
 let and_lit t a b =
   let a, b = if a <= b then (a, b) else (b, a) in
@@ -68,17 +104,24 @@ let and_lit t a b =
   else if a = true_lit then b
   else if a = b then a
   else if a = compl_lit b then false_lit
-  else
-    match Hashtbl.find_opt t.strash (a, b) with
-    | Some n -> lit_of_node n
-    | None ->
-      ensure t;
+  else begin
+    let key = (a lsl 31) lor b in
+    let i = slot t key in
+    if t.keys.(i) = key then lit_of_node t.ids.(i)
+    else begin
       let n = t.num_nodes in
+      if n = max_nodes then invalid_arg "Aig.and_lit: more than 2^30 nodes";
+      ensure t;
       t.fanin0.(n) <- a;
       t.fanin1.(n) <- b;
       t.num_nodes <- n + 1;
-      Hashtbl.replace t.strash (a, b) n;
+      t.keys.(i) <- key;
+      t.ids.(i) <- n;
+      (* at most half full *)
+      if 2 * (n - t.num_pis) > Array.length t.keys then grow_strash t;
       lit_of_node n
+    end
+  end
 
 let or_lit t a b = compl_lit (and_lit t (compl_lit a) (compl_lit b))
 

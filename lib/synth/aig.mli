@@ -10,6 +10,7 @@ val node_of_lit : int -> int
 val is_compl : int -> bool
 val compl_lit : int -> int
 
+(** Raises [Invalid_argument] unless [0 <= num_pis < 2^30]. *)
 val create : num_pis:int -> t
 val num_pis : t -> int
 val num_nodes : t -> int
@@ -30,6 +31,9 @@ val num_live_ands : t -> int
 
 (** {1 Construction (hashed, with trivial-case simplification)} *)
 
+(** The strash keys a node by its two fanin literals packed into one int,
+    31 bits each, so a graph holds at most 2^30 nodes: creating one more
+    raises [Invalid_argument]. *)
 val and_lit : t -> int -> int -> int
 val and_list : t -> int list -> int
 val or_list : t -> int list -> int

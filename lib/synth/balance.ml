@@ -8,19 +8,24 @@ let run (aig : Aig.t) : Aig.t =
   let refs = Aig.ref_counts aig in
   let fresh = Aig.create ~num_pis:(Aig.num_pis aig) in
   let memo = Array.make (Aig.num_nodes aig) (-1) in
-  (* levels of the fresh AIG, maintained incrementally as nodes appear *)
-  let lev : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let level_of l =
-    match Hashtbl.find_opt lev (Aig.node_of_lit l) with
-    | Some v -> v
-    | None -> 0 (* const or PI *)
-  in
+  (* levels of the fresh AIG by node id, set as [mk_and] creates each node
+     (const and PIs stay at 0).  A conjunction of m operands flattens m - 1
+     source ANDs and is rebuilt with at most m - 1, so the fresh AIG never
+     outgrows the source *)
+  let lev = Array.make (Aig.num_nodes aig) 0 in
+  let level_of l = lev.(Aig.node_of_lit l) in
   let mk_and a b =
+    let n = Aig.num_nodes fresh in
     let l = Aig.and_lit fresh a b in
-    let n = Aig.node_of_lit l in
-    if Aig.is_and fresh n && not (Hashtbl.mem lev n) then
-      Hashtbl.replace lev n (1 + max (level_of a) (level_of b));
+    if Aig.num_nodes fresh > n then lev.(n) <- 1 + max (level_of a) (level_of b);
     l
+  in
+  (* operands by ascending level, equal levels in arrival order; a new AND
+     goes before the first operand of equal or higher level, where a stable
+     re-sort of the list would put it *)
+  let rec insert x lx = function
+    | y :: rest when level_of y < lx -> y :: insert x lx rest
+    | ys -> x :: ys
   in
   let rec lit_image l =
     let plain = node_image (Aig.node_of_lit l) in
@@ -50,13 +55,17 @@ let run (aig : Aig.t) : Aig.t =
           collect (Aig.fanin1 aig n);
           let imgs = List.map lit_image !operands in
           (* repeatedly combine the two shallowest operands *)
-          let rec build xs =
-            match List.sort (fun a b -> compare (level_of a) (level_of b)) xs with
+          let rec build = function
             | [] -> Aig.true_lit
             | [ x ] -> x
-            | a :: b :: rest -> build (mk_and a b :: rest)
+            | a :: b :: rest ->
+              let x = mk_and a b in
+              build (insert x (level_of x) rest)
           in
-          build imgs
+          build
+            (List.stable_sort
+               (fun a b -> Int.compare (level_of a) (level_of b))
+               imgs)
         end
       in
       memo.(n) <- lit;

@@ -28,8 +28,13 @@ type scratch = {
   cone : int array;
   local_refs : int array;  (* their ref counts while [freed_nodes] runs *)
   mutable cone_size : int;
+  (* per cone node, each fanin's table as word offset times two plus the
+     complement bit *)
+  in0 : int array;
+  in1 : int array;
   (* slot-major truth-table words of the cone, then the ISOP's frames *)
   isop : Isop.scratch;
+  mutable truth_words : int;  (* cone table words computed *)
 }
 
 let scratch (aig : Aig.t) ~cut_size =
@@ -45,7 +50,10 @@ let scratch (aig : Aig.t) ~cut_size =
     cone = Array.make (max_expansions + 1) 0;
     local_refs = Array.make (max_expansions + 1) 0;
     cone_size = 0;
+    in0 = Array.make (max_expansions + 1) 0;
+    in1 = Array.make (max_expansions + 1) 0;
     isop = Isop.scratch ();
+    truth_words = 0;
   }
 
 let leaf_tag s = 2 * s.stamp
@@ -130,43 +138,85 @@ let collect_cone s root =
   in
   visit root
 
-(* Truth table of the root over the leaves.  Every fanin of a cone node is
-   a leaf or a cone node, so one pass in topological order fills the slots:
-   leaves first (slot i = variable i), then the cone, the root last.
-   Returns the word offset of the root's table in [s.isop]'s buffer. *)
-let cone_truth s =
+(* Word [w] of every slot's table.  Every fanin of a cone node is a leaf
+   or a cone node, so one pass in topological order fills the slots:
+   leaves first (slot i = variable i), then the cone, the root last. *)
+let fill_word s ~words w =
+  let tt = s.isop.tt and nvars = s.num_leaves in
+  for i = 0 to nvars - 1 do
+    Truth.set_word tt ((i * words) + w)
+      (if i < 6 then Truth.var_masks.(i)
+       else if (w lsr (i - 6)) land 1 = 1 then Int64.minus_one
+       else 0L)
+  done;
+  for j = 0 to s.cone_size - 1 do
+    let e0 = s.in0.(j) and e1 = s.in1.(j) in
+    Truth.set_word tt
+      (((nvars + j) * words) + w)
+      (Int64.logand
+         (Int64.logxor (Int64.of_int (-(e0 land 1))) (Truth.word tt ((e0 lsr 1) + w)))
+         (Int64.logxor (Int64.of_int (-(e1 land 1))) (Truth.word tt ((e1 lsr 1) + w))))
+  done;
+  s.truth_words <- s.truth_words + nvars + s.cone_size
+
+(* Truth table of the root over the leaves, in [s.isop]'s buffer: returns
+   the word offset of the root's table, or -1 once the root is seen to
+   depend on [saved + 1] variables, when [|support| - 1 >= saved] skips
+   the cone whatever the rest of the table.  Words 0, 1, 2, 4, ... are
+   filled first: each shows some of the variables 0-5 the root depends on,
+   and word [2^j] differs from word 0 only if the root depends on variable
+   [6 + j], the one variable in which their patterns differ.  The other
+   words are filled only for a cone these witnesses do not skip. *)
+let cone_truth s ~saved =
   let nvars = s.num_leaves in
   let words = Truth.num_words nvars in
   let slots = nvars + s.cone_size in
   Isop.reserve s.isop ~keep:0 (slots * words);
   let tt = s.isop.tt in
   for i = 0 to nvars - 1 do
-    s.slot.(s.leaves.(i)) <- i;
-    for w = 0 to words - 1 do
-      Truth.set_word tt ((i * words) + w)
-        (if i < 6 then Truth.var_masks.(i)
-         else if (w lsr (i - 6)) land 1 = 1 then Int64.minus_one
-         else 0L)
-    done
+    s.slot.(s.leaves.(i)) <- i
   done;
+  let fanin l =
+    (s.slot.(Aig.node_of_lit l) * words * 2) + if Aig.is_compl l then 1 else 0
+  in
   for j = 0 to s.cone_size - 1 do
-    let n = s.cone.(j) and slot = nvars + j in
-    let l0 = Aig.fanin0 s.aig n and l1 = Aig.fanin1 s.aig n in
-    let s0 = s.slot.(Aig.node_of_lit l0) * words
-    and s1 = s.slot.(Aig.node_of_lit l1) * words in
-    let c0 = if Aig.is_compl l0 then Int64.minus_one else 0L in
-    let c1 = if Aig.is_compl l1 then Int64.minus_one else 0L in
-    for w = 0 to words - 1 do
-      Truth.set_word tt
-        ((slot * words) + w)
-        (Int64.logand
-           (Int64.logxor c0 (Truth.word tt (s0 + w)))
-           (Int64.logxor c1 (Truth.word tt (s1 + w))))
-    done
+    s.in0.(j) <- fanin (Aig.fanin0 s.aig s.cone.(j));
+    s.in1.(j) <- fanin (Aig.fanin1 s.aig s.cone.(j))
   done;
   let root = (slots - 1) * words in
-  Truth.set_word tt root (Truth.mask_last nvars (Truth.word tt root));
-  root
+  fill_word s ~words 0;
+  if words = 1 then begin
+    Truth.set_word tt root (Truth.mask_last nvars (Truth.word tt root));
+    root
+  end
+  else begin
+    let witnessed = ref 0 and low = ref 0 in
+    let witness_low at =
+      for i = 0 to 5 do
+        if !low land (1 lsl i) = 0
+           && Truth.depends_on_words tt ~at ~nw:1 ~full:Int64.minus_one i then begin
+          low := !low lor (1 lsl i);
+          incr witnessed
+        end
+      done
+    in
+    witness_low root;
+    let j = ref 0 in
+    while !witnessed <= saved && 6 + !j < nvars do
+      let w = 1 lsl !j in
+      fill_word s ~words w;
+      if Truth.word tt (root + w) <> Truth.word tt root then incr witnessed;
+      if !low <> 63 then witness_low (root + w);
+      incr j
+    done;
+    if !witnessed > saved then -1
+    else begin
+      for w = 3 to words - 1 do
+        if w land (w - 1) <> 0 then fill_word s ~words w
+      done;
+      root
+    end
+  end
 
 (* nodes of the cone freed if the root is re-expressed over the leaves:
    ref-count decrement simulation confined to the cone *)
@@ -199,7 +249,8 @@ let check_cut_size cut_size =
    cover holds a literal of every variable the function depends on, and
    [Isop.cost] is at least the literal count minus one, so
    [cost >= |support| - 1]: when that bound already reaches the saving, the
-   ISOP is not computed.  Otherwise the ISOP is left in [s.isop] and
+   ISOP is not computed (nor, once enough support is witnessed, the rest
+   of the table).  Otherwise the ISOP is left in [s.isop] and
    [costed root at saved] is called, [at] being the root's table.  Returns
    the number of ISOPs computed and skipped. *)
 let scan s ~cut_size ~min_cone costed =
@@ -212,10 +263,10 @@ let scan s ~cut_size ~min_cone costed =
       if k >= 2 && k <= cut_size then begin
         collect_cone s root;
         if s.cone_size >= min_cone then begin
-          let at = cone_truth s in
           let saved = freed_nodes s root in
-          if Truth.support_size_words s.isop.tt ~at ~nvars:k - 1 >= saved then
-            incr skipped
+          let at = cone_truth s ~saved in
+          if at < 0 || Truth.support_size_words s.isop.tt ~at ~nvars:k - 1 >= saved
+          then incr skipped
           else begin
             incr calls;
             Isop.run s.isop ~nvars:k ~at;
@@ -256,6 +307,7 @@ let run ?(cut_size = 10) ?(min_cone = 2) (aig : Aig.t) : Aig.t =
   in
   Metrics.add (Metrics.counter "synth.isop_calls") isop_calls;
   Metrics.add (Metrics.counter "synth.isop_skipped") isop_skipped;
+  Metrics.add (Metrics.counter "synth.truth_words") s.truth_words;
   (* rebuild demand-driven from the outputs *)
   let fresh = Aig.create ~num_pis:(Aig.num_pis aig) in
   let memo = Array.make (Aig.num_nodes aig) (-1) in

@@ -264,3 +264,67 @@ let to_chrome ~src ~dst =
       in
       output_string oc "]\n";
       r)
+
+type span_total = { name : string; count : int; total_us : float; self_us : float }
+
+(* slack for float rounding of [ts + dur], in microseconds *)
+let eps = 0.01
+
+let summary (events : Telemetry.event list) =
+  let totals = Hashtbl.create 16 in
+  let add name ~dur ~self =
+    let count, total, s =
+      Option.value (Hashtbl.find_opt totals name) ~default:(0, 0.0, 0.0)
+    in
+    Hashtbl.replace totals name (count + 1, total +. dur, s +. self)
+  in
+  let by_tid = Hashtbl.create 4 in
+  List.iter
+    (fun (e : Telemetry.event) ->
+      Hashtbl.replace by_tid e.tid
+        (e :: Option.value (Hashtbl.find_opt by_tid e.tid) ~default:[]))
+    events;
+  Hashtbl.iter
+    (fun _ evs ->
+      (* an enclosing span first: by start, then the longer one *)
+      let evs =
+        List.stable_sort
+          (fun (a : Telemetry.event) (b : Telemetry.event) ->
+            match Float.compare a.ts_us b.ts_us with
+            | 0 -> Float.compare b.dur_us a.dur_us
+            | c -> c)
+          evs
+      in
+      (* open spans, innermost first, each with its children's time so far *)
+      let stack = ref [] in
+      let close (e, inner) =
+        add e.Telemetry.name ~dur:e.dur_us ~self:(e.dur_us -. inner)
+      in
+      List.iter
+        (fun (e : Telemetry.event) ->
+          let rec unwind () =
+            match !stack with
+            | (((p : Telemetry.event), _) as top) :: rest
+              when e.ts_us >= p.ts_us +. p.dur_us
+                   || e.ts_us +. e.dur_us > p.ts_us +. p.dur_us +. eps ->
+              close top;
+              stack := rest;
+              unwind ()
+            | _ -> ()
+          in
+          unwind ();
+          (match !stack with
+          | (p, inner) :: rest -> stack := (p, inner +. e.dur_us) :: rest
+          | [] -> ());
+          stack := (e, 0.0) :: !stack)
+        evs;
+      List.iter close !stack)
+    by_tid;
+  Hashtbl.fold
+    (fun name (count, total_us, self_us) acc ->
+      { name; count; total_us; self_us } :: acc)
+    totals []
+  |> List.sort (fun a b ->
+         match Float.compare b.self_us a.self_us with
+         | 0 -> String.compare a.name b.name
+         | c -> c)

@@ -56,3 +56,13 @@ val validate_file : string -> (int, error) result
     Validates as it goes; on error the destination is still written but
     truncated at the offending line. *)
 val to_chrome : src:string -> dst:string -> (int, error) result
+
+(** The spans of one name in a trace: how many, their summed durations and
+    their summed self time, in microseconds. *)
+type span_total = { name : string; count : int; total_us : float; self_us : float }
+
+(** Count, total and self time by span name, most self time first (then by
+    name).  Spans nest by containment on each domain ([tid]), with 0.01 µs
+    of slack for the rounding of [ts + dur]; a span's self time is its
+    duration less those of the spans directly inside it. *)
+val summary : Telemetry.event list -> span_total list

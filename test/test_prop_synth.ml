@@ -168,6 +168,41 @@ let prop_isop_matches_reference_on_cones =
             (Refactor.costed_cones ~cut_size ~min_cone aig))
         [ (10, 3); (4, 1) ])
 
+(* the library's strash, refactoring (both cut sizes, cones and rebuilt
+   AIGs) and balancing give the reference's graphs node for node *)
+let same_as_reference nl =
+  let r = Synth_ref.of_netlist nl and g = Aig.of_netlist nl in
+  Synth_ref.same r g
+  && List.for_all
+       (fun (cut_size, min_cone) ->
+         Refactor.costed_cones ~cut_size ~min_cone g
+         = Synth_ref.costed_cones ~cut_size ~min_cone r
+         && Synth_ref.same
+              (Synth_ref.refactor ~cut_size ~min_cone r)
+              (Refactor.run ~cut_size ~min_cone g))
+       [ (10, 3); (4, 1) ]
+  && Synth_ref.same (Synth_ref.balance r) (Balance.run g)
+  && Synth_ref.same (Synth_ref.optimize nl) (Abc.optimize nl)
+
+let print_netlist = Orap_netlist.Bench_format.print
+
+let prop_synth_matches_reference =
+  Prop.netlist ~count:60 "strash, refactor and balance = reference"
+    same_as_reference
+
+let prop_synth_matches_reference_wide =
+  Prop.to_alcotest ~count:60
+    ~name:"strash, refactor and balance = reference on wide gates"
+    ~gen:Gen.wide_netlist ~print:print_netlist same_as_reference
+
+(* generated logic deep enough for cuts of 7-10 leaves, whose tables span
+   several words *)
+let prop_synth_matches_reference_benchgen =
+  Prop.to_alcotest ~count:20
+    ~name:"strash, refactor and balance = reference on generated logic"
+    ~gen:(Gen.benchgen_netlist ~inputs:24 ~outputs:12 ~gates:400)
+    ~print:print_netlist same_as_reference
+
 let suite =
   ( "prop_synth",
     [
@@ -180,4 +215,7 @@ let suite =
       prop_depends_on_cofactors;
       prop_isop_matches_reference;
       prop_isop_matches_reference_on_cones;
+      prop_synth_matches_reference;
+      prop_synth_matches_reference_wide;
+      prop_synth_matches_reference_benchgen;
     ] )

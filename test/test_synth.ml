@@ -102,6 +102,16 @@ let test_aig_strash_rules () =
   check Alcotest.int "hash-consing" ab1 ab2;
   check Alcotest.int "one and node" 1 (Aig.num_ands g)
 
+(* a strash key packs two literals of 31 bits, so a graph whose inputs
+   alone pass 2^30 nodes is refused before anything is allocated *)
+let test_aig_node_limit () =
+  List.iter
+    (fun num_pis ->
+      match Aig.create ~num_pis with
+      | _ -> Alcotest.failf "num_pis %d accepted" num_pis
+      | exception Invalid_argument _ -> ())
+    [ -1; 1 lsl 30 ]
+
 let eval_aig g inputs =
   let n = Aig.num_nodes g in
   let v = Array.make n false in
@@ -232,6 +242,28 @@ let test_evaluate_on_two_domains () =
         (Domain.join d))
     domains
 
+(* Every Table I netlist at scale 64, original and locked: the passes give
+   the reference's graphs node for node, and refactoring costs the same
+   cones *)
+let test_table1_netlists_match_reference () =
+  List.iter
+    (fun profile ->
+      let _, nl, locked = Orap_experiments.Table1.circuit ~scale:64 profile in
+      List.iter
+        (fun (side, nl) ->
+          let name what =
+            Printf.sprintf "%s %s: %s" profile.Orap_benchgen.Benchgen.name side what
+          in
+          let r = Synth_ref.of_netlist nl and g = Aig.of_netlist nl in
+          check Alcotest.bool (name "strash") true (Synth_ref.same r g);
+          check Alcotest.bool (name "costed cones") true
+            (Refactor.costed_cones ~cut_size:10 ~min_cone:3 g
+            = Synth_ref.costed_cones ~cut_size:10 ~min_cone:3 r);
+          check Alcotest.bool (name "optimize") true
+            (Synth_ref.same (Synth_ref.optimize nl) (Abc.optimize nl)))
+        [ ("original", nl); ("locked", locked.Orap_locking.Locked.netlist) ])
+    Orap_benchgen.Benchgen.table1_profiles
+
 let suite =
   ( "synth",
     [
@@ -244,6 +276,7 @@ let suite =
       tc "isop constants" `Quick test_isop_constants;
       tc "isop cost" `Quick test_isop_cost;
       tc "aig strash rules" `Quick test_aig_strash_rules;
+      tc "aig node limit" `Quick test_aig_node_limit;
       prop_aig_roundtrip;
       prop_aig_matches_simulation;
       prop_refactor_preserves_function;
@@ -253,4 +286,5 @@ let suite =
       tc "strash dedups redundancy" `Quick test_refactor_compresses_redundancy;
       tc "overhead of identical circuit is 0" `Quick test_overhead_zero_for_identical;
       tc "evaluate on two domains = serial" `Quick test_evaluate_on_two_domains;
+      tc "Table I netlists = reference" `Quick test_table1_netlists_match_reference;
     ] )

@@ -178,6 +178,33 @@ let test_parser_rejects_deviations () =
     {|{"ph":"X","name":"a\q","ts":1.0,"dur":2.0,"pid":1,"tid":0}|};
   rejects "not an object" {|[1,2,3]|}
 
+(* events as the sink emits them, an enclosing span after its children *)
+let test_summary_self_time () =
+  let ev ?(tid = 0) name ts dur =
+    { Telemetry.phase = Complete; name; ts_us = ts; dur_us = dur; tid; args = [] }
+  in
+  let totals =
+    Trace.summary
+      [
+        ev "leaf" 10.0 20.0;
+        ev "leaf" 40.0 10.0;
+        ev "mid" 5.0 50.0;
+        (* the enclosing span starts with its first child, on another domain
+           a span of the same name overlaps it without nesting *)
+        ev "top" 5.0 95.0;
+        ev ~tid:1 "mid" 0.0 30.0;
+        ev "after" 100.0 1.0;
+      ]
+    |> List.map (fun (t : Trace.span_total) ->
+           (t.name, t.count, t.total_us, t.self_us))
+  in
+  check
+    Alcotest.(list (pair string (pair int (pair (float 1e-9) (float 1e-9)))))
+    "count, total and self by name, most self first"
+    [ ("mid", (2, (80.0, 50.0))); ("top", (1, (95.0, 45.0)));
+      ("leaf", (2, (30.0, 30.0))); ("after", (1, (1.0, 1.0))) ]
+    (List.map (fun (n, c, t, s) -> (n, (c, (t, s)))) totals)
+
 let test_to_chrome_wraps_array () =
   let src = tmp_file ".jsonl" in
   let dst = tmp_file ".json" in
@@ -305,6 +332,7 @@ let suite =
       tc "event_to_json parses back" `Quick test_event_to_json_parses_back;
       tc "parser rejects deviations" `Quick test_parser_rejects_deviations;
       tc "to_chrome wraps a JSON array" `Quick test_to_chrome_wraps_array;
+      tc "summary: self time by span name" `Quick test_summary_self_time;
       tc "counters and interning" `Quick test_counters_and_interning;
       tc "counter increments across domains" `Quick test_counter_from_domains;
       tc "histogram buckets and quantiles" `Quick

@@ -323,6 +323,36 @@ let test_cli_warns_on_excess_jobs () =
     Alcotest.failf "unexpected warning %S" w;
   List.iter Sys.remove [ out; err ]
 
+(* a traced Table I run breaks down by span: the summary lists the
+   synthesis passes and the grid cells around them *)
+let test_cli_tracecheck_summary () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/orap_cli.exe" in
+  let trace = Filename.temp_file "orap" ".jsonl" and out = Filename.temp_file "orap" ".txt" in
+  let run args =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args (Filename.quote out))
+  in
+  check Alcotest.int "table1 exit code" 0
+    (run ("table1 --scale 64 --trace " ^ Filename.quote trace));
+  check Alcotest.int "tracecheck exit code" 0
+    (run ("tracecheck --summary " ^ Filename.quote trace));
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  let row name =
+    List.find_opt
+      (fun l -> match String.split_on_char ' ' l with n :: _ -> n = name | [] -> false)
+      lines
+  in
+  List.iter
+    (fun (name, count) ->
+      match row name with
+      | None -> Alcotest.failf "no %s row in %S" name (String.concat "\n" lines)
+      | Some l ->
+        let fields = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+        check Alcotest.string (name ^ " count") (string_of_int count) (List.nth fields 1))
+    [ ("runner.cell", 8); ("synth.refactor", 16); ("synth.rewrite", 16);
+      ("synth.balance", 16) ];
+  List.iter Sys.remove [ trace; out ]
+
 let suite =
   ( "tools",
     [
@@ -335,4 +365,5 @@ let suite =
       tc "CLI lock fits its default key" `Quick test_cli_lock_default_key_fits;
       tc "CLI .json trace is the framed JSONL stream" `Quick test_cli_json_trace_framing;
       tc "CLI warns when --jobs exceeds the cores" `Quick test_cli_warns_on_excess_jobs;
+      tc "CLI tracecheck --summary of a traced Table I" `Quick test_cli_tracecheck_summary;
     ] )
